@@ -16,6 +16,7 @@ from .errors import (
     MalformedTermError,
     NgclError,
     NgclSyntaxError,
+    SettingError,
     SpaceCapError,
     UnknownVariableError,
 )

@@ -17,7 +17,7 @@ from .errors import NgclError, NgclSyntaxError
 from .logics import Triple, classify, holds, logic_by_name
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
-from .space import Predicate
+from .space import Predicate, state_cap
 from .theorems import THEOREM_IDS, CorpusConfig, corpus_preset, run_survey
 from .transformers import TransformerKind, inductive_transform, oracle_transform
 
@@ -256,7 +256,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        state_cap()  # reject a malformed NGCL_STATE_CAP whatever the command
         return args.func(args)
+    except RecursionError:
+        # parsing and hashing recurse once per nesting level, `;` included
+        print("error: program nested too deeply (the limit is a few hundred "
+              "statements or levels)", file=sys.stderr)
+        return USAGE_ERROR
     except NgclSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -11,6 +11,10 @@ class SpaceCapError(NgclError):
     """State space would exceed the enumeration cap."""
 
 
+class SettingError(NgclError, ValueError):
+    """An environment setting has an invalid value."""
+
+
 class NgclSyntaxError(NgclError):
     """Parse error carrying a 1-based source position."""
 

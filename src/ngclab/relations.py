@@ -10,14 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-
-def _iter_bits(bits: int):
-    i = 0
-    while bits:
-        if bits & 1:
-            yield i
-        bits >>= 1
-        i += 1
+# imported as a module, not by name: perfbench's tracer wraps every name one
+# ngclab module imports from another as a layer, and a per-bit step is not one
+from . import space as _space
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class Relation:
         rows = []
         for row in self.rows:
             acc = 0
-            for j in _iter_bits(row):
+            for j in _space.iter_bits(row):
                 acc |= other.rows[j]
             rows.append(acc)
         return Relation(self.n, tuple(rows))
@@ -92,7 +87,7 @@ class Relation:
     def converse(self) -> "Relation":
         rows = [0] * self.n
         for i, row in enumerate(self.rows):
-            for j in _iter_bits(row):
+            for j in _space.iter_bits(row):
                 rows[j] |= 1 << i
         return Relation(self.n, tuple(rows))
 
@@ -111,7 +106,7 @@ class Relation:
 
     def image_bits(self, bits: int) -> int:
         acc = 0
-        for i in _iter_bits(bits):
+        for i in _space.iter_bits(bits):
             acc |= self.rows[i]
         return acc
 
@@ -129,7 +124,7 @@ class Relation:
 
     def pairs(self) -> Iterable[tuple[int, int]]:
         for i, row in enumerate(self.rows):
-            for j in _iter_bits(row):
+            for j in _space.iter_bits(row):
                 yield i, j
 
     def __repr__(self) -> str:

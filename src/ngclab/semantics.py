@@ -2,9 +2,13 @@
 configuration graph (the only place divergence is observable), and the
 relational denotation derived from the collecting semantics.
 
-The graph is what decides may-divergence: on a finite, finitely branching
-graph an infinite execution exists from a configuration iff that
-configuration can reach a node lying on a cycle (a lasso).
+The graph runs over integer configurations `point * n + state`, where the
+points are a flat compilation of the program.  On a finite, finitely
+branching graph an infinite execution exists from a configuration iff that
+configuration can reach a node lying on a cycle (a lasso).  `profile` reads
+both the relation and may-divergence off one strongly-connected-component
+pass over that graph; `collecting` and `denote_relation` stay AST walks, an
+independent route the tests compare it against.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import space as _space  # for iter_bits; see relations.py
 from .errors import BudgetExceededError
 from .relations import Relation
 from .space import Predicate, StateSpace
@@ -26,7 +31,6 @@ from .syntax import (
     Skip,
     While,
     eval_expr,
-    eval_guard,
     guard_to_predicate,
 )
 
@@ -51,13 +55,8 @@ def _collect_bits(p: Program, bits: int, space: StateSpace) -> int:
     if isinstance(p, Assign):
         succ = _assign_successors(p.var, p.expr, space)
         acc = 0
-        i = 0
-        rest = bits
-        while rest:
-            if rest & 1:
-                acc |= 1 << succ[i]
-            rest >>= 1
-            i += 1
+        for i in _space.iter_bits(bits):
+            acc |= 1 << succ[i]
         return acc
     if isinstance(p, Seq):
         return _collect_bits(p.second, _collect_bits(p.first, bits, space), space)
@@ -103,62 +102,104 @@ def denote_relation(p: Program, space: StateSpace) -> Relation:
     return Relation(space.size, rows)
 
 
-# --- small-step configuration graph ----------------------------------------
+# --- program points and the configuration graph ---------------------------
+#
+# A program compiles, once per state space, to a flat list of program points;
+# point 0 is the terminal point.  A configuration is the int `point * n +
+# state`, so configurations below n are the finished ones.  A point is
+# (kind, first, second, data) with successor points pre-multiplied by n:
 
-TERMINAL = None  # residual of a finished computation
+_GOTO = 0     # skip (to its continuation) and diverge (to itself)
+_ASSIGN = 1   # to the continuation, through the successor table in data
+_CHOICE = 2   # to either of two points
+_BRANCH = 3   # if and while: to first where the guard flag in data is "1",
+              # else to second; a while point is its body's continuation
 
 
-@dataclass(frozen=True)
-class Configuration:
-    residual: Program | None
-    state_index: int
+class _Points:
+    """A program compiled over a state space."""
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.residual is None
+    def __init__(self, p: Program, space: StateSpace):
+        self.n = space.size
+        self.space = space
+        self.points: list = [None]
+        self.entry = self._chain(p, 0)
 
+    def _add(self, kind, first: int, second: int = 0, data=None, point=None) -> int:
+        if point is None:
+            point = len(self.points)
+            self.points.append(None)
+        self.points[point] = (kind, first * self.n, second * self.n, data)
+        return point
 
-def _step(residual: Program, idx: int, space: StateSpace) -> list[Configuration]:
-    """One-step successors; choice branches without consuming a state change."""
-    if isinstance(residual, Skip):
-        return [Configuration(TERMINAL, idx)]
-    if isinstance(residual, Diverge):
-        return [Configuration(residual, idx)]
-    if isinstance(residual, Assign):
-        succ = _assign_successors(residual.var, residual.expr, space)
-        return [Configuration(TERMINAL, succ[idx])]
-    if isinstance(residual, Seq):
-        out = []
-        for conf in _step(residual.first, idx, space):
-            if conf.is_terminal:
-                out.append(Configuration(residual.second, conf.state_index))
+    def _chain(self, p: Program, cont: int) -> int:
+        """Entry point of p followed by point `cont`: iterates along `;`."""
+        chain, todo = [], [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Seq):
+                todo += (q.second, q.first)
             else:
-                out.append(Configuration(Seq(conf.residual, residual.second), conf.state_index))
-        return out
-    if isinstance(residual, Choice):
-        return [
-            Configuration(residual.left, idx),
-            Configuration(residual.right, idx),
-        ]
-    if isinstance(residual, Ite):
-        taken = residual.then if eval_guard(residual.guard, space.state(idx)) else residual.orelse
-        return [Configuration(taken, idx)]
-    if isinstance(residual, While):
-        if eval_guard(residual.guard, space.state(idx)):
-            return [Configuration(Seq(residual.body, residual), idx)]
-        return [Configuration(TERMINAL, idx)]
-    raise TypeError(f"not a program: {residual!r}")
+                chain.append(q)
+        for q in reversed(chain):
+            cont = self._single(q, cont)
+        return cont
+
+    def _single(self, p: Program, cont: int) -> int:
+        if isinstance(p, Skip):
+            return self._add(_GOTO, cont)
+        if isinstance(p, Diverge):   # a self-loop: the point about to be added
+            return self._add(_GOTO, len(self.points))
+        if isinstance(p, Assign):
+            return self._add(_ASSIGN, cont, 0, _assign_successors(p.var, p.expr, self.space))
+        if isinstance(p, Choice):
+            return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
+        if isinstance(p, (Ite, While)):
+            bits = guard_to_predicate(p.guard, self.space).bits
+            flags = format(bits, "b").zfill(self.n)[::-1]
+            if isinstance(p, Ite):
+                return self._add(_BRANCH, self._chain(p.then, cont),
+                                 self._chain(p.orelse, cont), flags)
+            point = len(self.points)
+            self.points.append(None)
+            return self._add(_BRANCH, self._chain(p.body, point), cont, flags, point)
+        raise TypeError(f"not a program: {p!r}")
+
+    def successors(self, node: int) -> tuple[int, ...]:
+        point, state = divmod(node, self.n)
+        if not point:
+            return ()
+        kind, first, second, data = self.points[point]
+        if kind == _GOTO:
+            return (first + state,)
+        if kind == _ASSIGN:
+            return (first + data[state],)
+        if kind == _CHOICE:
+            return (first + state, second + state)
+        return ((first if data[state] == "1" else second) + state,)
+
+    def seed(self, state: int) -> int:
+        return self.entry * self.n + state
 
 
 @dataclass
 class TransitionGraph:
-    space: StateSpace
-    nodes: list[Configuration]
-    edges: dict[Configuration, tuple[Configuration, ...]]
-    seeds: dict[int, Configuration]
+    """Configurations as ints: `state_of(node)` is the state, and the nodes
+    below `space.size` are the terminal ones."""
 
-    def successors(self, conf: Configuration) -> tuple[Configuration, ...]:
-        return self.edges.get(conf, ())
+    space: StateSpace
+    nodes: list[int]
+    edges: dict[int, tuple[int, ...]]
+    seeds: dict[int, int]
+
+    def successors(self, node: int) -> tuple[int, ...]:
+        return self.edges.get(node, ())
+
+    def is_terminal(self, node: int) -> bool:
+        return node < self.space.size
+
+    def state_of(self, node: int) -> int:
+        return node % self.space.size
 
     def terminal_states(self, seed_index: int) -> Predicate:
         """Final states reachable from one seed, read off the graph."""
@@ -167,74 +208,30 @@ class TransitionGraph:
         queue = deque([start])
         bits = 0
         while queue:
-            conf = queue.popleft()
-            if conf.is_terminal:
-                bits |= 1 << conf.state_index
+            node = queue.popleft()
+            if self.is_terminal(node):
+                bits |= 1 << node
                 continue
-            for nxt in self.edges[conf]:
+            for nxt in self.edges[node]:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         return Predicate(self.space, bits)
 
-    def cyclic_nodes(self) -> set[Configuration]:
-        """Nodes lying on a cycle, via iterative DFS with an on-stack marker."""
-        color: dict[Configuration, int] = {}  # 1 = on stack, 2 = done
-        cyclic: set[Configuration] = set()
-        for root in self.nodes:
-            if color.get(root):
-                continue
-            stack: list[tuple[Configuration, int]] = [(root, 0)]
-            while stack:
-                conf, child = stack[-1]
-                if child == 0:
-                    color[conf] = 1
-                succs = self.edges.get(conf, ())
-                if child < len(succs):
-                    stack[-1] = (conf, child + 1)
-                    nxt = succs[child]
-                    if color.get(nxt) == 1:
-                        cyclic.add(nxt)
-                    elif not color.get(nxt):
-                        stack.append((nxt, 0))
-                else:
-                    color[conf] = 2
-                    stack.pop()
-        return cyclic
-
-    def can_reach(self, targets: set[Configuration]) -> set[Configuration]:
-        """All nodes with a path into the target set (reverse reachability)."""
-        preds: dict[Configuration, list[Configuration]] = {}
-        for conf, succs in self.edges.items():
-            for nxt in succs:
-                preds.setdefault(nxt, []).append(conf)
-        seen = set(targets)
-        queue = deque(targets)
-        while queue:
-            conf = queue.popleft()
-            for prev in preds.get(conf, ()):
-                if prev not in seen:
-                    seen.add(prev)
-                    queue.append(prev)
-        return seen
-
     def to_dot(self) -> str:
-        def label(conf: Configuration) -> str:
-            from .syntax import pretty_program
-
-            state = self.space.state(conf.state_index)
-            if conf.is_terminal:
+        def label(node: int) -> str:
+            state = self.space.state(self.state_of(node))
+            if self.is_terminal(node):
                 return f"end {state!r}"
-            return f"{pretty_program(conf.residual)} | {state!r}"
+            return f"pc {node // self.space.size} | {state!r}"
 
-        ids = {conf: f"n{i}" for i, conf in enumerate(self.nodes)}
         lines = ["digraph configurations {"]
-        for conf in self.nodes:
-            shape = "doublecircle" if conf.is_terminal else "box"
-            lines.append(f'  {ids[conf]} [shape={shape}, label="{label(conf)}"];')
-        for conf in self.nodes:
-            for nxt in self.edges.get(conf, ()):
-                lines.append(f"  {ids[conf]} -> {ids[nxt]};")
+        for node in self.nodes:
+            shape = "doublecircle" if self.is_terminal(node) else "box"
+            lines.append(f'  n{node} [shape={shape}, label="{label(node)}"];')
+        for node in self.nodes:
+            for nxt in self.edges.get(node, ()):
+                lines.append(f"  n{node} -> n{nxt};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -245,47 +242,107 @@ def build_graph(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> TransitionGraph:
     """All configurations reachable from seeding p on each seed state."""
-    space = seeds.space
-    seed_map = {i: Configuration(p, i) for i in seeds.indices()}
-    nodes: list[Configuration] = []
-    edges: dict[Configuration, tuple[Configuration, ...]] = {}
-    seen: set[Configuration] = set()
-    queue = deque()
-    for conf in seed_map.values():
-        if conf not in seen:
-            seen.add(conf)
-            queue.append(conf)
+    points = _Points(p, seeds.space)
+    seed_map = {i: points.seed(i) for i in seeds.indices()}
+    nodes: list[int] = []
+    edges: dict[int, tuple[int, ...]] = {}
+    seen = set(seed_map.values())
+    queue = deque(seed_map.values())
     while queue:
-        conf = queue.popleft()
-        nodes.append(conf)
+        node = queue.popleft()
+        nodes.append(node)
         if len(nodes) > node_budget:
             raise BudgetExceededError(
                 f"configuration graph exceeded {node_budget} nodes"
             )
-        if conf.is_terminal:
+        succs = points.successors(node)
+        if not succs:
             continue
-        succs = tuple(_step(conf.residual, conf.state_index, space))
-        edges[conf] = succs
+        edges[node] = succs
         for nxt in succs:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return TransitionGraph(space, nodes, edges, seed_map)
+    return TransitionGraph(seeds.space, nodes, edges, seed_map)
 
 
-def may_diverge(
-    p: Program,
-    space: StateSpace,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Predicate:
+def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], int]:
+    """Per state: the final states its seed reaches, and (as a bitmask over
+    states) whether the seed can reach a cycle.  One iterative Tarjan pass
+    over the configurations reachable from the seeds; strongly connected
+    components close sinks first, so each one combines its successors'
+    already-final answers."""
+    n = points.n
+    successors = points.successors
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    edges: dict[int, tuple[int, ...]] = {}
+    component: dict[int, int] = {}
+    finals: list[int] = []      # by component: reachable terminal states
+    cyclic: list[bool] = []     # by component: reaches a cycle
+    stack: list[int] = []
+    work: list[tuple[int, int]] = []
+
+    def enter(node: int) -> None:
+        if len(index) >= node_budget:
+            raise BudgetExceededError(f"configuration graph exceeded {node_budget} nodes")
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        edges[node] = successors(node)
+        work.append((node, 0))
+
+    for root in map(points.seed, range(n)):
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            node, child = work[-1]
+            succs = edges[node]
+            if child < len(succs):
+                work[-1] = (node, child + 1)
+                nxt = succs[child]
+                if nxt not in index:
+                    enter(nxt)
+                elif nxt not in component and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+                continue
+            work.pop()
+            if work and low[node] < low[work[-1][0]]:
+                low[work[-1][0]] = low[node]
+            if low[node] != index[node]:
+                continue
+            comp = len(finals)
+            members = []
+            while True:
+                member = stack.pop()
+                component[member] = comp
+                members.append(member)
+                if member == node:
+                    break
+            reach = 1 << node if node < n else 0    # a terminal configuration
+            loops = False   # set by any edge inside the component
+            for member in members:
+                for nxt in edges[member]:
+                    other = component[nxt]
+                    if other == comp:
+                        loops = True
+                    else:   # the first contribution is shared, not copied
+                        reach = reach | finals[other] if reach else finals[other]
+                        loops = loops or cyclic[other]
+            finals.append(reach)
+            cyclic.append(loops)
+    rows, may = [], 0
+    for state in range(n):
+        comp = component[points.seed(state)]
+        rows.append(finals[comp])
+        if cyclic[comp]:
+            may |= 1 << state
+    return rows, may
+
+
+def may_diverge(p: Program, space: StateSpace) -> Predicate:
     """States admitting an infinite execution: the seed reaches a lasso."""
-    graph = build_graph(p, Predicate.universe(space), node_budget)
-    divergent = graph.can_reach(graph.cyclic_nodes())
-    bits = 0
-    for i, conf in graph.seeds.items():
-        if conf in divergent:
-            bits |= 1 << i
-    return Predicate(space, bits)
+    return Predicate(space, profile(p, space).may_div)
 
 
 def must_diverge(p: Program, space: StateSpace) -> Predicate:
@@ -316,10 +373,10 @@ class Profile:
 
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
-    rel = denote_relation(p, space)
-    may = may_diverge(p, space).bits
+    rows, may = _final_and_divergent(_Points(p, space), DEFAULT_NODE_BUDGET)
+    rel = Relation(space.size, tuple(rows))
     must = 0
-    for i, row in enumerate(rel.rows):
+    for i, row in enumerate(rows):
         if row == 0:
             must |= 1 << i
     return Profile(space, rel, rel.converse(), may, must)

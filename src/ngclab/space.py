@@ -9,26 +9,35 @@ here is immutable and hashable, so values can be shared freely across tasks.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import SpaceCapError
+from .errors import SettingError, SpaceCapError
 
 HARD_STATE_CAP = 2**20
 
 
-def _effective_cap() -> int:
-    # NGCL_STATE_CAP may lower the cap but never raise it past the hard max.
+def state_cap() -> int:
+    """The state-count cap: NGCL_STATE_CAP may lower it but never raise it
+    past the hard maximum, and must be a positive integer when set."""
     raw = os.environ.get("NGCL_STATE_CAP")
     if raw is None:
         return HARD_STATE_CAP
     try:
         value = int(raw)
     except ValueError:
-        return HARD_STATE_CAP
+        value = 0
     if value < 1:
-        return HARD_STATE_CAP
+        raise SettingError(f"NGCL_STATE_CAP must be a positive integer, got {raw!r}")
     return min(value, HARD_STATE_CAP)
+
+
+def iter_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits, lowest first, in one step per set bit."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,9 @@ class StateSpace:
 
     variables: tuple[str, ...]
     modulus: int
+    # derived once; not part of equality or hashing
+    size: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -46,19 +58,13 @@ class StateSpace:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         size = self.modulus ** len(self.variables)
-        cap = _effective_cap()
+        cap = state_cap()
         if size > cap:
             raise SpaceCapError(
                 f"state space has {size} states, exceeding the cap of {cap}"
             )
-
-    @property
-    def size(self) -> int:
-        return self.modulus ** len(self.variables)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "full_mask", (1 << size) - 1)
 
     def var_index(self, name: str) -> int:
         try:
@@ -183,12 +189,7 @@ class Predicate:
         return bool(self.bits >> index & 1)
 
     def indices(self) -> Iterator[int]:
-        bits, i = self.bits, 0
-        while bits:
-            if bits & 1:
-                yield i
-            bits >>= 1
-            i += 1
+        return iter_bits(self.bits)
 
     def states(self) -> Iterator[State]:
         for i in self.indices():

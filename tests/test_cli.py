@@ -138,3 +138,31 @@ class TestClassify:
         assert main(["classify", choice_diverge]) == 0
         out = capsys.readouterr().out
         assert "no_branching_divergence" in out and "fails" in out
+
+
+def _deep_module(tmp_path, statements):
+    path = tmp_path / f"deep{statements}.ngcl"
+    path.write_text("vars x, y mod 4\n" + " ;\n".join(
+        "x := x + 1" if i % 2 == 0 else "{ y := y + x } [] { y := y + 1 }"
+        for i in range(statements)) + "\n")
+    return str(path)
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize("statements", [600, 1200])
+    def test_too_deep_program_is_a_one_line_usage_error(self, tmp_path, capsys, statements):
+        # 1 200 statements overflow the parser, 600 the program hashing
+        path = _deep_module(tmp_path, statements)
+        assert main(["transform", "--kind", "awp", "--pred", "x = 0", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: program nested too deeply")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+    def test_invalid_state_cap_is_a_one_line_usage_error(self, choice01, capsys,
+                                                         monkeypatch, value):
+        monkeypatch.setenv("NGCL_STATE_CAP", value)
+        assert main(["transform", "--kind", "awp", "--pred", "x = 0", choice01]) == 2
+        assert main(["survey", "--suite", "ORDERING"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: NGCL_STATE_CAP must be a positive integer, got {value!r}"] * 2

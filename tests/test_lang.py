@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ngclab import (
     NgclSyntaxError,
     Predicate,
+    SettingError,
     SpaceCapError,
     StateSpace,
     UnknownVariableError,
@@ -56,12 +57,33 @@ class TestStateSpace:
             StateSpace(("x",), 9)
         StateSpace(("x",), 8)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+    def test_invalid_env_cap_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("NGCL_STATE_CAP", value)
+        with pytest.raises(SettingError, match="NGCL_STATE_CAP"):
+            StateSpace(("x",), 2)
+
+    def test_derived_sizes_do_not_enter_equality_or_hashing(self):
+        space = StateSpace(("x", "y"), 3)
+        assert (space.size, space.full_mask) == (9, 511)
+        assert space == StateSpace(("x", "y"), 3) != StateSpace(("x", "y"), 2)
+        assert hash(space) == hash((("x", "y"), 3))
+        assert repr(space) == "StateSpace(variables=('x', 'y'), modulus=3)"
+
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ValueError):
             StateSpace(("x", "x"), 2)
 
 
 class TestPredicate:
+    def test_indices_are_the_set_bits_lowest_first(self):
+        from ngclab.space import iter_bits
+
+        rng = random.Random(5)
+        for bits in [0, 1, 1 << 200] + [rng.getrandbits(300) for _ in range(50)]:
+            assert list(iter_bits(bits)) == [i for i in range(bits.bit_length())
+                                             if bits >> i & 1]
+
     def test_complement_involutive(self):
         pred = Predicate.from_indices(SPACE_X3, [0, 2])
         assert ~~pred == pred

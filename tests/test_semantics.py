@@ -18,8 +18,11 @@ from ngclab import (
     must_diverge,
     parse_program,
 )
+from ngclab import semantics
 from ngclab.generators import random_program
+from ngclab.syntax import Seq
 from ngclab.semantics import profile
+from ngclab.transformers import TransformerKind, inductive_transform
 
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
@@ -85,8 +88,8 @@ class TestGraph:
     def test_skip_graph_shape(self):
         graph = build_graph(prog("skip"), pred([1]))
         assert len(graph.nodes) == 2
-        terminals = [n for n in graph.nodes if n.is_terminal]
-        assert len(terminals) == 1 and terminals[0].state_index == 1
+        terminals = [n for n in graph.nodes if graph.is_terminal(n)]
+        assert terminals == [1] and graph.state_of(terminals[0]) == 1
 
     def test_diverge_self_loops(self):
         graph = build_graph(prog("diverge"), pred([0]))
@@ -94,19 +97,48 @@ class TestGraph:
         assert graph.successors(seed) == (seed,)
 
     def test_countdown_graph_is_acyclic_and_lands_on_zero(self):
-        graph = build_graph(prog("while x != 0 { x := x - 1 }"), SIGMA)
-        assert not graph.cyclic_nodes()
+        p = prog("while x != 0 { x := x - 1 }")
+        graph = build_graph(p, SIGMA)
+        # every edge leads to a node not yet visited on the current path:
+        # a DFS that never meets a node on its own stack finds no cycle
+        on_path, done = set(), set()
+
+        def acyclic_from(node):
+            on_path.add(node)
+            for nxt in graph.successors(node):
+                assert nxt not in on_path
+                if nxt not in done:
+                    acyclic_from(nxt)
+            on_path.discard(node)
+            done.add(node)
+
+        for seed in graph.seeds.values():
+            acyclic_from(seed)
         for i in range(SPACE.size):
             assert graph.terminal_states(i) == pred([0])
+        assert may_diverge(p, SPACE).is_empty
 
     def test_node_budget_is_a_hard_error(self):
         with pytest.raises(BudgetExceededError):
             build_graph(prog("while true { x := x + 1 }"), SIGMA, node_budget=3)
 
+    def test_profile_pass_keeps_the_node_budget(self):
+        points = semantics._Points(prog("while true { x := x + 1 }"), SPACE)
+        with pytest.raises(BudgetExceededError):
+            semantics._final_and_divergent(points, node_budget=3)
+
     def test_dot_export_mentions_all_nodes(self):
         graph = build_graph(prog("skip"), pred([0]))
         dot = graph.to_dot()
         assert dot.startswith("digraph") and dot.count("label=") == len(graph.nodes)
+
+    def test_sequences_compile_without_recursing_per_statement(self):
+        # a `;` chain far longer than the interpreter's recursion limit
+        p = prog("x := x + 1")
+        for _ in range(5000):
+            p = Seq(prog("x := x + 1"), p)
+        graph = build_graph(p, pred([0]))
+        assert graph.terminal_states(0) == pred([5001 % 3])
 
 
 class TestDivergence:
@@ -167,8 +199,46 @@ def test_graph_terminals_agree_with_collecting(seed):
     space = StateSpace(("x", "y"), 2)
     p = random_program(rng, space, 4, loops=True)
     graph = build_graph(p, Predicate.universe(space))
+    assert set(graph.seeds) == set(range(space.size))
+    for node in graph.nodes:
+        assert graph.is_terminal(node) == (not graph.successors(node))
     for i in range(space.size):
         assert graph.terminal_states(i) == collecting(p, Predicate.from_indices(space, [i]))
+
+
+CROSS_SPACES = (
+    StateSpace(("x",), 3),
+    StateSpace(("x", "y"), 2),
+    StateSpace(("x", "y", "z"), 2),
+)
+CROSS_PROGRAMS = (
+    # two structurally equal loop branches get separate program points
+    "{ while x != 0 { x := x - 1 } } [] { while x != 0 { x := x - 1 } }",
+    "{ while x != 1 { { x := x + 1 } [] { diverge } } } [] { skip }",
+    "while x = 0 { { { skip } [] { diverge } } [] { x := x + 1 } }",
+    "if x = 0 { { diverge } [] { x := 1 } } else { while true { skip } }",
+    "x := x + 1 ; { { x := 0 } [] { while x != 0 { skip } } } ; x := x * 2",
+)
+
+
+def _cross_check(p, space):
+    prof = profile(p, space)
+    empty = Predicate.empty(space)
+    assert prof.relation == denote_relation(p, space)
+    assert prof.may_div == inductive_transform(TransformerKind.AWLP, p, empty).bits
+    assert prof.must_div & ~prof.may_div == 0
+
+
+@pytest.mark.parametrize("space", CROSS_SPACES, ids=lambda s: f"n{s.size}")
+def test_profile_pass_matches_collecting_and_greatest_fixpoint(space):
+    """The SCC pass against the two independent routes: the relation of the
+    collecting semantics, and may-divergence as the inductive engine's
+    awlp(false), a greatest fixpoint for loops."""
+    for text in CROSS_PROGRAMS:
+        _cross_check(prog(text, space), space)
+    rng = random.Random(4242 + space.size)
+    for _ in range(200):
+        _cross_check(random_program(rng, space, 5, loops=True), space)
 
 
 @settings(max_examples=150, deadline=None)
