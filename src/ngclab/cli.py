@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 the command succeeded and the checked
 claim holds (or a counterexample was found, for the counterexample command),
 1 the claim is false (or no counterexample turned up), 2 usage or input
-error, 3 an internal invariant broke.
+error, 3 an internal invariant broke, 4 a resource limit (the state-space cap
+or the configuration-graph node budget) was reached.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import NgclError, NgclSyntaxError
+from .errors import BudgetExceededError, NgclError, NgclSyntaxError, SpaceCapError
 from .logics import Triple, classify, holds, logic_by_name
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
@@ -24,6 +25,7 @@ from .transformers import TransformerKind, inductive_transform, oracle_transform
 USAGE_ERROR = 2
 CLAIM_FALSE = 1
 INTERNAL_ERROR = 3
+RESOURCE_LIMIT = 4
 
 
 def _load_program(path: str):
@@ -274,6 +276,9 @@ def main(argv=None) -> int:
             return USAGE_ERROR
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (SpaceCapError, BudgetExceededError) as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return RESOURCE_LIMIT
     except NgclError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

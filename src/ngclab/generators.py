@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .space import Predicate, StateSpace
@@ -85,36 +86,34 @@ def exhaustive_programs(
     expr_depth: int = 1,
 ) -> Iterator[Program]:
     """Every AST of depth <= max_depth over the canonical pools, smallest
-    depth first, constructors in a fixed order within each depth."""
+    depth first, constructors in a fixed order within each depth.  Programs
+    are yielded as they are built, so a consumer that stops early does not
+    pay for the rest of the depth."""
     exprs = expr_pool(space, expr_depth)
     guards = guard_pool(space)
     leaves: list[Program] = [Skip(), Diverge()]
     leaves += [Assign(v, e) for v in space.variables for e in exprs]
     yield from leaves
+    binary = [Seq, Choice] + [partial(Ite, g) for g in guards]
     cumulative: list[Program] = list(leaves)
-    frontier = leaves
+    start = 0  # where the previous frontier begins in `cumulative`
     for _ in range(2, max_depth + 1):
+        frontier = cumulative[start:]
         fresh: list[Program] = []
-        # at least one operand must come from the previous frontier so each
-        # program is produced exactly once, at its true depth
-        frontier_set = set(frontier)
-        for ctor in (Seq, Choice):
-            for a in cumulative:
-                for b in cumulative:
-                    if a in frontier_set or b in frontier_set:
-                        fresh.append(ctor(a, b))
-        for g in guards:
-            for a in cumulative:
-                for b in cumulative:
-                    if a in frontier_set or b in frontier_set:
-                        fresh.append(Ite(g, a, b))
+        for build in binary:
+            # at least one operand comes from the previous frontier, so each
+            # program is produced exactly once, at its true depth
+            for i, a in enumerate(cumulative):
+                for b in cumulative if i >= start else frontier:
+                    fresh.append(build(a, b))
+                    yield fresh[-1]
         if loops:
             for g in guards:
                 for a in frontier:
                     fresh.append(While(g, a))
-        yield from fresh
+                    yield fresh[-1]
+        start = len(cumulative)
         cumulative += fresh
-        frontier = fresh
 
 
 def random_expr(rng: random.Random, space: StateSpace, depth: int = 2) -> Expr:
@@ -197,6 +196,3 @@ def all_predicates(space: StateSpace) -> Iterator[Predicate]:
     for bits in range(1 << space.size):
         yield Predicate(space, bits)
 
-
-def random_predicate(rng: random.Random, space: StateSpace) -> Predicate:
-    return Predicate(space, rng.randrange(1 << space.size))

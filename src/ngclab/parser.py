@@ -215,11 +215,15 @@ class _Parser:
 
     # statements
     def sequence(self) -> Program:
-        first = self.statement()
-        if self.at(";"):
+        statements = [self.statement()]
+        while self.at(";"):
             self.next()
-            return Seq(first, self.sequence())
-        return first
+            statements.append(self.statement())
+        # fold right: s1; s2; s3 is Seq(s1, Seq(s2, s3))
+        node = statements.pop()
+        while statements:
+            node = Seq(statements.pop(), node)
+        return node
 
     def statement(self) -> Program:
         tok = self.peek()

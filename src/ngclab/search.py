@@ -7,25 +7,31 @@ triples smallest-first and reports the first witness, or that the budget ran
 out, or that the whole candidate space was exhausted.  The three outcomes are
 distinct: for a true equivalence (a real Galois connection) no budget ever
 suffices, and the caller needs to know the search was honest.
+
+One loop, `_drive`, counts the candidates of every kind of claim.  Each kind
+supplies a stream of per-program blocks: the program is profiled once, and every
+transformer it needs is tabulated once per predicate, so a candidate triple
+costs two bit tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Optional
 
 from .generators import all_predicates, exhaustive_programs
 from .logics import (
     ASP_LB, ASP_UB, ASLP_LB, ASLP_UB, AWP_LB, AWP_UB, AWLP_LB, AWLP_UB,
     DSP_LB, DSP_UB, DSLP_LB, DSLP_UB, DWP_LB, DWP_UB, DWLP_LB, DWLP_UB,
-    INTERSECTION_LOGIC,
-    LogicId, syntactic_choice,
+    INTERSECTION_LOGIC, UNION_LOGIC,
+    Bound, LogicId, syntactic_choice,
 )
-from .semantics import profile
-from .space import Predicate, StateSpace
+from .semantics import Profile, profile
+from .space import Predicate, StateSpace, iter_bits
 from .syntax import Program, pretty_program
-from .theorems import _equation_cached, _logic_holds
+from .topkat import check_equation
 from .transformers import TransformerKind, _oracle_bits
 
 FOUND = "found"
@@ -108,151 +114,196 @@ def appendix_c_claims() -> list[str]:
     return [f"appendixC:{a}-vs-{b}" for a, b in combinations(names, 2)]
 
 
-def _candidate_triples(
-    config: SearchConfig,
-) -> Iterator[tuple[StateSpace, Program, Predicate, Predicate]]:
+# --- counting candidates ------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Block:
+    """The candidates one enumerated program contributes, in search order:
+    `first_hit(limit)` is the index of the first refuting candidate among the
+    first `limit` of them, or None; `witness(index)` describes that candidate.
+
+    `_drive` is done with a block before it asks the stream for the next one,
+    so a block's callables may read the stream's loop variables."""
+
+    size: int
+    first_hit: Callable[[int], Optional[int]]
+    witness: Callable[[int], dict]
+
+
+def _drive(claim: str, blocks: Iterable[_Block], budget: int) -> SearchResult:
+    """Count candidates across the blocks: the first hit within the budget is
+    found, a candidate left over once the budget is spent exhausts the budget,
+    and a stream ending at or under the budget exhausts the space."""
+    budget = max(budget, 0)
+    spent = 0
+    for block in blocks:
+        left = budget - spent
+        hit = block.first_hit(min(block.size, left))
+        if hit is not None:
+            return SearchResult(claim, FOUND, block.witness(hit), spent + hit + 1)
+        if block.size > left:
+            return SearchResult(claim, BUDGET_EXHAUSTED, None, budget)
+        spent += block.size
+    return SearchResult(claim, SPACE_EXHAUSTED, None, spent)
+
+
+Verdict = Callable[[int, int], bool]
+
+
+def _verdict_block(npred: int, left: Verdict, right: Verdict,
+                   describe: Callable[[int, int, bool, bool], dict]) -> _Block:
+    """Candidates are the (i, j) pairs of predicate bits, i-major; a candidate
+    refutes when the two verdicts differ on it."""
+
+    def first_hit(limit: int) -> Optional[int]:
+        for index in range(limit):
+            i, j = divmod(index, npred)
+            if left(i, j) != right(i, j):
+                return index
+        return None
+
+    def witness(index: int) -> dict:
+        i, j = divmod(index, npred)
+        return describe(i, j, left(i, j), right(i, j))
+
+    return _Block(npred * npred, first_hit, witness)
+
+
+def _excluded_block(size: int) -> _Block:
+    """A program the claim does not range over: its candidates still count."""
+    return _Block(size, lambda limit: None, lambda index: {})
+
+
+def _programs(config: SearchConfig) -> Iterator[tuple[StateSpace, list[Predicate], Program]]:
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
         preds = list(all_predicates(space))
         for p in exhaustive_programs(space, config.max_depth, config.loops):
-            for b in preds:
-                for c in preds:
-                    yield space, p, b, c
+            yield space, preds, p
 
 
-def _triple_witness(space, p, b, c, detail: str, **extra) -> dict:
-    out = {
+def _table(kind: TransformerKind, prof: Profile, npred: int) -> list[int]:
+    """The transformer applied to every predicate, indexed by its bits."""
+    return [_oracle_bits(kind, prof, q) for q in range(npred)]
+
+
+def _logic_verdict(logic: LogicId, prof: Profile, npred: int) -> Verdict:
+    """The logic's subset condition as a test on the bits of (pre, post)."""
+    if logic.kind is None:
+        combine = or_ if logic is UNION_LOGIC else and_
+        target = list(map(combine, _table(TransformerKind.AWP, prof, npred),
+                          _table(TransformerKind.DWLP, prof, npred)))
+        return lambda b, c: b & ~target[c] == 0
+    result = _table(logic.kind, prof, npred)
+    if logic.kind.backward:
+        if logic.bound is Bound.LB:
+            return lambda b, c: b & ~result[c] == 0
+        return lambda b, c: result[c] & ~b == 0
+    if logic.bound is Bound.LB:
+        return lambda b, c: c & ~result[b] == 0
+    return lambda b, c: result[b] & ~c == 0
+
+
+def _witness(space: StateSpace, programs: dict, pre: Predicate, post: Predicate,
+             detail: str, **extra) -> dict:
+    return {
         "space": f"vars {', '.join(space.variables)} mod {space.modulus}",
         "variables": list(space.variables),
         "modulus": space.modulus,
-        "program": pretty_program(p),
-        "pre": repr(b),
-        "pre_indices": sorted(b.indices()),
-        "post": repr(c),
-        "post_indices": sorted(c.indices()),
+        **programs,
+        "pre": repr(pre),
+        "pre_indices": sorted(pre.indices()),
+        "post": repr(post),
+        "post_indices": sorted(post.indices()),
         "detail": detail,
+        **extra,
     }
-    out.update(extra)
-    return out
 
 
-def _search_logic_pair(
-    claim: str, left: LogicId, right: LogicId, config: SearchConfig,
-    program_filter=None,
-) -> SearchResult:
-    candidates = 0
-    for space, p, b, c in _candidate_triples(config):
-        if candidates >= config.budget:
-            return SearchResult(claim, BUDGET_EXHAUSTED, None, candidates)
-        candidates += 1
+# --- the four kinds of claim, each a stream of per-program blocks ---------------
+
+def _logic_pair_blocks(config: SearchConfig, left: LogicId, right: LogicId,
+                       program_filter=None) -> Iterator[_Block]:
+    def describe(b, c, lv, rv):
+        return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
+                        f"{left.name} is {lv} but {right.name} is {rv}",
+                        left=left.name, right=right.name)
+
+    for space, preds, p in _programs(config):
+        npred = len(preds)
         prof = profile(p, space)
         if program_filter is not None and not program_filter(p, prof):
+            yield _excluded_block(npred * npred)
             continue
-        lv = _logic_holds(prof, left, b.bits, c.bits)
-        rv = _logic_holds(prof, right, b.bits, c.bits)
-        if lv != rv:
-            witness = _triple_witness(
-                space, p, b, c,
-                f"{left.name} is {lv} but {right.name} is {rv}",
-                left=left.name, right=right.name,
-            )
-            return SearchResult(claim, FOUND, witness, candidates)
-    return SearchResult(claim, SPACE_EXHAUSTED, None, candidates)
+        yield _verdict_block(npred, _logic_verdict(left, prof, npred),
+                             _logic_verdict(right, prof, npred), describe)
 
 
-def _search_combination_gap(claim: str, config: SearchConfig) -> SearchResult:
-    """Transformer-level gaps: dwp vs awp-and-dwlp, awlp vs awp-or-dwlp."""
-    want_intersection = claim == "dwp-neq-intersection"
-    candidates = 0
-    for variables, modulus in config.spaces:
-        space = StateSpace(variables, modulus)
-        full = space.full_mask
-        preds = list(all_predicates(space))
-        for p in exhaustive_programs(space, config.max_depth, config.loops):
-            prof = profile(p, space)
-            for c in preds:
-                if candidates >= config.budget:
-                    return SearchResult(claim, BUDGET_EXHAUSTED, None, candidates)
-                candidates += 1
-                awp = _oracle_bits(TransformerKind.AWP, prof, c.bits)
-                dwlp = _oracle_bits(TransformerKind.DWLP, prof, c.bits)
-                if want_intersection:
-                    lhs = _oracle_bits(TransformerKind.DWP, prof, c.bits)
-                    rhs = awp & dwlp
-                    detail = "dwp differs from awp intersect dwlp"
-                else:
-                    lhs = _oracle_bits(TransformerKind.AWLP, prof, c.bits)
-                    rhs = awp | dwlp
-                    detail = "awlp differs from awp union dwlp"
-                diff = lhs ^ rhs
-                if diff:
-                    idx = (diff & -diff).bit_length() - 1
-                    witness = _triple_witness(
-                        space, p, Predicate(space, 1 << idx), c, detail,
-                        state=repr(space.state(idx)), state_index=idx,
-                    )
-                    return SearchResult(claim, FOUND, witness, candidates)
-    return SearchResult(claim, SPACE_EXHAUSTED, None, candidates)
+def _combination_gap_blocks(claim: str, config: SearchConfig) -> Iterator[_Block]:
+    """Transformer-level gaps: dwp vs awp-and-dwlp, awlp vs awp-or-dwlp; one
+    candidate per postcondition."""
+    if claim == "dwp-neq-intersection":
+        kind, combine = TransformerKind.DWP, and_
+        detail = "dwp differs from awp intersect dwlp"
+    else:
+        kind, combine = TransformerKind.AWLP, or_
+        detail = "awlp differs from awp union dwlp"
 
+    def witness(c: int) -> dict:
+        idx = next(iter_bits(gaps[c]))
+        return _witness(space, {"program": pretty_program(p)},
+                        Predicate(space, 1 << idx), preds[c], detail,
+                        state=repr(space.state(idx)), state_index=idx)
 
-def _search_relational_blindspot(claim: str, config: SearchConfig) -> SearchResult:
-    """Two programs with one relational denotation but different demonic
-    total-correctness verdicts."""
-    candidates = 0
-    for variables, modulus in config.spaces:
-        space = StateSpace(variables, modulus)
-        preds = list(all_predicates(space))
-        by_relation: dict = {}
-        for p in exhaustive_programs(space, config.max_depth, config.loops):
-            prof = profile(p, space)
-            others = by_relation.setdefault(prof.relation, [])
-            for q, qprof in others:
-                for c in preds:
-                    for b in preds:
-                        if candidates >= config.budget:
-                            return SearchResult(claim, BUDGET_EXHAUSTED, None, candidates)
-                        candidates += 1
-                        v1 = b.bits & ~_oracle_bits(TransformerKind.DWP, qprof, c.bits) == 0
-                        v2 = b.bits & ~_oracle_bits(TransformerKind.DWP, prof, c.bits) == 0
-                        if v1 != v2:
-                            witness = {
-                                "space": f"vars {', '.join(space.variables)} mod {space.modulus}",
-                                "variables": list(space.variables),
-                                "modulus": space.modulus,
-                                "program_a": pretty_program(q),
-                                "program_b": pretty_program(p),
-                                "pre": repr(b),
-                                "pre_indices": sorted(b.indices()),
-                                "post": repr(c),
-                                "post_indices": sorted(c.indices()),
-                                "detail": (
-                                    "equal relational denotations, "
-                                    f"total-correctness verdicts {v1} vs {v2}"
-                                ),
-                            }
-                            return SearchResult(claim, FOUND, witness, candidates)
-            others.append((p, prof))
-    return SearchResult(claim, SPACE_EXHAUSTED, None, candidates)
-
-
-def _search_outcome_gap(claim: str, config: SearchConfig) -> SearchResult:
-    """The two-equation outcome system versus the pointwise intersection logic."""
-    candidates = 0
-    for space, p, b, c in _candidate_triples(config):
-        if candidates >= config.budget:
-            return SearchResult(claim, BUDGET_EXHAUSTED, None, candidates)
-        candidates += 1
+    for space, preds, p in _programs(config):
         prof = profile(p, space)
-        system = _equation_cached("OUTCOME_CONJUNCTION", prof.relation,
-                                  b.bits, c.bits, space)
-        logic = _logic_holds(prof, INTERSECTION_LOGIC, b.bits, c.bits)
-        if system != logic:
-            witness = _triple_witness(
-                space, p, b, c,
-                f"equation system says {system}, subset condition says {logic}",
-            )
-            return SearchResult(claim, FOUND, witness, candidates)
-    return SearchResult(claim, SPACE_EXHAUSTED, None, candidates)
+        gaps = [_oracle_bits(kind, prof, c)
+                ^ combine(_oracle_bits(TransformerKind.AWP, prof, c),
+                          _oracle_bits(TransformerKind.DWLP, prof, c))
+                for c in range(len(preds))]
+        yield _Block(len(preds),
+                     lambda limit: next((c for c in range(limit) if gaps[c]), None),
+                     witness)
+
+
+def _relational_blindspot_blocks(config: SearchConfig) -> Iterator[_Block]:
+    """Two programs with one relational denotation but different demonic
+    total-correctness verdicts: one block for each earlier program sharing the
+    relation, candidates postcondition-major."""
+    by_relation: dict = {}
+    for space, preds, p in _programs(config):
+        prof = profile(p, space)
+        total = _logic_verdict(DWP_LB, prof, len(preds))
+        others = by_relation.setdefault((space, prof.relation), [])
+        for q, q_total in others:
+            def describe(c, b, v1, v2):
+                return _witness(
+                    space, {"program_a": pretty_program(q), "program_b": pretty_program(p)},
+                    preds[b], preds[c],
+                    f"equal relational denotations, total-correctness verdicts {v1} vs {v2}",
+                )
+
+            yield _verdict_block(len(preds), lambda c, b: q_total(b, c),
+                                 lambda c, b: total(b, c), describe)
+        others.append((p, total))
+
+
+def _outcome_gap_blocks(config: SearchConfig) -> Iterator[_Block]:
+    """The two-equation outcome system versus the pointwise intersection logic."""
+
+    def describe(b, c, system, logic):
+        return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
+                        f"equation system says {system}, subset condition says {logic}")
+
+    for space, preds, p in _programs(config):
+        prof = profile(p, space)
+        yield _verdict_block(
+            len(preds),
+            lambda b, c: check_equation("OUTCOME_CONJUNCTION", preds[b],
+                                        prof.relation, preds[c]),
+            _logic_verdict(INTERSECTION_LOGIC, prof, len(preds)),
+            describe,
+        )
 
 
 def _reversible(prof) -> bool:
@@ -263,24 +314,28 @@ def find_counterexample(claim: str, config: SearchConfig | None = None) -> Searc
     """Hunt for a witness refuting the claim; see the module docstring for
     the three possible outcomes."""
     config = config or SearchConfig()
+    return _drive(claim, _blocks(claim, config), config.budget)
+
+
+def _blocks(claim: str, config: SearchConfig) -> Iterator[_Block]:
     if claim == "dwp-neq-intersection" or claim == "awlp-neq-union":
-        return _search_combination_gap(claim, config)
+        return _combination_gap_blocks(claim, config)
     if claim == "galois-pc":
-        return _search_logic_pair(claim, DWLP_LB, ASP_UB, config)
+        return _logic_pair_blocks(config, DWLP_LB, ASP_UB)
     if claim == "galois-pi":
-        return _search_logic_pair(claim, AWP_UB, DSLP_LB, config)
+        return _logic_pair_blocks(config, AWP_UB, DSLP_LB)
     if claim == "galois-awlp-dsp-det-rev":
         # the forced adjunction: deterministic plus reversible programs only
-        return _search_logic_pair(
-            claim, AWLP_LB, DSP_UB, config,
+        return _logic_pair_blocks(
+            config, AWLP_LB, DSP_UB,
             program_filter=lambda p, prof: (
                 syntactic_choice(p) is None and _reversible(prof)
             ),
         )
     if claim == "total-correctness-relational":
-        return _search_relational_blindspot(claim, config)
+        return _relational_blindspot_blocks(config)
     if claim == "outcome-vs-intersection":
-        return _search_outcome_gap(claim, config)
+        return _outcome_gap_blocks(config)
     if claim.startswith("appendixC:"):
         body = claim[len("appendixC:"):]
         try:
@@ -288,16 +343,5 @@ def find_counterexample(claim: str, config: SearchConfig | None = None) -> Searc
             left, right = LEGS[left_name], LEGS[right_name]
         except (ValueError, KeyError):
             raise KeyError(f"unknown catalog claim {claim!r}") from None
-        return _search_logic_pair(claim, left, right, config)
+        return _logic_pair_blocks(config, left, right)
     raise KeyError(f"unknown claim {claim!r}")
-
-
-ALL_CLAIMS = (
-    "dwp-neq-intersection",
-    "awlp-neq-union",
-    "galois-pc",
-    "galois-pi",
-    "galois-awlp-dsp-det-rev",
-    "total-correctness-relational",
-    "outcome-vs-intersection",
-)

@@ -187,51 +187,9 @@ def program_depth(p: Program) -> int:
     raise TypeError(f"not a program: {p!r}")
 
 
-def variables_of(p: Program) -> set[str]:
-    out: set[str] = set()
-
-    def expr(e: Expr):
-        if isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, BinExpr):
-            expr(e.left)
-            expr(e.right)
-
-    def guard(g: Guard):
-        if isinstance(g, Cmp):
-            expr(g.left)
-            expr(g.right)
-        elif isinstance(g, (And, Or)):
-            guard(g.left)
-            guard(g.right)
-        elif isinstance(g, Not):
-            guard(g.inner)
-
-    def prog(q: Program):
-        if isinstance(q, Assign):
-            out.add(q.var)
-            expr(q.expr)
-        elif isinstance(q, Seq):
-            prog(q.first)
-            prog(q.second)
-        elif isinstance(q, Choice):
-            prog(q.left)
-            prog(q.right)
-        elif isinstance(q, Ite):
-            guard(q.guard)
-            prog(q.then)
-            prog(q.orelse)
-        elif isinstance(q, While):
-            guard(q.guard)
-            prog(q.body)
-
-    prog(p)
-    return out
-
-
 # --- pretty printing -------------------------------------------------------
 
-_EXPR_PREC = {"+": 1, "-": 1, "*": 2}
+_EXPR_PREC ={"+": 1, "-": 1, "*": 2}
 
 
 def pretty_expr(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:

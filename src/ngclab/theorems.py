@@ -157,21 +157,6 @@ def _transform_cached(prof: Profile, kind: TransformerKind, q: int) -> int:
     return _oracle_bits(kind, prof, q)
 
 
-def _logic_holds(prof: Profile, logic: LogicId, bbits: int, cbits: int) -> bool:
-    full = prof.space.full_mask
-    if logic is UNION_LOGIC or logic is INTERSECTION_LOGIC:
-        awp = _transform_cached(prof, TransformerKind.AWP, cbits)
-        dwlp = _transform_cached(prof, TransformerKind.DWLP, cbits)
-        target = awp | dwlp if logic is UNION_LOGIC else awp & dwlp
-        return bbits & ~target == 0
-    q = cbits if logic.kind.backward else bbits
-    result = _transform_cached(prof, logic.kind, q)
-    bound_on = bbits if logic.kind.backward else cbits
-    if logic.bound is Bound.LB:
-        return bound_on & ~result == 0
-    return result & ~bound_on & full == 0
-
-
 def _holds_vector(prof: Profile, bbits: int, cbits: int) -> dict[LogicId, bool]:
     tr = _transforms(prof, bbits, cbits)
     full = prof.space.full_mask

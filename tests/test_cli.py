@@ -151,7 +151,8 @@ def _deep_module(tmp_path, statements):
 class TestInputLimits:
     @pytest.mark.parametrize("statements", [600, 1200])
     def test_too_deep_program_is_a_one_line_usage_error(self, tmp_path, capsys, statements):
-        # 1 200 statements overflow the parser, 600 the program hashing
+        # the parser reads `;` chains in a loop; hashing the right-nested
+        # sequence tree for the profile cache is what recurses too deeply
         path = _deep_module(tmp_path, statements)
         assert main(["transform", "--kind", "awp", "--pred", "x = 0", path]) == 2
         err = capsys.readouterr().err
@@ -166,3 +167,24 @@ class TestInputLimits:
         assert main(["survey", "--suite", "ORDERING"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: NGCL_STATE_CAP must be a positive integer, got {value!r}"] * 2
+
+    def test_state_cap_is_a_one_line_resource_limit(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sixteen.ngcl"
+        path.write_text("vars x, y mod 4\nx := y\n")
+        monkeypatch.setenv("NGCL_STATE_CAP", "8")
+        assert main(["classify", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "resource limit: state space has 16 states, exceeding the cap of 8\n"
+
+    def test_node_budget_is_a_one_line_resource_limit(self, loop_down, capsys, monkeypatch):
+        from ngclab import semantics
+
+        monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 5)
+        semantics.profile.cache_clear()  # the budget applies when a profile is built
+        try:
+            assert main(["transform", "--kind", "dwp", "--pred", "x = 0", loop_down]) == 4
+        finally:
+            semantics.profile.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: configuration graph exceeded 5 nodes")
+        assert err.count("\n") == 1

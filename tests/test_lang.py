@@ -18,7 +18,7 @@ from ngclab import (
     pretty_program,
 )
 from ngclab.generators import random_guard, random_program
-from ngclab.syntax import Assign, Choice, Cmp, Const, Skip, Var, While, BinExpr
+from ngclab.syntax import Assign, Choice, Cmp, Const, Seq, Skip, Var, While, BinExpr
 
 import random
 
@@ -159,6 +159,19 @@ class TestParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(NgclSyntaxError):
             parse_program("skip skip", SPACE_X3)
+
+    def test_long_sequence_parses_into_a_right_nested_chain(self):
+        # far past the interpreter's recursion limit
+        text = "vars x mod 3\n" + ";\n".join(f"x := {i % 3}" for i in range(5000))
+        _, node = parse_module(text)
+        for i in range(4999):
+            assert isinstance(node, Seq) and node.first == Assign("x", Const(i % 3))
+            node = node.second
+        assert node == Assign("x", Const(4999 % 3))
+
+    def test_trailing_semicolon_rejected(self):
+        with pytest.raises(NgclSyntaxError):
+            parse_program("skip ; x := 1 ;", SPACE_X3)
 
 
 class TestRoundTrip:

@@ -1,0 +1,261 @@
+"""`find_counterexample` against a per-triple reference loop, and the lazy
+program enumerator against a frontier-set reference."""
+
+from functools import lru_cache
+
+import pytest
+
+from ngclab import search
+from ngclab.generators import all_predicates, exhaustive_programs, expr_pool, guard_pool
+from ngclab.logics import (
+    ASP_UB, AWLP_LB, AWP_UB, DSLP_LB, DSP_UB, DWLP_LB, DWP_LB, INTERSECTION_LOGIC,
+    Triple, holds, syntactic_choice,
+)
+from ngclab.search import SearchConfig, find_counterexample
+from ngclab.semantics import profile
+from ngclab.space import Predicate, StateSpace
+from ngclab.syntax import (
+    Assign, Choice, Diverge, Ite, Seq, Skip, While, pretty_program,
+)
+from ngclab.topkat import check_equation
+from ngclab.transformers import TransformerKind, oracle_transform
+
+
+# --- reference: one candidate triple at a time, as the search used to run -----
+
+def _ref_triples(config):
+    for variables, modulus in config.spaces:
+        space = StateSpace(variables, modulus)
+        preds = list(all_predicates(space))
+        for p in _ref_programs(space, config.max_depth, config.loops):
+            for b in preds:
+                for c in preds:
+                    yield space, p, b, c
+
+
+def _ref_witness(space, programs, b, c, detail, **extra):
+    out = {
+        "space": f"vars {', '.join(space.variables)} mod {space.modulus}",
+        "variables": list(space.variables),
+        "modulus": space.modulus,
+    }
+    out.update(programs)
+    out.update({
+        "pre": repr(b), "pre_indices": sorted(b.indices()),
+        "post": repr(c), "post_indices": sorted(c.indices()),
+        "detail": detail,
+    })
+    out.update(extra)
+    return out
+
+
+def _ref_search(claim, config):
+    """(outcome, candidates, witness) by the per-triple loop."""
+    candidates = 0
+
+    def spend():
+        nonlocal candidates
+        if candidates >= config.budget:
+            return False
+        candidates += 1
+        return True
+
+    if claim in ("dwp-neq-intersection", "awlp-neq-union"):
+        K = TransformerKind
+        for variables, modulus in config.spaces:
+            space = StateSpace(variables, modulus)
+            for p in _ref_programs(space, config.max_depth, config.loops):
+                for c in all_predicates(space):
+                    if not spend():
+                        return "budget-exhausted", candidates, None
+                    awp = oracle_transform(K.AWP, p, c)
+                    dwlp = oracle_transform(K.DWLP, p, c)
+                    if claim == "dwp-neq-intersection":
+                        lhs, rhs = oracle_transform(K.DWP, p, c), awp & dwlp
+                        detail = "dwp differs from awp intersect dwlp"
+                    else:
+                        lhs, rhs = oracle_transform(K.AWLP, p, c), awp | dwlp
+                        detail = "awlp differs from awp union dwlp"
+                    diff = (lhs - rhs) | (rhs - lhs)
+                    if not diff.is_empty:
+                        idx = min(diff.indices())
+                        w = _ref_witness(space, {"program": pretty_program(p)},
+                                         Predicate(space, 1 << idx), c, detail,
+                                         state=repr(space.state(idx)), state_index=idx)
+                        return "found", candidates, w
+        return "space-exhausted", candidates, None
+
+    if claim == "total-correctness-relational":
+        for variables, modulus in config.spaces:
+            space = StateSpace(variables, modulus)
+            preds = list(all_predicates(space))
+            by_relation = {}
+            for p in _ref_programs(space, config.max_depth, config.loops):
+                others = by_relation.setdefault(profile(p, space).relation, [])
+                for q in others:
+                    for c in preds:
+                        for b in preds:
+                            if not spend():
+                                return "budget-exhausted", candidates, None
+                            v1 = holds(DWP_LB, Triple(b, q, c))
+                            v2 = holds(DWP_LB, Triple(b, p, c))
+                            if v1 != v2:
+                                w = _ref_witness(
+                                    space, {"program_a": pretty_program(q),
+                                            "program_b": pretty_program(p)}, b, c,
+                                    "equal relational denotations, "
+                                    f"total-correctness verdicts {v1} vs {v2}")
+                                return "found", candidates, w
+                others.append(p)
+        return "space-exhausted", candidates, None
+
+    if claim == "outcome-vs-intersection":
+        for space, p, b, c in _ref_triples(config):
+            if not spend():
+                return "budget-exhausted", candidates, None
+            system = check_equation("OUTCOME_CONJUNCTION", b, profile(p, space).relation, c)
+            logic = holds(INTERSECTION_LOGIC, Triple(b, p, c))
+            if system != logic:
+                w = _ref_witness(space, {"program": pretty_program(p)}, b, c,
+                                 f"equation system says {system}, subset condition says {logic}")
+                return "found", candidates, w
+        return "space-exhausted", candidates, None
+
+    keep = None
+    if claim == "galois-pc":
+        left, right = DWLP_LB, ASP_UB
+    elif claim == "galois-pi":
+        left, right = AWP_UB, DSLP_LB
+    elif claim == "galois-awlp-dsp-det-rev":
+        left, right = AWLP_LB, DSP_UB
+
+        def keep(p, space):
+            rows = profile(p, space).inverse_relation.rows
+            return syntactic_choice(p) is None and all(r.bit_count() <= 1 for r in rows)
+    else:
+        left_name, right_name = claim[len("appendixC:"):].split("-vs-")
+        left, right = search.LEGS[left_name], search.LEGS[right_name]
+    for space, p, b, c in _ref_triples(config):
+        if not spend():
+            return "budget-exhausted", candidates, None
+        if keep is not None and not keep(p, space):
+            continue
+        lv = holds(left, Triple(b, p, c))
+        rv = holds(right, Triple(b, p, c))
+        if lv != rv:
+            w = _ref_witness(space, {"program": pretty_program(p)}, b, c,
+                             f"{left.name} is {lv} but {right.name} is {rv}",
+                             left=left.name, right=right.name)
+            return "found", candidates, w
+    return "space-exhausted", candidates, None
+
+
+# --- reference: the enumerator that builds each depth before yielding it -------
+
+@lru_cache(maxsize=None)
+def _ref_programs(space, max_depth, loops=False):
+    exprs = expr_pool(space)
+    guards = guard_pool(space)
+    leaves = [Skip(), Diverge()] + [Assign(v, e) for v in space.variables for e in exprs]
+    out = list(leaves)
+    cumulative, frontier = list(leaves), leaves
+    for _ in range(2, max_depth + 1):
+        fresh = []
+        frontier_set = set(frontier)
+        for ctor in (Seq, Choice):
+            for a in cumulative:
+                for b in cumulative:
+                    if a in frontier_set or b in frontier_set:
+                        fresh.append(ctor(a, b))
+        for g in guards:
+            for a in cumulative:
+                for b in cumulative:
+                    if a in frontier_set or b in frontier_set:
+                        fresh.append(Ite(g, a, b))
+        if loops:
+            for g in guards:
+                for a in frontier:
+                    fresh.append(While(g, a))
+        out += fresh
+        cumulative += fresh
+        frontier = fresh
+    return tuple(out)
+
+
+# --- the comparisons ----------------------------------------------------------
+
+CLAIMS = (
+    "dwp-neq-intersection",
+    "awlp-neq-union",
+    "galois-pc",
+    "galois-pi",
+    "galois-awlp-dsp-det-rev",
+    "total-correctness-relational",
+    "outcome-vs-intersection",
+    "appendixC:dwlpLB-vs-awlpLB",
+    "appendixC:awlpLB-vs-aslpLB-contra",
+)
+
+# mod 2 blocks hold 16 candidates, and 105 programs have depth <= 2
+LADDER_BUDGETS = (-1, 0, 1, 15, 16, 17, 1680, 1681)
+
+
+def _outcome(result):
+    return result.outcome, result.candidates, result.witness
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+@pytest.mark.parametrize("budget", LADDER_BUDGETS)
+def test_search_matches_reference_loop_on_the_default_ladder(claim, budget):
+    config = SearchConfig(budget=budget)
+    assert _outcome(find_counterexample(claim, config)) == _ref_search(claim, config)
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+@pytest.mark.parametrize("budget", (79, 80, 81))
+def test_search_matches_reference_loop_where_the_space_ends(claim, budget):
+    # five depth-1 programs times 16 pairs: 80 candidates end exactly here
+    config = SearchConfig(spaces=((("x",), 2),), max_depth=1, budget=budget)
+    assert _outcome(find_counterexample(claim, config)) == _ref_search(claim, config)
+
+
+def test_budget_and_space_exhaustion_are_told_apart():
+    config = SearchConfig(spaces=((("x",), 2),), max_depth=1, budget=80)
+    assert _outcome(find_counterexample("galois-pc", config)) == ("space-exhausted", 80, None)
+    config = SearchConfig(spaces=((("x",), 2),), max_depth=1, budget=79)
+    assert _outcome(find_counterexample("galois-pc", config)) == ("budget-exhausted", 79, None)
+
+
+def test_search_matches_reference_loop_on_mod_3():
+    config = SearchConfig(spaces=((("x",), 3),), max_depth=2, budget=3000)
+    for claim in ("galois-pi", "galois-awlp-dsp-det-rev", "total-correctness-relational",
+                  "appendixC:aspLB-vs-dspLB"):
+        assert _outcome(find_counterexample(claim, config)) == _ref_search(claim, config)
+
+
+def test_each_enumerated_program_is_profiled_once(monkeypatch):
+    calls = []
+
+    def counting(p, space):
+        calls.append(p)
+        return profile(p, space)
+
+    monkeypatch.setattr(search, "profile", counting)
+    result = find_counterexample("galois-pc", SearchConfig(budget=1681))
+    assert result.outcome == "budget-exhausted"
+    # 105 whole blocks of 16 and one candidate of the 106th
+    space = StateSpace(("x",), 2)
+    assert tuple(calls) == _ref_programs(space, 3)[:106]
+
+
+def test_lazy_enumeration_keeps_the_frontier_set_order():
+    space = StateSpace(("x",), 2)
+    got = list(exhaustive_programs(space, 3))
+    assert len(got) == 44105
+    assert tuple(got) == _ref_programs(space, 3)
+
+
+@pytest.mark.parametrize("variables, modulus", [(("x",), 3), (("x", "y"), 2)])
+def test_lazy_enumeration_with_loops_keeps_the_order(variables, modulus):
+    space = StateSpace(variables, modulus)
+    assert tuple(exhaustive_programs(space, 2, loops=True)) == _ref_programs(space, 2, True)
