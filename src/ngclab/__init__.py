@@ -39,9 +39,7 @@ from .semantics import (
     build_graph,
     collecting,
     denote_relation,
-    inverse,
     may_diverge,
-    must_diverge,
 )
 from .space import Predicate, State, StateSpace
 from .syntax import guard_to_predicate, pretty_guard, pretty_program

@@ -23,8 +23,7 @@ class Relation:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ValueError("row count does not match relation size")
-        full = (1 << self.n) - 1
-        if any(not 0 <= r <= full for r in self.rows):
+        if self.rows and not 0 <= min(self.rows) <= max(self.rows) < 1 << self.n:
             raise ValueError("row bits outside the state enumeration")
 
     @classmethod
@@ -67,13 +66,13 @@ class Relation:
     def compose(self, other: "Relation") -> "Relation":
         """Relational composition: first self, then other."""
         self._check(other)
-        rows = []
-        for row in self.rows:
+        image = {}      # by distinct row of self: its image under other
+        for row in set(self.rows):
             acc = 0
             for j in _space.iter_bits(row):
                 acc |= other.rows[j]
-            rows.append(acc)
-        return Relation(self.n, tuple(rows))
+            image[row] = acc
+        return Relation(self.n, tuple(map(image.__getitem__, self.rows)))
 
     def star(self) -> "Relation":
         """Least reflexive-transitive relation containing self, by squaring."""

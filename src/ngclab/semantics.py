@@ -86,16 +86,6 @@ def collecting(p: Program, initial: Predicate) -> Predicate:
     return Predicate(space, _collect_bits(p, initial.bits, space))
 
 
-def inverse(p: Program, target: Predicate) -> Predicate:
-    """States from which some execution of p ends in the target set."""
-    space = target.space
-    bits = 0
-    for i in range(space.size):
-        if _collect_bits(p, 1 << i, space) & target.bits:
-            bits |= 1 << i
-    return Predicate(space, bits)
-
-
 def denote_relation(p: Program, space: StateSpace) -> Relation:
     """Initial-to-final state relation; branching divergence is invisible here."""
     rows = tuple(_collect_bits(p, 1 << i, space) for i in range(space.size))
@@ -343,15 +333,6 @@ def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], 
 def may_diverge(p: Program, space: StateSpace) -> Predicate:
     """States admitting an infinite execution: the seed reaches a lasso."""
     return Predicate(space, profile(p, space).may_div)
-
-
-def must_diverge(p: Program, space: StateSpace) -> Predicate:
-    """States with an empty image: every execution fails to terminate."""
-    bits = 0
-    for i in range(space.size):
-        if _collect_bits(p, 1 << i, space) == 0:
-            bits |= 1 << i
-    return Predicate(space, bits)
 
 
 # --- cached per-program profile ---------------------------------------------

@@ -161,35 +161,30 @@ def codomain(r: Relation, space: StateSpace) -> Predicate:
 
 
 # --- the equation catalog ----------------------------------------------------
+#
+# Each equation is a tuple of (left word, right word, equal) clauses that must
+# all hold; a word spells a composition left to right over the letters
+# b, c (the test relations of pre and post), B, C (their negations), p (the
+# program), T (top) and 0 (the empty relation).
 
-def _sides(b: Relation, c: Relation, n: int):
-    full = (1 << n) - 1
-    nb = Relation.from_test(n, ~b.domain_bits() & full)
-    nc = Relation.from_test(n, ~c.domain_bits() & full)
-    return Relation.top(n), nb, nc
+_CATALOG = {
+    "LISBON": (("bpcT", "bT", True),),
+    "PARTIAL_CORRECTNESS": (("Tbpc", "Tbp", True),),
+    "PC_CONTRA": (("BpCT", "pCT", True),),
+    "DWLP_UB": (("BpCT", "BT", True),),
+    "INCORRECTNESS": (("Tbpc", "Tc", True),),
+    "ANGELIC_PARTIAL_INCORRECTNESS": (("Tbpc", "Tpc", True),),
+    "DEMONIC_PARTIAL_INCORRECTNESS": (("bpcT", "pcT", True),),
+    "DSLP_UB": (("TBpC", "TC", True),),
+    "DSP_UB": (("TBpC", "TpC", True),),
+    "IN_BETWEEN": (("bpcT", "bpT", True),),
+    # a system of two: partial incorrectness plus reachability of c
+    "DEMONIC_INCORRECTNESS": (("bpcT", "pcT", True), ("Tc", "Tpc", True)),
+    # a system of two: some b-to-c execution exists, none lands outside c
+    "OUTCOME_CONJUNCTION": (("bpc", "0", False), ("bpC", "0", True)),
+}
 
-
-def _chain(*rels: Relation) -> Relation:
-    acc = rels[0]
-    for r in rels[1:]:
-        acc = acc.compose(r)
-    return acc
-
-
-EQUATIONS = (
-    "LISBON",
-    "PARTIAL_CORRECTNESS",
-    "PC_CONTRA",
-    "DWLP_UB",
-    "INCORRECTNESS",
-    "ANGELIC_PARTIAL_INCORRECTNESS",
-    "DEMONIC_PARTIAL_INCORRECTNESS",
-    "DSLP_UB",
-    "DSP_UB",
-    "IN_BETWEEN",
-    "DEMONIC_INCORRECTNESS",
-    "OUTCOME_CONJUNCTION",
-)
+EQUATIONS = tuple(_CATALOG)
 
 # catalog metadata: syntactic moves connecting the equation schemas.
 # "flip" carries the top element to the other side while swapping the
@@ -208,50 +203,48 @@ EQUATION_TRANSFORMATIONS = (
 )
 
 
+class _Chains(dict):
+    """The relations of one triple (b, rel, c) by word, each built once: a
+    word starting with top is top composed with the rest of it, any other
+    word is its longest proper prefix composed with its last letter."""
+
+    def __init__(self, rel: Relation, b: int, c: int):
+        n = rel.n
+        super().__init__({"p": rel, "T": Relation.top(n), "0": Relation.empty(n)})
+        full = (1 << n) - 1
+        self.tests = {"b": b, "c": c, "B": full ^ b, "C": full ^ c}
+
+    def __missing__(self, word: str) -> Relation:
+        if len(word) == 1:
+            value = Relation.from_test(self["p"].n, self.tests[word])
+        elif word[0] == "T":
+            value = self["T"].compose(self[word[1:]])
+        else:
+            value = self[word[:-1]].compose(self[word[-1]])
+        self[word] = value
+        return value
+
+    def holds(self, eq: str) -> bool:
+        return all((self[left] == self[right]) == equal
+                   for left, right, equal in _CATALOG[eq])
+
+
+def catalog_values(rel: Relation, b: int, c: int) -> tuple[bool, ...]:
+    """Every catalog equation on one triple, in EQUATIONS order, sharing the
+    composed sub-chains between equations; b and c are state bitmasks."""
+    chains = _Chains(rel, b, c)
+    return tuple(chains.holds(eq) for eq in EQUATIONS)
+
+
 def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
     """Evaluate one catalog equation (or system) over the relational
     denotation of p; p may be a Program or a raw Relation."""
     space = b.space
     if c.space != space:
         raise ValueError("pre- and postcondition live in different spaces")
-    n = space.size
     rel = p if isinstance(p, Relation) else denote_relation(p, space)
-    if rel.n != n:
+    if rel.n != space.size:
         raise ValueError("program relation has the wrong size")
-    tb = Relation.from_test(n, b.bits)
-    tc = Relation.from_test(n, c.bits)
-    top, tnb, tnc = _sides(tb, tc, n)
-
-    if eq == "LISBON":
-        return _chain(tb, rel, tc, top) == _chain(tb, top)
-    if eq == "PARTIAL_CORRECTNESS":
-        return _chain(top, tb, rel, tc) == _chain(top, tb, rel)
-    if eq == "PC_CONTRA":
-        return _chain(tnb, rel, tnc, top) == _chain(rel, tnc, top)
-    if eq == "DWLP_UB":
-        return _chain(tnb, rel, tnc, top) == _chain(tnb, top)
-    if eq == "INCORRECTNESS":
-        return _chain(top, tb, rel, tc) == _chain(top, tc)
-    if eq == "ANGELIC_PARTIAL_INCORRECTNESS":
-        return _chain(top, tb, rel, tc) == _chain(top, rel, tc)
-    if eq == "DEMONIC_PARTIAL_INCORRECTNESS":
-        return _chain(tb, rel, tc, top) == _chain(rel, tc, top)
-    if eq == "DSLP_UB":
-        return _chain(top, tnb, rel, tnc) == _chain(top, tnc)
-    if eq == "DSP_UB":
-        return _chain(top, tnb, rel, tnc) == _chain(top, rel, tnc)
-    if eq == "IN_BETWEEN":
-        return _chain(tb, rel, tc, top) == _chain(tb, rel, top)
-    if eq == "DEMONIC_INCORRECTNESS":
-        # a system of two: partial incorrectness plus reachability of c
-        return (
-            _chain(tb, rel, tc, top) == _chain(rel, tc, top)
-            and _chain(top, tc) == _chain(top, rel, tc)
-        )
-    if eq == "OUTCOME_CONJUNCTION":
-        # a system of two: some b-to-c execution exists, none lands outside c
-        return (
-            _chain(tb, rel, tc) != Relation.empty(n)
-            and _chain(tb, rel, tnc) == Relation.empty(n)
-        )
-    raise KeyError(f"unknown equation id {eq!r}")
+    if eq not in _CATALOG:
+        raise KeyError(f"unknown equation id {eq!r}")
+    return _Chains(rel, b.bits, c.bits).holds(eq)

@@ -1,7 +1,8 @@
 """The eight predicate transformers, computed two independent ways.
 
-The oracle route reads the quantifier definitions straight off the collecting
-semantics, its inverse, and graph-detected may-divergence.  The inductive
+The oracle route reads the quantifier definitions straight off the program's
+profile, as image/preimage algebra over its relation and graph-detected
+may-divergence.  The inductive
 route is structural recursion on the program with Kleene-iterated loop
 fixpoints (least from the empty set, greatest from the full space).  The two
 must agree everywhere; the test suite checks that differentially.
@@ -37,28 +38,13 @@ class TransformerKind(Enum):
     ASLP = "aslp"
     DSLP = "dslp"
 
-    @property
-    def backward(self) -> bool:
-        return self in (TransformerKind.AWP, TransformerKind.DWP,
-                        TransformerKind.AWLP, TransformerKind.DWLP)
-
-    @property
-    def forward(self) -> bool:
-        return not self.backward
-
-    @property
-    def angelic(self) -> bool:
-        return self in (TransformerKind.AWP, TransformerKind.AWLP,
-                        TransformerKind.ASP, TransformerKind.ASLP)
-
-    @property
-    def demonic(self) -> bool:
-        return not self.angelic
-
-    @property
-    def liberal(self) -> bool:
-        return self in (TransformerKind.AWLP, TransformerKind.DWLP,
-                        TransformerKind.ASLP, TransformerKind.DSLP)
+    def __init__(self, value: str):
+        # plain attributes, fixed once per member: they sit on hot paths
+        self.backward = value in ("awp", "dwp", "awlp", "dwlp")
+        self.forward = not self.backward
+        self.angelic = value in ("awp", "awlp", "asp", "aslp")
+        self.demonic = not self.angelic
+        self.liberal = value in ("awlp", "dwlp", "aslp", "dslp")
 
 
 BACKWARD_KINDS = tuple(k for k in TransformerKind if k.backward)
@@ -66,51 +52,53 @@ FORWARD_KINDS = tuple(k for k in TransformerKind if k.forward)
 
 
 # --- semantic oracle ---------------------------------------------------------
+#
+# Image/preimage algebra over the profile, with pre(q) the states having some
+# final state in q and img(q) the final states of some run from q:
+#   awp = pre(q)    dwlp = ~pre(~q)    dwp = dwlp - div    awlp = awp | div
+#   asp = img(q)    dslp = ~img(~q)    dsp = dslp & reach  aslp = asp | ~reach
 
 def _oracle_bits(kind: TransformerKind, prof: Profile, q: int) -> int:
-    n = prof.space.size
     full = prof.space.full_mask
-    rows = prof.relation.rows
     if kind.backward:
-        # q is a postcondition over final states
-        can_reach = 0       # some execution ends in q
-        only_reach = 0      # every terminating execution ends in q
-        for i in range(n):
-            row = rows[i]
-            if row & q:
-                can_reach |= 1 << i
-            if row & ~q & full == 0:
-                only_reach |= 1 << i
-        if kind is TransformerKind.AWP:
-            return can_reach
-        if kind is TransformerKind.DWLP:
-            return only_reach
-        if kind is TransformerKind.DWP:
-            return only_reach & ~prof.may_div & full
-        if kind is TransformerKind.AWLP:
-            return can_reach | prof.may_div
+        # q is a postcondition; pre(q) collects the predecessors of q
+        pre = prof.inverse_relation.image_bits
+        if kind.angelic:
+            bits = pre(q)
+            return bits | prof.may_div if kind.liberal else bits
+        bits = full ^ pre(full ^ q)
+        return bits if kind.liberal else bits & ~prof.may_div
     # q is a precondition over initial states
-    inv = prof.inverse_relation.rows
-    from_q = 0              # reachable from q
-    only_from_q = 0         # every origin is in q (vacuous if unreachable)
-    unreachable = 0
-    for i in range(n):
-        row = inv[i]
+    img = prof.relation.image_bits
+    if kind.angelic:
+        bits = img(q)
+        return bits | full ^ prof.reach if kind.liberal else bits
+    bits = full ^ img(full ^ q)
+    return bits if kind.liberal else bits & prof.reach
+
+
+def transformer_table(prof: Profile, q: int) -> tuple[int, ...]:
+    """All eight transformers of q, in TransformerKind order, from one pass
+    over the relation's rows."""
+    full = prof.space.full_mask
+    pre = pre_not = img = img_not = 0
+    bit = 1
+    for row in prof.relation.rows:
         if row & q:
-            from_q |= 1 << i
-        if row & ~q & full == 0:
-            only_from_q |= 1 << i
-        if row == 0:
-            unreachable |= 1 << i
-    if kind is TransformerKind.ASP:
-        return from_q
-    if kind is TransformerKind.DSLP:
-        return only_from_q
-    if kind is TransformerKind.DSP:
-        return only_from_q & ~unreachable & full
-    if kind is TransformerKind.ASLP:
-        return from_q | unreachable
-    raise InvariantError(f"unhandled transformer kind {kind}")
+            pre |= bit
+        if row & ~q:
+            pre_not |= bit
+        if q & bit:
+            img |= row
+        else:
+            img_not |= row
+        bit <<= 1
+    div = prof.may_div
+    reach = img | img_not
+    dwlp = full ^ pre_not
+    dslp = full ^ img_not
+    return (pre, dwlp & ~div, pre | div, dwlp,
+            img, dslp & reach, img | full ^ reach, dslp)
 
 
 def oracle_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predicate:

@@ -1,4 +1,4 @@
-"""Collecting semantics, inverse images, the configuration graph, and the
+"""Collecting semantics, preimages, the configuration graph, and the
 divergence detectors, cross-checked against each other."""
 
 import random
@@ -13,9 +13,7 @@ from ngclab import (
     build_graph,
     collecting,
     denote_relation,
-    inverse,
     may_diverge,
-    must_diverge,
     parse_program,
 )
 from ngclab import semantics
@@ -34,6 +32,24 @@ def prog(text, space=SPACE):
 
 def pred(indices, space=SPACE):
     return Predicate.from_indices(space, indices)
+
+
+def preimage(p, target):
+    """States from which some execution of p ends in the target: the
+    profile's relation, checked against the AST walk's relation."""
+    space = target.space
+    bits = profile(p, space).relation.preimage_bits(target.bits)
+    assert bits == denote_relation(p, space).preimage_bits(target.bits)
+    return Predicate(space, bits)
+
+
+def must_div(p, space):
+    """States with an empty image: the profile's must-divergence, checked
+    against the empty rows of the AST walk's relation."""
+    bits = profile(p, space).must_div
+    rows = denote_relation(p, space).rows
+    assert bits == sum(1 << i for i, row in enumerate(rows) if row == 0)
+    return Predicate(space, bits)
 
 
 class TestCollecting:
@@ -68,20 +84,22 @@ class TestCollecting:
 
 class TestInverse:
     def test_skip(self):
-        assert inverse(prog("skip"), pred([1])) == pred([1])
+        assert preimage(prog("skip"), pred([1])) == pred([1])
 
     def test_assignment_preimage_is_everything(self):
-        assert inverse(prog("x := 0"), pred([0])) == SIGMA
+        assert preimage(prog("x := 0"), pred([0])) == SIGMA
 
     def test_unreachable_target_has_empty_preimage(self):
-        assert inverse(prog("x := 0"), pred([1])) == Predicate.empty(SPACE)
+        assert preimage(prog("x := 0"), pred([1])) == Predicate.empty(SPACE)
 
     def test_matches_relation_preimage(self):
         p = prog("if x = 0 { { x := 1 } [] { x := 2 } } else { skip }")
-        rel = denote_relation(p, SPACE)
         for bits in range(1 << SPACE.size):
             target = Predicate(SPACE, bits)
-            assert inverse(p, target).bits == rel.preimage_bits(bits)
+            # by definition: the states some execution takes into the target
+            hits = [i for i in range(SPACE.size)
+                    if not (collecting(p, pred([i])) & target).is_empty]
+            assert preimage(p, target) == pred(hits)
 
 
 class TestGraph:
@@ -148,25 +166,25 @@ class TestDivergence:
     def test_optional_divergence_is_everywhere(self):
         p = prog("{ skip } [] { while true { skip } }")
         assert may_diverge(p, SPACE) == SIGMA
-        assert must_diverge(p, SPACE).is_empty
+        assert must_div(p, SPACE).is_empty
 
     def test_terminating_loop_has_no_divergence(self):
         assert may_diverge(prog("while x != 0 { x := x - 1 }"), SPACE).is_empty
 
     def test_diverge_must_diverge(self):
-        assert must_diverge(prog("diverge"), SPACE) == SIGMA
+        assert must_div(prog("diverge"), SPACE) == SIGMA
 
     def test_guarded_divergence(self):
         space = StateSpace(("x",), 2)
         p = prog("if x = 0 { diverge } else { skip }", space)
-        assert must_diverge(p, space) == Predicate.from_indices(space, [0])
+        assert must_div(p, space) == Predicate.from_indices(space, [0])
         assert may_diverge(p, space) == Predicate.from_indices(space, [0])
 
     def test_must_implies_may(self):
         rng = random.Random(11)
         for _ in range(150):
             p = random_program(rng, SPACE, 4, loops=True)
-            assert must_diverge(p, SPACE) <= may_diverge(p, SPACE)
+            assert must_div(p, SPACE) <= may_diverge(p, SPACE)
 
 
 class TestRelation:
@@ -187,7 +205,7 @@ class TestRelation:
         stop = prog("diverge")
         assert denote_relation(stop, SPACE) == denote_relation(spin, SPACE)
         assert may_diverge(stop, SPACE) == may_diverge(spin, SPACE) == SIGMA
-        assert must_diverge(stop, SPACE) == must_diverge(spin, SPACE) == SIGMA
+        assert must_div(stop, SPACE) == must_div(spin, SPACE) == SIGMA
 
 
 @settings(max_examples=250, deadline=None)
@@ -249,4 +267,4 @@ def test_profile_matches_direct_computations(seed):
     prof = profile(p, SPACE)
     assert prof.relation == denote_relation(p, SPACE)
     assert prof.may_div == may_diverge(p, SPACE).bits
-    assert prof.must_div == must_diverge(p, SPACE).bits
+    assert prof.must_div == must_div(p, SPACE).bits

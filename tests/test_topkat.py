@@ -3,6 +3,7 @@ the algebra axioms checked extensionally, program compilation, the domain and
 codomain selectors, and the equation catalog."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from ngclab import (
     parse_program,
 )
 from ngclab.generators import random_program
-from ngclab.topkat import Dot, NotT, One, Plus, Prim, Star, Top, Zero
+from ngclab.topkat import EQUATIONS, Dot, NotT, One, Plus, Prim, Star, Top, Zero, catalog_values
 from ngclab.topkat import Test as KatTest  # aliased so pytest does not collect it
 
 # the worked five-state example: states are labeled 1..5, indices 0..4
@@ -251,3 +252,53 @@ class TestEquationCatalog:
         for move, src, dst in EQUATION_TRANSFORMATIONS:
             assert move in ("flip", "insert-program", "swap-negate")
             assert src in EQUATIONS and dst in EQUATIONS
+
+
+def _catalog_terms(b, rel, c):
+    """Each catalog equation as KatTerm sides: (left, right, sides equal)
+    clauses that must all hold."""
+    tb, p, tc, top = KatTest(b), Prim(rel), KatTest(c), Top()
+    nb, nc = NotT(tb), NotT(tc)
+
+    def seq(*terms):
+        return reduce(Dot, terms)
+
+    return {
+        "LISBON": [(seq(tb, p, tc, top), seq(tb, top), True)],
+        "PARTIAL_CORRECTNESS": [(seq(top, tb, p, tc), seq(top, tb, p), True)],
+        "PC_CONTRA": [(seq(nb, p, nc, top), seq(p, nc, top), True)],
+        "DWLP_UB": [(seq(nb, p, nc, top), seq(nb, top), True)],
+        "INCORRECTNESS": [(seq(top, tb, p, tc), seq(top, tc), True)],
+        "ANGELIC_PARTIAL_INCORRECTNESS": [(seq(top, tb, p, tc), seq(top, p, tc), True)],
+        "DEMONIC_PARTIAL_INCORRECTNESS": [(seq(tb, p, tc, top), seq(p, tc, top), True)],
+        "DSLP_UB": [(seq(top, nb, p, nc), seq(top, nc), True)],
+        "DSP_UB": [(seq(top, nb, p, nc), seq(top, p, nc), True)],
+        "IN_BETWEEN": [(seq(tb, p, tc, top), seq(tb, p, top), True)],
+        "DEMONIC_INCORRECTNESS": [(seq(tb, p, tc, top), seq(p, tc, top), True),
+                                  (seq(top, tc), seq(top, p, tc), True)],
+        "OUTCOME_CONJUNCTION": [(seq(tb, p, tc), Zero(), False),
+                                (seq(tb, p, nc), Zero(), True)],
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_shared_chain_evaluator_matches_eval_kat(n):
+    """catalog_values and check_equation against eval_kat of both sides of
+    every equation, on seeded random relations and predicates."""
+    space = StateSpace(("x",), n)
+    rng = random.Random(6000 + n)
+    for trial in range(25):
+        density = rng.choice((0.0, 0.15, 0.4, 0.8))
+        rel = Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(n)
+                                      if rng.random() < density])
+        b = Predicate(space, rng.randrange(1 << n))
+        c = Predicate(space, rng.randrange(1 << n))
+        terms = _catalog_terms(b, rel, c)
+        assert set(terms) == set(EQUATIONS)
+        expected = tuple(
+            all((eval_kat(left, space) == eval_kat(right, space)) == equal
+                for left, right, equal in terms[eq])
+            for eq in EQUATIONS
+        )
+        assert catalog_values(rel, b.bits, c.bits) == expected
+        assert tuple(check_equation(eq, b, rel, c) for eq in EQUATIONS) == expected

@@ -3,6 +3,7 @@ ordering / contrapositive / combination laws, and the behavioral classes."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngclab import (
@@ -16,7 +17,13 @@ from ngclab import (
     reachability_class,
 )
 from ngclab.generators import all_predicates, random_program
-from ngclab.transformers import COREACH_INCLUSION, REACH_INCLUSION
+from ngclab.semantics import profile
+from ngclab.transformers import (
+    COREACH_INCLUSION,
+    REACH_INCLUSION,
+    _oracle_bits,
+    transformer_table,
+)
 
 K = TransformerKind
 SPACE = StateSpace(("x",), 3)
@@ -117,6 +124,26 @@ class TestDifferential:
         space = StateSpace(("x", "y"), 2)
         p = random_program(rng, space, 4, loops=True)
         _agree_everywhere(p, space)
+
+
+@pytest.mark.parametrize("space", [StateSpace(("x",), 3), StateSpace(("x", "y"), 2),
+                                   StateSpace(("x",), 5)], ids=lambda s: f"n{s.size}")
+def test_one_pass_table_matches_per_kind_oracle_and_inductive_rules(space):
+    """The eight-transformer table of one pass equals the per-kind oracle
+    and the inductive engine, in TransformerKind order, for every predicate."""
+    rng = random.Random(5150 + space.size)
+    programs = [prog(text, space) for text in (
+        "skip", "diverge", "{ x := 0 } [] { diverge }",
+        "while x != 0 { { x := x - 1 } [] { skip } }",
+    )]
+    programs += [random_program(rng, space, 4, loops=True) for _ in range(40)]
+    for p in programs:
+        prof = profile(p, space)
+        for q in range(1 << space.size):
+            table = transformer_table(prof, q)
+            assert table == tuple(_oracle_bits(kind, prof, q) for kind in K), (p, q)
+            assert table == tuple(inductive_transform(kind, p, Predicate(space, q)).bits
+                                  for kind in K), (p, q)
 
 
 class TestLaws:
