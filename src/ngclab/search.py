@@ -17,6 +17,7 @@ costs two bit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Optional
@@ -32,7 +33,7 @@ from .semantics import Profile, profile
 from .space import Predicate, StateSpace, iter_bits
 from .syntax import Program, pretty_program
 from .topkat import check_equation
-from .transformers import TransformerKind, _oracle_bits
+from .transformers import TransformerKind, rows_table
 
 FOUND = "found"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -182,19 +183,29 @@ def _programs(config: SearchConfig) -> Iterator[tuple[StateSpace, list[Predicate
             yield space, preds, p
 
 
-def _table(kind: TransformerKind, prof: Profile, npred: int) -> list[int]:
-    """The transformer applied to every predicate, indexed by its bits."""
-    return [_oracle_bits(kind, prof, q) for q in range(npred)]
+_KINDS = tuple(TransformerKind)
 
 
-def _logic_verdict(logic: LogicId, prof: Profile, npred: int) -> Verdict:
+@lru_cache(maxsize=1 << 12)
+def _class_tables(rows: tuple[int, ...], may_div: int) -> tuple[tuple[int, ...], ...]:
+    """For one semantic class -- the programs with these relation rows and
+    this may-divergence -- each transformer (in TransformerKind order) applied
+    to every predicate, indexed by its bits."""
+    return tuple(zip(*(rows_table(rows, may_div, q) for q in range(1 << len(rows)))))
+
+
+def _table(kind: TransformerKind, prof: Profile) -> tuple[int, ...]:
+    return _class_tables(prof.relation.rows, prof.may_div)[_KINDS.index(kind)]
+
+
+def _logic_verdict(logic: LogicId, prof: Profile) -> Verdict:
     """The logic's subset condition as a test on the bits of (pre, post)."""
     if logic.kind is None:
         combine = or_ if logic is UNION_LOGIC else and_
-        target = list(map(combine, _table(TransformerKind.AWP, prof, npred),
-                          _table(TransformerKind.DWLP, prof, npred)))
+        target = list(map(combine, _table(TransformerKind.AWP, prof),
+                          _table(TransformerKind.DWLP, prof)))
         return lambda b, c: b & ~target[c] == 0
-    result = _table(logic.kind, prof, npred)
+    result = _table(logic.kind, prof)
     if logic.kind.backward:
         if logic.bound is Bound.LB:
             return lambda b, c: b & ~result[c] == 0
@@ -235,8 +246,8 @@ def _logic_pair_blocks(config: SearchConfig, left: LogicId, right: LogicId,
         if program_filter is not None and not program_filter(p, prof):
             yield _excluded_block(npred * npred)
             continue
-        yield _verdict_block(npred, _logic_verdict(left, prof, npred),
-                             _logic_verdict(right, prof, npred), describe)
+        yield _verdict_block(npred, _logic_verdict(left, prof),
+                             _logic_verdict(right, prof), describe)
 
 
 def _combination_gap_blocks(claim: str, config: SearchConfig) -> Iterator[_Block]:
@@ -257,10 +268,9 @@ def _combination_gap_blocks(claim: str, config: SearchConfig) -> Iterator[_Block
 
     for space, preds, p in _programs(config):
         prof = profile(p, space)
-        gaps = [_oracle_bits(kind, prof, c)
-                ^ combine(_oracle_bits(TransformerKind.AWP, prof, c),
-                          _oracle_bits(TransformerKind.DWLP, prof, c))
-                for c in range(len(preds))]
+        gaps = [result ^ combine(awp, dwlp) for result, awp, dwlp in zip(
+            _table(kind, prof), _table(TransformerKind.AWP, prof),
+            _table(TransformerKind.DWLP, prof))]
         yield _Block(len(preds),
                      lambda limit: next((c for c in range(limit) if gaps[c]), None),
                      witness)
@@ -273,7 +283,7 @@ def _relational_blindspot_blocks(config: SearchConfig) -> Iterator[_Block]:
     by_relation: dict = {}
     for space, preds, p in _programs(config):
         prof = profile(p, space)
-        total = _logic_verdict(DWP_LB, prof, len(preds))
+        total = _logic_verdict(DWP_LB, prof)
         others = by_relation.setdefault((space, prof.relation), [])
         for q, q_total in others:
             def describe(c, b, v1, v2):
@@ -301,7 +311,7 @@ def _outcome_gap_blocks(config: SearchConfig) -> Iterator[_Block]:
             len(preds),
             lambda b, c: check_equation("OUTCOME_CONJUNCTION", preds[b],
                                         prof.relation, preds[c]),
-            _logic_verdict(INTERSECTION_LOGIC, prof, len(preds)),
+            _logic_verdict(INTERSECTION_LOGIC, prof),
             describe,
         )
 

@@ -49,6 +49,7 @@ class StateSpace:
     # derived once; not part of equality or hashing
     size: int = field(init=False, repr=False, compare=False)
     full_mask: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -65,6 +66,15 @@ class StateSpace:
             )
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "full_mask", (1 << size) - 1)
+        object.__setattr__(self, "_hash", hash((self.variables, self.modulus)))
+
+    def __hash__(self):
+        # every cache keyed by (program, space) hashes the space
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never pickle one
+        return StateSpace, (self.variables, self.modulus)
 
     def var_index(self, name: str) -> int:
         try:

@@ -1,35 +1,77 @@
 """Abstract syntax for guarded-command programs, expressions, and guards.
 
 All nodes are frozen dataclasses: structural equality and hashability are what
-the enumeration, caching, and round-trip machinery rely on.  Arithmetic wraps
-mod m, so evaluation is total on every state.
+the enumeration, caching, and round-trip machinery rely on.  A node's hash is
+that of its field tuple, as for any frozen dataclass, but it is computed on the
+first `hash()` and kept, so a cache keyed by a program hashes it once per
+process.  Arithmetic wraps mod m, so evaluation is total on every state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 from .space import Predicate, State, StateSpace
 
 
+# --- nodes -----------------------------------------------------------------
+
+class _Node:
+    """Base of every AST node.  The hash is kept in the instance attribute
+    `_h`, which shadows the class-level None once set; it is read as an
+    attribute, never through `__dict__`, which CPython would then have to
+    build as a real dict for every node."""
+
+    __slots__ = ()
+    _h = None
+    _fields_of = None   # per node class: node -> its field tuple
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            # one Python frame per nesting level, as the generated hash
+            h = hash(self._fields_of(self))
+            object.__setattr__(self, "_h", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes differ between processes: never pickle a kept hash
+        return type(self), self._fields_of(self)
+
+
+def _node(cls):
+    """A frozen dataclass node whose hash is computed once (see _Node)."""
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    if len(names) > 1:
+        fields_of = attrgetter(*names)   # a tuple already
+    else:
+        def fields_of(node):
+            return tuple(getattr(node, name) for name in names)
+    cls._fields_of = staticmethod(fields_of)
+    cls.__hash__ = _Node.__hash__   # over the one dataclass generated
+    return cls
+
+
 # --- expressions -----------------------------------------------------------
 
-class Expr:
+class Expr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class BinExpr(Expr):
     op: str  # one of + - *
     left: Expr
@@ -56,35 +98,35 @@ def eval_expr(expr: Expr, state: State) -> int:
 
 # --- guards ----------------------------------------------------------------
 
-class Guard:
+class Guard(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Guard):
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp(Guard):
     op: str  # one of = != < <=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class And(Guard):
     left: Guard
     right: Guard
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Guard):
     left: Guard
     right: Guard
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Guard):
     inner: Guard
 
@@ -128,46 +170,46 @@ def guard_to_predicate(guard: Guard, space: StateSpace) -> Predicate:
 
 # --- programs --------------------------------------------------------------
 
-class Program:
+class Program(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Program):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Diverge(Program):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Program):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Program):
     first: Program
     second: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Choice(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Ite(Program):
     guard: Guard
     then: Program
     orelse: Program
 
 
-@dataclass(frozen=True)
+@_node
 class While(Program):
     guard: Guard
     body: Program

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Optional
 
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (
@@ -91,28 +92,27 @@ def corpus_preset(name: str, **overrides) -> CorpusConfig:
     return base
 
 
+@lru_cache(maxsize=4)
 def corpus_items(
     corpus: CorpusConfig,
-) -> Iterator[tuple[Program, list[tuple[Predicate, Predicate]]]]:
-    """Programs each paired with the (pre, post) predicate pairs to check."""
+) -> tuple[tuple[Program, tuple[tuple[Predicate, Predicate], ...]], ...]:
+    """Programs each paired with the (pre, post) predicate pairs to check.
+    Built once per corpus and shared by every theorem checked on it."""
     space = corpus.space()
     if corpus.predicate_mode == "all":
         preds = list(all_predicates(space))
-        pairs = [(b, c) for b in preds for c in preds]
-        for p in generate_programs(corpus.programs):
-            yield p, pairs
-    elif corpus.predicate_mode == "sample":
+        pairs = tuple((b, c) for b in preds for c in preds)
+        return tuple((p, pairs) for p in generate_programs(corpus.programs))
+    if corpus.predicate_mode == "sample":
         rng = random.Random(corpus.predicate_seed)
         full = 1 << space.size
-        for p in generate_programs(corpus.programs):
-            pairs = [
-                (Predicate(space, rng.randrange(full)),
-                 Predicate(space, rng.randrange(full)))
-                for _ in range(corpus.predicate_pairs)
-            ]
-            yield p, pairs
-    else:
-        raise ValueError(f"unknown predicate mode {corpus.predicate_mode!r}")
+        return tuple(
+            (p, tuple((Predicate(space, rng.randrange(full)),
+                       Predicate(space, rng.randrange(full)))
+                      for _ in range(corpus.predicate_pairs)))
+            for p in generate_programs(corpus.programs)
+        )
+    raise ValueError(f"unknown predicate mode {corpus.predicate_mode!r}")
 
 
 @dataclass

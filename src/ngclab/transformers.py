@@ -2,15 +2,16 @@
 
 The oracle route reads the quantifier definitions straight off the program's
 profile, as image/preimage algebra over its relation and graph-detected
-may-divergence.  The inductive
-route is structural recursion on the program with Kleene-iterated loop
-fixpoints (least from the empty set, greatest from the full space).  The two
-must agree everywhere; the test suite checks that differentially.
+may-divergence.  The inductive route applies Dijkstra-style structural rules
+with Kleene-iterated loop fixpoints (least from the empty set, greatest from
+the full space) to a rule chain compiled once per program and state space.
+The two must agree everywhere; the test suite checks that differentially.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InvariantError
 from .semantics import Profile, _assign_successors, profile
@@ -80,10 +81,16 @@ def _oracle_bits(kind: TransformerKind, prof: Profile, q: int) -> int:
 def transformer_table(prof: Profile, q: int) -> tuple[int, ...]:
     """All eight transformers of q, in TransformerKind order, from one pass
     over the relation's rows."""
-    full = prof.space.full_mask
+    return rows_table(prof.relation.rows, prof.may_div, q)
+
+
+def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
+    """transformer_table of the semantic class with these relation rows and
+    may-divergence: the eight results depend on nothing else."""
+    full = (1 << len(rows)) - 1
     pre = pre_not = img = img_not = 0
     bit = 1
-    for row in prof.relation.rows:
+    for row in rows:
         if row & q:
             pre |= bit
         if row & ~q:
@@ -93,11 +100,10 @@ def transformer_table(prof: Profile, q: int) -> tuple[int, ...]:
         else:
             img_not |= row
         bit <<= 1
-    div = prof.may_div
     reach = img | img_not
     dwlp = full ^ pre_not
     dslp = full ^ img_not
-    return (pre, dwlp & ~div, pre | div, dwlp,
+    return (pre, dwlp & ~may_div, pre | may_div, dwlp,
             img, dslp & reach, img | full ^ reach, dslp)
 
 
@@ -108,113 +114,140 @@ def oracle_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predica
 
 
 # --- inductive rules ---------------------------------------------------------
+#
+# A program compiles once per state space into a rule chain: the tuple of its
+# steps in execution order, `;` flattened and `skip` (the identity under every
+# rule) left out.  A step is a tuple, tag first:
+#   (_DIVERGE,)
+#   (_ASSIGN, pairs)                 pairs: (1 << i, 1 << succ[i]) per state i
+#   (_CHOICE, left, right)           two chains
+#   (_ITE, g, not_g, then, orelse)   guard masks and two chains
+#   (_WHILE, g, not_g, body)
+# The rules below walk these chains; loops are Kleene-iterated (least from the
+# empty set, greatest from the full space).  The chain holds only what the AST
+# rules read off the program -- guard masks and assignment successor tables --
+# never the program's profile.
 
-def _fixpoint(step, start: int, size: int) -> int:
-    value = start
-    for _ in range(size + 2):
-        nxt = step(value)
-        if nxt == value:
-            return value
-        value = nxt
-    raise InvariantError("fixpoint iteration failed to stabilize")
+_DIVERGE, _ASSIGN, _CHOICE, _ITE, _WHILE = range(5)
 
 
-def _backward(kind: TransformerKind, p: Program, c: int, space: StateSpace) -> int:
-    full = space.full_mask
+@lru_cache(maxsize=1 << 16)
+def _rules(p: Program, space: StateSpace) -> tuple:
+    """p's rule chain over the space; sub-programs are looked up here too,
+    so the chains of shared sub-programs are built once."""
+    if isinstance(p, Seq):
+        chain = []
+        while isinstance(p, Seq):   # along the right spine, without recursion
+            chain += _rules(p.first, space)
+            p = p.second
+        return tuple(chain) + _rules(p, space)
     if isinstance(p, Skip):
-        return c
+        return ()
     if isinstance(p, Diverge):
-        return full if kind.liberal else 0
+        return ((_DIVERGE,),)
     if isinstance(p, Assign):
         succ = _assign_successors(p.var, p.expr, space)
-        bits = 0
-        for i in range(space.size):
-            if c >> succ[i] & 1:
-                bits |= 1 << i
-        return bits
-    if isinstance(p, Seq):
-        return _backward(kind, p.first, _backward(kind, p.second, c, space), space)
+        return ((_ASSIGN, tuple((1 << i, 1 << j) for i, j in enumerate(succ))),)
     if isinstance(p, Choice):
-        a = _backward(kind, p.left, c, space)
-        b = _backward(kind, p.right, c, space)
-        return a | b if kind.angelic else a & b
-    if isinstance(p, Ite):
+        return ((_CHOICE, _rules(p.left, space), _rules(p.right, space)),)
+    if isinstance(p, (Ite, While)):
         g = guard_to_predicate(p.guard, space).bits
-        return (
-            g & _backward(kind, p.then, c, space)
-            | ~g & full & _backward(kind, p.orelse, c, space)
-        )
-    if isinstance(p, While):
-        g = guard_to_predicate(p.guard, space).bits
-
-        def step(x: int) -> int:
-            return ~g & full & c | g & _backward(kind, p.body, x, space)
-
-        start = full if kind.liberal else 0
-        return _fixpoint(step, start, space.size)
+        if isinstance(p, Ite):
+            return ((_ITE, g, space.full_mask ^ g,
+                     _rules(p.then, space), _rules(p.orelse, space)),)
+        return ((_WHILE, g, space.full_mask ^ g, _rules(p.body, space)),)
     raise TypeError(f"not a program: {p!r}")
 
 
-def _forward(kind: TransformerKind, p: Program, b: int, space: StateSpace) -> int:
-    # only ASP and DSLP have direct rules; DSP and ASLP are combinations
-    full = space.full_mask
-    angelic = kind is TransformerKind.ASP
-    if isinstance(p, Skip):
-        return b
-    if isinstance(p, Diverge):
-        return 0 if angelic else full
-    if isinstance(p, Assign):
-        succ = _assign_successors(p.var, p.expr, space)
-        hit = 0
-        miss = 0
-        for i in range(space.size):
-            if b >> i & 1:
-                hit |= 1 << succ[i]
+def _backward(kind: TransformerKind, chain: tuple, c: int, full: int) -> int:
+    for step in reversed(chain):
+        tag = step[0]
+        if tag == _ASSIGN:
+            bits = 0
+            for bit, succ_bit in step[1]:
+                if c & succ_bit:
+                    bits |= bit
+            c = bits
+        elif tag == _CHOICE:
+            a = _backward(kind, step[1], c, full)
+            b = _backward(kind, step[2], c, full)
+            c = a | b if kind.angelic else a & b
+        elif tag == _ITE:
+            _, g, not_g, then, orelse = step
+            c = g & _backward(kind, then, c, full) | not_g & _backward(kind, orelse, c, full)
+        elif tag == _WHILE:
+            _, g, not_g, body = step
+            done = not_g & c
+            x = full if kind.liberal else 0
+            for _ in range(full.bit_length() + 2):
+                nxt = done | g & _backward(kind, body, x, full)
+                if nxt == x:
+                    break
+                x = nxt
             else:
-                miss |= 1 << succ[i]
-        # asp: reachable from b; dslp: not reachable from outside b
-        return hit if angelic else ~miss & full
-    if isinstance(p, Seq):
-        return _forward(kind, p.second, _forward(kind, p.first, b, space), space)
-    if isinstance(p, Choice):
-        a = _forward(kind, p.left, b, space)
-        d = _forward(kind, p.right, b, space)
-        return a | d if angelic else a & d
-    if isinstance(p, Ite):
-        g = guard_to_predicate(p.guard, space).bits
-        if angelic:
-            return (
-                _forward(kind, p.then, g & b, space)
-                | _forward(kind, p.orelse, ~g & full & b, space)
-            )
-        return (
-            _forward(kind, p.then, ~g & full | b, space)
-            & _forward(kind, p.orelse, g | b, space)
-        )
-    if isinstance(p, While):
-        g = guard_to_predicate(p.guard, space).bits
-        if angelic:
-            def step(y: int) -> int:
-                return b | _forward(kind, p.body, g & y, space)
+                raise InvariantError("fixpoint iteration failed to stabilize")
+            c = x
+        else:   # diverge
+            c = full if kind.liberal else 0
+    return c
 
-            return ~g & full & _fixpoint(step, 0, space.size)
 
-        def step(y: int) -> int:
-            return b & _forward(kind, p.body, ~g & full | y, space)
-
-        return g | _fixpoint(step, full, space.size)
-    raise TypeError(f"not a program: {p!r}")
+def _forward(angelic: bool, chain: tuple, b: int, full: int) -> int:
+    # only ASP (angelic) and DSLP have direct rules; DSP and ASLP are combinations
+    for step in chain:
+        tag = step[0]
+        if tag == _ASSIGN:
+            acc = 0
+            if angelic:   # asp: reachable from b
+                for bit, succ_bit in step[1]:
+                    if b & bit:
+                        acc |= succ_bit
+                b = acc
+            else:         # dslp: not reachable from outside b
+                for bit, succ_bit in step[1]:
+                    if not b & bit:
+                        acc |= succ_bit
+                b = full ^ acc
+        elif tag == _CHOICE:
+            a = _forward(angelic, step[1], b, full)
+            d = _forward(angelic, step[2], b, full)
+            b = a | d if angelic else a & d
+        elif tag == _ITE:
+            _, g, not_g, then, orelse = step
+            if angelic:
+                b = _forward(True, then, g & b, full) | _forward(True, orelse, not_g & b, full)
+            else:
+                b = _forward(False, then, not_g | b, full) & _forward(False, orelse, g | b, full)
+        elif tag == _WHILE:
+            _, g, not_g, body = step
+            y = 0 if angelic else full
+            for _ in range(full.bit_length() + 2):
+                if angelic:
+                    nxt = b | _forward(True, body, g & y, full)
+                else:
+                    nxt = b & _forward(False, body, not_g | y, full)
+                if nxt == y:
+                    break
+                y = nxt
+            else:
+                raise InvariantError("fixpoint iteration failed to stabilize")
+            b = not_g & y if angelic else g | y
+        else:   # diverge
+            b = 0 if angelic else full
+    return b
 
 
 def inductive_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predicate:
     """Structural-recursion route; must equal oracle_transform on all inputs."""
     space = q.space
+    chain = _rules(p, space)
+    full = space.full_mask
     if kind.backward:
-        return Predicate(space, _backward(kind, p, q.bits, space))
+        return Predicate(space, _backward(kind, chain, q.bits, full))
     if kind is TransformerKind.ASP or kind is TransformerKind.DSLP:
-        return Predicate(space, _forward(kind, p, q.bits, space))
-    asp = _forward(TransformerKind.ASP, p, q.bits, space)
-    dslp = _forward(TransformerKind.DSLP, p, q.bits, space)
+        return Predicate(space, _forward(kind.angelic, chain, q.bits, full))
+    asp = _forward(True, chain, q.bits, full)
+    dslp = _forward(False, chain, q.bits, full)
     if kind is TransformerKind.DSP:
         return Predicate(space, asp & dslp)
     if kind is TransformerKind.ASLP:

@@ -20,6 +20,8 @@ from ngclab import (
 from ngclab.generators import random_guard, random_program
 from ngclab.syntax import Assign, Choice, Cmp, Const, Seq, Skip, Var, While, BinExpr
 
+import dataclasses
+import pickle
 import random
 
 
@@ -172,6 +174,63 @@ class TestParser:
     def test_trailing_semicolon_rejected(self):
         with pytest.raises(NgclSyntaxError):
             parse_program("skip ; x := 1 ;", SPACE_X3)
+
+
+def _subtrees(node):
+    yield node
+    for field in dataclasses.fields(node):
+        child = getattr(node, field.name)
+        if dataclasses.is_dataclass(child):
+            yield from _subtrees(child)
+
+
+_NESTED = ("while x != 0 { { x := x - 1 } [] { if x < y && !(y = 1) { skip } "
+           "else { diverge } } } ; y := x * 2 + 1")
+
+
+class TestNodeHashing:
+    def test_equal_trees_built_separately_hash_and_compare_equal(self):
+        a = parse_program(_NESTED, SPACE_XY2)
+        b = parse_program(_NESTED, SPACE_XY2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        # built by hand, with the innermost nodes hashed first this time
+        inner = Assign("x", BinExpr("-", Var("x"), Const(1)))
+        hash(inner)
+        assert a.first.body.left == inner and hash(a.first.body.left) == hash(inner)
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        for node in _subtrees(parse_program(_NESTED, SPACE_XY2)):
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields), node
+
+    def test_sequence_and_choice_of_the_same_parts_differ(self):
+        a, b = Assign("x", Const(1)), Skip()
+        assert Seq(a, b) != Choice(a, b) and Choice(a, b) != Seq(a, b)
+        assert len({Seq(a, b): 0, Choice(a, b): 1}) == 2
+
+    def test_second_hash_returns_the_first_without_recursing(self):
+        # each link is hashed as it is built, so every hash call is one level
+        # deep, far past the interpreter's recursion limit
+        node = Assign("x", Const(0))
+        for i in range(5000):
+            node = Seq(Assign("x", Const(i % 3)), node)
+            first = hash(node)
+        assert hash(node) == first and hash(node) == first
+        # the same chain built without hashing recurses once per level
+        fresh = Assign("x", Const(0))
+        for i in range(5000):
+            fresh = Seq(Assign("x", Const(i % 3)), fresh)
+        with pytest.raises(RecursionError):
+            hash(fresh)
+
+    def test_pickling_keeps_no_hash(self):
+        program = parse_program(_NESTED, SPACE_XY2)
+        hash(program)
+        copy = pickle.loads(pickle.dumps(program))
+        assert all("_h" not in vars(node) for node in _subtrees(copy))
+        assert copy == program and hash(copy) == hash(program)
+        space = pickle.loads(pickle.dumps(SPACE_XY2))
+        assert space == SPACE_XY2 and hash(space) == hash((("x", "y"), 2))
 
 
 class TestRoundTrip:

@@ -18,7 +18,7 @@ from ngclab.syntax import (
     Assign, Choice, Diverge, Ite, Seq, Skip, While, pretty_program,
 )
 from ngclab.topkat import check_equation
-from ngclab.transformers import TransformerKind, oracle_transform
+from ngclab.transformers import TransformerKind, _oracle_bits, oracle_transform
 
 
 # --- reference: one candidate triple at a time, as the search used to run -----
@@ -259,3 +259,17 @@ def test_lazy_enumeration_keeps_the_frontier_set_order():
 def test_lazy_enumeration_with_loops_keeps_the_order(variables, modulus):
     space = StateSpace(variables, modulus)
     assert tuple(exhaustive_programs(space, 2, loops=True)) == _ref_programs(space, 2, True)
+
+
+@pytest.mark.parametrize("variables, modulus", [(("x",), 2), (("x",), 3)])
+def test_transformer_tables_are_shared_by_semantic_class(variables, modulus):
+    space = StateSpace(variables, modulus)
+    search._class_tables.cache_clear()
+    classes = set()
+    for p in exhaustive_programs(space, 2, loops=True):
+        prof = profile(p, space)
+        classes.add((prof.relation.rows, prof.may_div))
+        for kind in TransformerKind:
+            assert search._table(kind, prof) == tuple(
+                _oracle_bits(kind, prof, q) for q in range(1 << space.size)), (p, kind)
+    assert search._class_tables.cache_info().misses == len(classes)

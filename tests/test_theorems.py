@@ -11,6 +11,7 @@ from ngclab import (
     corpus_preset,
     find_counterexample,
 )
+from ngclab import theorems
 from ngclab.theorems import COLLAPSE_IDS, THEOREM_IDS, run_survey
 
 TINY = corpus_preset("tiny")
@@ -67,6 +68,24 @@ class TestCollapseTheorems:
 
 
 class TestSurvey:
+    def test_theorems_share_one_corpus_until_the_cache_is_cleared(self, monkeypatch):
+        generated = []
+        real = theorems.generate_programs
+
+        def counting(config):
+            generated.append(config)
+            return real(config)
+
+        monkeypatch.setattr(theorems, "generate_programs", counting)
+        theorems.corpus_items.cache_clear()
+        corpus = CorpusConfig(GeneratorConfig(("x",), 2, max_depth=2))
+        first = [check_theorem(t, corpus).holds for t in ("ORDERING", "GALOIS_PC")]
+        assert first == [True, True] and generated == [corpus.programs]
+        theorems.corpus_items.cache_clear()
+        assert check_theorem("ORDERING", corpus).holds
+        assert generated == [corpus.programs] * 2
+        theorems.corpus_items.cache_clear()
+
     def test_run_survey_covers_suite(self):
         verdicts = run_survey(["ORDERING", "GALOIS_PC"], TINY)
         assert [v.claim for v in verdicts] == ["ORDERING", "GALOIS_PC"]
