@@ -2,9 +2,11 @@
 
 All nodes are frozen dataclasses: structural equality and hashability are what
 the enumeration, caching, and round-trip machinery rely on.  A node's hash is
-that of its field tuple, as for any frozen dataclass, but it is computed on the
-first `hash()` and kept, so a cache keyed by a program hashes it once per
-process.  Arithmetic wraps mod m, so evaluation is total on every state.
+that of its class and field tuple, so trees that differ only in a node's class
+(`skip` and `diverge`, `;` and `[]`, `&&` and `||`) do not collide; it is
+computed on the first `hash()` and kept, so a cache keyed by a program hashes
+it once per process.  Arithmetic wraps mod m, so evaluation is total on every
+state.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class _Node:
         h = self._h
         if h is None:
             # one Python frame per nesting level, as the generated hash
-            h = hash(self._fields_of(self))
+            h = hash((type(self), self._fields_of(self)))
             object.__setattr__(self, "_h", h)
         return h
 

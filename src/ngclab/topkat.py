@@ -6,11 +6,18 @@ reflexive-transitive closure, and top is the universal relation.  Programs
 compile to terms whose evaluation matches their relational denotation, and a
 catalog of equation schemas over (pre, program, post) expresses the triple
 logics that the relational model can see.
+
+The catalog is not evaluated by composing relations.  A word containing top
+is a rectangle, R;T;S = dom(R) x cod(S), so each word is compiled once, at
+import, into domain and codomain masks built from image and preimage calls on
+the program's relation, and each clause compares two rectangles or tests a
+top-free word for emptiness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedTermError
 from .relations import Relation
@@ -203,37 +210,117 @@ EQUATION_TRANSFORMATIONS = (
 )
 
 
-class _Chains(dict):
-    """The relations of one triple (b, rel, c) by word, each built once: a
-    word starting with top is top composed with the rest of it, any other
-    word is its longest proper prefix composed with its last letter."""
+# --- the rectangle evaluator ---------------------------------------------------
+#
+# In the relational model every word u T v is the rectangle dom(u) x cod(v),
+# and a rectangle with an empty side is the empty relation.  dom(u) folds the
+# letters of u from the right, starting from the full set (a test intersects,
+# p takes the preimage); cod(v) folds v from the left (a test intersects, p
+# takes the image).  A T-free word is only ever compared with 0, and it is
+# empty iff its codomain is.  So each clause compiles, once, to two mask
+# slots that are equal iff its two words are: T;R = T;S iff cod(R) = cod(S),
+# R;T = S;T iff dom(R) = dom(S), and any other two rectangles are compared
+# as one packed int each, 0 when either side is empty.  The folds of a plan
+# are shared by all its words, so one triple costs a few image/preimage calls
+# on the relation and some mask arithmetic.
 
-    def __init__(self, rel: Relation, b: int, c: int):
-        n = rel.n
-        super().__init__({"p": rel, "T": Relation.top(n), "0": Relation.empty(n)})
-        full = (1 << n) - 1
-        self.tests = {"b": b, "c": c, "B": full ^ b, "C": full ^ c}
+_FULL, _B, _C, _NB, _NC, _ZERO = range(6)   # the first mask slots of a triple
+_FIRST_STEP_SLOT = 6
+_TEST_SLOTS = {"b": _B, "c": _C, "B": _NB, "C": _NC}
+_AND, _OR, _IMAGE, _PREIMAGE, _RECTANGLE = range(5)   # step ops
 
-    def __missing__(self, word: str) -> Relation:
-        if len(word) == 1:
-            value = Relation.from_test(self["p"].n, self.tests[word])
-        elif word[0] == "T":
-            value = self["T"].compose(self[word[1:]])
+
+class _Plan(NamedTuple):
+    # (op, x, y): the next mask slot is slot x & slot y, slot x | slot y,
+    # the image or preimage of slot x under the relation, or the rectangle
+    # slot x by slot y packed into one int
+    steps: tuple
+    # every clause as (slot, slot, equal)
+    clauses: tuple
+    # per equation: the (start, stop) span of its clauses
+    equations: tuple
+
+
+def _compile(catalog: dict) -> _Plan:
+    """One plan for every equation of a catalog, each fold computed once."""
+    steps, slots = [], {}
+
+    def step(op, x, y=None):
+        if op == _AND and x == _FULL:
+            return y
+        if op in (_IMAGE, _PREIMAGE) and x == _FULL:
+            # image and preimage distribute over union, and the full set is
+            # b + B (c + C): the whole catalog needs those four anyway
+            tests = (_B, _NB) if op == _IMAGE else (_C, _NC)
+            return step(_OR, *(step(op, t) for t in tests))
+        key = (op, x, y)
+        if key not in slots:
+            slots[key] = _FIRST_STEP_SLOT + len(steps)
+            steps.append(key)
+        return slots[key]
+
+    def fold(letters, op):
+        acc = _FULL
+        for letter in letters:
+            if letter == "0":
+                return _ZERO    # whatever else the word holds, it is empty
+            if letter == "p":
+                acc = step(op, acc)
+            else:
+                acc = step(_AND, acc, _TEST_SLOTS[letter])
+        return acc
+
+    def sides(left, right):
+        if "T" not in left + right and "0" in (left, right):
+            return fold(left, _IMAGE), fold(right, _IMAGE)
+        if left.count("T") != 1 or right.count("T") != 1:
+            raise ValueError(f"catalog clause {left} = {right} is neither two "
+                             "words with one top each nor a T-free word against 0")
+        (ul, vl), (ur, vr) = left.split("T"), right.split("T")
+        dl, dr = fold(reversed(ul), _PREIMAGE), fold(reversed(ur), _PREIMAGE)
+        cl, cr = fold(vl, _IMAGE), fold(vr, _IMAGE)
+        if dl == dr == _FULL:
+            return cl, cr
+        if cl == cr == _FULL:
+            return dl, dr
+        return step(_RECTANGLE, dl, cl), step(_RECTANGLE, dr, cr)
+
+    clauses, equations = [], []
+    for eq_clauses in catalog.values():
+        equations.append((len(clauses), len(clauses) + len(eq_clauses)))
+        clauses += [(*sides(left, right), equal) for left, right, equal in eq_clauses]
+    return _Plan(tuple(steps), tuple(clauses), tuple(equations))
+
+
+def _evaluate(plan: _Plan, rel: Relation, b: int, c: int) -> tuple[bool, ...]:
+    n = rel.n
+    full = (1 << n) - 1
+    m = [full, b, c, full ^ b, full ^ c, 0]
+    image, preimage = rel.image_bits, rel.preimage_bits
+    for op, x, y in plan.steps:
+        if op == _AND:
+            m.append(m[x] & m[y])
+        elif op == _OR:
+            m.append(m[x] | m[y])
+        elif op == _IMAGE:
+            m.append(image(m[x]))
+        elif op == _PREIMAGE:
+            m.append(preimage(m[x]))
         else:
-            value = self[word[:-1]].compose(self[word[-1]])
-        self[word] = value
-        return value
+            m.append(m[x] << n | m[y] if m[x] and m[y] else 0)
+    held = [(m[x] == m[y]) == equal for x, y, equal in plan.clauses]
+    return tuple([all(held[start:stop]) for start, stop in plan.equations])
 
-    def holds(self, eq: str) -> bool:
-        return all((self[left] == self[right]) == equal
-                   for left, right, equal in _CATALOG[eq])
+
+_CATALOG_PLAN = _compile(_CATALOG)
+_PLANS = {eq: _compile({eq: _CATALOG[eq]}) for eq in EQUATIONS}
 
 
 def catalog_values(rel: Relation, b: int, c: int) -> tuple[bool, ...]:
-    """Every catalog equation on one triple, in EQUATIONS order, sharing the
-    composed sub-chains between equations; b and c are state bitmasks."""
-    chains = _Chains(rel, b, c)
-    return tuple(chains.holds(eq) for eq in EQUATIONS)
+    """Every catalog equation on one triple, in EQUATIONS order, as rectangle
+    and emptiness comparisons of image/preimage masks; b and c are state
+    bitmasks."""
+    return _evaluate(_CATALOG_PLAN, rel, b, c)
 
 
 def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
@@ -247,4 +334,4 @@ def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
         raise ValueError("program relation has the wrong size")
     if eq not in _CATALOG:
         raise KeyError(f"unknown equation id {eq!r}")
-    return _Chains(rel, b.bits, c.bits).holds(eq)
+    return _evaluate(_PLANS[eq], rel, b.bits, c.bits)[0]

@@ -18,7 +18,9 @@ from ngclab import (
     pretty_program,
 )
 from ngclab.generators import random_guard, random_program
-from ngclab.syntax import Assign, Choice, Cmp, Const, Seq, Skip, Var, While, BinExpr
+from ngclab.syntax import (
+    And, Assign, BinExpr, Choice, Cmp, Const, Diverge, Or, Seq, Skip, Var, While,
+)
 
 import dataclasses
 import pickle
@@ -198,10 +200,18 @@ class TestNodeHashing:
         hash(inner)
         assert a.first.body.left == inner and hash(a.first.body.left) == hash(inner)
 
-    def test_hash_is_the_hash_of_the_field_tuple(self):
+    def test_hash_is_the_hash_of_the_class_and_field_tuple(self):
         for node in _subtrees(parse_program(_NESTED, SPACE_XY2)):
             fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
-            assert hash(node) == hash(fields), node
+            assert hash(node) == hash((type(node), fields)), node
+
+    def test_nodes_of_different_classes_with_equal_parts_hash_differently(self):
+        a, b = Assign("x", Const(1)), Skip()
+        g, h = Cmp("=", Var("x"), Const(0)), Cmp("<", Var("x"), Var("y"))
+        for left, right in ((Skip(), Diverge()), (Seq(a, b), Choice(a, b)),
+                            (And(g, h), Or(g, h)),
+                            (Seq(Skip(), a), Seq(Diverge(), a))):
+            assert left != right and hash(left) != hash(right), (left, right)
 
     def test_sequence_and_choice_of_the_same_parts_differ(self):
         a, b = Assign("x", Const(1)), Skip()

@@ -3,9 +3,9 @@ survey report against a recorded golden file.
 
 `check_theorem` checks each semantic class once; the reference below walks
 every (program, pre, post) triple and asks the per-kind oracle and the
-single-equation evaluator each time, the way the survey did before.  The two
-must give the same verdicts: the same first failing witness, the same
-program and triple counts, and the same non-vacuity witness.
+definitional (full-composition) catalog evaluator each time.  The two must
+give the same verdicts: the same first failing witness, the same program and
+triple counts, and the same non-vacuity witness.
 """
 
 from pathlib import Path
@@ -23,9 +23,10 @@ from ngclab.logics import (
     Bound, syntactic_choice,
 )
 from ngclab.semantics import profile
-from ngclab.space import Predicate
 from ngclab.syntax import Choice, Skip, While, TRUE
 from ngclab.theorems import THEOREM_IDS, Verdict, corpus_items
+
+from kat_reference import Chains
 
 K = transformers.TransformerKind
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,10 +142,9 @@ def _fig4(prof, b, c):
 
 def _bridges(prof, b, c):
     vec = _vector(prof, b, c)
+    chains = Chains(prof.relation, b, c)
     for eq, logic in BRIDGES:
-        value = topkat.check_equation(eq, Predicate(prof.space, b), prof.relation,
-                                      Predicate(prof.space, c))
-        if value != vec[logic.name]:
+        if chains.holds(eq) != vec[logic.name]:
             return f"equation {eq} disagrees with {logic.name}"
     return None
 
@@ -301,6 +301,32 @@ def test_fault_gives_the_reference_witnesses(name, monkeypatch):
         assert got == _jsonable(reference_check(theorem, corpus)), theorem
         failed += not got["holds"]
     assert failed >= 3
+
+
+def _swap_image_and_preimage(monkeypatch):
+    """The rectangle evaluator taking images where it should take preimages
+    and the other way round; the transformer tables are left alone."""
+    swap = {topkat._IMAGE: topkat._PREIMAGE, topkat._PREIMAGE: topkat._IMAGE}
+
+    def faulty(plan):
+        return plan._replace(steps=tuple((swap.get(op, op), x, y) for op, x, y in plan.steps))
+
+    monkeypatch.setattr(topkat, "_CATALOG_PLAN", faulty(topkat._CATALOG_PLAN))
+    monkeypatch.setattr(topkat, "_PLANS", {eq: faulty(plan) for eq, plan in topkat._PLANS.items()})
+
+
+def test_rectangle_fault_fails_bridges(monkeypatch):
+    """BRIDGES can still fail: with image and preimage swapped in the
+    rectangle evaluator it reports a disagreeing equation, while the
+    definitional reference still holds."""
+    corpus = CORPORA["tiny"]
+    assert check_theorem("BRIDGES", corpus).holds
+    _swap_image_and_preimage(monkeypatch)
+    verdict = check_theorem("BRIDGES", corpus)
+    assert not verdict.holds
+    assert verdict.witness["detail"].startswith("equation ")
+    assert " disagrees with " in verdict.witness["detail"]
+    assert reference_check("BRIDGES", corpus).holds
 
 
 def test_survey_report_matches_golden_file(capsys):

@@ -21,9 +21,12 @@ from ngclab import (
     eval_kat,
     parse_program,
 )
+from ngclab import topkat
 from ngclab.generators import random_program
 from ngclab.topkat import EQUATIONS, Dot, NotT, One, Plus, Prim, Star, Top, Zero, catalog_values
 from ngclab.topkat import Test as KatTest  # aliased so pytest does not collect it
+
+from kat_reference import Chains, reference_values
 
 # the worked five-state example: states are labeled 1..5, indices 0..4
 FIVE = StateSpace(("s",), 5)
@@ -281,10 +284,26 @@ def _catalog_terms(b, rel, c):
     }
 
 
+def _assert_evaluators_agree(b, rel, c, space):
+    """eval_kat of both sides of every clause, the full-composition reference
+    and the rectangle evaluator give the same value for every equation."""
+    terms = _catalog_terms(b, rel, c)
+    assert set(terms) == set(EQUATIONS)
+    expected = tuple(
+        all((eval_kat(left, space) == eval_kat(right, space)) == equal
+            for left, right, equal in terms[eq])
+        for eq in EQUATIONS
+    )
+    assert reference_values(rel, b.bits, c.bits) == expected, (rel, b, c)
+    assert catalog_values(rel, b.bits, c.bits) == expected, (rel, b, c)
+    assert tuple(check_equation(eq, b, rel, c) for eq in EQUATIONS) == expected, (rel, b, c)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_shared_chain_evaluator_matches_eval_kat(n):
-    """catalog_values and check_equation against eval_kat of both sides of
-    every equation, on seeded random relations and predicates."""
+    """The rectangle evaluator (catalog_values, check_equation) and the
+    shared-chain full-composition reference against eval_kat of both sides
+    of every equation, on seeded random relations and predicates."""
     space = StateSpace(("x",), n)
     rng = random.Random(6000 + n)
     for trial in range(25):
@@ -293,12 +312,62 @@ def test_shared_chain_evaluator_matches_eval_kat(n):
                                       if rng.random() < density])
         b = Predicate(space, rng.randrange(1 << n))
         c = Predicate(space, rng.randrange(1 << n))
-        terms = _catalog_terms(b, rel, c)
-        assert set(terms) == set(EQUATIONS)
-        expected = tuple(
-            all((eval_kat(left, space) == eval_kat(right, space)) == equal
-                for left, right, equal in terms[eq])
-            for eq in EQUATIONS
-        )
-        assert catalog_values(rel, b.bits, c.bits) == expected
-        assert tuple(check_equation(eq, b, rel, c) for eq in EQUATIONS) == expected
+        _assert_evaluators_agree(b, rel, c, space)
+
+
+def _corner_relations(n):
+    full = (1 << n) - 1
+    return [
+        Relation.empty(n),
+        Relation.identity(n),
+        Relation.top(n),
+        # every row empty but the last, which relates to everything
+        Relation(n, (0,) * (n - 1) + (full,)),
+        # the odd states have empty rows, the even ones step to their successor
+        Relation(n, tuple(0 if i % 2 else 1 << (i + 1) % n for i in range(n))),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rectangle_evaluator_corner_cases(n):
+    """The empty, identity and top relations and relations with empty rows,
+    with empty and full pre- and postconditions and a seeded third one."""
+    space = StateSpace(("x",), n)
+    rng = random.Random(6100 + n)
+    masks = (0, space.full_mask, rng.randrange(1 << n))
+    for rel in _corner_relations(n):
+        for b in masks:
+            for c in masks:
+                _assert_evaluators_agree(Predicate(space, b), rel, Predicate(space, c), space)
+
+
+# words outside the catalog: every u T v over these halves, compared pairwise,
+# reaches rectangles with an empty side on either end, and the T-free words
+# are compared with 0
+_HALVES = ("", "b", "C", "p", "0", "bp", "pc", "Bp", "pCp")
+_TOP_WORDS = tuple(u + "T" + v for u in _HALVES for v in _HALVES)
+_FREE_WORDS = ("0", "b", "p", "bp", "pc", "bpc", "BpC", "b0p", "pcp")
+
+
+def test_rectangle_compiler_on_words_outside_the_catalog():
+    clauses = [(left, right, True) for left in _TOP_WORDS for right in _TOP_WORDS]
+    clauses += [(word, "0", True) for word in _FREE_WORDS]
+    plan = topkat._compile({i: (clause,) for i, clause in enumerate(clauses)})
+    rng = random.Random(6200)
+    for n in (1, 2, 4):
+        relations = _corner_relations(n)
+        relations += [Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(n)
+                                              if rng.random() < 0.3]) for _ in range(3)]
+        for rel in relations:
+            for b, c in ((0, 0), (0, (1 << n) - 1), ((1 << n) - 1, 0),
+                         (rng.randrange(1 << n), rng.randrange(1 << n))):
+                chains = Chains(rel, b, c)
+                expected = tuple((chains[left] == chains[right]) == equal
+                                 for left, right, equal in clauses)
+                assert topkat._evaluate(plan, rel, b, c) == expected, (rel, b, c)
+
+
+@pytest.mark.parametrize("clause", [("bTpT", "bT", True), ("bp", "pc", True), ("bpT", "b", True)])
+def test_rectangle_compiler_rejects_clauses_it_cannot_decide(clause):
+    with pytest.raises(ValueError):
+        topkat._compile({"BAD": (clause,)})
