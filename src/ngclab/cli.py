@@ -40,7 +40,7 @@ def _load_program(path: str):
 def _render_predicate(pred: Predicate) -> str:
     if pred.is_empty:
         return "{} (no states)"
-    states = ", ".join(repr(s) for s in pred.states())
+    states = ", ".join(pred.space.render_states(pred.indices()))
     return f"{{{states}}} ({pred.count} of {pred.space.size} states)"
 
 
@@ -87,7 +87,7 @@ def cmd_check(args) -> int:
     # print a violating state: for lower bounds, a bound state outside the
     # transformer result; for upper bounds, a result state outside the bound
     witness = _violating_state(logic, triple)
-    where = f" (witness {witness!r})" if witness is not None else ""
+    where = f" (witness {witness})" if witness is not None else ""
     print(f"invalid for {logic.name}{where}")
     return CLAIM_FALSE
 
@@ -106,9 +106,9 @@ def _violating_state(logic, triple):
     else:
         result = oracle_transform(logic.kind, triple.program, triple.pre)
         gap = triple.post - result if logic.bound is Bound.LB else result - triple.post
-    for state in gap.states():
-        return state
-    return None
+    if gap.is_empty:
+        return None
+    return gap.space.render_states([(gap.bits & -gap.bits).bit_length() - 1])[0]
 
 
 def _corpus_from_args(args) -> CorpusConfig:

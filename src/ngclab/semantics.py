@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, sub
 
 from . import space as _space  # for iter_bits; see relations.py
 from .errors import BudgetExceededError
@@ -30,7 +32,7 @@ from .syntax import (
     Seq,
     Skip,
     While,
-    eval_expr,
+    expr_column,
     guard_to_predicate,
 )
 
@@ -39,12 +41,12 @@ DEFAULT_NODE_BUDGET = 10**6
 
 @lru_cache(maxsize=65536)
 def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
-    # assignment is a total function on states; tabulate it once
-    out = []
-    for i in range(space.size):
-        state = space.state(i)
-        out.append(state.set(var, eval_expr(expr, state)).index)
-    return tuple(out)
+    """Assignment is a total function on states; tabulate it once.  Only
+    var's digit changes: succ(i) = i + (e(i) - var(i)) * stride_var."""
+    stride, column = space.columns[space.var_index(var)]
+    value = expr_column(expr, space)
+    delta = map(sub, repeat(value) if type(value) is int else value, column)
+    return tuple(map(add, range(space.size), map(stride.__mul__, delta)))
 
 
 def _collect_bits(p: Program, bits: int, space: StateSpace) -> int:
@@ -354,6 +356,9 @@ class Profile:
 
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
+    if space.size > DEFAULT_NODE_BUDGET:
+        # the seed configurations alone exceed the budget: fail before compiling
+        raise BudgetExceededError(f"configuration graph exceeded {DEFAULT_NODE_BUDGET} nodes")
     rows, may = _final_and_divergent(_Points(p, space), DEFAULT_NODE_BUDGET)
     rel = Relation(space.size, tuple(rows))
     must = 0

@@ -2,7 +2,11 @@
 
 States map a fixed tuple of variables to values in Z_m.  The whole space is
 enumerated once and for all in lexicographic order (first variable most
-significant), and predicates are bitmasks over that enumeration.  Everything
+significant), and predicates are bitmasks over that enumeration.  A state is
+thus a mixed-radix index: variable k is the digit of weight `stride_k`, and
+each space keeps, per variable, that stride and the digit's value at every
+index (its column), both built on first use, so per-state work is index
+arithmetic over the columns rather than a `State` per index.  Everything
 here is immutable and hashable, so values can be shared freely across tasks.
 """
 
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import SettingError, SpaceCapError
 
@@ -32,12 +36,41 @@ def state_cap() -> int:
     return min(value, HARD_STATE_CAP)
 
 
+# the set bits of every value below 512, lowest first: whole masks of up to
+# nine states, and the bytes of longer ones (b + 2^j adds bit j to b's bits)
+_BITS_OF = [()]
+for _j in range(9):
+    _BITS_OF += [bits + (_j,) for bits in _BITS_OF]
+_BITS_OF = tuple(_BITS_OF)
+_FEW = 24   # where a step per set bit starts to cost more than a byte walk
+
+
 def iter_bits(bits: int) -> Iterator[int]:
-    """Indices of the set bits, lowest first, in one step per set bit."""
+    """Indices of the set bits, lowest first, in time linear in the mask's
+    length: one table lookup for a mask of up to nine states; for a longer
+    mask with few set bits, one step (a few O(length) int operations in C)
+    per set bit; else byte by byte through the same table."""
+    if bits < 512:
+        return iter(_BITS_OF[bits])
+    if bits.bit_count() <= _FEW:
+        return _iter_sparse(bits)
+    return _iter_bytes(bits)
+
+
+def _iter_sparse(bits: int) -> Iterator[int]:
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _iter_bytes(bits: int) -> Iterator[int]:
+    base = 0
+    for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for j in _BITS_OF[byte]:
+                yield base + j
+        base += 8
 
 
 @dataclass(frozen=True)
@@ -94,6 +127,44 @@ class StateSpace:
             index, v = divmod(index, self.modulus)
             out.append(v)
         return tuple(reversed(out))
+
+    # built on first use and kept as attributes (never through `__dict__`,
+    # which CPython would have to build as a real dict, slowing every later
+    # attribute read on the space)
+    _strides = None
+    _columns = None
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Per variable, in order: the weight of its digit in a state index."""
+        strides = self._strides
+        if strides is None:
+            m = self.modulus
+            strides = tuple(m ** k for k in reversed(range(len(self.variables))))
+            object.__setattr__(self, "_strides", strides)
+        return strides
+
+    @property
+    def columns(self) -> tuple[tuple[int, list[int]], ...]:
+        """Per variable, in order: its stride and its value at every index (a
+        list over the enumeration; never mutate it)."""
+        columns = self._columns
+        if columns is None:
+            m, n = self.modulus, self.size
+            columns = tuple(
+                (stride, [v for v in range(m) for _ in range(stride)] * (n // (m * stride)))
+                for stride in self.strides)
+            object.__setattr__(self, "_columns", columns)
+        return columns
+
+    def render_states(self, indices: Iterable[int]) -> list[str]:
+        """`repr(self.state(i))` for each index, by index arithmetic: the
+        value of variable k at index i is `i // stride_k % m`."""
+        indices = list(indices)
+        template = "<" + ", ".join(f"{name}={{}}" for name in self.variables) + ">"
+        m = self.modulus
+        values = [map(m.__rmod__, map(stride.__rfloordiv__, indices)) for stride in self.strides]
+        return list(map(template.format, *values))
 
     def state(self, index: int) -> "State":
         if not 0 <= index < self.size:
@@ -220,4 +291,4 @@ class Predicate:
     def __repr__(self) -> str:
         if self.is_empty:
             return "{}"
-        return "{" + ", ".join(repr(s) for s in self.states()) + "}"
+        return "{" + ", ".join(self.space.render_states(self.indices())) + "}"

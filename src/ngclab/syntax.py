@@ -5,20 +5,31 @@ the enumeration, caching, and round-trip machinery rely on.  A node's hash is
 that of its class and field tuple, so trees that differ only in a node's class
 (`skip` and `diverge`, `;` and `[]`, `&&` and `||`) do not collide; it is
 computed on the first `hash()` and kept, so a cache keyed by a program hashes
-it once per process.  Arithmetic wraps mod m, so evaluation is total on every
-state.
+it once per process.  Equality is the generated field-by-field comparison
+down to a fixed nesting and an explicit stack below it, so comparing deep
+programs never exhausts the recursion limit.  Arithmetic wraps mod m, so
+evaluation is total on every state.
+
+`eval_expr` and `eval_guard` define meaning one `State` at a time and stay
+the reference; `expr_column` and `guard_to_predicate` compute the same values
+for every state at once, as arithmetic over the space's value columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import attrgetter
+from itertools import repeat
+from operator import add, attrgetter, eq, le, lt, mul, ne, sub
 
 from .space import Predicate, State, StateSpace
 
 
 # --- nodes -----------------------------------------------------------------
+
+_SHALLOW = 32   # nesting compared by the generated equality before `_equal`
+_nesting = 0    # generated comparisons in progress (ngclab runs in one thread)
+
 
 class _Node:
     """Base of every AST node.  The hash is kept in the instance attribute
@@ -29,6 +40,7 @@ class _Node:
     __slots__ = ()
     _h = None
     _fields_of = None   # per node class: node -> its field tuple
+    _eq_fields = None   # per node class: the generated field-by-field equality
 
     def __hash__(self):
         h = self._h
@@ -38,13 +50,51 @@ class _Node:
             object.__setattr__(self, "_h", h)
         return h
 
+    def __eq__(self, other):
+        # the generated equality recurses once per level, which is the
+        # fastest way through a shallow tree; below _SHALLOW levels of it,
+        # the rest of the tree is compared without recursion
+        global _nesting
+        if self is other:
+            return True
+        if _nesting >= _SHALLOW:
+            return _equal(self, other)
+        _nesting += 1
+        try:
+            return self._eq_fields(other)
+        finally:
+            _nesting -= 1
+
     def __reduce__(self):
         # string hashes differ between processes: never pickle a kept hash
         return type(self), self._fields_of(self)
 
 
+def _equal(first: _Node, second) -> bool:
+    """Structural equality with an explicit stack: identity first, then
+    unequal kept hashes mean unequal, then field by field."""
+    if type(second) is not type(first):
+        return NotImplemented
+    todo = [(first, second)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if a._h is not None and b._h is not None and a._h != b._h:
+            return False
+        for x, y in zip(a._fields_of(a), b._fields_of(b)):
+            if isinstance(x, _Node):
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
 def _node(cls):
-    """A frozen dataclass node whose hash is computed once (see _Node)."""
+    """A frozen dataclass node whose hash is computed once and whose equality
+    does not recurse without bound (see _Node)."""
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
     if len(names) > 1:
@@ -54,6 +104,10 @@ def _node(cls):
             return tuple(getattr(node, name) for name in names)
     cls._fields_of = staticmethod(fields_of)
     cls.__hash__ = _Node.__hash__   # over the one dataclass generated
+    if any(f.type in ("Expr", "Guard", "Program") for f in fields(cls)):
+        # a node with children: wrap the generated equality (see _Node)
+        cls._eq_fields = cls.__eq__
+        cls.__eq__ = _Node.__eq__
     return cls
 
 
@@ -96,6 +150,33 @@ def eval_expr(expr: Expr, state: State) -> int:
         if expr.op == "*":
             return (a * b) % m
     raise TypeError(f"not an expression: {expr!r}")
+
+
+_BINOPS = {"+": add, "-": sub, "*": mul}
+
+
+def expr_column(expr: Expr, space: StateSpace):
+    """The expression's value at every state index: an int if it reads no
+    variable, else a list over the enumeration (a variable's is the space's
+    own column; never mutate it)."""
+    if isinstance(expr, Const):
+        return expr.value % space.modulus
+    if isinstance(expr, Var):
+        return space.columns[space.var_index(expr.name)][1]
+    if isinstance(expr, BinExpr):
+        op = _BINOPS[expr.op]
+        a = expr_column(expr.left, space)
+        b = expr_column(expr.right, space)
+        m = space.modulus
+        if type(a) is int and type(b) is int:
+            return op(a, b) % m
+        return list(map(m.__rmod__, map(op, _spread(a), _spread(b))))
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _spread(value):
+    """A column as is, a constant as an endless column."""
+    return repeat(value) if type(value) is int else value
 
 
 # --- guards ----------------------------------------------------------------
@@ -160,14 +241,35 @@ def eval_guard(guard: Guard, state: State) -> bool:
     raise TypeError(f"not a guard: {guard!r}")
 
 
+_CMPS = {"=": eq, "!=": ne, "<": lt, "<=": le}
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @lru_cache(maxsize=65536)
 def guard_to_predicate(guard: Guard, space: StateSpace) -> Predicate:
-    """The set of states satisfying the guard, by evaluating over all of them."""
-    bits = 0
-    for i in range(space.size):
-        if eval_guard(guard, space.state(i)):
-            bits |= 1 << i
-    return Predicate(space, bits)
+    """The set of states satisfying the guard, from its compiled mask."""
+    return Predicate(space, _guard_mask(guard, space))
+
+
+def _guard_mask(guard: Guard, space: StateSpace) -> int:
+    if isinstance(guard, BoolLit):
+        return space.full_mask if guard.value else 0
+    if isinstance(guard, Cmp):
+        op = _CMPS[guard.op]
+        a = expr_column(guard.left, space)
+        b = expr_column(guard.right, space)
+        if type(a) is int and type(b) is int:
+            return space.full_mask if op(a, b) else 0
+        # one 0/1 byte per state, read as binary digits (lowest state last)
+        flags = bytes(map(op, _spread(a), _spread(b)))
+        return int(flags.translate(_DIGITS)[::-1], 2)
+    if isinstance(guard, And):
+        return _guard_mask(guard.left, space) & _guard_mask(guard.right, space)
+    if isinstance(guard, Or):
+        return _guard_mask(guard.left, space) | _guard_mask(guard.right, space)
+    if isinstance(guard, Not):
+        return _guard_mask(guard.inner, space) ^ space.full_mask
+    raise TypeError(f"not a guard: {guard!r}")
 
 
 # --- programs --------------------------------------------------------------

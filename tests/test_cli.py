@@ -159,6 +159,13 @@ class TestInputLimits:
         assert err.startswith("error: program nested too deeply")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_back_to_back_calls_on_a_deep_file_agree(self, tmp_path, capsys):
+        # the second parse is compared with the equal tree cached by the first
+        path = _deep_module(tmp_path, 400)
+        argv = ["transform", "--engine", "both", "--kind", "awp", "--pred", "x = 0", path]
+        first = main(argv)
+        assert main(argv) == first == 0
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
     def test_invalid_state_cap_is_a_one_line_usage_error(self, choice01, capsys,
                                                          monkeypatch, value):
