@@ -18,7 +18,7 @@ from .errors import BudgetExceededError, NgclError, NgclSyntaxError, SpaceCapErr
 from .logics import Triple, classify, holds, logic_by_name
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
-from .space import Predicate, state_cap
+from .space import Predicate, low_bit, state_cap
 from .theorems import THEOREM_IDS, CorpusConfig, corpus_preset, run_survey
 from .transformers import TransformerKind, inductive_transform, oracle_transform
 
@@ -108,7 +108,7 @@ def _violating_state(logic, triple):
         gap = triple.post - result if logic.bound is Bound.LB else result - triple.post
     if gap.is_empty:
         return None
-    return gap.space.render_states([(gap.bits & -gap.bits).bit_length() - 1])[0]
+    return gap.space.render_states([low_bit(gap.bits)])[0]
 
 
 def _corpus_from_args(args) -> CorpusConfig:

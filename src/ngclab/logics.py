@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .semantics import profile
-from .space import Predicate, StateSpace
+from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
 from .transformers import TransformerKind, oracle_transform
 
@@ -204,11 +204,11 @@ def classify(
 
     diverging = prof.may_div & pre_bits
     termination = Flag(diverging == 0,
-                       None if diverging == 0 else space.state(_low_bit(diverging)))
+                       None if diverging == 0 else space.state(low_bit(diverging)))
 
     unreached = post_bits & ~prof.reach & space.full_mask
     reachability = Flag(unreached == 0,
-                        None if unreached == 0 else space.state(_low_bit(unreached)))
+                        None if unreached == 0 else space.state(low_bit(unreached)))
 
     offending = syntactic_choice(p)
     determinism = Flag(offending is None, offending)
@@ -219,14 +219,10 @@ def classify(
             irreversible |= 1 << i
             break
     reversibility = Flag(irreversible == 0,
-                         None if irreversible == 0 else space.state(_low_bit(irreversible)))
+                         None if irreversible == 0 else space.state(low_bit(irreversible)))
 
     branching = (prof.may_div & ~prof.must_div) & pre_bits
     nbd = Flag(branching == 0,
-               None if branching == 0 else space.state(_low_bit(branching)))
+               None if branching == 0 else space.state(low_bit(branching)))
 
     return AssumptionSet(termination, reachability, determinism, reversibility, nbd)
-
-
-def _low_bit(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1

@@ -30,7 +30,7 @@ from .logics import (
     Bound, LogicId, syntactic_choice,
 )
 from .semantics import Profile, profile
-from .space import Predicate, StateSpace
+from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
 from .topkat import check_equation
 from .transformers import TransformerKind, rows_table
@@ -261,7 +261,7 @@ def _combination_gap_blocks(claim: str, config: SearchConfig) -> Iterator[_Block
         detail = "awlp differs from awp union dwlp"
 
     def witness(c: int) -> dict:
-        idx = (gaps[c] & -gaps[c]).bit_length() - 1
+        idx = low_bit(gaps[c])
         return _witness(space, {"program": pretty_program(p)},
                         Predicate(space, 1 << idx), preds[c], detail,
                         state=space.render_states([idx])[0], state_index=idx)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import add, sub
 
 from . import space as _space  # for iter_bits; see relations.py
@@ -32,6 +31,7 @@ from .syntax import (
     Seq,
     Skip,
     While,
+    _spread,
     expr_column,
     guard_to_predicate,
 )
@@ -45,8 +45,12 @@ def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
     var's digit changes: succ(i) = i + (e(i) - var(i)) * stride_var."""
     stride, column = space.columns[space.var_index(var)]
     value = expr_column(expr, space)
-    delta = map(sub, repeat(value) if type(value) is int else value, column)
+    delta = map(sub, _spread(value), column)
     return tuple(map(add, range(space.size), map(stride.__mul__, delta)))
+
+
+def _over_budget(node_budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"configuration graph exceeded {node_budget} nodes")
 
 
 def _collect_bits(p: Program, bits: int, space: StateSpace) -> int:
@@ -244,9 +248,7 @@ def build_graph(
         node = queue.popleft()
         nodes.append(node)
         if len(nodes) > node_budget:
-            raise BudgetExceededError(
-                f"configuration graph exceeded {node_budget} nodes"
-            )
+            raise _over_budget(node_budget)
         succs = points.successors(node)
         if not succs:
             continue
@@ -277,7 +279,7 @@ def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], 
 
     def enter(node: int) -> None:
         if len(index) >= node_budget:
-            raise BudgetExceededError(f"configuration graph exceeded {node_budget} nodes")
+            raise _over_budget(node_budget)
         index[node] = low[node] = len(index)
         stack.append(node)
         edges[node] = successors(node)
@@ -356,10 +358,11 @@ class Profile:
 
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
-    if space.size > DEFAULT_NODE_BUDGET:
+    budget = DEFAULT_NODE_BUDGET
+    if space.size > budget:
         # the seed configurations alone exceed the budget: fail before compiling
-        raise BudgetExceededError(f"configuration graph exceeded {DEFAULT_NODE_BUDGET} nodes")
-    rows, may = _final_and_divergent(_Points(p, space), DEFAULT_NODE_BUDGET)
+        raise _over_budget(budget)
+    rows, may = _final_and_divergent(_Points(p, space), budget)
     rel = Relation(space.size, tuple(rows))
     must = 0
     for i, row in enumerate(rows):

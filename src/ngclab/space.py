@@ -42,7 +42,10 @@ _BITS_OF = [()]
 for _j in range(9):
     _BITS_OF += [bits + (_j,) for bits in _BITS_OF]
 _BITS_OF = tuple(_BITS_OF)
-_FEW = 24   # where a step per set bit starts to cost more than a byte walk
+# most set bits for which iter_bits steps from bit to bit: measured, stepping
+# beats the byte walk up to about 10 set bits in a 216-bit mask, 20 in 512
+# bits, 28 in 2^10 and 48-64 from 2^12 to 2^18 bits
+_FEW = 24
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -55,6 +58,11 @@ def iter_bits(bits: int) -> Iterator[int]:
     if bits.bit_count() <= _FEW:
         return _iter_sparse(bits)
     return _iter_bytes(bits)
+
+
+def low_bit(bits: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (bits & -bits).bit_length() - 1
 
 
 def _iter_sparse(bits: int) -> Iterator[int]:

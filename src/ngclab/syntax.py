@@ -17,6 +17,7 @@ for every state at once, as arithmetic over the space's value columns.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
@@ -28,7 +29,15 @@ from .space import Predicate, State, StateSpace
 # --- nodes -----------------------------------------------------------------
 
 _SHALLOW = 32   # nesting compared by the generated equality before `_equal`
-_nesting = 0    # generated comparisons in progress (ngclab runs in one thread)
+
+
+class _Nesting(threading.local):
+    """Generated comparisons in progress, per thread: a shared counter
+    could lose updates between threads and drift."""
+    depth = 0
+
+
+_nesting = _Nesting()
 
 
 class _Node:
@@ -54,16 +63,17 @@ class _Node:
         # the generated equality recurses once per level, which is the
         # fastest way through a shallow tree; below _SHALLOW levels of it,
         # the rest of the tree is compared without recursion
-        global _nesting
         if self is other:
             return True
-        if _nesting >= _SHALLOW:
+        nesting = _nesting
+        depth = nesting.depth
+        if depth >= _SHALLOW:
             return _equal(self, other)
-        _nesting += 1
+        nesting.depth = depth + 1
         try:
             return self._eq_fields(other)
         finally:
-            _nesting -= 1
+            nesting.depth = depth
 
     def __reduce__(self):
         # string hashes differ between processes: never pickle a kept hash

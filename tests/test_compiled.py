@@ -8,12 +8,13 @@ explicit-stack walk and never exhaust the recursion limit.
 """
 
 import random
+import threading
 
 import pytest
 
 from ngclab.errors import BudgetExceededError
 from ngclab.semantics import _assign_successors, profile
-from ngclab.space import Predicate, StateSpace, iter_bits
+from ngclab.space import Predicate, StateSpace, iter_bits, low_bit
 from ngclab.syntax import (
     And,
     Assign,
@@ -195,6 +196,13 @@ class TestIterBits:
         for bits in range(1 << 10):
             assert list(iter_bits(bits)) == self.lowbit_definition(bits)
 
+    def test_low_bit_is_the_first_set_bit(self):
+        rng = random.Random(13)
+        masks = list(range(1, 1 << 10)) + [1 << 200, (1 << 300) - (1 << 17)]
+        masks += [rng.getrandbits(1 << 12) | 1 << (1 << 12) for _ in range(20)]
+        for bits in masks:
+            assert low_bit(bits) == self.lowbit_definition(bits)[0]
+
 
 class TestRendering:
     @pytest.mark.parametrize("space", [StateSpace(("x",), 3), StateSpace(("pwd", "ok"), 4),
@@ -243,6 +251,30 @@ class TestStructuralEquality:
             assert _equal(p, copy) is True and p == copy
             # NotImplemented for different classes, as the generated equality
             assert (_equal(p, other) is True) is (p == other)
+
+    def test_nesting_depth_is_kept_per_thread(self):
+        from ngclab import syntax
+
+        pairs = [(self.chain(5000), self.chain(5000), True),
+                 (self.chain(5000), self.chain(5000, last="y"), False),
+                 (self.chain(40), self.chain(40), True)]
+        results, depths = [], []
+
+        def compare():
+            for _ in range(3):
+                results.extend((a == b) is want for a, b, want in pairs)
+            depths.append(syntax._nesting.depth)
+
+        syntax._nesting.depth = syntax._SHALLOW   # this thread's only
+        try:
+            threads = [threading.Thread(target=compare) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            syntax._nesting.depth = 0
+        assert results == [True] * 36 and depths == [0] * 4
 
     def test_different_classes_and_kept_hashes(self):
         assert Skip() != Assign("x", Const(0))

@@ -9,7 +9,8 @@ Each point writes the countdown `while x != 0 { x := x - 1 }` over
 It prints one row per point: n, wall time, peak RSS of the child, its exit
 code and the first 12 hex digits of the SHA-256 of its standard output.  The
 sweep stops after the first point that exits non-zero or takes longer than
---limit seconds.  Standard library only; Linux (peak RSS comes from wait4).
+LIMIT_S (60) seconds; a point still running after ten times that is killed.
+Standard library only; Linux (peak RSS comes from wait4).
 
     python3 tools/sweep.py
     python3 tools/sweep.py --command check
@@ -29,6 +30,7 @@ import threading
 import time
 from pathlib import Path
 
+LIMIT_S = 60.0
 MODULI = (3, 6, 10, 14, 20, 25, 32, 40, 50, 58, 64, 72, 80, 90, 101)
 COMMANDS = {
     "transform": ["transform", "--kind", "dwp", "--pred", "x = 0"],
@@ -62,8 +64,6 @@ def main(argv=None) -> int:
     parser.add_argument("--command", choices=sorted(COMMANDS), default="transform")
     parser.add_argument("--moduli", type=lambda s: [int(m) for m in s.split(",")],
                         default=list(MODULI), help="comma-separated moduli m (n = m^3)")
-    parser.add_argument("--limit", type=float, default=60.0,
-                        help="stop after the first point slower than this (s)")
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the ngclab package to run")
@@ -74,11 +74,11 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"countdown_{m}.ngcl"
             path.write_text(f"vars x, y, z mod {m}\nwhile x != 0 {{ x := x - 1 }}\n")
             wall, rss, code, digest, err = run_point(
-                args.src.resolve(), COMMANDS[args.command] + [str(path)], 10 * args.limit)
+                args.src.resolve(), COMMANDS[args.command] + [str(path)], 10 * LIMIT_S)
             note = f"  {err}" if code else ""
             print(f"{m ** 3:>9}  {wall:>8.2f}  {rss:>11.0f}  {code:>4}  {digest}{note}",
                   flush=True)
-            if code or wall > args.limit:
+            if code or wall > LIMIT_S:
                 break
     return 0
 
