@@ -282,6 +282,10 @@ def main(argv=None) -> int:
     except NgclError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except Exception as exc:
+        # a bug, not a false claim: one line and exit 3, never a traceback and 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

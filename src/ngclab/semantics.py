@@ -7,8 +7,13 @@ points are a flat compilation of the program.  On a finite, finitely
 branching graph an infinite execution exists from a configuration iff that
 configuration can reach a node lying on a cycle (a lasso).  `profile` reads
 both the relation and may-divergence off one strongly-connected-component
-pass over that graph; `collecting` and `denote_relation` stay AST walks, an
-independent route the tests compare it against.
+pass over that graph, which handles each edge once: an edge into a closed
+component adds that component's final states and cycle flag, an edge to an
+open node marks a cycle, a child's answer merges into its parent when it
+returns, and a component's answer is complete when its root closes.  The
+profile's converse relation and reachable states are derived only when first
+read.  `collecting` and `denote_relation` stay AST walks, an independent
+route the tests compare it against.
 """
 
 from __future__ import annotations
@@ -263,73 +268,87 @@ def build_graph(
 def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], int]:
     """Per state: the final states its seed reaches, and (as a bitmask over
     states) whether the seed can reach a cycle.  One iterative Tarjan pass
-    over the configurations reachable from the seeds; strongly connected
-    components close sinks first, so each one combines its successors'
-    already-final answers."""
+    over the configurations reachable from the seeds that handles each edge
+    once.  A configuration is numbered on discovery, and by that number
+    keeps its `low`, whether its component has closed, and a final-state
+    mask and a cycle flag.  While a node is open these are the parts found
+    so far of its component's answer, and an edge v -> w adds to v's:
+
+    - w closed: its component is complete, so w's mask and flag are final;
+    - w open: the edge lies inside one component (Tarjan's lemma), so it
+      lowers v's `low` and sets v's cycle flag;
+    - w new: w is explored first; when it returns, still open (so in v's
+      component) or closed, its mask and flag merge into v's.
+
+    A root that closes holds its whole component's answer, because every
+    member has merged into its parent on return; the members are popped and
+    given that answer, with no second pass over their edges."""
     n = points.n
     successors = points.successors
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    edges: dict[int, tuple[int, ...]] = {}
-    component: dict[int, int] = {}
-    finals: list[int] = []      # by component: reachable terminal states
-    cyclic: list[bool] = []     # by component: reaches a cycle
-    stack: list[int] = []
-    work: list[tuple[int, int]] = []
-
-    def enter(node: int) -> None:
-        if len(index) >= node_budget:
-            raise _over_budget(node_budget)
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        edges[node] = successors(node)
-        work.append((node, 0))
-
-    for root in map(points.seed, range(n)):
-        if root in index:
+    number: dict[int, int] = {}     # configuration -> discovery number
+    low: list[int] = []             # the rest by discovery number
+    closed: list[bool] = []
+    finals: list[int] = []
+    cyclic: list[bool] = []
+    stack: list[int] = []           # Tarjan's stack of open nodes
+    base = points.seed(0)           # seeds are consecutive: base + state
+    for root in range(base, base + n):
+        if root in number:
             continue
-        enter(root)
-        while work:
-            node, child = work[-1]
-            succs = edges[node]
-            if child < len(succs):
-                work[-1] = (node, child + 1)
-                nxt = succs[child]
-                if nxt not in index:
-                    enter(nxt)
-                elif nxt not in component and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+        node, path = root, []       # path: (number, successor iterator)
+        while True:
+            if node is not None:
+                w = number.get(node)
+                if w is None:       # discover node: explore it next
+                    w = len(low)
+                    if w >= node_budget:
+                        raise _over_budget(node_budget)
+                    number[node] = w
+                    low.append(w)
+                    closed.append(False)
+                    finals.append(1 << node if node < n else 0)  # terminal
+                    cyclic.append(False)
+                    stack.append(w)
+                    path.append((w, iter(successors(node))))
+                elif closed[w]:
+                    reach = finals[w]
+                    if reach and reach is not finals[v]:  # share, don't copy
+                        finals[v] = finals[v] | reach if finals[v] else reach
+                    if cyclic[w]:
+                        cyclic[v] = True
+                else:
+                    if w < low[v]:
+                        low[v] = w
+                    cyclic[v] = True
+                v, out = path[-1]
+                node = next(out, None)
                 continue
-            work.pop()
-            if work and low[node] < low[work[-1][0]]:
-                low[work[-1][0]] = low[node]
-            if low[node] != index[node]:
-                continue
-            comp = len(finals)
-            members = []
-            while True:
-                member = stack.pop()
-                component[member] = comp
-                members.append(member)
-                if member == node:
-                    break
-            reach = 1 << node if node < n else 0    # a terminal configuration
-            loops = False   # set by any edge inside the component
-            for member in members:
-                for nxt in edges[member]:
-                    other = component[nxt]
-                    if other == comp:
-                        loops = True
-                    else:   # the first contribution is shared, not copied
-                        reach = reach | finals[other] if reach else finals[other]
-                        loops = loops or cyclic[other]
-            finals.append(reach)
-            cyclic.append(loops)
+            w = path.pop()[0]       # w is finished
+            if low[w] == w:         # w roots a component: close it
+                reach, loops = finals[w], cyclic[w]
+                while True:
+                    member = stack.pop()
+                    closed[member] = True
+                    finals[member] = reach
+                    cyclic[member] = loops
+                    if member == w:
+                        break
+            if not path:
+                break
+            v, out = path[-1]       # merge w into its parent v
+            reach = finals[w]
+            if reach and reach is not finals[v]:
+                finals[v] = finals[v] | reach if finals[v] else reach
+            if cyclic[w]:
+                cyclic[v] = True
+            if low[w] < low[v]:
+                low[v] = low[w]
+            node = next(out, None)
     rows, may = [], 0
     for state in range(n):
-        comp = component[points.seed(state)]
-        rows.append(finals[comp])
-        if cyclic[comp]:
+        w = number[base + state]
+        rows.append(finals[w])
+        if cyclic[w]:
             may |= 1 << state
     return rows, may
 
@@ -347,13 +366,29 @@ class Profile:
 
     space: StateSpace
     relation: Relation
-    inverse_relation: Relation
     may_div: int
     must_div: int
 
+    # derived from the relation on first read and kept as attributes, as
+    # StateSpace keeps its columns: many profiles never need them
+    _inverse = None
+    _reach = None
+
+    @property
+    def inverse_relation(self) -> Relation:
+        inverse = self._inverse
+        if inverse is None:
+            inverse = self.relation.converse()
+            object.__setattr__(self, "_inverse", inverse)
+        return inverse
+
     @property
     def reach(self) -> int:
-        return self.relation.codomain_bits()
+        reach = self._reach
+        if reach is None:
+            reach = self.relation.codomain_bits()
+            object.__setattr__(self, "_reach", reach)
+        return reach
 
 
 @lru_cache(maxsize=1 << 18)
@@ -363,9 +398,8 @@ def profile(p: Program, space: StateSpace) -> Profile:
         # the seed configurations alone exceed the budget: fail before compiling
         raise _over_budget(budget)
     rows, may = _final_and_divergent(_Points(p, space), budget)
-    rel = Relation(space.size, tuple(rows))
     must = 0
     for i, row in enumerate(rows):
         if row == 0:
             must |= 1 << i
-    return Profile(space, rel, rel.converse(), may, must)
+    return Profile(space, Relation(space.size, tuple(rows)), may, must)

@@ -195,3 +195,17 @@ class TestInputLimits:
         err = capsys.readouterr().err
         assert err.startswith("resource limit: configuration graph exceeded 5 nodes")
         assert err.count("\n") == 1
+
+    def test_unexpected_exception_is_a_one_line_internal_error(self, choice01, capsys,
+                                                               monkeypatch):
+        # a bug must not read as "claim false" (exit 1) or print a traceback
+        from ngclab import cli
+
+        def broken(kind, program, pred):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(cli, "oracle_transform", broken)
+        assert main(["transform", "--kind", "awp", "--pred", "x = 0", choice01]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: TypeError: planted\n"

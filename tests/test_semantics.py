@@ -18,6 +18,7 @@ from ngclab import (
 )
 from ngclab import semantics
 from ngclab.generators import random_program
+from ngclab.relations import Relation
 from ngclab.syntax import Seq
 from ngclab.semantics import profile
 from ngclab.transformers import TransformerKind, inductive_transform
@@ -141,9 +142,20 @@ class TestGraph:
             build_graph(prog("while true { x := x + 1 }"), SIGMA, node_budget=3)
 
     def test_profile_pass_keeps_the_node_budget(self):
-        points = semantics._Points(prog("while true { x := x + 1 }"), SPACE)
-        with pytest.raises(BudgetExceededError):
-            semantics._final_and_divergent(points, node_budget=3)
+        # the pass and build_graph visit the same configurations, so both fit
+        # a budget of exactly that many nodes and neither fits one fewer
+        for text in ("while true { x := x + 1 }",
+                     "while x != 0 { { x := x - 1 } [] { x := x + 1 } }",
+                     "{ while x = 1 { skip } } [] { x := 0 ; diverge }",
+                     "x := x + 1 ; if x = 0 { skip } else { x := 2 }"):
+            p = prog(text)
+            k = len(build_graph(p, SIGMA).nodes)
+            assert semantics._final_and_divergent(semantics._Points(p, SPACE), k)
+            build_graph(p, SIGMA, node_budget=k)
+            with pytest.raises(BudgetExceededError):
+                semantics._final_and_divergent(semantics._Points(p, SPACE), k - 1)
+            with pytest.raises(BudgetExceededError):
+                build_graph(p, SIGMA, node_budget=k - 1)
 
     def test_dot_export_mentions_all_nodes(self):
         graph = build_graph(prog("skip"), pred([0]))
@@ -236,6 +248,18 @@ CROSS_PROGRAMS = (
     "while x = 0 { { { skip } [] { diverge } } [] { x := x + 1 } }",
     "if x = 0 { { diverge } [] { x := 1 } } else { while true { skip } }",
     "x := x + 1 ; { { x := 0 } [] { while x != 0 { skip } } } ; x := x * 2",
+    # one component whose members leave it for different final states
+    "while x != 0 { { x := x - 1 } [] { x := x + 1 } }",
+    "while x = 1 { { x := x + 1 } [] { x := x - 1 } [] { skip } }",
+    # an inner loop's component closes while the outer loop's is still open
+    "while x != 0 { { x := x - 1 } [] { skip } [] { while x = 2 { { skip } [] { x := 0 } } } }",
+    "while true { while x = 1 { { skip } [] { x := 0 } } ; x := x + 1 }",
+    # a closed cyclic component, met again from another seed, beside a
+    # terminating branch
+    "x := 1 ; { { while x = 1 { skip } } [] { skip } }",
+    "{ while x = 1 { skip } } [] { x := x + 1 }",
+    # diverge in one branch of a loop body
+    "while x != 0 { { x := x - 1 } [] { diverge } }",
 )
 
 
@@ -268,3 +292,23 @@ def test_profile_matches_direct_computations(seed):
     assert prof.relation == denote_relation(p, SPACE)
     assert prof.may_div == may_diverge(p, SPACE).bits
     assert prof.must_div == must_div(p, SPACE).bits
+
+
+def test_profile_derives_the_converse_only_when_read(monkeypatch):
+    """`profile` builds no converse relation; the first read of
+    `inverse_relation` builds it once, and later reads return that object."""
+    calls = []
+    converse = Relation.converse
+
+    def counting(self):
+        calls.append(self)
+        return converse(self)
+
+    monkeypatch.setattr(Relation, "converse", counting)
+    p = prog("{ x := 0 } [] { while x != 0 { x := x - 1 } }")
+    prof = profile.__wrapped__(p, SPACE)     # uncached: a new Profile
+    assert calls == []
+    inverse = prof.inverse_relation
+    assert calls == [prof.relation] and inverse == converse(prof.relation)
+    assert prof.inverse_relation is inverse and len(calls) == 1
+    assert prof.reach == prof.relation.codomain_bits()
