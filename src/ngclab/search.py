@@ -9,9 +9,13 @@ distinct: for a true equivalence (a real Galois connection) no budget ever
 suffices, and the caller needs to know the search was honest.
 
 One loop, `_drive`, counts the candidates of every kind of claim.  Each kind
-supplies a stream of per-program blocks: the program is profiled once, and every
-transformer it needs is tabulated once per predicate, so a candidate triple
-costs two bit tests.
+supplies a stream of per-program blocks: the program is profiled once.  A
+block's verdicts depend only on the program's semantic class (its relation
+rows and may-divergence), so within one call the candidates are scanned once
+per class for the first refuting one, and a later program of the class
+costs one comparison of that hit against the budget left.  The memo lives and
+dies with the call, so a caller that clears the caches starts cold.
+`SearchResult.stats` counts the programs drawn and their classes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .generators import all_predicates, exhaustive_programs
 from .logics import (
@@ -117,18 +121,20 @@ def appendix_c_claims() -> list[str]:
 
 # --- counting candidates ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """The candidates one enumerated program contributes, in search order:
-    `first_hit(limit)` is the index of the first refuting candidate among the
-    first `limit` of them, or None; `witness(index)` describes that candidate.
+    `hit` is the index of the first refuting one, or None, and
+    `witness(hit)` describes it.
 
+    A block depends only on its program's semantic class, so a stream makes
+    one per class and hands it out for every program of that class.
     `_drive` is done with a block before it asks the stream for the next one,
-    so a block's callables may read the stream's loop variables."""
+    so `witness` may read the stream's loop variables: a witness is described
+    from the program at hand."""
 
     size: int
-    first_hit: Callable[[int], Optional[int]]
-    witness: Callable[[int], dict]
+    hit: Optional[int]
+    witness: Optional[Callable[[int], dict]]
 
 
 def _drive(claim: str, blocks: Iterable[_Block], budget: int) -> SearchResult:
@@ -139,8 +145,8 @@ def _drive(claim: str, blocks: Iterable[_Block], budget: int) -> SearchResult:
     spent = 0
     for block in blocks:
         left = budget - spent
-        hit = block.first_hit(min(block.size, left))
-        if hit is not None:
+        hit = block.hit
+        if hit is not None and hit < left:
             return SearchResult(claim, FOUND, block.witness(hit), spent + hit + 1)
         if block.size > left:
             return SearchResult(claim, BUDGET_EXHAUSTED, None, budget)
@@ -151,36 +157,36 @@ def _drive(claim: str, blocks: Iterable[_Block], budget: int) -> SearchResult:
 Verdict = Callable[[int, int], bool]
 
 
-def _verdict_block(npred: int, left: Verdict, right: Verdict,
-                   describe: Callable[[int, int, bool, bool], dict]) -> _Block:
-    """Candidates are the (i, j) pairs of predicate bits, i-major; a candidate
-    refutes when the two verdicts differ on it."""
-
-    def first_hit(limit: int) -> Optional[int]:
-        for index in range(limit):
-            i, j = divmod(index, npred)
+def _first_difference(npred: int, left: Verdict, right: Verdict) -> Optional[int]:
+    """Candidates are the (i, j) pairs of predicate bits, i-major: the index of
+    the first on which the two verdicts differ, or None."""
+    for i in range(npred):
+        for j in range(npred):
             if left(i, j) != right(i, j):
-                return index
-        return None
-
-    def witness(index: int) -> dict:
-        i, j = divmod(index, npred)
-        return describe(i, j, left(i, j), right(i, j))
-
-    return _Block(npred * npred, first_hit, witness)
+                return i * npred + j
+    return None
 
 
-def _excluded_block(size: int) -> _Block:
-    """A program the claim does not range over: its candidates still count."""
-    return _Block(size, lambda limit: None, lambda index: {})
-
-
-def _programs(config: SearchConfig) -> Iterator[tuple[StateSpace, list[Predicate], Program]]:
+def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, list], object]
+             ) -> Iterator[tuple[StateSpace, list[Predicate], Program, object]]:
+    """Each enumerated program with the value `make(prof, preds)` of its
+    semantic class: its relation rows and may-divergence, which are all that
+    a block's verdicts read (predicates are indexed by their bits, so a class
+    may span two rungs of one size).  The value is made once per class and
+    kept for this search only.  Counts programs and classes into `stats`."""
+    memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
         preds = list(all_predicates(space))
         for p in exhaustive_programs(space, config.max_depth, config.loops):
-            yield space, preds, p
+            prof = profile(p, space)
+            stats["programs"] += 1
+            key = (prof.relation.rows, prof.may_div)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = make(prof, preds)
+                stats["classes"] += 1
+            yield space, preds, p, value
 
 
 _KINDS = tuple(TransformerKind)
@@ -233,24 +239,34 @@ def _witness(space: StateSpace, programs: dict, pre: Predicate, post: Predicate,
 
 # --- the four kinds of claim, each a stream of per-program blocks ---------------
 
-def _logic_pair_blocks(config: SearchConfig, left: LogicId, right: LogicId,
-                       program_filter=None) -> Iterator[_Block]:
-    def describe(b, c, lv, rv):
-        return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
-                        f"{left.name} is {lv} but {right.name} is {rv}",
-                        left=left.name, right=right.name)
+def _logic_pair_blocks(config: SearchConfig, stats: dict, left: LogicId, right: LogicId,
+                       det_rev: bool = False) -> Iterator[_Block]:
+    """With `det_rev`, only deterministic, reversible programs are candidates:
+    the semantic half of that filter is decided once per class, the syntactic
+    half per program."""
 
-    for space, preds, p in _programs(config):
-        npred = len(preds)
-        prof = profile(p, space)
-        if program_filter is not None and not program_filter(p, prof):
-            yield _excluded_block(npred * npred)
-            continue
-        yield _verdict_block(npred, _logic_verdict(left, prof),
-                             _logic_verdict(right, prof), describe)
+    def block(prof: Profile, class_preds: list) -> _Block:
+        npred = len(class_preds)
+        if det_rev and not _reversible(prof):
+            return _Block(npred * npred, None, None)
+        lv, rv = _logic_verdict(left, prof), _logic_verdict(right, prof)
+
+        def witness(index: int) -> dict:
+            b, c = divmod(index, npred)
+            return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
+                            f"{left.name} is {lv(b, c)} but {right.name} is {rv(b, c)}",
+                            left=left.name, right=right.name)
+
+        return _Block(npred * npred, _first_difference(npred, lv, rv), witness)
+
+    for space, preds, p, cls in _classes(config, stats, block):
+        # a program's syntax can only take away a hit
+        if det_rev and cls.hit is not None and syntactic_choice(p) is not None:
+            cls = _Block(cls.size, None, None)
+        yield cls
 
 
-def _combination_gap_blocks(claim: str, config: SearchConfig) -> Iterator[_Block]:
+def _combination_gap_blocks(claim: str, config: SearchConfig, stats: dict) -> Iterator[_Block]:
     """Transformer-level gaps: dwp vs awp-and-dwlp, awlp vs awp-or-dwlp; one
     candidate per postcondition."""
     if claim == "dwp-neq-intersection":
@@ -260,60 +276,78 @@ def _combination_gap_blocks(claim: str, config: SearchConfig) -> Iterator[_Block
         kind, combine = TransformerKind.AWLP, or_
         detail = "awlp differs from awp union dwlp"
 
-    def witness(c: int) -> dict:
-        idx = low_bit(gaps[c])
-        return _witness(space, {"program": pretty_program(p)},
-                        Predicate(space, 1 << idx), preds[c], detail,
-                        state=space.render_states([idx])[0], state_index=idx)
-
-    for space, preds, p in _programs(config):
-        prof = profile(p, space)
+    def block(prof: Profile, class_preds: list) -> _Block:
         gaps = [result ^ combine(awp, dwlp) for result, awp, dwlp in zip(
             _table(kind, prof), _table(TransformerKind.AWP, prof),
             _table(TransformerKind.DWLP, prof))]
-        yield _Block(len(preds),
-                     lambda limit: next((c for c in range(limit) if gaps[c]), None),
-                     witness)
+
+        def witness(c: int) -> dict:
+            idx = low_bit(gaps[c])
+            return _witness(space, {"program": pretty_program(p)},
+                            Predicate(space, 1 << idx), preds[c], detail,
+                            state=space.render_states([idx])[0], state_index=idx)
+
+        return _Block(len(gaps), next((c for c, gap in enumerate(gaps) if gap), None), witness)
+
+    for space, preds, p, cls in _classes(config, stats, block):
+        yield cls
 
 
-def _relational_blindspot_blocks(config: SearchConfig) -> Iterator[_Block]:
+def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     """Two programs with one relational denotation but different demonic
     total-correctness verdicts: one block for each earlier program sharing the
-    relation, candidates postcondition-major."""
+    relation, candidates postcondition-major.  Within one relation a pair of
+    classes is a pair of may-divergences, and each such pair is scanned once."""
+
+    def total(prof: Profile, class_preds: list) -> tuple:
+        return prof.relation, prof.may_div, _logic_verdict(DWP_LB, prof)
+
+    def pair(npred: int, q_total: Verdict, p_total: Verdict) -> _Block:
+        def witness(index: int) -> dict:
+            c, b = divmod(index, npred)
+            return _witness(
+                space, {"program_a": pretty_program(q), "program_b": pretty_program(p)},
+                preds[b], preds[c],
+                "equal relational denotations, total-correctness verdicts "
+                f"{q_total(b, c)} vs {p_total(b, c)}",
+            )
+
+        hit = _first_difference(npred, lambda c, b: q_total(b, c), lambda c, b: p_total(b, c))
+        return _Block(npred * npred, hit, witness)
+
     by_relation: dict = {}
-    for space, preds, p in _programs(config):
-        prof = profile(p, space)
-        total = _logic_verdict(DWP_LB, prof)
-        others = by_relation.setdefault((space, prof.relation), [])
-        for q, q_total in others:
-            def describe(c, b, v1, v2):
-                return _witness(
-                    space, {"program_a": pretty_program(q), "program_b": pretty_program(p)},
-                    preds[b], preds[c],
-                    f"equal relational denotations, total-correctness verdicts {v1} vs {v2}",
-                )
-
-            yield _verdict_block(len(preds), lambda c, b: q_total(b, c),
-                                 lambda c, b: total(b, c), describe)
-        others.append((p, total))
+    for space, preds, p, (relation, may, p_total) in _classes(config, stats, total):
+        others, pairs = by_relation.setdefault((space, relation), ([], {}))
+        for q, q_may, q_total in others:
+            cls = pairs.get((q_may, may))
+            if cls is None:
+                cls = pairs[q_may, may] = pair(len(preds), q_total, p_total)
+            yield cls
+        others.append((p, may, p_total))
 
 
-def _outcome_gap_blocks(config: SearchConfig) -> Iterator[_Block]:
+def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     """The two-equation outcome system versus the pointwise intersection logic."""
 
-    def describe(b, c, system, logic):
-        return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
-                        f"equation system says {system}, subset condition says {logic}")
+    def block(prof: Profile, class_preds: list) -> _Block:
+        npred, relation = len(class_preds), prof.relation
 
-    for space, preds, p in _programs(config):
-        prof = profile(p, space)
-        yield _verdict_block(
-            len(preds),
-            lambda b, c: check_equation("OUTCOME_CONJUNCTION", preds[b],
-                                        prof.relation, preds[c]),
-            _logic_verdict(INTERSECTION_LOGIC, prof),
-            describe,
-        )
+        def system(b: int, c: int) -> bool:
+            return check_equation("OUTCOME_CONJUNCTION", class_preds[b], relation,
+                                  class_preds[c])
+
+        logic = _logic_verdict(INTERSECTION_LOGIC, prof)
+
+        def witness(index: int) -> dict:
+            b, c = divmod(index, npred)
+            return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
+                            f"equation system says {system(b, c)}, "
+                            f"subset condition says {logic(b, c)}")
+
+        return _Block(npred * npred, _first_difference(npred, system, logic), witness)
+
+    for space, preds, p, cls in _classes(config, stats, block):
+        yield cls
 
 
 def _reversible(prof) -> bool:
@@ -324,28 +358,26 @@ def find_counterexample(claim: str, config: SearchConfig | None = None) -> Searc
     """Hunt for a witness refuting the claim; see the module docstring for
     the three possible outcomes."""
     config = config or SearchConfig()
-    return _drive(claim, _blocks(claim, config), config.budget)
+    stats = {"programs": 0, "classes": 0}
+    result = _drive(claim, _blocks(claim, config, stats), config.budget)
+    result.stats = stats
+    return result
 
 
-def _blocks(claim: str, config: SearchConfig) -> Iterator[_Block]:
+def _blocks(claim: str, config: SearchConfig, stats: dict) -> Iterator[_Block]:
     if claim == "dwp-neq-intersection" or claim == "awlp-neq-union":
-        return _combination_gap_blocks(claim, config)
+        return _combination_gap_blocks(claim, config, stats)
     if claim == "galois-pc":
-        return _logic_pair_blocks(config, DWLP_LB, ASP_UB)
+        return _logic_pair_blocks(config, stats, DWLP_LB, ASP_UB)
     if claim == "galois-pi":
-        return _logic_pair_blocks(config, AWP_UB, DSLP_LB)
+        return _logic_pair_blocks(config, stats, AWP_UB, DSLP_LB)
     if claim == "galois-awlp-dsp-det-rev":
         # the forced adjunction: deterministic plus reversible programs only
-        return _logic_pair_blocks(
-            config, AWLP_LB, DSP_UB,
-            program_filter=lambda p, prof: (
-                syntactic_choice(p) is None and _reversible(prof)
-            ),
-        )
+        return _logic_pair_blocks(config, stats, AWLP_LB, DSP_UB, det_rev=True)
     if claim == "total-correctness-relational":
-        return _relational_blindspot_blocks(config)
+        return _relational_blindspot_blocks(config, stats)
     if claim == "outcome-vs-intersection":
-        return _outcome_gap_blocks(config)
+        return _outcome_gap_blocks(config, stats)
     if claim.startswith("appendixC:"):
         body = claim[len("appendixC:"):]
         try:
@@ -353,5 +385,5 @@ def _blocks(claim: str, config: SearchConfig) -> Iterator[_Block]:
             left, right = LEGS[left_name], LEGS[right_name]
         except (ValueError, KeyError):
             raise KeyError(f"unknown catalog claim {claim!r}") from None
-        return _logic_pair_blocks(config, left, right)
+        return _logic_pair_blocks(config, stats, left, right)
     raise KeyError(f"unknown claim {claim!r}")

@@ -21,9 +21,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from operator import add, not_, sub
 
-from . import space as _space  # for iter_bits; see relations.py
+from . import space as _space  # for iter_bits and mask_of; see relations.py
 from .errors import BudgetExceededError
 from .relations import Relation
 from .space import Predicate, StateSpace
@@ -126,19 +126,19 @@ class _Points:
         self.points: list = [None]
         self.entry = self._chain(p, 0)
 
-    def _add(self, kind, first: int, second: int = 0, data=None, point=None) -> int:
-        if point is None:
-            point = len(self.points)
-            self.points.append(None)
-        self.points[point] = (kind, first * self.n, second * self.n, data)
-        return point
+    def _add(self, kind, first: int, second: int = 0, data=None) -> int:
+        n = self.n
+        self.points.append((kind, first * n, second * n, data))
+        return len(self.points) - 1
 
     def _chain(self, p: Program, cont: int) -> int:
         """Entry point of p followed by point `cont`: iterates along `;`."""
+        if type(p) is not Seq:
+            return self._single(p, cont)
         chain, todo = [], [p]
         while todo:
             q = todo.pop()
-            if isinstance(q, Seq):
+            if type(q) is Seq:
                 todo += (q.second, q.first)
             else:
                 chain.append(q)
@@ -147,40 +147,61 @@ class _Points:
         return cont
 
     def _single(self, p: Program, cont: int) -> int:
-        if isinstance(p, Skip):
-            return self._add(_GOTO, cont)
-        if isinstance(p, Diverge):   # a self-loop: the point about to be added
-            return self._add(_GOTO, len(self.points))
-        if isinstance(p, Assign):
-            return self._add(_ASSIGN, cont, 0, _assign_successors(p.var, p.expr, self.space))
-        if isinstance(p, Choice):
-            return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
-        if isinstance(p, (Ite, While)):
-            bits = guard_to_predicate(p.guard, self.space).bits
-            flags = format(bits, "b").zfill(self.n)[::-1]
-            if isinstance(p, Ite):
-                return self._add(_BRANCH, self._chain(p.then, cont),
-                                 self._chain(p.orelse, cont), flags)
-            point = len(self.points)
-            self.points.append(None)
-            return self._add(_BRANCH, self._chain(p.body, point), cont, flags, point)
-        raise TypeError(f"not a program: {p!r}")
+        compile_point = _COMPILE.get(type(p))
+        if compile_point is None:
+            raise TypeError(f"not a program: {p!r}")
+        return compile_point(self, p, cont)
 
-    def successors(self, node: int) -> tuple[int, ...]:
+    def _skip(self, p: Skip, cont: int) -> int:
+        return self._add(_GOTO, cont)
+
+    def _diverge(self, p: Diverge, cont: int) -> int:
+        # a self-loop: the point about to be added
+        return self._add(_GOTO, len(self.points))
+
+    def _assign(self, p: Assign, cont: int) -> int:
+        return self._add(_ASSIGN, cont, 0, _assign_successors(p.var, p.expr, self.space))
+
+    def _choice(self, p: Choice, cont: int) -> int:
+        return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
+
+    def _flags(self, guard) -> str:
+        bits = guard_to_predicate(guard, self.space).bits
+        return format(bits, "b").zfill(self.n)[::-1]
+
+    def _ite(self, p: Ite, cont: int) -> int:
+        flags = self._flags(p.guard)
+        return self._add(_BRANCH, self._chain(p.then, cont), self._chain(p.orelse, cont),
+                         flags)
+
+    def _while(self, p: While, cont: int) -> int:
+        flags = self._flags(p.guard)
+        point = len(self.points)
+        self.points.append(None)
+        body = self._chain(p.body, point)
+        n = self.n
+        self.points[point] = (_BRANCH, body * n, cont * n, flags)
+        return point
+
+    def step(self, node: int) -> tuple[int, int]:
+        """The successors of a configuration that has not finished: the first,
+        and the second of a choice, or -1."""
         point, state = divmod(node, self.n)
-        if not point:
-            return ()
         kind, first, second, data = self.points[point]
         if kind == _GOTO:
-            return (first + state,)
+            return first + state, -1
         if kind == _ASSIGN:
-            return (first + data[state],)
+            return first + data[state], -1
         if kind == _CHOICE:
-            return (first + state, second + state)
-        return ((first if data[state] == "1" else second) + state,)
+            return first + state, second + state
+        return (first if data[state] == "1" else second) + state, -1
 
     def seed(self, state: int) -> int:
         return self.entry * self.n + state
+
+
+_COMPILE = {Skip: _Points._skip, Diverge: _Points._diverge, Assign: _Points._assign,
+            Choice: _Points._choice, Ite: _Points._ite, While: _Points._while}
 
 
 @dataclass
@@ -244,6 +265,7 @@ def build_graph(
 ) -> TransitionGraph:
     """All configurations reachable from seeding p on each seed state."""
     points = _Points(p, seeds.space)
+    n, step = points.n, points.step
     seed_map = {i: points.seed(i) for i in seeds.indices()}
     nodes: list[int] = []
     edges: dict[int, tuple[int, ...]] = {}
@@ -254,10 +276,10 @@ def build_graph(
         nodes.append(node)
         if len(nodes) > node_budget:
             raise _over_budget(node_budget)
-        succs = points.successors(node)
-        if not succs:
+        if node < n:
             continue
-        edges[node] = succs
+        first, second = step(node)
+        succs = edges[node] = (first,) if second < 0 else (first, second)
         for nxt in succs:
             if nxt not in seen:
                 seen.add(nxt)
@@ -271,8 +293,10 @@ def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], 
     over the configurations reachable from the seeds that handles each edge
     once.  A configuration is numbered on discovery, and by that number
     keeps its `low`, whether its component has closed, and a final-state
-    mask and a cycle flag.  While a node is open these are the parts found
-    so far of its component's answer, and an edge v -> w adds to v's:
+    mask and a cycle flag.  A terminal configuration has no successors, so
+    it closes at once as a component of its own.  While a node is open these
+    are the parts found so far of its component's answer, and an edge
+    v -> w adds to v's:
 
     - w closed: its component is complete, so w's mask and flag are final;
     - w open: the edge lies inside one component (Tarjan's lemma), so it
@@ -282,35 +306,48 @@ def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], 
 
     A root that closes holds its whole component's answer, because every
     member has merged into its parent on return; the members are popped and
-    given that answer, with no second pass over their edges."""
+    given that answer, with no second pass over their edges.  A configuration
+    has at most two successors, so the DFS path keeps, beside each open node,
+    only its pending second successor (-1 for none), not a successor tuple
+    and an iterator over it."""
     n = points.n
-    successors = points.successors
+    step = points.step
     number: dict[int, int] = {}     # configuration -> discovery number
     low: list[int] = []             # the rest by discovery number
     closed: list[bool] = []
     finals: list[int] = []
     cyclic: list[bool] = []
     stack: list[int] = []           # Tarjan's stack of open nodes
+    path: list[int] = []            # the DFS path of open nodes, and beside
+    pending: list[int] = []         # each its unexplored second successor
     base = points.seed(0)           # seeds are consecutive: base + state
     for root in range(base, base + n):
         if root in number:
             continue
-        node, path = root, []       # path: (number, successor iterator)
+        node = root                 # seeds are never terminal
         while True:
-            if node is not None:
+            if node >= 0:           # an edge from path[-1] (or the root) to node
                 w = number.get(node)
-                if w is None:       # discover node: explore it next
+                if w is None:
                     w = len(low)
                     if w >= node_budget:
                         raise _over_budget(node_budget)
                     number[node] = w
                     low.append(w)
-                    closed.append(False)
-                    finals.append(1 << node if node < n else 0)  # terminal
+                    if node >= n:   # discover node: explore it next
+                        closed.append(False)
+                        finals.append(0)
+                        cyclic.append(False)
+                        stack.append(w)
+                        path.append(w)
+                        node, second = step(node)
+                        pending.append(second)
+                        continue
+                    closed.append(True)
+                    finals.append(1 << node)
                     cyclic.append(False)
-                    stack.append(w)
-                    path.append((w, iter(successors(node))))
-                elif closed[w]:
+                v = path[-1]
+                if closed[w]:
                     reach = finals[w]
                     if reach and reach is not finals[v]:  # share, don't copy
                         finals[v] = finals[v] | reach if finals[v] else reach
@@ -320,37 +357,36 @@ def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], 
                     if w < low[v]:
                         low[v] = w
                     cyclic[v] = True
-                v, out = path[-1]
-                node = next(out, None)
-                continue
-            w = path.pop()[0]       # w is finished
-            if low[w] == w:         # w roots a component: close it
-                reach, loops = finals[w], cyclic[w]
-                while True:
-                    member = stack.pop()
-                    closed[member] = True
-                    finals[member] = reach
-                    cyclic[member] = loops
-                    if member == w:
-                        break
-            if not path:
-                break
-            v, out = path[-1]       # merge w into its parent v
-            reach = finals[w]
-            if reach and reach is not finals[v]:
-                finals[v] = finals[v] | reach if finals[v] else reach
-            if cyclic[w]:
-                cyclic[v] = True
-            if low[w] < low[v]:
-                low[v] = low[w]
-            node = next(out, None)
-    rows, may = [], 0
-    for state in range(n):
-        w = number[base + state]
+            else:                   # path[-1] has no successor left: return
+                w = path.pop()
+                pending.pop()
+                if low[w] == w:     # w roots a component: close it
+                    reach, loops = finals[w], cyclic[w]
+                    while True:
+                        member = stack.pop()
+                        closed[member] = True
+                        finals[member] = reach
+                        cyclic[member] = loops
+                        if member == w:
+                            break
+                if not path:
+                    break
+                v = path[-1]        # merge w into its parent v
+                reach = finals[w]
+                if reach and reach is not finals[v]:
+                    finals[v] = finals[v] | reach if finals[v] else reach
+                if cyclic[w]:
+                    cyclic[v] = True
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            node = pending[-1]      # v's second successor, or -1: return
+            pending[-1] = -1
+    rows, flags = [], []
+    for node in range(base, base + n):
+        w = number[node]
         rows.append(finals[w])
-        if cyclic[w]:
-            may |= 1 << state
-    return rows, may
+        flags.append(cyclic[w])
+    return rows, _space.mask_of(flags)
 
 
 def may_diverge(p: Program, space: StateSpace) -> Predicate:
@@ -398,8 +434,5 @@ def profile(p: Program, space: StateSpace) -> Profile:
         # the seed configurations alone exceed the budget: fail before compiling
         raise _over_budget(budget)
     rows, may = _final_and_divergent(_Points(p, space), budget)
-    must = 0
-    for i, row in enumerate(rows):
-        if row == 0:
-            must |= 1 << i
+    must = _space.mask_of(list(map(not_, rows)))
     return Profile(space, Relation(space.size, tuple(rows)), may, must)

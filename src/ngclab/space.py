@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SettingError, SpaceCapError
 
@@ -58,6 +58,25 @@ def iter_bits(bits: int) -> Iterator[int]:
     if bits.bit_count() <= _FEW:
         return _iter_sparse(bits)
     return _iter_bytes(bits)
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# longest mask that mask_of builds bit by bit: measured, reading the flags as
+# binary digits costs about 0.3 us more up to 8 states and less from 16 on
+_SHORT = 8
+
+
+def mask_of(flags: Sequence[int]) -> int:
+    """The mask whose bit i is flags[i], one 0/1 (or bool) per state, built in
+    time linear in its length: a long one is read as binary digits, since
+    setting its bits one by one would rebuild an ever longer int."""
+    if len(flags) <= _SHORT:
+        mask = 0
+        for i, flag in enumerate(flags):
+            if flag:
+                mask |= 1 << i
+        return mask
+    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
 def low_bit(bits: int) -> int:

@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, attrgetter, eq, le, lt, mul, ne, sub
 
+from . import space as _space  # for mask_of; see relations.py
 from .space import Predicate, State, StateSpace
 
 
@@ -252,7 +253,6 @@ def eval_guard(guard: Guard, state: State) -> bool:
 
 
 _CMPS = {"=": eq, "!=": ne, "<": lt, "<=": le}
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=65536)
@@ -270,9 +270,7 @@ def _guard_mask(guard: Guard, space: StateSpace) -> int:
         b = expr_column(guard.right, space)
         if type(a) is int and type(b) is int:
             return space.full_mask if op(a, b) else 0
-        # one 0/1 byte per state, read as binary digits (lowest state last)
-        flags = bytes(map(op, _spread(a), _spread(b)))
-        return int(flags.translate(_DIGITS)[::-1], 2)
+        return _space.mask_of(bytes(map(op, _spread(a), _spread(b))))
     if isinstance(guard, And):
         return _guard_mask(guard.left, space) & _guard_mask(guard.right, space)
     if isinstance(guard, Or):

@@ -14,7 +14,7 @@ import pytest
 
 from ngclab.errors import BudgetExceededError
 from ngclab.semantics import _assign_successors, profile
-from ngclab.space import Predicate, StateSpace, iter_bits, low_bit
+from ngclab.space import Predicate, StateSpace, iter_bits, low_bit, mask_of
 from ngclab.syntax import (
     And,
     Assign,
@@ -202,6 +202,17 @@ class TestIterBits:
         masks += [rng.getrandbits(1 << 12) | 1 << (1 << 12) for _ in range(20)]
         for bits in masks:
             assert low_bit(bits) == self.lowbit_definition(bits)[0]
+
+    def test_mask_of_sets_bit_i_for_flag_i(self):
+        # both sides of the switch from bit by bit to binary digits, bools and
+        # 0/1 ints, lists and bytes, and the empty mask
+        rng = random.Random(29)
+        for length in list(range(0, 20)) + [64, 216, 1000, 4096]:
+            for density in (0.0, 0.5, 1.0):
+                flags = [rng.random() < density for _ in range(length)]
+                want = sum(1 << i for i, flag in enumerate(flags) if flag)
+                assert mask_of(flags) == want
+                assert mask_of(bytes(flags)) == want
 
 
 class TestRendering:

@@ -11,6 +11,7 @@ from ngclab.logics import (
     ASP_UB, AWLP_LB, AWP_UB, DSLP_LB, DSP_UB, DWLP_LB, DWP_LB, INTERSECTION_LOGIC,
     Triple, holds, syntactic_choice,
 )
+from ngclab.relations import Relation
 from ngclab.search import SearchConfig, find_counterexample
 from ngclab.semantics import profile
 from ngclab.space import Predicate, StateSpace
@@ -121,25 +122,31 @@ def _ref_search(claim, config):
                 return "found", candidates, w
         return "space-exhausted", candidates, None
 
-    keep = None
+    det_rev = claim == "galois-awlp-dsp-det-rev"
     if claim == "galois-pc":
         left, right = DWLP_LB, ASP_UB
     elif claim == "galois-pi":
         left, right = AWP_UB, DSLP_LB
-    elif claim == "galois-awlp-dsp-det-rev":
+    elif det_rev:
         left, right = AWLP_LB, DSP_UB
-
-        def keep(p, space):
-            rows = profile(p, space).inverse_relation.rows
-            return syntactic_choice(p) is None and all(r.bit_count() <= 1 for r in rows)
     else:
         left_name, right_name = claim[len("appendixC:"):].split("-vs-")
         left, right = search.LEGS[left_name], search.LEGS[right_name]
+    return _ref_logic_pair(config, left, right, syntactic_choice if det_rev else None)
+
+
+def _ref_logic_pair(config, left, right, choice=None):
+    """The logic-pair loop; with `choice`, a program is a candidate only if
+    `choice(p)` is None and its relation is reversible (the det-rev filter)."""
+    candidates = 0
     for space, p, b, c in _ref_triples(config):
-        if not spend():
+        if candidates >= config.budget:
             return "budget-exhausted", candidates, None
-        if keep is not None and not keep(p, space):
-            continue
+        candidates += 1
+        if choice is not None:
+            rows = profile(p, space).inverse_relation.rows
+            if choice(p) is not None or any(r.bit_count() > 1 for r in rows):
+                continue
         lv = holds(left, Triple(b, p, c))
         rv = holds(right, Triple(b, p, c))
         if lv != rv:
@@ -273,3 +280,160 @@ def test_transformer_tables_are_shared_by_semantic_class(variables, modulus):
             assert search._table(kind, prof) == tuple(
                 _oracle_bits(kind, prof, q) for q in range(1 << space.size)), (p, kind)
     assert search._class_tables.cache_info().misses == len(classes)
+
+
+# --- semantic classes: one scan per class, shared by every program in it -------
+
+EQUAL_RUNGS = SearchConfig(spaces=((("x",), 4), (("x", "y"), 2)), max_depth=1)
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+@pytest.mark.parametrize("budget", (1000, 2000, 10**6))
+def test_search_matches_reference_loop_on_rungs_of_equal_size(claim, budget):
+    # both rungs have four states, so a class met on the first is reused on
+    # the second, where its witness must still name the second space
+    config = SearchConfig(EQUAL_RUNGS.spaces, EQUAL_RUNGS.max_depth, budget=budget)
+    result = find_counterexample(claim, config)
+    assert _outcome(result) == _ref_search(claim, config)
+
+
+def test_equal_rungs_share_classes():
+    result = find_counterexample("galois-pc", EQUAL_RUNGS)
+    assert result.outcome == "space-exhausted"
+    # 7 + 10 programs, but skip, diverge and more recur on the second rung
+    assert result.stats == {"programs": 17, "classes": 12}
+
+
+def _class_key(p, space):
+    prof = profile(p, space)
+    return prof.relation.rows, prof.may_div
+
+
+def test_blindspot_compares_three_programs_of_one_relation():
+    config = SearchConfig()
+    result = find_counterexample("total-correctness-relational", config)
+    assert _outcome(result) == _ref_search("total-correctness-relational", config)
+    # the witness pairs the first of several programs denoting the identity
+    space = StateSpace(("x",), 2)
+    programs = _ref_programs(space, 3)[:result.stats["programs"]]
+    relation = profile(programs[-1], space).relation
+    assert sum(profile(p, space).relation == relation for p in programs) >= 3
+    found_at = result.candidates
+    for budget in (found_at - 1, found_at, found_at + 1, found_at - 16, found_at - 17):
+        config = SearchConfig(budget=budget)
+        assert (_outcome(find_counterexample("total-correctness-relational", config))
+                == _ref_search("total-correctness-relational", config)), budget
+
+
+def _non_seq_has_choice(p):
+    # a stand-in for syntactic_choice: every leaf counts as nondeterministic,
+    # so a class is first met on an excluded program and hit on a later one
+    return None if isinstance(p, Seq) else p
+
+
+def _det_rev_probe(config):
+    stats = {"programs": 0, "classes": 0}
+    blocks = search._logic_pair_blocks(config, stats, DWLP_LB, DWP_LB, det_rev=True)
+    return _outcome(search._drive("probe", blocks, config.budget)), stats
+
+
+def test_det_rev_filter_reads_each_programs_syntax(monkeypatch):
+    monkeypatch.setattr(search, "syntactic_choice", _non_seq_has_choice)
+    config = SearchConfig(spaces=((("x",), 2),), max_depth=2)
+    (outcome, found_at, witness), stats = _det_rev_probe(config)
+    assert outcome == "found" and witness["program"] == "skip ; diverge"
+    # diverge, excluded by its syntax, met the class before skip ; diverge
+    space = StateSpace(("x",), 2)
+    programs = _ref_programs(space, 2)[:stats["programs"]]
+    assert [_class_key(p, space) for p in programs].count(_class_key(programs[-1], space)) == 2
+    # budgets ending inside the repeated class's block: one short of its
+    # hit, at it, and one past it
+    for budget in (found_at - 1, found_at, found_at + 1, 10**5):
+        config = SearchConfig(spaces=((("x",), 2),), max_depth=2, budget=budget)
+        assert _det_rev_probe(config)[0] == _ref_logic_pair(
+            config, DWLP_LB, DWP_LB, _non_seq_has_choice), budget
+
+
+def _drawn(config, count):
+    """The first `count` (space, program) pairs the search draws."""
+    spaces = [StateSpace(variables, modulus) for variables, modulus in config.spaces]
+    return [(space, p) for space in spaces
+            for p in _ref_programs(space, config.max_depth, config.loops)][:count]
+
+
+def _counting_scans(monkeypatch):
+    scans = []
+    real = search._first_difference
+
+    def counting(npred, left, right):
+        scans.append(npred)
+        return real(npred, left, right)
+
+    monkeypatch.setattr(search, "_first_difference", counting)
+    return scans
+
+
+TWO_RUNGS = SearchConfig(spaces=((("x",), 2), (("x",), 3)), max_depth=2, budget=10**6)
+
+
+@pytest.mark.parametrize("claim", ["galois-pc", "galois-awlp-dsp-det-rev",
+                                   "outcome-vs-intersection", "appendixC:dwpLB-vs-awpLB"])
+def test_each_class_is_scanned_once_per_claim(monkeypatch, claim):
+    scans = _counting_scans(monkeypatch)
+    result = find_counterexample(claim, TWO_RUNGS)
+    classes = {_class_key(p, space) for space, p in _drawn(TWO_RUNGS, result.stats["programs"])}
+    assert result.stats["classes"] == len(classes)
+    if result.outcome == "space-exhausted":
+        assert len(classes) < result.stats["programs"]
+    if claim == "galois-awlp-dsp-det-rev":
+        # only reversible classes have verdicts to compare
+        classes = [rows for rows, _ in classes
+                   if all(r.bit_count() <= 1 for r in Relation(len(rows), rows).converse().rows)]
+    assert len(scans) == len(classes)
+
+
+def test_blindspot_scans_each_pair_of_classes_once(monkeypatch):
+    scans = _counting_scans(monkeypatch)
+    result = find_counterexample("total-correctness-relational", TWO_RUNGS)
+    assert result.outcome == "found"
+    # replay the pairs up to the witness: within one relation, a pair of
+    # classes is a pair of may-divergences
+    pairs, earlier, count = set(), {}, 0
+    for space, p in _drawn(TWO_RUNGS, result.stats["programs"]):
+        rows, may = _class_key(p, space)
+        for q, q_may in earlier.get((space, rows), ()):
+            pairs.add((space, rows, q_may, may))
+            count += 1
+            if (pretty_program(q), pretty_program(p)) == (
+                    result.witness["program_a"], result.witness["program_b"]):
+                break
+        earlier.setdefault((space, rows), []).append((p, may))
+    assert len(scans) == len(pairs) < count
+
+
+@pytest.mark.parametrize("claim", ["dwp-neq-intersection", "awlp-neq-union"])
+def test_gap_tables_are_read_once_per_class(monkeypatch, claim):
+    reads = []
+    real = search._table
+
+    def counting(kind, prof):
+        reads.append(kind)
+        return real(kind, prof)
+
+    monkeypatch.setattr(search, "_table", counting)
+    result = find_counterexample(claim, SearchConfig())
+    # the first gap is on the 32nd program, the first of the fifth class
+    assert result.outcome == "found" and result.stats == {"programs": 32, "classes": 5}
+    assert len(reads) == 3 * 5
+
+
+def test_search_stats_count_programs_and_classes_outside_the_json():
+    config = SearchConfig(budget=1681)
+    first = find_counterexample("galois-pc", config)
+    second = find_counterexample("galois-pc", config)
+    space = StateSpace(("x",), 2)
+    programs = _ref_programs(space, 3)[:106]
+    assert first.stats == second.stats == {
+        "programs": 106, "classes": len({_class_key(p, space) for p in programs})}
+    assert first.to_jsonable() == {"claim": "galois-pc", "outcome": "budget-exhausted",
+                                   "candidates": 1681}

@@ -240,6 +240,9 @@ CROSS_SPACES = (
     StateSpace(("x",), 3),
     StateSpace(("x", "y"), 2),
     StateSpace(("x", "y", "z"), 2),
+    # past eight states the may and must masks are read as binary digits
+    StateSpace(("x", "y"), 3),
+    StateSpace(("x", "y", "z"), 3),
 )
 CROSS_PROGRAMS = (
     # two structurally equal loop branches get separate program points
@@ -268,6 +271,7 @@ def _cross_check(p, space):
     empty = Predicate.empty(space)
     assert prof.relation == denote_relation(p, space)
     assert prof.may_div == inductive_transform(TransformerKind.AWLP, p, empty).bits
+    assert prof.must_div == sum(1 << i for i, row in enumerate(prof.relation.rows) if not row)
     assert prof.must_div & ~prof.may_div == 0
 
 

@@ -1,7 +1,9 @@
 """State-count sweep of the ngclab command line, one fresh process per point.
 
-Each point writes the countdown `while x != 0 { x := x - 1 }` over
-`vars x, y, z mod m` (n = m^3 states) and runs, in a new interpreter,
+Each point writes one program over `vars x, y, z mod m` (n = m^3 states): the
+countdown `while x != 0 { x := x - 1 }` (default), or `diverge` with
+`--program diverge`, where every state may diverge and no state terminates.
+It runs, in a new interpreter,
 
     transform --kind dwp --pred "x = 0"                       (default)
     check --logic dwp-lb --pre "true" --post "x = 0"          (--command check)
@@ -14,6 +16,7 @@ Standard library only; Linux (peak RSS comes from wait4).
 
     python3 tools/sweep.py
     python3 tools/sweep.py --command check
+    python3 tools/sweep.py --program diverge
     python3 tools/sweep.py --moduli 101            # a single point
     python3 tools/sweep.py --src ../other/src      # another checkout's ngclab
 """
@@ -32,6 +35,10 @@ from pathlib import Path
 
 LIMIT_S = 60.0
 MODULI = (3, 6, 10, 14, 20, 25, 32, 40, 50, 58, 64, 72, 80, 90, 101)
+PROGRAMS = {
+    "countdown": "while x != 0 { x := x - 1 }",
+    "diverge": "diverge",
+}
 COMMANDS = {
     "transform": ["transform", "--kind", "dwp", "--pred", "x = 0"],
     "check": ["check", "--logic", "dwp-lb", "--pre", "true", "--post", "x = 0"],
@@ -62,6 +69,7 @@ def run_point(src: Path, argv: list[str], hard_s: float) -> tuple[float, float, 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--command", choices=sorted(COMMANDS), default="transform")
+    parser.add_argument("--program", choices=sorted(PROGRAMS), default="countdown")
     parser.add_argument("--moduli", type=lambda s: [int(m) for m in s.split(",")],
                         default=list(MODULI), help="comma-separated moduli m (n = m^3)")
     parser.add_argument("--src", type=Path,
@@ -71,8 +79,8 @@ def main(argv=None) -> int:
     print(f"{'n':>9}  {'wall_s':>8}  {'peak_rss_mb':>11}  exit  stdout_sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.moduli:
-            path = Path(tmp) / f"countdown_{m}.ngcl"
-            path.write_text(f"vars x, y, z mod {m}\nwhile x != 0 {{ x := x - 1 }}\n")
+            path = Path(tmp) / f"{args.program}_{m}.ngcl"
+            path.write_text(f"vars x, y, z mod {m}\n{PROGRAMS[args.program]}\n")
             wall, rss, code, digest, err = run_point(
                 args.src.resolve(), COMMANDS[args.command] + [str(path)], 10 * LIMIT_S)
             note = f"  {err}" if code else ""
