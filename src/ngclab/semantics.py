@@ -1,19 +1,27 @@
 """Program meaning three ways: collecting semantics, a small-step
-configuration graph (the only place divergence is observable), and the
-relational denotation derived from the collecting semantics.
+configuration graph, and each program's profile: its relation and its
+may-divergence, composed from its sub-programs'.
 
-The graph runs over integer configurations `point * n + state`, where the
-points are a flat compilation of the program.  On a finite, finitely
-branching graph an infinite execution exists from a configuration iff that
-configuration can reach a node lying on a cycle (a lasso).  `profile` reads
-both the relation and may-divergence off one strongly-connected-component
-pass over that graph, which handles each edge once: an edge into a closed
-component adds that component's final states and cycle flag, an edge to an
-open node marks a cycle, a child's answer merges into its parent when it
-returns, and a component's answer is complete when its root closes.  The
-profile's converse relation and reachable states are derived only when first
-read.  `collecting` and `denote_relation` stay AST walks, an independent
-route the tests compare it against.
+`profile` reads nothing off a whole-program graph.  A memoised composer
+builds the meaning of each (sub-program, space) once, bottom up: `;`
+composes the relations (walking a `;` chain without recursion), and a
+state may diverge in `a ; b` iff it may in a or reaches a state where b may;
+`[]` takes the union; `if` selects by the guard; a loop is one SCC pass
+over the states, where a state satisfying the guard has the body's
+successors and every other state is final, so it may diverge iff it reaches
+a cycle or a state where the body may.  A total function (skip, an
+assignment, and `;` and `if` of functions) is kept as a successor table and
+composed with `map`; rows (one successor mask per state) are built only
+for `[]`, `diverge`, a loop, an `if` beside rows and the profile.  The budget is
+states times program nodes, checked before each rule's own work.  The
+profile's converse relation and reachable states are derived only when
+first read.
+
+The configuration graph runs over integer configurations `point * n +
+state`, where the points are a flat compilation of the program; it is there
+for `build_graph` and as the operational reference the tests check the
+composer against.  `collecting` and `denote_relation` stay AST walks, a
+further independent route.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, not_, sub
+from operator import add, not_, or_, sub
+from typing import NamedTuple
 
 from . import space as _space  # for iter_bits and mask_of; see relations.py
 from .errors import BudgetExceededError
@@ -52,10 +61,6 @@ def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
     value = expr_column(expr, space)
     delta = map(sub, _spread(value), column)
     return tuple(map(add, range(space.size), map(stride.__mul__, delta)))
-
-
-def _over_budget(node_budget: int) -> BudgetExceededError:
-    return BudgetExceededError(f"configuration graph exceeded {node_budget} nodes")
 
 
 def _collect_bits(p: Program, bits: int, space: StateSpace) -> int:
@@ -166,8 +171,7 @@ class _Points:
         return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
 
     def _flags(self, guard) -> str:
-        bits = guard_to_predicate(guard, self.space).bits
-        return format(bits, "b").zfill(self.n)[::-1]
+        return _flag_string(guard_to_predicate(guard, self.space).bits, self.n)
 
     def _ite(self, p: Ite, cont: int) -> int:
         flags = self._flags(p.guard)
@@ -275,7 +279,7 @@ def build_graph(
         node = queue.popleft()
         nodes.append(node)
         if len(nodes) > node_budget:
-            raise _over_budget(node_budget)
+            raise BudgetExceededError(f"configuration graph exceeded {node_budget} nodes")
         if node < n:
             continue
         first, second = step(node)
@@ -287,106 +291,229 @@ def build_graph(
     return TransitionGraph(seeds.space, nodes, edges, seed_map)
 
 
-def _final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], int]:
-    """Per state: the final states its seed reaches, and (as a bitmask over
-    states) whether the seed can reach a cycle.  One iterative Tarjan pass
-    over the configurations reachable from the seeds that handles each edge
-    once.  A configuration is numbered on discovery, and by that number
-    keeps its `low`, whether its component has closed, and a final-state
-    mask and a cycle flag.  A terminal configuration has no successors, so
-    it closes at once as a component of its own.  While a node is open these
-    are the parts found so far of its component's answer, and an edge
-    v -> w adds to v's:
+# --- the composer: a program's profile from its sub-programs' ---------------
 
-    - w closed: its component is complete, so w's mask and flag are final;
-    - w open: the edge lies inside one component (Tarjan's lemma), so it
-      lowers v's `low` and sets v's cycle flag;
-    - w new: w is explored first; when it returns, still open (so in v's
-      component) or closed, its mask and flag merge into v's.
+class _Meaning(NamedTuple):
+    """What the composer keeps per (program, space)."""
 
-    A root that closes holds its whole component's answer, because every
-    member has merged into its parent on return; the members are popped and
-    given that answer, with no second pass over their edges.  A configuration
-    has at most two successors, so the DFS path keeps, beside each open node,
-    only its pending second successor (-1 for none), not a successor tuple
-    and an iterator over it."""
-    n = points.n
-    step = points.step
-    number: dict[int, int] = {}     # configuration -> discovery number
-    low: list[int] = []             # the rest by discovery number
-    closed: list[bool] = []
-    finals: list[int] = []
-    cyclic: list[bool] = []
-    stack: list[int] = []           # Tarjan's stack of open nodes
-    path: list[int] = []            # the DFS path of open nodes, and beside
-    pending: list[int] = []         # each its unexplored second successor
-    base = points.seed(0)           # seeds are consecutive: base + state
-    for root in range(base, base + n):
-        if root in number:
+    nodes: int      # non-`;` nodes in the program, which the budget multiplies by n
+    succ: tuple     # a total function's successor table, one state per state; or None
+    rows: tuple     # otherwise one successor mask per state; else None
+    may: int        # may-divergence mask (0 for a function)
+
+
+# Skip, an assignment, and `;` and `if` of functions are functions.  A
+# function becomes rows only for a `[]`, for an `if` whose other branch has
+# rows, and as the profile's relation; `;` composes two tables with `map`,
+# and a loop reads its body's table: a mask per state can take memory
+# quadratic in n.  Equal rows stay one shared int wherever a rule selects or
+# looks rows up.
+
+
+def _flag_string(bits: int, n: int) -> str:
+    """The mask as n characters "0"/"1", state 0 first."""
+    return format(bits, "b").zfill(n)[::-1]
+
+
+def _check_budget(nodes: int, n: int) -> None:
+    """Refuse a profile whose program nodes times states exceed the budget,
+    before the work that would build it."""
+    budget = DEFAULT_NODE_BUDGET
+    if n * nodes > budget:
+        raise BudgetExceededError(
+            f"states x program nodes = {n} x {nodes} exceeds the budget of {budget}")
+
+
+def _rows(meaning: _Meaning) -> tuple[int, ...]:
+    """The meaning's rows; a function's are built with one int per distinct
+    successor, shared."""
+    if meaning.rows is not None:
+        return meaning.rows
+    succ = meaning.succ
+    one = {s: 1 << s for s in set(succ)}
+    return tuple(map(one.__getitem__, succ))
+
+
+@lru_cache(maxsize=1 << 18)
+def _meaning(p: Program, space: StateSpace) -> _Meaning:
+    rule = _RULES.get(type(p))
+    if rule is None:
+        raise TypeError(f"not a program: {p!r}")
+    return rule(p, space)
+
+
+def _skip_rule(p: Skip, space: StateSpace) -> _Meaning:
+    _check_budget(1, space.size)
+    return _Meaning(1, tuple(range(space.size)), None, 0)
+
+
+def _diverge_rule(p: Diverge, space: StateSpace) -> _Meaning:
+    _check_budget(1, space.size)
+    return _Meaning(1, None, (0,) * space.size, space.full_mask)
+
+
+def _assign_rule(p: Assign, space: StateSpace) -> _Meaning:
+    _check_budget(1, space.size)
+    return _Meaning(1, _assign_successors(p.var, p.expr, space), None, 0)
+
+
+def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
+    """A `;` chain, flattened without recursion and composed from its end."""
+    chain, todo, nodes = [], [p], 0
+    while todo:
+        q = todo.pop()
+        if type(q) is Seq:
+            todo += (q.first, q.second)
+        else:
+            meaning = _meaning(q, space)
+            nodes += meaning.nodes
+            chain.append(meaning)               # last statement first
+    _check_budget(nodes, space.size)
+    meaning = chain[0]
+    for first in chain[1:]:
+        meaning = _then(first, meaning, nodes, space.size)
+    return meaning
+
+
+def _then(a: _Meaning, b: _Meaning, nodes: int, n: int) -> _Meaning:
+    """a ; b: the relations composed, and may-divergence may(a) | pre_a(may(b))."""
+    succ, rows, may = b.succ, b.rows, b.may
+    if a.succ is not None:
+        if succ is not None:
+            return _Meaning(nodes, tuple(map(succ.__getitem__, a.succ)), None, 0)
+        if may:
+            flags = _flag_string(may, n)
+            may = int("".join(map(flags.__getitem__, a.succ))[::-1], 2)
+        return _Meaning(nodes, None, tuple(map(rows.__getitem__, a.succ)), may)
+    image = {}                  # by distinct row of a: its image under b
+    iter_bits = _space.iter_bits
+    for row in set(a.rows):
+        acc = 0
+        if succ is not None:
+            for j in iter_bits(row):
+                acc |= 1 << succ[j]
+        else:
+            for j in iter_bits(row):
+                acc |= rows[j]
+        image[row] = acc
+    a_may = a.may
+    if may:
+        a_may |= _space.mask_of([row & may != 0 for row in a.rows])
+    return _Meaning(nodes, None, tuple(map(image.__getitem__, a.rows)), a_may)
+
+
+def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
+    left, right = _meaning(p.left, space), _meaning(p.right, space)
+    nodes = 1 + left.nodes + right.nodes
+    _check_budget(nodes, space.size)
+    return _Meaning(nodes, None, tuple(map(or_, _rows(left), _rows(right))),
+                    left.may | right.may)
+
+
+def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
+    then, orelse = _meaning(p.then, space), _meaning(p.orelse, space)
+    nodes = 1 + then.nodes + orelse.nodes
+    n = space.size
+    _check_budget(nodes, n)
+    g = guard_to_predicate(p.guard, space).bits
+    flags = _flag_string(g, n)
+    if then.succ is not None and orelse.succ is not None:
+        return _Meaning(nodes, _select(flags, then.succ, orelse.succ), None, 0)
+    return _Meaning(nodes, None, _select(flags, _rows(then), _rows(orelse)),
+                    then.may & g | orelse.may & ~g & space.full_mask)
+
+
+def _select(flags: str, then: tuple, orelse: tuple) -> tuple:
+    """Per state, then's entry where the flag is "1", else orelse's."""
+    return tuple([a if c == "1" else b for c, a, b in zip(flags, then, orelse)])
+
+
+def _while_rule(p: While, space: StateSpace) -> _Meaning:
+    """One SCC pass over the states, which handles each edge once: a state
+    where the guard holds has the body's successors, and every other state
+    is closed from the start, with itself as its final state.  A state's
+    final states are the closed ones it reaches, and it may diverge iff it
+    reaches a cycle or a state where the body may diverge.  As in Tarjan's
+    algorithm, an edge v -> w adds to v's answer w's final states and cycle
+    flag if w is closed, marks a cycle (w is then in v's component) if w is
+    open, and otherwise explores w first and merges w's answer into v's when
+    it returns.  A root that closes hands its component's final states,
+    complete by then, to the members; each member of a component of more
+    than one state has already marked its own cycle."""
+    body = _meaning(p.body, space)
+    nodes = 1 + body.nodes
+    n = space.size
+    _check_budget(nodes, n)
+    _, succ, rows, may = body
+    g = guard_to_predicate(p.guard, space).bits
+    flags = _flag_string(g, n)
+    finals = [0 if c == "1" else 1 << i for i, c in enumerate(flags)]
+    closed = bytearray(flags.encode().translate(_CLOSED))
+    cyclic = bytearray(_flag_string(may & g, n).encode().translate(_ONES))
+    if succ is not None:
+        def successors(v):
+            return iter((succ[v],))
+    else:
+        def successors(v):
+            return _space.iter_bits(rows[v])
+    number = [-1] * n           # discovery number of a state under the guard
+    low = [0] * n
+    stack: list[int] = []       # Tarjan's stack of open states
+    count = 0
+    for root in range(n):
+        if closed[root]:            # (each pass from a root closes all it finds)
             continue
-        node = root                 # seeds are never terminal
-        while True:
-            if node >= 0:           # an edge from path[-1] (or the root) to node
-                w = number.get(node)
-                if w is None:
-                    w = len(low)
-                    if w >= node_budget:
-                        raise _over_budget(node_budget)
-                    number[node] = w
-                    low.append(w)
-                    if node >= n:   # discover node: explore it next
-                        closed.append(False)
-                        finals.append(0)
-                        cyclic.append(False)
-                        stack.append(w)
-                        path.append(w)
-                        node, second = step(node)
-                        pending.append(second)
-                        continue
-                    closed.append(True)
-                    finals.append(1 << node)
-                    cyclic.append(False)
-                v = path[-1]
+        number[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path, pending = [root], [successors(root)]
+        while path:
+            v = path[-1]
+            for w in pending[-1]:
                 if closed[w]:
                     reach = finals[w]
                     if reach and reach is not finals[v]:  # share, don't copy
                         finals[v] = finals[v] | reach if finals[v] else reach
                     if cyclic[w]:
-                        cyclic[v] = True
-                else:
-                    if w < low[v]:
-                        low[v] = w
-                    cyclic[v] = True
-            else:                   # path[-1] has no successor left: return
-                w = path.pop()
+                        cyclic[v] = 1
+                elif number[w] < 0:         # discover w: explore it next
+                    number[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    path.append(w)
+                    pending.append(successors(w))
+                    break
+                else:                       # w open: in v's component
+                    if number[w] < low[v]:
+                        low[v] = number[w]
+                    cyclic[v] = 1
+            else:                           # no successor of v left: return
+                path.pop()
                 pending.pop()
-                if low[w] == w:     # w roots a component: close it
-                    reach, loops = finals[w], cyclic[w]
+                if low[v] == number[v]:     # v roots a component: close it
+                    reach = finals[v]
                     while True:
                         member = stack.pop()
-                        closed[member] = True
+                        closed[member] = 1
                         finals[member] = reach
-                        cyclic[member] = loops
-                        if member == w:
+                        if member == v:
                             break
-                if not path:
-                    break
-                v = path[-1]        # merge w into its parent v
-                reach = finals[w]
-                if reach and reach is not finals[v]:
-                    finals[v] = finals[v] | reach if finals[v] else reach
-                if cyclic[w]:
-                    cyclic[v] = True
-                if low[w] < low[v]:
-                    low[v] = low[w]
-            node = pending[-1]      # v's second successor, or -1: return
-            pending[-1] = -1
-    rows, flags = [], []
-    for node in range(base, base + n):
-        w = number[node]
-        rows.append(finals[w])
-        flags.append(cyclic[w])
-    return rows, _space.mask_of(flags)
+                if path:                    # merge v into its parent u
+                    u = path[-1]
+                    reach = finals[v]
+                    if reach and reach is not finals[u]:
+                        finals[u] = finals[u] | reach if finals[u] else reach
+                    if cyclic[v]:
+                        cyclic[u] = 1
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return _Meaning(nodes, None, tuple(finals), _space.mask_of(cyclic))
+
+
+_CLOSED = bytes.maketrans(b"01", b"\x01\x00")   # a guard flag: closed iff false
+_ONES = bytes.maketrans(b"01", b"\x00\x01")     # a mask's flag: 0 or 1
+_RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _seq_rule,
+          Choice: _choice_rule, Ite: _ite_rule, While: _while_rule}
 
 
 def may_diverge(p: Program, space: StateSpace) -> Predicate:
@@ -429,10 +556,9 @@ class Profile:
 
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
-    budget = DEFAULT_NODE_BUDGET
-    if space.size > budget:
-        # the seed configurations alone exceed the budget: fail before compiling
-        raise _over_budget(budget)
-    rows, may = _final_and_divergent(_Points(p, space), budget)
-    must = _space.mask_of(list(map(not_, rows)))
-    return Profile(space, Relation(space.size, tuple(rows)), may, must)
+    meaning = _meaning(p, space)
+    n = space.size
+    _check_budget(meaning.nodes, n)     # a kept meaning, against today's budget
+    rows = _rows(meaning)
+    must = _space.mask_of(list(map(not_, rows))) if meaning.succ is None else 0
+    return Profile(space, Relation(n, rows), meaning.may, must)

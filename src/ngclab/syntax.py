@@ -327,20 +327,6 @@ class While(Program):
     body: Program
 
 
-def program_depth(p: Program) -> int:
-    if isinstance(p, (Skip, Diverge, Assign)):
-        return 1
-    if isinstance(p, (Seq, Choice)):
-        a = p.first if isinstance(p, Seq) else p.left
-        b = p.second if isinstance(p, Seq) else p.right
-        return 1 + max(program_depth(a), program_depth(b))
-    if isinstance(p, Ite):
-        return 1 + max(program_depth(p.then), program_depth(p.orelse))
-    if isinstance(p, While):
-        return 1 + program_depth(p.body)
-    raise TypeError(f"not a program: {p!r}")
-
-
 # --- pretty printing -------------------------------------------------------
 
 _EXPR_PREC ={"+": 1, "-": 1, "*": 2}

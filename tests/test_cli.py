@@ -192,9 +192,9 @@ class TestInputLimits:
             assert main(["transform", "--kind", "dwp", "--pred", "x = 0", loop_down]) == 4
         finally:
             semantics.profile.cache_clear()
+        # 3 states times 2 program nodes (the loop and its assignment)
         err = capsys.readouterr().err
-        assert err.startswith("resource limit: configuration graph exceeded 5 nodes")
-        assert err.count("\n") == 1
+        assert err == "resource limit: states x program nodes = 3 x 2 exceeds the budget of 5\n"
 
     def test_unexpected_exception_is_a_one_line_internal_error(self, choice01, capsys,
                                                                monkeypatch):

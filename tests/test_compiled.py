@@ -22,11 +22,13 @@ from ngclab.syntax import (
     BoolLit,
     Cmp,
     Const,
+    Diverge,
     Not,
     Or,
     Seq,
     Skip,
     Var,
+    While,
     eval_expr,
     eval_guard,
     expr_column,
@@ -295,13 +297,23 @@ class TestStructuralEquality:
 
 
 class TestFailFast:
-    def test_profile_rejects_a_space_over_the_node_budget_before_compiling(self, monkeypatch):
+    def test_profile_refuses_an_oversized_program_before_its_own_work(self, monkeypatch):
         from ngclab import semantics
 
         def refuse(*args):
-            raise AssertionError("compiled a program over the node budget")
+            raise AssertionError("built a table over the node budget")
 
-        monkeypatch.setattr(semantics, "_Points", refuse)
+        monkeypatch.setattr(semantics, "_assign_successors", refuse)
+        monkeypatch.setattr(semantics, "guard_to_predicate", refuse)
+        # a single statement over more states than the budget
         space = StateSpace(("x", "y", "z"), 101)
-        with pytest.raises(BudgetExceededError, match="exceeded 1000000 nodes"):
-            profile(Skip(), space)
+        for p in (Skip(), Assign("x", Var("y"))):
+            with pytest.raises(BudgetExceededError,
+                               match=r"^states x program nodes = 1030301 x 1 exceeds "
+                                     r"the budget of 1000000$"):
+                profile(p, space)
+        # the body fits, the loop around it does not: refused before its guard
+        space = StateSpace(("x", "y", "z"), 80)
+        loop = While(Cmp("!=", Var("x"), Const(0)), Diverge())
+        with pytest.raises(BudgetExceededError, match=r"= 512000 x 2 exceeds"):
+            profile(loop, space)

@@ -1,5 +1,6 @@
 """Collecting semantics, preimages, the configuration graph, and the
-divergence detectors, cross-checked against each other."""
+composed profile, cross-checked against each other and against the
+operational reference (one Tarjan pass over the configuration graph)."""
 
 import random
 
@@ -17,11 +18,12 @@ from ngclab import (
     parse_program,
 )
 from ngclab import semantics
-from ngclab.generators import random_program
+from ngclab.generators import GeneratorConfig, generate_programs, random_program
 from ngclab.relations import Relation
 from ngclab.syntax import Seq
 from ngclab.semantics import profile
 from ngclab.transformers import TransformerKind, inductive_transform
+from profile_reference import reference_profile
 
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
@@ -141,22 +143,6 @@ class TestGraph:
         with pytest.raises(BudgetExceededError):
             build_graph(prog("while true { x := x + 1 }"), SIGMA, node_budget=3)
 
-    def test_profile_pass_keeps_the_node_budget(self):
-        # the pass and build_graph visit the same configurations, so both fit
-        # a budget of exactly that many nodes and neither fits one fewer
-        for text in ("while true { x := x + 1 }",
-                     "while x != 0 { { x := x - 1 } [] { x := x + 1 } }",
-                     "{ while x = 1 { skip } } [] { x := 0 ; diverge }",
-                     "x := x + 1 ; if x = 0 { skip } else { x := 2 }"):
-            p = prog(text)
-            k = len(build_graph(p, SIGMA).nodes)
-            assert semantics._final_and_divergent(semantics._Points(p, SPACE), k)
-            build_graph(p, SIGMA, node_budget=k)
-            with pytest.raises(BudgetExceededError):
-                semantics._final_and_divergent(semantics._Points(p, SPACE), k - 1)
-            with pytest.raises(BudgetExceededError):
-                build_graph(p, SIGMA, node_budget=k - 1)
-
     def test_dot_export_mentions_all_nodes(self):
         graph = build_graph(prog("skip"), pred([0]))
         dot = graph.to_dot()
@@ -263,12 +249,25 @@ CROSS_PROGRAMS = (
     "{ while x = 1 { skip } } [] { x := x + 1 }",
     # diverge in one branch of a loop body
     "while x != 0 { { x := x - 1 } [] { diverge } }",
+    # the two storages, a successor table and rows, composed in both `;`
+    # orders, and side by side in an `if`
+    "x := x + 1 ; { { x := 0 } [] { diverge } }",
+    "{ { x := 0 } [] { diverge } } ; x := x + 1",
+    "x := x * 2 ; while x != 0 { { x := x - 1 } [] { skip } }",
+    "while x != 1 { { x := x - 1 } [] { diverge } } ; x := x + 2",
+    "{ { x := x + 1 } [] { skip } } ; { { x := 0 } [] { diverge } }",
+    "if x = 0 { x := 1 ; x := x + 1 } else { x := 2 }",
+    "if x = 1 { x := 0 } else { { x := 2 } [] { diverge } }",
+    "if x = 1 { while x != 0 { x := x + 1 } } else { x := x + 1 }",
+    "if x = 2 { skip } else { diverge } ; x := x + 1",
+    "x := x + 2 ; if x = 0 { { skip } [] { x := 1 } } else { x := x * 2 } ; x := x + 1",
 )
 
 
 def _cross_check(p, space):
     prof = profile(p, space)
     empty = Predicate.empty(space)
+    assert (prof.relation.rows, prof.may_div, prof.must_div) == reference_profile(p, space)
     assert prof.relation == denote_relation(p, space)
     assert prof.may_div == inductive_transform(TransformerKind.AWLP, p, empty).bits
     assert prof.must_div == sum(1 << i for i, row in enumerate(prof.relation.rows) if not row)
@@ -276,10 +275,11 @@ def _cross_check(p, space):
 
 
 @pytest.mark.parametrize("space", CROSS_SPACES, ids=lambda s: f"n{s.size}")
-def test_profile_pass_matches_collecting_and_greatest_fixpoint(space):
-    """The SCC pass against the two independent routes: the relation of the
-    collecting semantics, and may-divergence as the inductive engine's
-    awlp(false), a greatest fixpoint for loops."""
+def test_profile_matches_reference_collecting_and_greatest_fixpoint(space):
+    """The composed profile against three independent routes: the pass over
+    the configuration graph, the relation of the collecting semantics, and
+    may-divergence as the inductive engine's awlp(false), a greatest
+    fixpoint for loops."""
     for text in CROSS_PROGRAMS:
         _cross_check(prog(text, space), space)
     rng = random.Random(4242 + space.size)
@@ -316,3 +316,69 @@ def test_profile_derives_the_converse_only_when_read(monkeypatch):
     assert calls == [prof.relation] and inverse == converse(prof.relation)
     assert prof.inverse_relation is inverse and len(calls) == 1
     assert prof.reach == prof.relation.codomain_bits()
+
+
+# --- the composer against the operational reference ---------------------------
+
+def test_profile_matches_the_reference_on_the_depth_3_corpus():
+    config = GeneratorConfig(("x",), 2, max_depth=3)
+    corpus = list(generate_programs(config))
+    for p in random.Random(2026).sample(corpus, 1500):
+        _cross_check(p, config.space())
+
+
+def test_profile_matches_the_reference_on_the_loops_corpus():
+    config = GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True, mode="random",
+                             seed=2025, count=600)
+    for p in generate_programs(config):
+        _cross_check(p, config.space())
+
+
+@pytest.mark.parametrize("text", (
+    "while x != 0 { x := x - 1 }",
+    "while x != 0 { { x := x - 1 } [] { y := y + 1 } [] { diverge } }",
+    "x := x + 1 ; { y := y + x } [] { y := y + 1 } ; z := z + y ;"
+    " { x := x + z } [] { z := z + 2 } ; y := y + 5",
+))
+def test_profile_matches_the_reference_on_the_scale_programs(text):
+    space = StateSpace(("x", "y", "z"), 6)      # n = 216
+    _cross_check(prog(text, space), space)
+
+
+def test_functions_stay_successor_tables_and_equal_rows_stay_shared():
+    space = StateSpace(("x",), 20)
+    # skip, assignments, and `;` and `if` of them: a table, never rows
+    p = prog("x := x + 1 ; if x = 0 { skip } else { x := x * 2 }", space)
+    nodes, succ, rows, may = semantics._meaning(p, space)
+    assert (nodes, rows, may) == (4, None, 0)
+    assert succ == tuple(0 if i == 19 else (2 * i + 2) % 20 for i in range(20))
+    # every state goes to 19 and then takes 19's row of the choice: one int
+    rows = profile(prog("x := 19 ; { skip } [] { x := 18 }", space), space).relation.rows
+    assert rows[0] == 3 << 18 and len(set(map(id, rows))) == 1
+
+
+def test_the_budget_is_states_times_program_nodes(monkeypatch):
+    # `;` is not counted: an assignment and a choice of two, 4 nodes
+    p = prog("x := x + 1 ; { skip } [] { x := 0 }")
+    monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 4 * 3)
+    semantics._meaning.cache_clear()
+    assert profile.__wrapped__(p, SPACE).relation == denote_relation(p, SPACE)
+    monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 4 * 3 - 1)
+    message = r"^states x program nodes = 3 x 4 exceeds the budget of 11$"
+    with pytest.raises(BudgetExceededError, match=message):
+        profile.__wrapped__(p, SPACE)           # a kept meaning is checked again
+    semantics._meaning.cache_clear()
+    with pytest.raises(BudgetExceededError, match=message):
+        profile.__wrapped__(p, SPACE)           # and a new one before the `;`
+
+
+def test_long_sequences_compose_without_recursing_per_statement():
+    # a `;` chain far longer than the recursion limit, nested both ways; each
+    # node is hashed as it is built, as the kept hash is computed recursively
+    p = prog("x := x + 1")
+    for _ in range(5000):
+        p = Seq(prog("{ x := x + 1 } [] { skip }"), p)
+        hash(p)
+    p = Seq(p, Seq(Seq(prog("x := x + 1"), prog("skip")), prog("x := x * 2")))
+    prof = profile(p, SPACE)
+    assert prof.relation == Relation(3, (7, 7, 7)) and prof.may_div == 0

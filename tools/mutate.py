@@ -1,9 +1,10 @@
 """Mutation check of the semantics and search tests, one planted fault per run.
 
-Each mutant is a small textual edit of one module of `src/ngclab`: a rule of
-the profile's SCC pass dropped or bent, a derived field of `Profile` read
-from the wrong place, or a per-class memo of the counterexample search keyed,
-bounded or filtered wrongly.  For every mutant the script copies `src/` to a
+Each mutant is a small textual edit of one module of `src/ngclab`: a rule
+of the profile's composer or a step of its loops' SCC pass dropped or bent,
+its budget off by one, a derived field of `Profile` read from the wrong
+place, or a per-class memo of the counterexample search keyed, bounded or
+filtered wrongly.  For every mutant the script copies `src/` to a
 temporary directory, plants the fault there (never in the checkout), and runs
 the mutant's test file against the copy in a fresh interpreter.  A mutant is
 killed when the tests fail.  It prints one line per mutant and then
@@ -36,49 +37,89 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("a child that returns open does not merge into its parent", "semantics.py", (
-        ("                reach = finals[w]\n                if reach and",
-         "                reach = finals[w] if low[w] == w else 0\n                if reach and"),
-        ("                if cyclic[w]:\n                    cyclic[v] = True\n"
-         "                if low[w] < low[v]:",
-         "                if cyclic[w] and low[w] == w:\n                    cyclic[v] = True\n"
-         "                if low[w] < low[v]:"),
+    # the composer's rules
+    Mutant("`;` after a successor table drops pre_a(may(b))", "semantics.py", (
+        ('            may = int("".join(map(flags.__getitem__, a.succ))[::-1], 2)',
+         "            may = 0"),
     )),
-    Mutant("an edge to an open node sets no cycle flag", "semantics.py", (
-        ("                        low[v] = w\n                    cyclic[v] = True\n",
-         "                        low[v] = w\n"),
+    Mutant("`;` after rows drops pre_a(may(b))", "semantics.py", (
+        ("        a_may |= _space.mask_of([row & may != 0 for row in a.rows])",
+         "        pass"),
+    )),
+    Mutant("two successor tables are composed in the wrong order", "semantics.py", (
+        ("tuple(map(succ.__getitem__, a.succ))", "tuple(map(a.succ.__getitem__, succ))"),
+    )),
+    Mutant("`;` of rows and then a table ignores the table", "semantics.py", (
+        ("acc |= 1 << succ[j]", "acc |= 1 << j"),
+    )),
+    Mutant("`[]` intersects may-div", "semantics.py", (
+        ("left.may | right.may", "left.may & right.may"),
+    )),
+    Mutant("`[]` takes only its left branch's rows", "semantics.py", (
+        ("tuple(map(or_, _rows(left), _rows(right)))", "_rows(left)"),
+    )),
+    Mutant("`if` takes the guard the wrong way round", "semantics.py", (
+        ('[a if c == "1" else b for c, a, b', '[b if c == "1" else a for c, a, b'),
+        ("then.may & g | orelse.may & ~g & space.full_mask",
+         "orelse.may & g | then.may & ~g & space.full_mask"),
+    )),
+    Mutant("`if` joins both branches' may-div", "semantics.py", (
+        ("then.may & g | orelse.may & ~g & space.full_mask", "then.may | orelse.may"),
+    )),
+    Mutant("diverge may not diverge", "semantics.py", (
+        ("_Meaning(1, None, (0,) * space.size, space.full_mask)",
+         "_Meaning(1, None, (0,) * space.size, 0)"),
+    )),
+    # the loop's SCC pass over the states
+    Mutant("a loop self-edge is not flagged as a cycle", "semantics.py", (
+        ("                        low[v] = number[w]\n                    cyclic[v] = 1\n",
+         "                        low[v] = number[w]\n                    if w != v:\n"
+         "                        cyclic[v] = 1\n"),
+    )),
+    Mutant("an edge to an open state sets no cycle flag", "semantics.py", (
+        ("                        low[v] = number[w]\n                    cyclic[v] = 1\n",
+         "                        low[v] = number[w]\n"),
+    )),
+    Mutant("SCC members do not receive their root's finals", "semantics.py", (
+        ("                        finals[member] = reach\n", ""),
+    )),
+    Mutant("a child that returns open does not merge into its parent", "semantics.py", (
+        ("                    reach = finals[v]\n                    if reach and",
+         "                    reach = finals[v] if low[v] == number[v] else 0\n"
+         "                    if reach and"),
+        ("                    if cyclic[v]:\n                        cyclic[u] = 1\n",
+         "                    if cyclic[v] and low[v] == number[v]:\n"
+         "                        cyclic[u] = 1\n"),
+    )),
+    Mutant("a child's low does not lower its parent's", "semantics.py", (
+        ("                    if low[v] < low[u]:\n                        low[u] = low[v]\n", ""),
     )),
     Mutant("a closed successor's cycle flag is ignored", "semantics.py", (
-        ("                    if cyclic[w]:\n                        cyclic[v] = True\n",
-         ""),
+        ("                    if cyclic[w]:\n                        cyclic[v] = 1\n", ""),
     )),
     Mutant("a closed successor's final states are ignored", "semantics.py", (
         ("                    if reach and reach is not finals[v]:  # share, don't copy",
          "                    if False:"),
     )),
-    Mutant("a child's low does not lower its parent's", "semantics.py", (
-        ("                if low[w] < low[v]:\n                    low[v] = low[w]\n", ""),
+    Mutant("a state outside the guard is left open", "semantics.py", (
+        ('_CLOSED = bytes.maketrans(b"01", b"\\x01\\x00")',
+         '_CLOSED = bytes.maketrans(b"01", b"\\x00\\x00")'),
     )),
-    Mutant("a closing root does not hand its answer to the members", "semantics.py", (
-        ("                        finals[member] = reach\n                        cyclic[member] = loops\n",
-         ""),
+    Mutant("the body's may-div is ignored", "semantics.py", (
+        ("cyclic = bytearray(_flag_string(may & g, n)", "cyclic = bytearray(_flag_string(0, n)"),
     )),
-    Mutant("the pass admits one node over its budget", "semantics.py", (
-        ("if w >= node_budget:", "if w > node_budget:"),
+    Mutant("the body's may-div counts outside the guard", "semantics.py", (
+        ("cyclic = bytearray(_flag_string(may & g, n)", "cyclic = bytearray(_flag_string(may, n)"),
+    )),
+    # the budget and the profile's derived fields
+    Mutant("the composer admits one state-node over its budget", "semantics.py", (
+        ("if n * nodes > budget:", "if n * nodes >= budget:"),
     )),
     Mutant("inverse_relation is the relation itself", "semantics.py", (
         ("inverse = self.relation.converse()", "inverse = self.relation"),
     )),
     Mutant("reach is the relation's domain", "semantics.py", (
         ("reach = self.relation.codomain_bits()", "reach = self.relation.domain_bits()"),
-    )),
-    Mutant("a choice point follows only its left branch", "semantics.py", (
-        ("            return first + state, second + state",
-         "            return first + state, -1"),
-    )),
-    Mutant("a terminal configuration is left open", "semantics.py", (
-        ("                    closed.append(True)\n                    finals.append(1 << node)",
-         "                    closed.append(False)\n                    finals.append(1 << node)"),
     )),
     Mutant("a long mask is read highest state first", "space.py", (
         ("return int(bytes(flags).translate(_DIGITS)[::-1], 2)",
