@@ -9,13 +9,15 @@ state may diverge in `a ; b` iff it may in a or reaches a state where b may;
 `[]` takes the union; `if` selects by the guard; a loop is one SCC pass
 over the states, where a state satisfying the guard has the body's
 successors and every other state is final, so it may diverge iff it reaches
-a cycle or a state where the body may.  A total function (skip, an
-assignment, and `;` and `if` of functions) is kept as a successor table and
-composed with `map`; rows (one successor mask per state) are built only
-for `[]`, `diverge`, a loop, an `if` beside rows and the profile.  The budget is
-states times program nodes, checked before each rule's own work.  The
-profile's converse relation and reachable states are derived only when
-first read.
+a cycle or a state where the body may.  A relation is kept as the union of
+a few successor tables, each a function on a domain mask, and rows (one
+successor mask per state): skip and an assignment are tables on every
+state, `if` and later statements cut the domains, and a loop is the
+identity outside its guard beside rows for the states under it.  Tables
+are composed with `map` and become rows only in a union of more than four
+and as the profile's relation.  The budget is states times program nodes,
+checked before each rule's own work.  The profile's converse relation and
+reachable states are derived only when first read.
 
 The configuration graph runs over integer configurations `point * n +
 state`, where the points are a flat compilation of the program; it is there
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress, repeat
 from operator import add, not_, or_, sub
 from typing import NamedTuple
 
@@ -294,25 +297,41 @@ def build_graph(
 # --- the composer: a program's profile from its sub-programs' ---------------
 
 class _Meaning(NamedTuple):
-    """What the composer keeps per (program, space)."""
+    """What the composer keeps per (program, space): a relation as the union
+    of its successor tables, each on its domain, and its rows; and its
+    may-divergence."""
 
     nodes: int      # non-`;` nodes in the program, which the budget multiplies by n
-    succ: tuple     # a total function's successor table, one state per state; or None
-    rows: tuple     # otherwise one successor mask per state; else None
-    may: int        # may-divergence mask (0 for a function)
+    succs: tuple    # at most _WIDTH successor tables, one state per state (a
+                    # tuple, or a range for the identity)
+    doms: tuple     # per table, the mask of the states it applies to
+    rows: tuple     # one successor mask per state, or None for none
+    may: int        # may-divergence mask
 
 
-# Skip, an assignment, and `;` and `if` of functions are functions.  A
-# function becomes rows only for a `[]`, for an `if` whose other branch has
-# rows, and as the profile's relation; `;` composes two tables with `map`,
-# and a loop reads its body's table: a mask per state can take memory
-# quadratic in n.  Equal rows stay one shared int wherever a rule selects or
-# looks rows up.
+# Skip and an assignment are one table on every state, and diverge is
+# empty.  `;` composes each part of a with each part of b (a table keeps
+# the states of its domain that it sends into the next table's), `[]` joins
+# the parts, and `if` selects table by table and cuts the domains by the
+# guard.  A loop is rows, beside the identity as a table on the states
+# outside its guard unless the states under it reach them all.  So a few
+# partial functions never become a mask per state, which can take memory
+# quadratic in n, whatever they sit beside and however a later statement
+# maps them.  Tables become rows only in a union
+# wider than _WIDTH and as the profile's relation; equal rows stay one
+# shared int wherever a rule builds, selects or looks rows up.
+_WIDTH = 4
 
 
 def _flag_string(bits: int, n: int) -> str:
     """The mask as n characters "0"/"1", state 0 first."""
     return format(bits, "b").zfill(n)[::-1]
+
+
+def _pre(table: tuple, mask: int, n: int) -> int:
+    """The states that the table sends into the mask."""
+    flags = _flag_string(mask, n)
+    return int("".join(map(flags.__getitem__, table))[::-1], 2)
 
 
 def _check_budget(nodes: int, n: int) -> None:
@@ -324,14 +343,56 @@ def _check_budget(nodes: int, n: int) -> None:
             f"states x program nodes = {n} x {nodes} exceeds the budget of {budget}")
 
 
-def _rows(meaning: _Meaning) -> tuple[int, ...]:
-    """The meaning's rows; a function's are built with one int per distinct
-    successor, shared."""
-    if meaning.rows is not None:
-        return meaning.rows
-    succ = meaning.succ
-    one = {s: 1 << s for s in set(succ)}
-    return tuple(map(one.__getitem__, succ))
+def _rows(meaning: _Meaning, space: StateSpace) -> tuple[int, ...]:
+    """The whole relation as rows, built once per distinct successor (or
+    tuple of successors, -1 outside a table's domain) and shared."""
+    tables, doms, rows = meaning.succs, meaning.doms, meaning.rows
+    n, full = space.size, space.full_mask
+    if not tables:
+        return (0,) * n if rows is None else rows
+    if len(tables) == 1:
+        table, dom = tables[0], doms[0]
+        if dom == full:
+            one = {s: 1 << s for s in set(table)}
+            built = tuple(map(one.__getitem__, table))
+            return built if rows is None else _union(built, rows)
+        flags = _flag_string(dom, n)
+        inside = flags.encode().translate(_ONES)
+        one = {s: 1 << s for s in set(compress(table, inside))}
+        if rows is None:
+            return tuple([one[s] if c == "1" else 0 for c, s in zip(flags, table)])
+        return tuple([(one[s] | r if r else one[s]) if c == "1" else r
+                      for c, s, r in zip(flags, table, rows)])
+    columns = [table if dom == full else
+               [s if c == "1" else -1 for c, s in zip(_flag_string(dom, n), table)]
+               for table, dom in zip(tables, doms)]
+    keys = list(zip(*columns))
+    bit = {s: 1 << s for s in set().union(*columns) if s >= 0}
+    bit[-1] = 0
+    one = {key: reduce(or_, map(bit.__getitem__, key)) for key in set(keys)}
+    built = tuple(map(one.__getitem__, keys))
+    return built if rows is None else _union(built, rows)
+
+
+def _union(rows: tuple, more: tuple) -> tuple:
+    """Two rows tuples joined per state; a row joined with 0 stays shared."""
+    return tuple([a | b if a and b else a or b for a, b in zip(rows, more)])
+
+
+def _join(nodes: int, tables, doms, rows: tuple | None, may: int,
+          space: StateSpace) -> _Meaning:
+    """A meaning from its parts: a table on no state dropped, the domains of
+    a repeated table joined, and too many tables folded into rows."""
+    if len(tables) > 1 or tables and not doms[0]:
+        joined: dict[tuple, int] = {}
+        for table, dom in zip(tables, doms):
+            if dom:
+                joined[table] = joined.get(table, 0) | dom
+        tables, doms = joined, joined.values()
+    meaning = _Meaning(nodes, tuple(tables), tuple(doms), rows, may)
+    if len(tables) > _WIDTH:
+        return _Meaning(nodes, (), (), _rows(meaning, space), may)
+    return meaning
 
 
 @lru_cache(maxsize=1 << 18)
@@ -344,17 +405,18 @@ def _meaning(p: Program, space: StateSpace) -> _Meaning:
 
 def _skip_rule(p: Skip, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, tuple(range(space.size)), None, 0)
+    return _Meaning(1, (range(space.size),), (space.full_mask,), None, 0)
 
 
 def _diverge_rule(p: Diverge, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, None, (0,) * space.size, space.full_mask)
+    return _Meaning(1, (), (), None, space.full_mask)
 
 
 def _assign_rule(p: Assign, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, _assign_successors(p.var, p.expr, space), None, 0)
+    return _Meaning(1, (_assign_successors(p.var, p.expr, space),), (space.full_mask,),
+                    None, 0)
 
 
 def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
@@ -371,43 +433,71 @@ def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
     _check_budget(nodes, space.size)
     meaning = chain[0]
     for first in chain[1:]:
-        meaning = _then(first, meaning, nodes, space.size)
+        meaning = _then(first, meaning, nodes, space)
     return meaning
 
 
-def _then(a: _Meaning, b: _Meaning, nodes: int, n: int) -> _Meaning:
-    """a ; b: the relations composed, and may-divergence may(a) | pre_a(may(b))."""
-    succ, rows, may = b.succ, b.rows, b.may
-    if a.succ is not None:
-        if succ is not None:
-            return _Meaning(nodes, tuple(map(succ.__getitem__, a.succ)), None, 0)
-        if may:
-            flags = _flag_string(may, n)
-            may = int("".join(map(flags.__getitem__, a.succ))[::-1], 2)
-        return _Meaning(nodes, None, tuple(map(rows.__getitem__, a.succ)), may)
-    image = {}                  # by distinct row of a: its image under b
-    iter_bits = _space.iter_bits
-    for row in set(a.rows):
-        acc = 0
-        if succ is not None:
-            for j in iter_bits(row):
-                acc |= 1 << succ[j]
-        else:
-            for j in iter_bits(row):
-                acc |= rows[j]
-        image[row] = acc
+def _then(a: _Meaning, b: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
+    """a ; b: each part of a (a table on its domain, or its rows) composed
+    with each part of b, and may-divergence may(a) | pre_a(may(b))."""
+    n, full = space.size, space.full_mask
+    succs, doms, rows, may = b.succs, b.doms, b.rows, b.may
+    if a.rows is None and rows is None and len(a.succs) == len(succs) == 1:
+        first, dom = a.succs[0], a.doms[0]      # two (partial) functions
+        a_may = a.may | dom & _pre(first, may, n) if may else a.may
+        if doms[0] != full:
+            dom &= _pre(first, doms[0], n)
+        if not dom:
+            return _Meaning(nodes, (), (), None, a_may)
+        return _Meaning(nodes, (tuple(map(succs[0].__getitem__, first)),), (dom,), None, a_may)
+    if len(a.succs) * len(succs) > _WIDTH:
+        succs, doms, rows = (), (), _rows(b, space)
     a_may = a.may
-    if may:
-        a_may |= _space.mask_of([row & may != 0 for row in a.rows])
-    return _Meaning(nodes, None, tuple(map(image.__getitem__, a.rows)), a_may)
+    tables, domains, parts = [], [], []
+    for first, dom in zip(a.succs, a.doms):
+        for second, into in zip(succs, doms):
+            tables.append(tuple(map(second.__getitem__, first)))
+            domains.append(dom if into == full else dom & _pre(first, into, n))
+        if rows is not None:
+            part = tuple(map(rows.__getitem__, first))
+            if dom != full:
+                part = _select(_flag_string(dom, n), part, repeat(0))
+            parts.append(part)
+        if may:
+            a_may |= dom & _pre(first, may, n)
+    if a.rows is not None:
+        image = {}              # by distinct row of a: its image under b
+        into = [None if dom == full else _flag_string(dom, n) for dom in doms]
+        iter_bits = _space.iter_bits
+        for row in set(a.rows):
+            acc = 0
+            for j in iter_bits(row):
+                for second, flags in zip(succs, into):
+                    if flags is None or flags[j] == "1":
+                        acc |= 1 << second[j]
+                if rows is not None:
+                    acc |= rows[j]
+            image[row] = acc
+        parts.append(tuple(map(image.__getitem__, a.rows)))
+        if may:
+            a_may |= _space.mask_of([row & may != 0 for row in a.rows])
+    rows = None
+    for part in parts:
+        rows = part if rows is None else _union(rows, part)
+    return _join(nodes, tables, domains, rows, a_may, space)
 
 
 def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
     left, right = _meaning(p.left, space), _meaning(p.right, space)
     nodes = 1 + left.nodes + right.nodes
     _check_budget(nodes, space.size)
-    return _Meaning(nodes, None, tuple(map(or_, _rows(left), _rows(right))),
-                    left.may | right.may)
+    rows = left.rows
+    if rows is None:
+        rows = right.rows
+    elif right.rows is not None:
+        rows = _union(rows, right.rows)
+    return _join(nodes, left.succs + right.succs, left.doms + right.doms, rows,
+                 left.may | right.may, space)
 
 
 def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
@@ -416,14 +506,30 @@ def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
     n = space.size
     _check_budget(nodes, n)
     g = guard_to_predicate(p.guard, space).bits
+    other = ~g & space.full_mask
     flags = _flag_string(g, n)
-    if then.succ is not None and orelse.succ is not None:
-        return _Meaning(nodes, _select(flags, then.succ, orelse.succ), None, 0)
-    return _Meaning(nodes, None, _select(flags, _rows(then), _rows(orelse)),
-                    then.may & g | orelse.may & ~g & space.full_mask)
+    left, right = then.succs, orelse.succs
+    if len(left) == len(right) == 1 and then.rows is None and orelse.rows is None:
+        dom = then.doms[0] & g | orelse.doms[0] & other     # two (partial) functions
+        return _Meaning(nodes, (_select(flags, left[0], right[0]),), (dom,), None,
+                        then.may & g | orelse.may & other)
+    if left and right:
+        width = max(len(left), len(right))      # repeat the narrower side's
+        tables = [_select(flags, left[j % len(left)], right[j % len(right)])
+                  for j in range(width)]
+        doms = [then.doms[j % len(left)] & g | orelse.doms[j % len(right)] & other
+                for j in range(width)]
+    elif left:                                  # one side's, cut to its states
+        tables, doms = left, [dom & g for dom in then.doms]
+    else:
+        tables, doms = right, [dom & other for dom in orelse.doms]
+    rows = None
+    if then.rows is not None or orelse.rows is not None:
+        rows = _select(flags, then.rows or repeat(0), orelse.rows or repeat(0))
+    return _join(nodes, tables, doms, rows, then.may & g | orelse.may & other, space)
 
 
-def _select(flags: str, then: tuple, orelse: tuple) -> tuple:
+def _select(flags: str, then, orelse) -> tuple:
     """Per state, then's entry where the flag is "1", else orelse's."""
     return tuple([a if c == "1" else b for c, a, b in zip(flags, then, orelse)])
 
@@ -439,27 +545,47 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
     open, and otherwise explores w first and merges w's answer into v's when
     it returns.  A root that closes hands its component's final states,
     complete by then, to the members; each member of a component of more
-    than one state has already marked its own cycle."""
+    than one state has already marked its own cycle.  A state outside the
+    guard gets its mask only when a state under the guard reaches it: if
+    every one is reached, the final states of all states are the loop's
+    rows, and otherwise the loop is the identity on the states outside the
+    guard beside rows for those under it."""
     body = _meaning(p.body, space)
     nodes = 1 + body.nodes
     n = space.size
     _check_budget(nodes, n)
-    _, succ, rows, may = body
+    _, succs, doms, rows, may = body
     g = guard_to_predicate(p.guard, space).bits
     flags = _flag_string(g, n)
-    finals = [0 if c == "1" else 1 << i for i, c in enumerate(flags)]
+    finals = [0] * n
     closed = bytearray(flags.encode().translate(_CLOSED))
     cyclic = bytearray(_flag_string(may & g, n).encode().translate(_ONES))
-    if succ is not None:
+    full = space.full_mask
+    if rows is None and len(succs) == 1 and doms[0] == full:
+        succ = succs[0]
+
         def successors(v):
             return iter((succ[v],))
-    else:
+    elif rows is None and succs and doms.count(full) == len(doms):
+        per_state = list(zip(*succs))
+
         def successors(v):
-            return _space.iter_bits(rows[v])
+            return iter(per_state[v])
+    else:
+        parts = [(table, None if dom == full else _flag_string(dom, n))
+                 for table, dom in zip(succs, doms)]
+        iter_bits = _space.iter_bits
+
+        def successors(v):
+            out = [table[v] for table, into in parts if into is None or into[v] == "1"]
+            if rows is not None:
+                out += iter_bits(rows[v])
+            return iter(out)
     number = [-1] * n           # discovery number of a state under the guard
     low = [0] * n
     stack: list[int] = []       # Tarjan's stack of open states
     count = 0
+    reached = 0                 # states outside the guard given their own mask
     for root in range(n):
         if closed[root]:            # (each pass from a root closes all it finds)
             continue
@@ -472,6 +598,9 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
             for w in pending[-1]:
                 if closed[w]:
                     reach = finals[w]
+                    if not reach and flags[w] == "0":   # outside the guard, first reached
+                        reach = finals[w] = 1 << w
+                        reached += 1
                     if reach and reach is not finals[v]:  # share, don't copy
                         finals[v] = finals[v] | reach if finals[v] else reach
                     if cyclic[w]:
@@ -507,7 +636,12 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
                         cyclic[u] = 1
                     if low[v] < low[u]:
                         low[u] = low[v]
-    return _Meaning(nodes, None, tuple(finals), _space.mask_of(cyclic))
+    exits = ~g & full
+    may = _space.mask_of(cyclic)
+    if reached == exits.bit_count():            # every final state's mask is built
+        return _Meaning(nodes, (), (), tuple(finals), may)
+    return _Meaning(nodes, (range(n),), (exits,), _select(flags, finals, repeat(0)) if g else None,
+                    may)
 
 
 _CLOSED = bytes.maketrans(b"01", b"\x01\x00")   # a guard flag: closed iff false
@@ -557,8 +691,6 @@ class Profile:
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
     meaning = _meaning(p, space)
-    n = space.size
-    _check_budget(meaning.nodes, n)     # a kept meaning, against today's budget
-    rows = _rows(meaning)
-    must = _space.mask_of(list(map(not_, rows))) if meaning.succ is None else 0
-    return Profile(space, Relation(n, rows), meaning.may, must)
+    rows = _rows(meaning, space)
+    must = 0 if space.full_mask in meaning.doms else _space.mask_of(list(map(not_, rows)))
+    return Profile(space, Relation(space.size, rows), meaning.may, must)

@@ -8,17 +8,18 @@ execution exists from a configuration iff that configuration can reach a
 node lying on a cycle (a lasso).
 """
 
-from ngclab.semantics import _Points
+from ngclab.errors import BudgetExceededError
+from ngclab.semantics import DEFAULT_NODE_BUDGET, _Points
 from ngclab.space import StateSpace, mask_of
 
 
 def reference_profile(p, space: StateSpace) -> tuple[tuple[int, ...], int, int]:
     """(rows, may_div, must_div) of p over the space, off the graph."""
-    rows, may = final_and_divergent(_Points(p, space))
+    rows, may = final_and_divergent(_Points(p, space), DEFAULT_NODE_BUDGET)
     return tuple(rows), may, mask_of([not row for row in rows])
 
 
-def final_and_divergent(points: _Points) -> tuple[list[int], int]:
+def final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], int]:
     """Per state: the final states its seed reaches, and (as a bitmask over
     states) whether the seed can reach a cycle.  One iterative Tarjan pass
     over the configurations reachable from the seeds that handles each edge
@@ -40,7 +41,8 @@ def final_and_divergent(points: _Points) -> tuple[list[int], int]:
     given that answer, with no second pass over their edges.  A configuration
     has at most two successors, so the DFS path keeps, beside each open node,
     only its pending second successor (-1 for none), not a successor tuple
-    and an iterator over it."""
+    and an iterator over it.  More than `node_budget` configurations raise
+    BudgetExceededError, as `build_graph` does: both visit the same ones."""
     n = points.n
     step = points.step
     number: dict[int, int] = {}     # configuration -> discovery number
@@ -61,6 +63,9 @@ def final_and_divergent(points: _Points) -> tuple[list[int], int]:
                 w = number.get(node)
                 if w is None:
                     w = len(low)
+                    if w >= node_budget:
+                        raise BudgetExceededError(
+                            f"configuration graph exceeded {node_budget} nodes")
                     number[node] = w
                     low.append(w)
                     if node >= n:   # discover node: explore it next

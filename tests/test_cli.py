@@ -187,11 +187,14 @@ class TestInputLimits:
         from ngclab import semantics
 
         monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 5)
-        semantics.profile.cache_clear()  # the budget applies when a profile is built
+        # the budget applies when a profile's meaning is composed
+        semantics.profile.cache_clear()
+        semantics._meaning.cache_clear()
         try:
             assert main(["transform", "--kind", "dwp", "--pred", "x = 0", loop_down]) == 4
         finally:
             semantics.profile.cache_clear()
+            semantics._meaning.cache_clear()
         # 3 states times 2 program nodes (the loop and its assignment)
         err = capsys.readouterr().err
         assert err == "resource limit: states x program nodes = 3 x 2 exceeds the budget of 5\n"

@@ -23,7 +23,7 @@ from ngclab.relations import Relation
 from ngclab.syntax import Seq
 from ngclab.semantics import profile
 from ngclab.transformers import TransformerKind, inductive_transform
-from profile_reference import reference_profile
+from profile_reference import final_and_divergent, reference_profile
 
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
@@ -143,6 +143,22 @@ class TestGraph:
         with pytest.raises(BudgetExceededError):
             build_graph(prog("while true { x := x + 1 }"), SIGMA, node_budget=3)
 
+    def test_profile_pass_keeps_the_node_budget(self):
+        # the reference pass and build_graph visit the same configurations, so
+        # both fit a budget of exactly that many nodes and neither fits one fewer
+        for text in ("while true { x := x + 1 }",
+                     "while x != 0 { { x := x - 1 } [] { x := x + 1 } }",
+                     "{ while x = 1 { skip } } [] { x := 0 ; diverge }",
+                     "x := x + 1 ; if x = 0 { skip } else { x := 2 }"):
+            p = prog(text)
+            k = len(build_graph(p, SIGMA).nodes)
+            assert final_and_divergent(semantics._Points(p, SPACE), k)
+            build_graph(p, SIGMA, node_budget=k)
+            with pytest.raises(BudgetExceededError):
+                final_and_divergent(semantics._Points(p, SPACE), k - 1)
+            with pytest.raises(BudgetExceededError):
+                build_graph(p, SIGMA, node_budget=k - 1)
+
     def test_dot_export_mentions_all_nodes(self):
         graph = build_graph(prog("skip"), pred([0]))
         dot = graph.to_dot()
@@ -261,6 +277,26 @@ CROSS_PROGRAMS = (
     "if x = 1 { while x != 0 { x := x + 1 } } else { x := x + 1 }",
     "if x = 2 { skip } else { diverge } ; x := x + 1",
     "x := x + 2 ; if x = 0 { { skip } [] { x := 1 } } else { x := x * 2 } ; x := x + 1",
+    # a `[]` of functions kept as a union of tables, alone or beside rows:
+    # composed with tables (within and beyond the widest union kept) and
+    # with rows in both `;` orders, in an `if` beside a union of another
+    # width, and as a loop body
+    "{ x := x + 1 } [] { skip } ; diverge",
+    "diverge ; { x := 1 } [] { skip }",
+    "{ { x := 0 } [] { diverge } } ; { x := x + 1 } [] { x := x * 2 }",
+    "{ x := x + 1 } [] { x := 0 } ; { x := x * 2 } [] { skip }",
+    "{ x := 1 } [] { x := 2 } [] { skip } ; { x := x + 1 } [] { x := 0 }",
+    "{ x := x + 1 } [] { x := x + 2 } [] { x := x * 2 } ; x := x + 1 ; { skip } [] { x := 0 }",
+    "if x = 0 { { x := 1 } [] { x := 2 } } else { { x := x + 1 } [] { skip } [] { x := 0 } }",
+    "if x = 1 { { x := 0 } [] { skip } } else { diverge }",
+    "while x != 0 { { x := x - 1 } [] { x := x + 1 } [] { x := x * 2 } }",
+    "{ x := x + 1 } [] { diverge } ; x := 0",
+    "{ x := x + 1 } [] { diverge } ; { x := x * 2 } [] { while x = 1 { skip } }",
+    "{ x := 1 } [] { x := 2 } [] { skip } ; { x := x + 1 } [] { x := 0 } [] { diverge }",
+    "if x = 0 { { x := 1 } [] { diverge } } else"
+    " { { x := x + 1 } [] { x := 0 } [] { while x = 1 { skip } } }",
+    "if x = 2 { { x := 1 } [] { diverge } } else { x := x + 1 }",
+    "while x != 2 { { x := x + 1 } [] { x := 0 } [] { while x = 1 { skip } } }",
 )
 
 
@@ -347,14 +383,50 @@ def test_profile_matches_the_reference_on_the_scale_programs(text):
 
 def test_functions_stay_successor_tables_and_equal_rows_stay_shared():
     space = StateSpace(("x",), 20)
+    full = space.full_mask
     # skip, assignments, and `;` and `if` of them: a table, never rows
     p = prog("x := x + 1 ; if x = 0 { skip } else { x := x * 2 }", space)
-    nodes, succ, rows, may = semantics._meaning(p, space)
-    assert (nodes, rows, may) == (4, None, 0)
-    assert succ == tuple(0 if i == 19 else (2 * i + 2) % 20 for i in range(20))
+    nodes, succs, doms, rows, may = semantics._meaning(p, space)
+    assert (nodes, doms, rows, may) == (4, (full,), None, 0)
+    assert succs == (tuple(0 if i == 19 else (2 * i + 2) % 20 for i in range(20)),)
     # every state goes to 19 and then takes 19's row of the choice: one int
     rows = profile(prog("x := 19 ; { skip } [] { x := 18 }", space), space).relation.rows
     assert rows[0] == 3 << 18 and len(set(map(id, rows))) == 1
+
+
+def test_a_choice_of_functions_stays_a_union_of_tables():
+    space = StateSpace(("x",), 20)
+    full = space.full_mask
+    meaning = semantics._meaning(prog("{ x := x + 1 } [] { skip } ; x := 0", space), space)
+    assert meaning == (4, ((0,) * 20,), (full,), None, 0)    # the two tables are equal
+    meaning = semantics._meaning(prog("{ x := 1 } [] { x := 2 } ; diverge", space), space)
+    assert meaning == (4, (), (), None, full)
+    # beside diverge, the tables stay tables
+    meaning = semantics._meaning(prog("{ x := x + 1 } [] { diverge } ; x := 3", space), space)
+    assert meaning == (4, ((3,) * 20,), (full,), None, full)
+    # a union wider than semantics._WIDTH becomes rows, one int per distinct
+    # tuple of successors
+    text = " [] ".join(f"{{ x := {k} }}" for k in range(semantics._WIDTH + 1))
+    _, succs, _, rows, _ = semantics._meaning(prog(text, space), space)
+    assert succs == () and rows[0] == (1 << semantics._WIDTH + 1) - 1
+    assert len(set(map(id, rows))) == 1
+
+
+def test_if_and_loops_keep_tables_on_part_of_the_states():
+    space = StateSpace(("x",), 20)
+    full = space.full_mask
+    increment = tuple((i + 1) % 20 for i in range(20))
+    # an `if` cuts each side's tables to the states its guard sends there
+    meaning = semantics._meaning(prog("if x = 3 { x := x + 1 } else { diverge }", space),
+                                 space)
+    assert meaning == (3, (increment,), (1 << 3,), None, full & ~(1 << 3))
+    # a loop is the identity outside its guard, and rows under it
+    meaning = semantics._meaning(prog("while x = 0 { x := 1 }", space), space)
+    assert meaning == (2, (range(20),), (full & ~1,), (2,) + (0,) * 19, 0)
+    # and a later statement maps both
+    p = prog("while x = 0 { x := 1 } ; x := 5", space)
+    assert semantics._meaning(p, space) == (3, ((5,) * 20,), (full & ~1,), (32,) + (0,) * 19, 0)
+    assert profile(p, space).relation.rows == (32,) * 20
 
 
 def test_the_budget_is_states_times_program_nodes(monkeypatch):
@@ -364,12 +436,10 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
     semantics._meaning.cache_clear()
     assert profile.__wrapped__(p, SPACE).relation == denote_relation(p, SPACE)
     monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 4 * 3 - 1)
-    message = r"^states x program nodes = 3 x 4 exceeds the budget of 11$"
-    with pytest.raises(BudgetExceededError, match=message):
-        profile.__wrapped__(p, SPACE)           # a kept meaning is checked again
     semantics._meaning.cache_clear()
-    with pytest.raises(BudgetExceededError, match=message):
-        profile.__wrapped__(p, SPACE)           # and a new one before the `;`
+    with pytest.raises(BudgetExceededError,
+                       match=r"^states x program nodes = 3 x 4 exceeds the budget of 11$"):
+        profile.__wrapped__(p, SPACE)           # refused before the `;` composes
 
 
 def test_long_sequences_compose_without_recursing_per_statement():

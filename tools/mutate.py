@@ -38,43 +38,127 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the composer's rules
-    Mutant("`;` after a successor table drops pre_a(may(b))", "semantics.py", (
-        ('            may = int("".join(map(flags.__getitem__, a.succ))[::-1], 2)',
-         "            may = 0"),
+    Mutant("`;` of two functions drops pre_a(may(b))", "semantics.py", (
+        ("a_may = a.may | dom & _pre(first, may, n) if may else a.may", "a_may = a.may"),
+    )),
+    Mutant("`;` after a union of tables drops pre_a(may(b))", "semantics.py", (
+        ("            a_may |= dom & _pre(first, may, n)\n", "            pass\n"),
     )),
     Mutant("`;` after rows drops pre_a(may(b))", "semantics.py", (
-        ("        a_may |= _space.mask_of([row & may != 0 for row in a.rows])",
-         "        pass"),
+        ("            a_may |= _space.mask_of([row & may != 0 for row in a.rows])",
+         "            pass"),
     )),
     Mutant("two successor tables are composed in the wrong order", "semantics.py", (
-        ("tuple(map(succ.__getitem__, a.succ))", "tuple(map(a.succ.__getitem__, succ))"),
+        ("(tuple(map(succs[0].__getitem__, first)),)",
+         "(tuple(map(first.__getitem__, succs[0])),)"),
+    )),
+    Mutant("a union's tables are composed in the wrong order", "semantics.py", (
+        ("tables.append(tuple(map(second.__getitem__, first)))",
+         "tables.append(tuple(map(first.__getitem__, second)))"),
+    )),
+    Mutant("`;` keeps a table's whole domain before a partial table", "semantics.py", (
+        ("            dom &= _pre(first, doms[0], n)\n", "            pass\n"),
+    )),
+    Mutant("`;` of a union keeps whole domains before a partial table", "semantics.py", (
+        ("domains.append(dom if into == full else dom & _pre(first, into, n))",
+         "domains.append(dom)"),
+    )),
+    Mutant("`;` of a partial table and then rows reads outside its domain", "semantics.py", (
+        ("                part = _select(_flag_string(dom, n), part, repeat(0))\n",
+         "                pass\n"),
+    )),
+    Mutant("`;` of a union of tables and then rows ignores the rows", "semantics.py", (
+        ("        if rows is not None:\n            part = ",
+         "        if False:\n            part = "),
+    )),
+    Mutant("`;` of rows ignores the rows that follow", "semantics.py", (
+        ("                if rows is not None:\n                    acc |= rows[j]\n", ""),
     )),
     Mutant("`;` of rows and then a table ignores the table", "semantics.py", (
-        ("acc |= 1 << succ[j]", "acc |= 1 << j"),
+        ("acc |= 1 << second[j]", "acc |= 1 << j"),
+    )),
+    Mutant("`;` of rows reads a partial table outside its domain", "semantics.py", (
+        ('if flags is None or flags[j] == "1":', "if True:"),
     )),
     Mutant("`[]` intersects may-div", "semantics.py", (
         ("left.may | right.may", "left.may & right.may"),
     )),
     Mutant("`[]` takes only its left branch's rows", "semantics.py", (
-        ("tuple(map(or_, _rows(left), _rows(right)))", "_rows(left)"),
+        ("        rows = _union(rows, right.rows)\n", "        pass\n"),
+    )),
+    Mutant("`[]` of tables keeps only its left branch's", "semantics.py", (
+        ("_join(nodes, left.succs + right.succs, left.doms + right.doms, rows,",
+         "_join(nodes, left.succs, left.doms, rows,"),
+    )),
+    Mutant("a repeated table keeps only its last domain", "semantics.py", (
+        ("joined[table] = joined.get(table, 0) | dom", "joined[table] = dom"),
+    )),
+    Mutant("a union's rows keep only its first table", "semantics.py", (
+        ("one = {key: reduce(or_, map(bit.__getitem__, key))", "one = {key: bit[key[0]]"),
+    )),
+    Mutant("a partial table's rows ignore its domain", "semantics.py", (
+        ('return tuple([one[s] if c == "1" else 0 for c, s in zip(flags, table)])',
+         "return tuple([1 << s for s in table])"),
+    )),
+    Mutant("a union's rows ignore the tables' domains", "semantics.py", (
+        ("columns = [table if dom == full else", "columns = [table if True else"),
     )),
     Mutant("`if` takes the guard the wrong way round", "semantics.py", (
         ('[a if c == "1" else b for c, a, b', '[b if c == "1" else a for c, a, b'),
-        ("then.may & g | orelse.may & ~g & space.full_mask",
-         "orelse.may & g | then.may & ~g & space.full_mask"),
     )),
     Mutant("`if` joins both branches' may-div", "semantics.py", (
-        ("then.may & g | orelse.may & ~g & space.full_mask", "then.may | orelse.may"),
+        ("                        then.may & g | orelse.may & other)",
+         "                        then.may | orelse.may)"),
+        ("_join(nodes, tables, doms, rows, then.may & g | orelse.may & other, space)",
+         "_join(nodes, tables, doms, rows, then.may | orelse.may, space)"),
+    )),
+    Mutant("an `if` of two functions keeps both whole domains", "semantics.py", (
+        ("dom = then.doms[0] & g | orelse.doms[0] & other",
+         "dom = then.doms[0] | orelse.doms[0]"),
+    )),
+    Mutant("an `if` keeps the whole domain of its one side with tables", "semantics.py", (
+        ("tables, doms = left, [dom & g for dom in then.doms]",
+         "tables, doms = left, list(then.doms)"),
+    )),
+    Mutant("an `if` of two unions drops the wider one's extra tables", "semantics.py", (
+        ("                  for j in range(width)]",
+         "                  for j in range(min(len(left), len(right)))]"),
+        ("                for j in range(width)]",
+         "                for j in range(min(len(left), len(right)))]"),
+    )),
+    Mutant("an `if` drops the rows beside its tables", "semantics.py", (
+        ("        rows = _select(flags, then.rows or repeat(0), orelse.rows or repeat(0))",
+         "        rows = None"),
     )),
     Mutant("diverge may not diverge", "semantics.py", (
-        ("_Meaning(1, None, (0,) * space.size, space.full_mask)",
-         "_Meaning(1, None, (0,) * space.size, 0)"),
+        ("return _Meaning(1, (), (), None, space.full_mask)",
+         "return _Meaning(1, (), (), None, 0)"),
     )),
     # the loop's SCC pass over the states
     Mutant("a loop self-edge is not flagged as a cycle", "semantics.py", (
         ("                        low[v] = number[w]\n                    cyclic[v] = 1\n",
          "                        low[v] = number[w]\n                    if w != v:\n"
          "                        cyclic[v] = 1\n"),
+    )),
+    Mutant("a loop body's union of tables reads only its first", "semantics.py", (
+        ("return iter(per_state[v])", "return iter(per_state[v][:1])"),
+    )),
+    Mutant("a loop body's rows beside tables are ignored", "semantics.py", (
+        ("                out += iter_bits(rows[v])\n", "                pass\n"),
+    )),
+    Mutant("a loop body's partial table is read outside its domain", "semantics.py", (
+        ('for table, into in parts if into is None or into[v] == "1"]',
+         "for table, into in parts]"),
+    )),
+    Mutant("a state outside the guard is not its own final state", "semantics.py", (
+        ("reach = finals[w] = 1 << w", "reach = finals[w] = 0"),
+    )),
+    Mutant("a loop is rows even where a state outside its guard is not reached",
+           "semantics.py", (
+        ("if reached == exits.bit_count():", "if True:"),
+    )),
+    Mutant("a loop is not the identity outside its guard", "semantics.py", (
+        ("    exits = ~g & full\n", "    exits = 0\n"),
     )),
     Mutant("an edge to an open state sets no cycle flag", "semantics.py", (
         ("                        low[v] = number[w]\n                    cyclic[v] = 1\n",
@@ -112,6 +196,9 @@ MUTANTS = (
         ("cyclic = bytearray(_flag_string(may & g, n)", "cyclic = bytearray(_flag_string(may, n)"),
     )),
     # the budget and the profile's derived fields
+    Mutant("must-div ignores the tables' domains", "semantics.py", (
+        ("must = 0 if space.full_mask in meaning.doms else", "must = 0 if meaning.succs else"),
+    )),
     Mutant("the composer admits one state-node over its budget", "semantics.py", (
         ("if n * nodes > budget:", "if n * nodes >= budget:"),
     )),

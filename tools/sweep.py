@@ -3,10 +3,13 @@
 Each point writes one program over `vars x, y, z mod m` (n = m^3 states): the
 countdown `while x != 0 { x := x - 1 }` (default); `diverge` with
 `--program diverge`, where every state may diverge and no state terminates;
-or the permutation `x := x + 1` with `--program increment`.  Each row of the
-increment's relation is an int with one bit somewhere in 0..n-1, so the rows
-and their converse take about n^2/8 bytes (2 GB at n = 125 000): its default
-sweep stops at m = 40 (n = 64 000).  It runs, in a new interpreter,
+the permutation `x := x + 1` with `--program increment`; or, with `--program
+branch` and `--program choice`, an assignment beside `diverge` in an `if` and
+a `[]` of assignments before `diverge`, whose relations are nearly empty.
+Each row of the increment's relation is an int with one bit somewhere in
+0..n-1, so the rows and their converse take about n^2/8 bytes (2 GB at
+n = 125 000): its default sweep stops at m = 40 (n = 64 000).  It runs, in a
+new interpreter,
 
     transform --kind dwp --pred "x = 0"                       (default)
     check --logic dwp-lb --pre "true" --post "x = 0"          (--command check)
@@ -21,6 +24,7 @@ Standard library only; Linux (peak RSS comes from wait4).
     python3 tools/sweep.py --command check
     python3 tools/sweep.py --program diverge
     python3 tools/sweep.py --program increment
+    python3 tools/sweep.py --program branch
     python3 tools/sweep.py --moduli 101            # a single point
     python3 tools/sweep.py --src ../other/src      # another checkout's ngclab
 """
@@ -43,8 +47,10 @@ PROGRAMS = {
     "countdown": "while x != 0 { x := x - 1 }",
     "diverge": "diverge",
     "increment": "x := x + 1",
+    "branch": "if x = 0 { y := y + 1 } else { diverge }",
+    "choice": "{ x := x + 1 } [] { skip } ; diverge",
 }
-LARGEST_MODULUS = {"increment": 40}    # default sweeps stop there (memory)
+INCREMENT_MODULI = tuple(m for m in MODULI if m <= 40)    # memory, see above
 COMMANDS = {
     "transform": ["transform", "--kind", "dwp", "--pred", "x = 0"],
     "check": ["check", "--logic", "dwp-lb", "--pre", "true", "--post", "x = 0"],
@@ -78,14 +84,14 @@ def main(argv=None) -> int:
     parser.add_argument("--program", choices=sorted(PROGRAMS), default="countdown")
     parser.add_argument("--moduli", type=lambda s: [int(m) for m in s.split(",")],
                         help="comma-separated moduli m (n = m^3); default "
-                             + ",".join(map(str, MODULI)) + ", or up to 40 for increment")
+                             + ",".join(map(str, MODULI)) + ", and "
+                             + ",".join(map(str, INCREMENT_MODULI)) + " for increment")
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the ngclab package to run")
     args = parser.parse_args(argv)
     if args.moduli is None:
-        largest = LARGEST_MODULUS.get(args.program, MODULI[-1])
-        args.moduli = [m for m in MODULI if m <= largest]
+        args.moduli = INCREMENT_MODULI if args.program == "increment" else MODULI
     print(f"{'n':>9}  {'wall_s':>8}  {'peak_rss_mb':>11}  exit  stdout_sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.moduli:
