@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 the command succeeded and the checked
 claim holds (or a counterexample was found, for the counterexample command),
 1 the claim is false (or no counterexample turned up), 2 usage or input
-error, 3 an internal invariant broke, 4 a resource limit (the state-space cap
-or the configuration-graph node budget) was reached.
+error, 3 an internal invariant broke, 4 a resource limit was reached: the
+state-space cap, or the profile budget (states times program nodes, 10^6).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .errors import BudgetExceededError, NgclError, NgclSyntaxError, SpaceCapError
-from .logics import Triple, classify, holds, logic_by_name
+from .logics import Triple, classify, logic_by_name, violated_states
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
 from .space import Predicate, low_bit, state_cap
@@ -80,35 +80,15 @@ def cmd_check(args) -> int:
     logic = logic_by_name(args.logic)
     pre = guard_pred(args.pre, space)
     post = guard_pred(args.post, space)
-    triple = Triple(pre, program, post)
-    if holds(logic, triple):
+    gap = violated_states(logic, Triple(pre, program, post))
+    if not gap:
         print(f"valid for {logic.name}")
         return 0
-    # print a violating state: for lower bounds, a bound state outside the
-    # transformer result; for upper bounds, a result state outside the bound
-    witness = _violating_state(logic, triple)
-    where = f" (witness {witness})" if witness is not None else ""
-    print(f"invalid for {logic.name}{where}")
+    # the witness is the first violating state: for a lower bound, a bound
+    # state outside the transformer result; for an upper bound, a result
+    # state outside the bound
+    print(f"invalid for {logic.name} (witness {space.render_states([low_bit(gap)])[0]})")
     return CLAIM_FALSE
-
-
-def _violating_state(logic, triple):
-    from .logics import Bound, INTERSECTION_LOGIC, UNION_LOGIC
-
-    if logic in (UNION_LOGIC, INTERSECTION_LOGIC):
-        awp = oracle_transform(TransformerKind.AWP, triple.program, triple.post)
-        dwlp = oracle_transform(TransformerKind.DWLP, triple.program, triple.post)
-        target = awp | dwlp if logic is UNION_LOGIC else awp & dwlp
-        gap = triple.pre - target
-    elif logic.kind.backward:
-        result = oracle_transform(logic.kind, triple.program, triple.post)
-        gap = triple.pre - result if logic.bound is Bound.LB else result - triple.pre
-    else:
-        result = oracle_transform(logic.kind, triple.program, triple.pre)
-        gap = triple.post - result if logic.bound is Bound.LB else result - triple.post
-    if gap.is_empty:
-        return None
-    return gap.space.render_states([low_bit(gap.bits)])[0]
 
 
 def _corpus_from_args(args) -> CorpusConfig:

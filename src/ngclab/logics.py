@@ -2,20 +2,22 @@
 
 Sixteen arise from bounding each transformer from below or above; two more
 bound the union and the intersection of the angelic weakest pre and the
-demonic weakest liberal pre.  Also here: the assumption classifiers the
-collapse theorems filter on.
+demonic weakest liberal pre.  `violations` is the one implementation of
+that subset condition: `holds`, the command line's `check`, the theorem
+suite and the search all read their verdicts off it.  Also here: the
+assumption classifiers the collapse theorems filter on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
-from .transformers import TransformerKind, oracle_transform
+from .transformers import AWP, DWLP, TransformerKind, _oracle_bits
 
 
 class Bound(Enum):
@@ -30,6 +32,18 @@ class LogicId:
     bound: Bound
     colloquial: Optional[str] = None
     equation: Optional[str] = None   # linked catalog EquationId, if expressible
+    # the subset condition as `violations` reads it: (table position of the
+    # transformer, or None for the union/intersection logics; backward;
+    # lower bound)
+    shape: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind = self.kind
+        object.__setattr__(self, "shape", (
+            None if kind is None else tuple(TransformerKind).index(kind),
+            kind is None or kind.backward,
+            self.bound is Bound.LB,
+        ))
 
     def __repr__(self) -> str:
         return f"LogicId({self.name})"
@@ -129,19 +143,42 @@ class Triple:
         return f"{{{self.pre!r}}} {pretty_program(self.program)} {{{self.post!r}}}"
 
 
+def violations(logics, tb, tc, b: int, c: int, full: int) -> list[int]:
+    """Per logic, the mask of the states breaking its subset condition on
+    (b, c), given the transformer tables of b and c: a backward logic reads
+    only tc, a forward one only tb.  A lower bound is broken by the bound's
+    states outside the transformer result, an upper bound by the result's
+    states outside the bound; the triple is valid iff its mask is 0."""
+    out = []
+    for logic in logics:
+        pos, backward, lower = logic.shape
+        if pos is None:
+            awp, dwlp = tc[AWP], tc[DWLP]
+            out.append(b & ~(awp | dwlp if logic is UNION_LOGIC else awp & dwlp))
+        elif backward:
+            out.append(b & ~tc[pos] if lower else tc[pos] & ~b & full)
+        else:
+            out.append(c & ~tb[pos] if lower else tb[pos] & ~c & full)
+    return out
+
+
+def violated_states(logic: LogicId, t: Triple) -> int:
+    """The mask of the states breaking the logic's subset condition on the
+    triple.  Only the transformers the logic reads are computed."""
+    pos, backward, _ = logic.shape
+    prof = profile(t.program, t.space)
+    q = t.post.bits if backward else t.pre.bits
+    kinds = tuple(TransformerKind)
+    table = [0] * len(kinds)
+    for k in (AWP, DWLP) if pos is None else (pos,):
+        table[k] = _oracle_bits(kinds[k], prof, q)
+    return violations((logic,), table, table, t.pre.bits, t.post.bits,
+                      t.space.full_mask)[0]
+
+
 def holds(logic: LogicId, t: Triple) -> bool:
     """Validity of the triple under the logic's subset condition."""
-    if logic is UNION_LOGIC or logic is INTERSECTION_LOGIC:
-        awp = oracle_transform(TransformerKind.AWP, t.program, t.post)
-        dwlp = oracle_transform(TransformerKind.DWLP, t.program, t.post)
-        target = awp | dwlp if logic is UNION_LOGIC else awp & dwlp
-        return t.pre <= target
-    kind = logic.kind
-    if kind.backward:
-        result = oracle_transform(kind, t.program, t.post)
-        return t.pre <= result if logic.bound is Bound.LB else result <= t.pre
-    result = oracle_transform(kind, t.program, t.pre)
-    return t.post <= result if logic.bound is Bound.LB else result <= t.post
+    return not violated_states(logic, t)
 
 
 # --- assumption classifiers ----------------------------------------------------
@@ -213,11 +250,7 @@ def classify(
     offending = syntactic_choice(p)
     determinism = Flag(offending is None, offending)
 
-    irreversible = 0
-    for i in range(space.size):
-        if post_bits >> i & 1 and prof.inverse_relation.rows[i].bit_count() > 1:
-            irreversible |= 1 << i
-            break
+    irreversible = prof.irreversible & post_bits
     reversibility = Flag(irreversible == 0,
                          None if irreversible == 0 else space.state(low_bit(irreversible)))
 

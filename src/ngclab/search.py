@@ -14,30 +14,32 @@ block's verdicts depend only on the program's semantic class (its relation
 rows and may-divergence), so within one call the candidates are scanned once
 per class for the first refuting one, and a later program of the class
 costs one comparison of that hit against the budget left.  The memo lives and
-dies with the call, so a caller that clears the caches starts cold.
+dies with the call, so a caller that clears the caches starts cold.  Verdicts
+come from the logics' kernel, over the class store's transformer tables.
 `SearchResult.stats` counts the programs drawn and their classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+# the kernel is imported as a module, not by name: see theorems.py
+from . import logics as _logics
 from .generators import all_predicates, exhaustive_programs
 from .logics import (
     ASP_LB, ASP_UB, ASLP_LB, ASLP_UB, AWP_LB, AWP_UB, AWLP_LB, AWLP_UB,
     DSP_LB, DSP_UB, DSLP_LB, DSLP_UB, DWP_LB, DWP_UB, DWLP_LB, DWLP_UB,
-    INTERSECTION_LOGIC, UNION_LOGIC,
-    Bound, LogicId, syntactic_choice,
+    INTERSECTION_LOGIC,
+    LogicId, syntactic_choice,
 )
 from .semantics import Profile, profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
 from .topkat import check_equation
-from .transformers import TransformerKind, rows_table
+from .transformers import AWLP, AWP, DWLP, DWP, class_tables
 
 FOUND = "found"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -154,17 +156,21 @@ def _drive(claim: str, blocks: Iterable[_Block], budget: int) -> SearchResult:
     return SearchResult(claim, SPACE_EXHAUSTED, None, spent)
 
 
-Verdict = Callable[[int, int], bool]
-
-
-def _first_difference(npred: int, left: Verdict, right: Verdict) -> Optional[int]:
+def _first_difference(npred: int, differ: Callable[[int, int], bool]) -> Optional[int]:
     """Candidates are the (i, j) pairs of predicate bits, i-major: the index of
-    the first on which the two verdicts differ, or None."""
+    the first on which `differ` holds, or None."""
     for i in range(npred):
         for j in range(npred):
-            if left(i, j) != right(i, j):
+            if differ(i, j):
                 return i * npred + j
     return None
+
+
+def _masks(logics: tuple, prof: Profile) -> Callable[[int, int], list[int]]:
+    """The logics' violation masks on the bits of (pre, post) in prof's
+    class: a logic holds where its mask is 0."""
+    t, full, violations = class_tables(prof), prof.space.full_mask, _logics.violations
+    return lambda b, c: violations(logics, t[b], t[c], b, c, full)
 
 
 def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, list], object]
@@ -187,38 +193,6 @@ def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, list], 
                 value = memo[key] = make(prof, preds)
                 stats["classes"] += 1
             yield space, preds, p, value
-
-
-_KINDS = tuple(TransformerKind)
-
-
-@lru_cache(maxsize=1 << 12)
-def _class_tables(rows: tuple[int, ...], may_div: int) -> tuple[tuple[int, ...], ...]:
-    """For one semantic class -- the programs with these relation rows and
-    this may-divergence -- each transformer (in TransformerKind order) applied
-    to every predicate, indexed by its bits."""
-    return tuple(zip(*(rows_table(rows, may_div, q) for q in range(1 << len(rows)))))
-
-
-def _table(kind: TransformerKind, prof: Profile) -> tuple[int, ...]:
-    return _class_tables(prof.relation.rows, prof.may_div)[_KINDS.index(kind)]
-
-
-def _logic_verdict(logic: LogicId, prof: Profile) -> Verdict:
-    """The logic's subset condition as a test on the bits of (pre, post)."""
-    if logic.kind is None:
-        combine = or_ if logic is UNION_LOGIC else and_
-        target = list(map(combine, _table(TransformerKind.AWP, prof),
-                          _table(TransformerKind.DWLP, prof)))
-        return lambda b, c: b & ~target[c] == 0
-    result = _table(logic.kind, prof)
-    if logic.kind.backward:
-        if logic.bound is Bound.LB:
-            return lambda b, c: b & ~result[c] == 0
-        return lambda b, c: result[c] & ~b == 0
-    if logic.bound is Bound.LB:
-        return lambda b, c: c & ~result[b] == 0
-    return lambda b, c: result[b] & ~c == 0
 
 
 def _witness(space: StateSpace, programs: dict, pre: Predicate, post: Predicate,
@@ -247,17 +221,23 @@ def _logic_pair_blocks(config: SearchConfig, stats: dict, left: LogicId, right: 
 
     def block(prof: Profile, class_preds: list) -> _Block:
         npred = len(class_preds)
-        if det_rev and not _reversible(prof):
+        if det_rev and prof.irreversible:
             return _Block(npred * npred, None, None)
-        lv, rv = _logic_verdict(left, prof), _logic_verdict(right, prof)
+        t, full, violations = class_tables(prof), prof.space.full_mask, _logics.violations
+        logics = (left, right)
+
+        def differ(b: int, c: int) -> bool:
+            lv, rv = violations(logics, t[b], t[c], b, c, full)
+            return (not lv) != (not rv)
 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
+            lv, rv = violations(logics, t[b], t[c], b, c, full)
             return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
-                            f"{left.name} is {lv(b, c)} but {right.name} is {rv(b, c)}",
+                            f"{left.name} is {not lv} but {right.name} is {not rv}",
                             left=left.name, right=right.name)
 
-        return _Block(npred * npred, _first_difference(npred, lv, rv), witness)
+        return _Block(npred * npred, _first_difference(npred, differ), witness)
 
     for space, preds, p, cls in _classes(config, stats, block):
         # a program's syntax can only take away a hit
@@ -270,16 +250,16 @@ def _combination_gap_blocks(claim: str, config: SearchConfig, stats: dict) -> It
     """Transformer-level gaps: dwp vs awp-and-dwlp, awlp vs awp-or-dwlp; one
     candidate per postcondition."""
     if claim == "dwp-neq-intersection":
-        kind, combine = TransformerKind.DWP, and_
+        pos, combine = DWP, and_
         detail = "dwp differs from awp intersect dwlp"
     else:
-        kind, combine = TransformerKind.AWLP, or_
+        pos, combine = AWLP, or_
         detail = "awlp differs from awp union dwlp"
 
     def block(prof: Profile, class_preds: list) -> _Block:
-        gaps = [result ^ combine(awp, dwlp) for result, awp, dwlp in zip(
-            _table(kind, prof), _table(TransformerKind.AWP, prof),
-            _table(TransformerKind.DWLP, prof))]
+        t = class_tables(prof)
+        gaps = [v[pos] ^ combine(v[AWP], v[DWLP])
+                for v in map(t.__getitem__, range(len(class_preds)))]
 
         def witness(c: int) -> dict:
             idx = low_bit(gaps[c])
@@ -300,19 +280,20 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
     classes is a pair of may-divergences, and each such pair is scanned once."""
 
     def total(prof: Profile, class_preds: list) -> tuple:
-        return prof.relation, prof.may_div, _logic_verdict(DWP_LB, prof)
+        return prof.relation, prof.may_div, _masks((DWP_LB,), prof)
 
-    def pair(npred: int, q_total: Verdict, p_total: Verdict) -> _Block:
+    def pair(npred: int, q_total, p_total) -> _Block:
         def witness(index: int) -> dict:
             c, b = divmod(index, npred)
             return _witness(
                 space, {"program_a": pretty_program(q), "program_b": pretty_program(p)},
                 preds[b], preds[c],
                 "equal relational denotations, total-correctness verdicts "
-                f"{q_total(b, c)} vs {p_total(b, c)}",
+                f"{not q_total(b, c)[0]} vs {not p_total(b, c)[0]}",
             )
 
-        hit = _first_difference(npred, lambda c, b: q_total(b, c), lambda c, b: p_total(b, c))
+        hit = _first_difference(
+            npred, lambda c, b: (not q_total(b, c)[0]) != (not p_total(b, c)[0]))
         return _Block(npred * npred, hit, witness)
 
     by_relation: dict = {}
@@ -336,7 +317,10 @@ def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
             return check_equation("OUTCOME_CONJUNCTION", class_preds[b], relation,
                                   class_preds[c])
 
-        logic = _logic_verdict(INTERSECTION_LOGIC, prof)
+        masks = _masks((INTERSECTION_LOGIC,), prof)
+
+        def logic(b: int, c: int) -> bool:
+            return not masks(b, c)[0]
 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
@@ -344,14 +328,11 @@ def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
                             f"equation system says {system(b, c)}, "
                             f"subset condition says {logic(b, c)}")
 
-        return _Block(npred * npred, _first_difference(npred, system, logic), witness)
+        hit = _first_difference(npred, lambda b, c: system(b, c) != logic(b, c))
+        return _Block(npred * npred, hit, witness)
 
     for space, preds, p, cls in _classes(config, stats, block):
         yield cls
-
-
-def _reversible(prof) -> bool:
-    return all(row.bit_count() <= 1 for row in prof.inverse_relation.rows)
 
 
 def find_counterexample(claim: str, config: SearchConfig | None = None) -> SearchResult:

@@ -247,23 +247,6 @@ class TransitionGraph:
                     queue.append(nxt)
         return Predicate(self.space, bits)
 
-    def to_dot(self) -> str:
-        def label(node: int) -> str:
-            state = self.space.state(self.state_of(node))
-            if self.is_terminal(node):
-                return f"end {state!r}"
-            return f"pc {node // self.space.size} | {state!r}"
-
-        lines = ["digraph configurations {"]
-        for node in self.nodes:
-            shape = "doublecircle" if self.is_terminal(node) else "box"
-            lines.append(f'  n{node} [shape={shape}, label="{label(node)}"];')
-        for node in self.nodes:
-            for nxt in self.edges.get(node, ()):
-                lines.append(f"  n{node} -> n{nxt};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_graph(
     p: Program,
@@ -670,6 +653,7 @@ class Profile:
     # StateSpace keeps its columns: many profiles never need them
     _inverse = None
     _reach = None
+    _irreversible = None
 
     @property
     def inverse_relation(self) -> Relation:
@@ -686,6 +670,16 @@ class Profile:
             reach = self.relation.codomain_bits()
             object.__setattr__(self, "_reach", reach)
         return reach
+
+    @property
+    def irreversible(self) -> int:
+        """The final states with more than one initial state."""
+        irreversible = self._irreversible
+        if irreversible is None:
+            irreversible = _space.mask_of(
+                [row.bit_count() > 1 for row in self.inverse_relation.rows])
+            object.__setattr__(self, "_irreversible", irreversible)
+        return irreversible
 
 
 @lru_cache(maxsize=1 << 18)

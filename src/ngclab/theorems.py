@@ -15,19 +15,26 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
+# the kernel is imported as a module, not by name: perfbench's tracer wraps
+# every name one ngclab module imports from another as a layer, and a
+# per-triple step is not one
+from . import logics as _logics
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (
     ALL_LOGICS,
     ASP_LB, ASP_UB, ASLP_LB, ASLP_UB, AWP_LB, AWP_UB, AWLP_LB, AWLP_UB,
     DSP_LB, DSP_UB, DSLP_LB, DSLP_UB, DWP_LB, DWP_UB, DWLP_LB, DWLP_UB,
     INTERSECTION_LOGIC, UNION_LOGIC,
-    Bound, syntactic_choice,
+    syntactic_choice,
 )
-from .semantics import Profile, profile
+from .semantics import profile
 from .space import Predicate, StateSpace
 from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
-from .transformers import TransformerKind, _oracle_bits, transformer_table
+from .transformers import (
+    AWP, AWLP, ASP, ASLP, DSP, DSLP, DWP, DWLP,
+    TransformerKind, _oracle_bits, class_tables,
+)
 
 THEOREM_IDS = (
     "ORDERING",
@@ -142,36 +149,8 @@ def _witness(p: Program, space: StateSpace, detail: str, b=None, c=None) -> dict
     return out
 
 
-# Positions in transformer_table's tuple (TransformerKind order); the logic
-# vector is positional in ALL_LOGICS order, catalog_values in EQUATIONS order.
-AWP, DWP, AWLP, DWLP, ASP, DSP, ASLP, DSLP = range(8)
-_KINDS = tuple(TransformerKind)
-
-# per logic: (transformer position, or None for the union/intersection
-# logics; backward; lower bound; union)
-_VECTOR = tuple(
-    (None if logic.kind is None else _KINDS.index(logic.kind),
-     logic.kind is None or logic.kind.backward,
-     logic.bound is Bound.LB,
-     logic is UNION_LOGIC)
-    for logic in ALL_LOGICS
-)
-
-
-def _holds_vector(tb: tuple, tc: tuple, b: int, c: int, full: int) -> list[bool]:
-    """Each logic's verdict on (b, c), given the transformer tables of b and c."""
-    vec = []
-    for pos, backward, lower, union in _VECTOR:
-        if pos is None:
-            target = tc[AWP] | tc[DWLP] if union else tc[AWP] & tc[DWLP]
-            vec.append(b & ~target == 0)
-        elif backward:
-            result = tc[pos]
-            vec.append(b & ~result == 0 if lower else result & ~b & full == 0)
-        else:
-            result = tb[pos]
-            vec.append(c & ~result == 0 if lower else result & ~c & full == 0)
-    return vec
+# A logic vector -- what `violations` returns for ALL_LOGICS -- is positional
+# in ALL_LOGICS order, catalog_values in EQUATIONS order.
 
 
 def _logic_pairs(template: str, pairs) -> tuple:
@@ -220,47 +199,31 @@ _BRIDGES = tuple(
     )
 )
 
+_NAMES = [kind.value for kind in TransformerKind]     # by table position
 _ORDERING_CHAINS = tuple(
     (low, mid, high,
-     f"ordering {_KINDS[low].value} <= {_KINDS[mid].value} <= {_KINDS[high].value} fails")
+     f"ordering {_NAMES[low]} <= {_NAMES[mid]} <= {_NAMES[high]} fails")
     for low, mid, high in ((DWP, AWP, AWLP), (DWP, DWLP, AWLP),
                            (DSP, ASP, ASLP), (DSP, DSLP, ASLP))
 )
 _COMPLEMENTS = tuple(
-    (a, d, f"{_KINDS[a].value} is not the complement of {_KINDS[d].value} on the negation")
+    (a, d, f"{_NAMES[a]} is not the complement of {_NAMES[d]} on the negation")
     for a, d in ((AWP, DWLP), (DWP, AWLP), (ASP, DSLP), (DSP, ASLP))
 )
 
 
-class _Class(dict):
-    """One semantic class of the corpus: a profile, plus (for the determinism
-    collapse) whether the program text is choice-free.  As a dict it maps a
-    predicate's bits to its transformer table, filled on first use."""
-
-    def __init__(self, prof: Profile, choice_free: bool):
-        super().__init__()
-        self.prof = prof
-        self.choice_free = choice_free
-        self.reach = prof.reach
-        # final states with more than one initial state
-        self.irreversible = sum(1 << i for i, row in enumerate(prof.inverse_relation.rows)
-                                if row.bit_count() > 1)
-        self.checked: set[tuple[int, int]] = set()   # (b, c) pairs done
-
-    def __missing__(self, q: int) -> tuple[int, ...]:
-        table = self[q] = transformer_table(self.prof, q)
-        return table
-
-
-# Per-triple checks: (class, b, c, full) -> None when the triple passes, or a
-# failure detail.  A collapse check returns _OUTSIDE when the bare equality
-# fails outside the assumption filter (a non-vacuity witness).
+# Per-triple checks: (t, prof, free, b, c, full) -> None when the triple
+# passes, or a failure detail.  t is the class's store of transformer tables
+# by predicate bits, prof a profile of the class, and free whether the
+# program text is choice-free (read by the determinism collapse only).  A
+# collapse check returns _OUTSIDE when the bare equality fails outside the
+# assumption filter (a non-vacuity witness).
 
 _OUTSIDE = "equality fails outside the assumption filter"
 _INSIDE = "collapse equality fails under the assumption"
 
 
-def _check_ordering(t, b, c, full):
+def _check_ordering(t, prof, free, b, c, full):
     for q in (b, c):
         v = t[q]
         for low, mid, high, detail in _ORDERING_CHAINS:
@@ -269,7 +232,7 @@ def _check_ordering(t, b, c, full):
     return None
 
 
-def _check_contrapositive(t, b, c, full):
+def _check_contrapositive(t, prof, free, b, c, full):
     for q in (b, c):
         v, neg = t[q], t[full ^ q]
         for a, d, detail in _COMPLEMENTS:
@@ -280,19 +243,19 @@ def _check_contrapositive(t, b, c, full):
     return None
 
 
-def _check_galois_pc(t, b, c, full):
+def _check_galois_pc(t, prof, free, b, c, full):
     lhs = b & ~t[c][DWLP] == 0
     rhs = t[b][ASP] & ~c & full == 0
     return None if lhs == rhs else "partial-correctness adjunction fails"
 
 
-def _check_galois_pi(t, b, c, full):
+def _check_galois_pi(t, prof, free, b, c, full):
     lhs = t[c][AWP] & ~b & full == 0
     rhs = c & ~t[b][DSLP] == 0
     return None if lhs == rhs else "partial-incorrectness adjunction fails"
 
 
-def _check_combo(t, b, c, full):
+def _check_combo(t, prof, free, b, c, full):
     for q in (b, c):
         v = t[q]
         if v[DSP] != v[ASP] & v[DSLP]:
@@ -302,37 +265,37 @@ def _check_combo(t, b, c, full):
     return None
 
 
-def _check_fig4(t, b, c, full):
-    vec = _holds_vector(t[b], t[c], b, c, full)
+def _check_fig4(t, prof, free, b, c, full):
+    vec = _logics.violations(ALL_LOGICS, t[b], t[c], b, c, full)
     for src, dst, detail in _IMPLICATIONS:
-        if vec[src] and not vec[dst]:
+        if not vec[src] and vec[dst]:
             return detail
     nb, nc = full ^ b, full ^ c
-    neg = _holds_vector(t[nb], t[nc], nb, nc, full)
+    neg = _logics.violations(ALL_LOGICS, t[nb], t[nc], nb, nc, full)
     for a, d, detail in _CONTRA_PAIRS:
-        if vec[a] != neg[d]:
+        if (not vec[a]) != (not neg[d]):
             return detail
     for a, d, detail in _GALOIS_PAIRS:
-        if vec[a] != vec[d]:
+        if (not vec[a]) != (not vec[d]):
             return detail
     return None
 
 
-def _check_bridges(t, b, c, full):
-    vec = _holds_vector(t[b], t[c], b, c, full)
-    values = catalog_values(t.prof.relation, b, c)
+def _check_bridges(t, prof, free, b, c, full):
+    vec = _logics.violations(ALL_LOGICS, t[b], t[c], b, c, full)
+    values = catalog_values(prof.relation, b, c)
     for eq, logic, detail in _BRIDGES:
-        if values[eq] != vec[logic]:
+        if values[eq] != (not vec[logic]):
             return detail
     return None
 
 
 def _collapse(assumption, equality):
     """A per-triple check from the collapse's scoped assumption and equality."""
-    def check(t, b, c, full):
-        if equality(t, b, c, full):
+    def check(t, prof, free, b, c, full):
+        if equality(t, prof, free, b, c, full):
             return None
-        return _INSIDE if assumption(t, b, c, full) else _OUTSIDE
+        return _INSIDE if assumption(t, prof, free, b, c, full) else _OUTSIDE
     return check
 
 
@@ -348,30 +311,30 @@ _CHECKS = {
     "FIG4_IMPLICATIONS": _check_fig4,
     "BRIDGES": _check_bridges,
     "TERMINATION_COLLAPSE": _collapse(
-        lambda t, b, c, full: t.prof.may_div & b == 0,
-        lambda t, b, c, full: (
+        lambda t, prof, free, b, c, full: prof.may_div & b == 0,
+        lambda t, prof, free, b, c, full: (
             b & t[c][DWP] == b & t[c][DWLP] and b & t[c][AWP] == b & t[c][AWLP]
         ),
     ),
     "REACHABILITY_COLLAPSE": _collapse(
-        lambda t, b, c, full: c & ~t.reach & full == 0,
-        lambda t, b, c, full: (
+        lambda t, prof, free, b, c, full: c & ~prof.reach & full == 0,
+        lambda t, prof, free, b, c, full: (
             c & t[b][ASP] == c & t[b][ASLP] and c & t[b][DSP] == c & t[b][DSLP]
         ),
     ),
     "DETERMINISM_COLLAPSE": _collapse(
-        lambda t, b, c, full: t.choice_free,
-        lambda t, b, c, full: t[c][AWP] == t[c][DWP] and t[c][AWLP] == t[c][DWLP],
+        lambda t, prof, free, b, c, full: free,
+        lambda t, prof, free, b, c, full: t[c][AWP] == t[c][DWP] and t[c][AWLP] == t[c][DWLP],
     ),
     "REVERSIBILITY_COLLAPSE": _collapse(
-        lambda t, b, c, full: c & t.irreversible == 0,
-        lambda t, b, c, full: (
+        lambda t, prof, free, b, c, full: c & prof.irreversible == 0,
+        lambda t, prof, free, b, c, full: (
             c & t[b][ASP] == c & t[b][DSP] and c & t[b][ASLP] == c & t[b][DSLP]
         ),
     ),
     "BRANCHING_COLLAPSE": _collapse(
-        lambda t, b, c, full: t.prof.may_div & ~t.prof.must_div & b == 0,
-        lambda t, b, c, full: (
+        lambda t, prof, free, b, c, full: prof.may_div & ~prof.must_div & b == 0,
+        lambda t, prof, free, b, c, full: (
             b & t[c][DWP] == b & t[c][AWP] & t[c][DWLP]
             and b & t[c][AWLP] == b & (t[c][AWP] | t[c][DWLP])
         ),
@@ -379,8 +342,8 @@ _CHECKS = {
     # under no branching divergence, may-termination everywhere and
     # must-termination everywhere are the same program property
     "MAY_TERMINATION": _collapse(
-        lambda t, b, c, full: t.prof.may_div == t.prof.must_div,
-        lambda t, b, c, full: (t[full][AWP] == full) == (t[0][AWLP] == 0),
+        lambda t, prof, free, b, c, full: prof.may_div == prof.must_div,
+        lambda t, prof, free, b, c, full: (t[full][AWP] == full) == (t[0][AWLP] == 0),
     ),
 }
 
@@ -422,26 +385,27 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     check = _CHECKS[theorem]
     syntactic = theorem == "DETERMINISM_COLLAPSE"
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all
-    classes: dict[tuple, _Class] = {}
+    checked: dict[tuple, set] = {}    # per class: the (b, c) pairs done
     nonvacuity = None
     for p, pairs in corpus_items(corpus):
         programs += 1
         prof = profile(p, space)
-        key = (prof.relation.rows, prof.may_div,
-               syntactic and syntactic_choice(p) is None)
-        t = classes.get(key)
-        if t is None:
-            t = classes[key] = _Class(prof, key[2])
+        free = syntactic and syntactic_choice(p) is None
+        key = (prof.relation.rows, prof.may_div, free)
+        done = checked.get(key)
+        if done is None:
+            done = checked[key] = set()
         elif shared_pairs:
             triples += len(pairs)
             continue
+        t = class_tables(prof)
         for b, c in pairs:
             triples += 1
             bits = (b.bits, c.bits)
-            if bits in t.checked:
+            if bits in done:
                 continue
-            t.checked.add(bits)
-            detail = check(t, bits[0], bits[1], full)
+            done.add(bits)
+            detail = check(t, prof, free, bits[0], bits[1], full)
             if detail is None:
                 continue
             if detail is _OUTSIDE:

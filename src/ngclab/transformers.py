@@ -6,6 +6,8 @@ may-divergence.  The inductive route applies Dijkstra-style structural rules
 with Kleene-iterated loop fixpoints (least from the empty set, greatest from
 the full space) to a rule chain compiled once per program and state space.
 The two must agree everywhere; the test suite checks that differentially.
+The class store keeps the oracle's eight results per predicate for each
+semantic class, shared by every caller that reads many of them.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class TransformerKind(Enum):
 BACKWARD_KINDS = tuple(k for k in TransformerKind if k.backward)
 FORWARD_KINDS = tuple(k for k in TransformerKind if k.forward)
 
+# A transformer table holds one predicate's eight results in TransformerKind
+# order; these are their positions.
+AWP, DWP, AWLP, DWLP, ASP, DSP, ASLP, DSLP = range(8)
+
 
 # --- semantic oracle ---------------------------------------------------------
 #
@@ -78,15 +84,10 @@ def _oracle_bits(kind: TransformerKind, prof: Profile, q: int) -> int:
     return bits if kind.liberal else bits & prof.reach
 
 
-def transformer_table(prof: Profile, q: int) -> tuple[int, ...]:
-    """All eight transformers of q, in TransformerKind order, from one pass
-    over the relation's rows."""
-    return rows_table(prof.relation.rows, prof.may_div, q)
-
-
 def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
-    """transformer_table of the semantic class with these relation rows and
-    may-divergence: the eight results depend on nothing else."""
+    """The transformer table of q in the semantic class with these relation
+    rows and may-divergence, from one pass over the rows: the eight results
+    depend on nothing else."""
     full = (1 << len(rows)) - 1
     pre = pre_not = img = img_not = 0
     bit = 1
@@ -111,6 +112,33 @@ def oracle_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predica
     """Quantifier definition of the transformer, off the collecting semantics."""
     prof = profile(p, q.space)
     return Predicate(q.space, _oracle_bits(kind, prof, q.bits))
+
+
+class _Tables(dict):
+    """One semantic class's transformer tables by predicate bits, each
+    computed on first use."""
+
+    def __init__(self, rows: tuple[int, ...], may_div: int):
+        super().__init__()
+        self.rows = rows
+        self.may_div = may_div
+
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        table = self[q] = rows_table(self.rows, self.may_div, q)
+        return table
+
+
+@lru_cache(maxsize=1 << 16)
+def _class_store(rows: tuple[int, ...], may_div: int) -> _Tables:
+    return _Tables(rows, may_div)
+
+
+def class_tables(prof: Profile) -> dict[int, tuple[int, ...]]:
+    """The transformer tables of prof's semantic class -- every program with
+    its relation rows and may-divergence, over any space of its size -- by
+    predicate bits.  One store, shared by all the theorems of a survey and
+    by the search."""
+    return _class_store(prof.relation.rows, prof.may_div)
 
 
 # --- inductive rules ---------------------------------------------------------

@@ -1,10 +1,18 @@
 """Command-line behavior: outputs, exit codes, and report determinism."""
 
 import json
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from ngclab.cli import main
+from ngclab.logics import ALL_LOGICS, UNION_LOGIC, Bound
+from ngclab.parser import parse_guard, parse_module
+from ngclab.syntax import guard_to_predicate
+from ngclab.transformers import TransformerKind, oracle_transform
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demo").glob("*.ngcl"))
 
 
 @pytest.fixture
@@ -83,6 +91,42 @@ class TestCheck:
     def test_unknown_logic_is_usage_error(self, assign0):
         assert main(["check", "--logic", "nonsense", "--pre", "true",
                      "--post", "true", assign0]) == 2
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+    def test_every_logic_matches_the_oracle_reference(self, demo, capsys):
+        space, program = parse_module(demo.read_text(encoding="utf-8"))
+        var = space.variables[0]
+        guards = ("true", "false", f"{var} = 0", f"{var} != 1")
+        for logic, (pre, post) in product(ALL_LOGICS, product(guards, repeat=2)):
+            code = main(["check", "--logic", logic.name, "--pre", pre, "--post", post,
+                         str(demo)])
+            want = _reference_check(logic, _guard(pre, space), program, _guard(post, space))
+            assert (code, capsys.readouterr().out) == want, (logic.name, pre, post)
+
+
+def _guard(text, space):
+    return guard_to_predicate(parse_guard(text, space), space)
+
+
+def _reference_check(logic, pre, program, post):
+    """Exit code and line of `check`, from the per-kind oracle's predicates:
+    the witness is the first violating state -- for a lower bound, a bound
+    state outside the transformer result; for an upper bound, a result state
+    outside the bound."""
+    awp = oracle_transform(TransformerKind.AWP, program, post)
+    dwlp = oracle_transform(TransformerKind.DWLP, program, post)
+    if logic.kind is None:
+        gap = pre - (awp | dwlp if logic is UNION_LOGIC else awp & dwlp)
+    elif logic.kind.backward:
+        result = oracle_transform(logic.kind, program, post)
+        gap = pre - result if logic.bound is Bound.LB else result - pre
+    else:
+        result = oracle_transform(logic.kind, program, pre)
+        gap = post - result if logic.bound is Bound.LB else result - post
+    if gap.is_empty:
+        return 0, f"valid for {logic.name}\n"
+    witness = pre.space.render_states([min(gap.indices())])[0]
+    return 1, f"invalid for {logic.name} (witness {witness})\n"
 
 
 class TestSurvey:

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from ngclab import search
+from ngclab import search, transformers
 from ngclab.generators import all_predicates, exhaustive_programs, expr_pool, guard_pool
 from ngclab.logics import (
     ASP_UB, AWLP_LB, AWP_UB, DSLP_LB, DSP_UB, DWLP_LB, DWP_LB, INTERSECTION_LOGIC,
@@ -271,15 +271,16 @@ def test_lazy_enumeration_with_loops_keeps_the_order(variables, modulus):
 @pytest.mark.parametrize("variables, modulus", [(("x",), 2), (("x",), 3)])
 def test_transformer_tables_are_shared_by_semantic_class(variables, modulus):
     space = StateSpace(variables, modulus)
-    search._class_tables.cache_clear()
+    transformers._class_store.cache_clear()
     classes = set()
     for p in exhaustive_programs(space, 2, loops=True):
         prof = profile(p, space)
         classes.add((prof.relation.rows, prof.may_div))
-        for kind in TransformerKind:
-            assert search._table(kind, prof) == tuple(
-                _oracle_bits(kind, prof, q) for q in range(1 << space.size)), (p, kind)
-    assert search._class_tables.cache_info().misses == len(classes)
+        tables = transformers.class_tables(prof)
+        for q in range(1 << space.size):
+            assert tables[q] == tuple(
+                _oracle_bits(kind, prof, q) for kind in TransformerKind), (p, q)
+    assert transformers._class_store.cache_info().misses == len(classes)
 
 
 # --- semantic classes: one scan per class, shared by every program in it -------
@@ -365,9 +366,9 @@ def _counting_scans(monkeypatch):
     scans = []
     real = search._first_difference
 
-    def counting(npred, left, right):
+    def counting(npred, differ):
         scans.append(npred)
-        return real(npred, left, right)
+        return real(npred, differ)
 
     monkeypatch.setattr(search, "_first_difference", counting)
     return scans
@@ -414,17 +415,17 @@ def test_blindspot_scans_each_pair_of_classes_once(monkeypatch):
 @pytest.mark.parametrize("claim", ["dwp-neq-intersection", "awlp-neq-union"])
 def test_gap_tables_are_read_once_per_class(monkeypatch, claim):
     reads = []
-    real = search._table
+    real = search.class_tables
 
-    def counting(kind, prof):
-        reads.append(kind)
-        return real(kind, prof)
+    def counting(prof):
+        reads.append(prof)
+        return real(prof)
 
-    monkeypatch.setattr(search, "_table", counting)
+    monkeypatch.setattr(search, "class_tables", counting)
     result = find_counterexample(claim, SearchConfig())
     # the first gap is on the 32nd program, the first of the fifth class
     assert result.outcome == "found" and result.stats == {"programs": 32, "classes": 5}
-    assert len(reads) == 3 * 5
+    assert len(reads) == 5
 
 
 def test_search_stats_count_programs_and_classes_outside_the_json():

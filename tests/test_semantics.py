@@ -159,11 +159,6 @@ class TestGraph:
             with pytest.raises(BudgetExceededError):
                 build_graph(p, SIGMA, node_budget=k - 1)
 
-    def test_dot_export_mentions_all_nodes(self):
-        graph = build_graph(prog("skip"), pred([0]))
-        dot = graph.to_dot()
-        assert dot.startswith("digraph") and dot.count("label=") == len(graph.nodes)
-
     def test_sequences_compile_without_recursing_per_statement(self):
         # a `;` chain far longer than the interpreter's recursion limit
         p = prog("x := x + 1")
@@ -352,6 +347,15 @@ def test_profile_derives_the_converse_only_when_read(monkeypatch):
     assert calls == [prof.relation] and inverse == converse(prof.relation)
     assert prof.inverse_relation is inverse and len(calls) == 1
     assert prof.reach == prof.relation.codomain_bits()
+
+
+@pytest.mark.parametrize("text", ["x := 0", "x := x + 1", "{ x := 0 } [] { x := 1 }",
+                                  "while x != 0 { x := x - 1 }", "diverge"])
+def test_irreversible_states_are_those_with_two_initial_states(text):
+    prof = profile(prog(text), SPACE)
+    n = SPACE.size
+    origins = [sum(row >> j & 1 for row in prof.relation.rows) for j in range(n)]
+    assert prof.irreversible == sum(1 << j for j in range(n) if origins[j] > 1)
 
 
 # --- the composer against the operational reference ---------------------------

@@ -273,27 +273,32 @@ def test_deduplicated_survey_matches_per_triple_reference(name):
             _jsonable(reference_check(theorem, corpus)), theorem
 
 
-def _dwp_forgets_divergence(monkeypatch):
-    """dwp computed as dwlp, in the per-kind oracle and in the table alike."""
-    real_bits, real_table = transformers._oracle_bits, transformers.transformer_table
+@pytest.fixture
+def dwp_forgets_divergence(monkeypatch):
+    """dwp computed as dwlp, in the per-kind oracle and in the class store's
+    tables alike.  The store is cleared before and after, so that no table
+    cached without the fault hides it, and none cached with it outlives it."""
+    real_bits, real_table = transformers._oracle_bits, transformers.rows_table
 
     def bits(kind, prof, q):
         return real_bits(K.DWLP if kind is K.DWP else kind, prof, q)
 
-    def table(prof, q):
-        awp, _, awlp, dwlp, *forward = real_table(prof, q)
+    def table(rows, may_div, q):
+        awp, _, awlp, dwlp, *forward = real_table(rows, may_div, q)
         return (awp, dwlp, awlp, dwlp, *forward)
 
     monkeypatch.setattr(transformers, "_oracle_bits", bits)
     monkeypatch.setattr(theorems, "_oracle_bits", bits)
-    monkeypatch.setattr(theorems, "transformer_table", table)
+    monkeypatch.setattr(transformers, "rows_table", table)
+    transformers._class_store.cache_clear()
+    yield
+    transformers._class_store.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["tiny", "loops-sample", "sample-x2"])
-def test_fault_gives_the_reference_witnesses(name, monkeypatch):
+def test_fault_gives_the_reference_witnesses(name, dwp_forgets_divergence):
     """Under a planted fault both routes fail on the same first triple, with
     the same counts, and find the same non-vacuity witnesses."""
-    _dwp_forgets_divergence(monkeypatch)
     corpus = CORPORA[name]
     failed = 0
     for theorem in THEOREM_IDS:

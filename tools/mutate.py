@@ -1,10 +1,11 @@
-"""Mutation check of the semantics and search tests, one planted fault per run.
+"""Mutation check of the semantics, logic and search tests, one planted fault per run.
 
 Each mutant is a small textual edit of one module of `src/ngclab`: a rule
 of the profile's composer or a step of its loops' SCC pass dropped or bent,
 its budget off by one, a derived field of `Profile` read from the wrong
-place, or a per-class memo of the counterexample search keyed, bounded or
-filtered wrongly.  For every mutant the script copies `src/` to a
+place, the triple logics' subset-condition kernel bounding the wrong way,
+the class store of transformer tables keyed wrongly, or a per-class memo of
+the counterexample search keyed, bounded or filtered wrongly.  For every mutant the script copies `src/` to a
 temporary directory, plants the fault there (never in the checkout), and runs
 the mutant's test file against the copy in a fresh interpreter.  A mutant is
 killed when the tests fail.  It prints one line per mutant and then
@@ -208,10 +209,35 @@ MUTANTS = (
     Mutant("reach is the relation's domain", "semantics.py", (
         ("reach = self.relation.codomain_bits()", "reach = self.relation.domain_bits()"),
     )),
+    Mutant("the irreversible mask counts states with one predecessor", "semantics.py", (
+        ("[row.bit_count() > 1 for row in self.inverse_relation.rows]",
+         "[row.bit_count() >= 1 for row in self.inverse_relation.rows]"),
+    )),
     Mutant("a long mask is read highest state first", "space.py", (
         ("return int(bytes(flags).translate(_DIGITS)[::-1], 2)",
          "return int(bytes(flags).translate(_DIGITS), 2)"),
     )),
+    # the subset-condition kernel and the class store
+    Mutant("a backward logic's lower and upper bounds are swapped", "logics.py", (
+        ("out.append(b & ~tc[pos] if lower else tc[pos] & ~b & full)",
+         "out.append(tc[pos] & ~b & full if lower else b & ~tc[pos])"),
+    ), "test_cli.py"),
+    Mutant("a forward logic reads the postcondition's results", "logics.py", (
+        ("out.append(c & ~tb[pos] if lower else tb[pos] & ~c & full)",
+         "out.append(c & ~tc[pos] if lower else tc[pos] & ~c & full)"),
+    ), "test_cli.py"),
+    Mutant("the union and intersection logics are swapped", "logics.py", (
+        ("awp | dwlp if logic is UNION_LOGIC else awp & dwlp",
+         "awp & dwlp if logic is UNION_LOGIC else awp | dwlp"),
+    ), "test_cli.py"),
+    Mutant("the class store's key leaves out may-divergence", "transformers.py", (
+        ("@lru_cache(maxsize=1 << 16)\ndef _class_store(",
+         "_FIRST_MAY: dict = {}\n\n\n@lru_cache(maxsize=1 << 16)\ndef _class_store("),
+        ("return _class_store(prof.relation.rows, prof.may_div)",
+         "return _class_store(prof.relation.rows,\n"
+         "                        _FIRST_MAY.setdefault(prof.relation.rows, prof.may_div))"),
+    ), "test_transformers.py"),
+    # the counterexample search
     Mutant("the search's class key leaves out may-divergence", "search.py", (
         ("key = (prof.relation.rows, prof.may_div)", "key = prof.relation.rows"),
     ), "test_search.py"),
