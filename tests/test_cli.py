@@ -113,9 +113,9 @@ def _reference_check(logic, pre, program, post):
     the witness is the first violating state -- for a lower bound, a bound
     state outside the transformer result; for an upper bound, a result state
     outside the bound."""
-    awp = oracle_transform(TransformerKind.AWP, program, post)
-    dwlp = oracle_transform(TransformerKind.DWLP, program, post)
     if logic.kind is None:
+        awp = oracle_transform(TransformerKind.AWP, program, post)
+        dwlp = oracle_transform(TransformerKind.DWLP, program, post)
         gap = pre - (awp | dwlp if logic is UNION_LOGIC else awp & dwlp)
     elif logic.kind.backward:
         result = oracle_transform(logic.kind, program, post)
