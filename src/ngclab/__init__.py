@@ -30,7 +30,6 @@ from .logics import (
     classify,
     holds,
     logic_by_name,
-    semantic_determinism,
 )
 from .parser import parse_guard, parse_module, parse_program
 from .relations import Relation

@@ -17,7 +17,7 @@ from typing import Optional
 from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
-from .transformers import AWP, DWLP, TransformerKind, _oracle_bits
+from .transformers import AWP, DWLP, TransformerKind, class_tables
 
 
 class Bound(Enum):
@@ -164,14 +164,11 @@ def violations(logics, tb, tc, b: int, c: int, full: int) -> list[int]:
 
 def violated_states(logic: LogicId, t: Triple) -> int:
     """The mask of the states breaking the logic's subset condition on the
-    triple.  Only the transformers the logic reads are computed."""
-    pos, backward, _ = logic.shape
-    prof = profile(t.program, t.space)
-    q = t.post.bits if backward else t.pre.bits
-    kinds = tuple(TransformerKind)
-    table = [0] * len(kinds)
-    for k in (AWP, DWLP) if pos is None else (pos,):
-        table[k] = _oracle_bits(kinds[k], prof, q)
+    triple, from one transformer table of the class store: the
+    postcondition's for a backward logic, the precondition's for a forward
+    one."""
+    _, backward, _ = logic.shape
+    table = class_tables(profile(t.program, t.space))[t.post.bits if backward else t.pre.bits]
     return violations((logic,), table, table, t.pre.bits, t.post.bits,
                       t.space.full_mask)[0]
 
@@ -209,21 +206,6 @@ def syntactic_choice(p: Program) -> Optional[Program]:
     if isinstance(p, While):
         return syntactic_choice(p.body)
     return None
-
-
-def semantic_determinism(p: Program, space: StateSpace) -> Flag:
-    """At most one outcome per state: image a singleton, or certain divergence.
-
-    Exploratory helper; the determinism collapse theorem filters on the
-    syntactic notion instead.
-    """
-    prof = profile(p, space)
-    for i, row in enumerate(prof.relation.rows):
-        if row.bit_count() > 1:
-            return Flag(False, space.state(i))
-        if prof.may_div >> i & 1 and row != 0:
-            return Flag(False, space.state(i))
-    return Flag(True)
 
 
 def classify(

@@ -16,8 +16,9 @@ state, `if` and later statements cut the domains, and a loop is the
 identity outside its guard beside rows for the states under it.  Tables
 are composed with `map` and become rows only in a union of more than four
 and as the profile's relation.  The budget is states times program nodes,
-checked before each rule's own work.  The profile's converse relation and
-reachable states are derived only when first read.
+checked before each rule's own work.  The profile's reachable states and
+its final states with more than one initial state are derived only when
+first read.
 
 The configuration graph runs over integer configurations `point * n +
 state`, where the points are a flat compilation of the program; it is there
@@ -634,7 +635,8 @@ _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _
 
 
 def may_diverge(p: Program, space: StateSpace) -> Predicate:
-    """States admitting an infinite execution: the seed reaches a lasso."""
+    """States admitting an infinite execution: the profile's may-divergence,
+    which the composer builds from the sub-programs'."""
     return Predicate(space, profile(p, space).may_div)
 
 
@@ -651,17 +653,8 @@ class Profile:
 
     # derived from the relation on first read and kept as attributes, as
     # StateSpace keeps its columns: many profiles never need them
-    _inverse = None
     _reach = None
     _irreversible = None
-
-    @property
-    def inverse_relation(self) -> Relation:
-        inverse = self._inverse
-        if inverse is None:
-            inverse = self.relation.converse()
-            object.__setattr__(self, "_inverse", inverse)
-        return inverse
 
     @property
     def reach(self) -> int:
@@ -676,8 +669,10 @@ class Profile:
         """The final states with more than one initial state."""
         irreversible = self._irreversible
         if irreversible is None:
-            irreversible = _space.mask_of(
-                [row.bit_count() > 1 for row in self.inverse_relation.rows])
+            seen = irreversible = 0
+            for row in self.relation.rows:
+                irreversible |= seen & row
+                seen |= row
             object.__setattr__(self, "_irreversible", irreversible)
         return irreversible
 

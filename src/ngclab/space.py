@@ -261,14 +261,6 @@ class Predicate:
             bits |= 1 << i
         return cls(space, bits)
 
-    @classmethod
-    def from_states(cls, states) -> "Predicate":
-        states = list(states)
-        if not states:
-            raise ValueError("cannot infer a space from zero states")
-        space = states[0].space
-        return cls.from_indices(space, (s.index for s in states))
-
     def _check(self, other: "Predicate"):
         if other.space != self.space:
             raise ValueError("predicates live in different state spaces")
@@ -310,10 +302,6 @@ class Predicate:
     @property
     def is_empty(self) -> bool:
         return self.bits == 0
-
-    @property
-    def is_universe(self) -> bool:
-        return self.bits == self.space.full_mask
 
     def __repr__(self) -> str:
         if self.is_empty:

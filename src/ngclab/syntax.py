@@ -226,7 +226,6 @@ class Not(Guard):
 
 
 TRUE = BoolLit(True)
-FALSE = BoolLit(False)
 
 
 def eval_guard(guard: Guard, state: State) -> bool:

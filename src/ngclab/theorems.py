@@ -33,7 +33,7 @@ from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
 from .transformers import (
     AWP, AWLP, ASP, ASLP, DSP, DSLP, DWP, DWLP,
-    TransformerKind, _oracle_bits, class_tables,
+    TransformerKind, class_tables,
 )
 
 THEOREM_IDS = (
@@ -370,8 +370,8 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
         prof_a = profile(plain, space)
         prof_b = profile(branching, space)
         same_relation = prof_a.relation == prof_b.relation
-        awlp_a = _oracle_bits(TransformerKind.AWLP, prof_a, 0)
-        awlp_b = _oracle_bits(TransformerKind.AWLP, prof_b, 0)
+        awlp_a = class_tables(prof_a)[0][AWLP]
+        awlp_b = class_tables(prof_b)[0][AWLP]
         holds_ = same_relation and awlp_a != awlp_b
         witness = None if holds_ else _witness(
             branching, space, "collecting semantics or liberal precondition mismatch"

@@ -193,22 +193,6 @@ _CATALOG = {
 
 EQUATIONS = tuple(_CATALOG)
 
-# catalog metadata: syntactic moves connecting the equation schemas.
-# "flip" carries the top element to the other side while swapping the
-# pre/post roles; "insert-program" adds the program on the right-hand side,
-# trading the liberal reading for the non-liberal one; "swap-negate"
-# exchanges the pre-program prefix with the program-post suffix and negates
-# all tests, trading angelic for demonic resolution.
-EQUATION_TRANSFORMATIONS = (
-    ("flip", "PARTIAL_CORRECTNESS", "DEMONIC_PARTIAL_INCORRECTNESS"),
-    ("flip", "LISBON", "INCORRECTNESS"),
-    ("flip", "IN_BETWEEN", "ANGELIC_PARTIAL_INCORRECTNESS"),
-    ("insert-program", "LISBON", "IN_BETWEEN"),
-    ("insert-program", "INCORRECTNESS", "ANGELIC_PARTIAL_INCORRECTNESS"),
-    ("insert-program", "DSLP_UB", "DSP_UB"),
-    ("swap-negate", "ANGELIC_PARTIAL_INCORRECTNESS", "DEMONIC_PARTIAL_INCORRECTNESS"),
-)
-
 
 # --- the rectangle evaluator ---------------------------------------------------
 #

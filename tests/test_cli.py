@@ -9,10 +9,19 @@ import pytest
 from ngclab.cli import main
 from ngclab.logics import ALL_LOGICS, UNION_LOGIC, Bound
 from ngclab.parser import parse_guard, parse_module
+from ngclab.semantics import profile
+from ngclab.space import Predicate
 from ngclab.syntax import guard_to_predicate
-from ngclab.transformers import TransformerKind, oracle_transform
+from ngclab.transformers import TransformerKind
+
+from oracle_reference import oracle_bits
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demo").glob("*.ngcl"))
+# a loop over the largest space the benchmark's CLI items use (216 states),
+# where the class store builds its tables with linear passes
+SCALE = ("scale216", "vars x, y, z mod 6\n"
+         "while x != 0 { { x := x - 1 } [] { y := y + 1 } [] { diverge } }\n")
+CHECKED = [(demo.stem, demo.read_text(encoding="utf-8")) for demo in DEMOS] + [SCALE]
 
 
 @pytest.fixture
@@ -63,6 +72,20 @@ class TestTransform:
         assert main(["transform", "--kind", "dslp", "--engine", "both",
                      "--pred", "x = 0", choice01]) == 0
 
+    def test_every_kind_matches_the_oracle_reference_at_scale(self, tmp_path, capsys):
+        name, text = SCALE
+        path = tmp_path / f"{name}.ngcl"
+        path.write_text(text, encoding="utf-8")
+        space, program = parse_module(text)
+        for kind, guard in product(TransformerKind, ("true", "x = 0", "y != 1 || z = 2")):
+            assert main(["transform", "--kind", kind.value, "--engine", "both",
+                         "--pred", guard, str(path)]) == 0
+            want = _reference(kind, program, _guard(guard, space))
+            states = ", ".join(space.render_states(want.indices()))
+            line = ("{} (no states)" if want.is_empty
+                    else f"{{{states}}} ({want.count} of {space.size} states)")
+            assert capsys.readouterr().out == line + "\n", (kind, guard)
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.ngcl"
         path.write_text("vars x mod 3\nwhile { skip }\n")
@@ -92,14 +115,16 @@ class TestCheck:
         assert main(["check", "--logic", "nonsense", "--pre", "true",
                      "--post", "true", assign0]) == 2
 
-    @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-    def test_every_logic_matches_the_oracle_reference(self, demo, capsys):
-        space, program = parse_module(demo.read_text(encoding="utf-8"))
+    @pytest.mark.parametrize("name, text", CHECKED, ids=[name for name, _ in CHECKED])
+    def test_every_logic_matches_the_oracle_reference(self, name, text, tmp_path, capsys):
+        path = tmp_path / f"{name}.ngcl"
+        path.write_text(text, encoding="utf-8")
+        space, program = parse_module(text)
         var = space.variables[0]
         guards = ("true", "false", f"{var} = 0", f"{var} != 1")
         for logic, (pre, post) in product(ALL_LOGICS, product(guards, repeat=2)):
             code = main(["check", "--logic", logic.name, "--pre", pre, "--post", post,
-                         str(demo)])
+                         str(path)])
             want = _reference_check(logic, _guard(pre, space), program, _guard(post, space))
             assert (code, capsys.readouterr().out) == want, (logic.name, pre, post)
 
@@ -108,20 +133,25 @@ def _guard(text, space):
     return guard_to_predicate(parse_guard(text, space), space)
 
 
+def _reference(kind, program, q):
+    """The kind's transformer of q by the per-kind reference oracle."""
+    return Predicate(q.space, oracle_bits(kind, profile(program, q.space), q.bits))
+
+
 def _reference_check(logic, pre, program, post):
     """Exit code and line of `check`, from the per-kind oracle's predicates:
     the witness is the first violating state -- for a lower bound, a bound
     state outside the transformer result; for an upper bound, a result state
     outside the bound."""
     if logic.kind is None:
-        awp = oracle_transform(TransformerKind.AWP, program, post)
-        dwlp = oracle_transform(TransformerKind.DWLP, program, post)
+        awp = _reference(TransformerKind.AWP, program, post)
+        dwlp = _reference(TransformerKind.DWLP, program, post)
         gap = pre - (awp | dwlp if logic is UNION_LOGIC else awp & dwlp)
     elif logic.kind.backward:
-        result = oracle_transform(logic.kind, program, post)
+        result = _reference(logic.kind, program, post)
         gap = pre - result if logic.bound is Bound.LB else result - pre
     else:
-        result = oracle_transform(logic.kind, program, pre)
+        result = _reference(logic.kind, program, pre)
         gap = post - result if logic.bound is Bound.LB else result - post
     if gap.is_empty:
         return 0, f"valid for {logic.name}\n"

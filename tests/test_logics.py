@@ -13,10 +13,10 @@ from ngclab import (
     holds,
     logic_by_name,
     parse_program,
-    semantic_determinism,
 )
 from ngclab.generators import random_program
-from ngclab.logics import ASP_LB, AWP_LB, CONTRAPOSITIVE, DWLP_LB, DWP_LB, GALOIS
+from ngclab.logics import ASP_LB, AWP_LB, CONTRAPOSITIVE, DWLP_LB, DWP_LB, GALOIS, Flag
+from ngclab.semantics import profile
 
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
@@ -28,6 +28,19 @@ def prog(text, space=SPACE):
 
 def pred(indices, space=SPACE):
     return Predicate.from_indices(space, indices)
+
+
+def semantic_determinism(p, space):
+    """At most one outcome per state: image a singleton, or certain
+    divergence.  The determinism collapse filters on the syntactic notion;
+    this semantic one shows that the two differ."""
+    prof = profile(p, space)
+    for i, row in enumerate(prof.relation.rows):
+        if row.bit_count() > 1:
+            return Flag(False, space.state(i))
+        if prof.may_div >> i & 1 and row != 0:
+            return Flag(False, space.state(i))
+    return Flag(True)
 
 
 class TestHolds:

@@ -19,7 +19,9 @@ from ngclab.syntax import (
     Assign, Choice, Diverge, Ite, Seq, Skip, While, pretty_program,
 )
 from ngclab.topkat import check_equation
-from ngclab.transformers import TransformerKind, _oracle_bits, oracle_transform
+from ngclab.transformers import TransformerKind, oracle_transform
+
+from oracle_reference import converse, oracle_bits
 
 
 # --- reference: one candidate triple at a time, as the search used to run -----
@@ -144,7 +146,7 @@ def _ref_logic_pair(config, left, right, choice=None):
             return "budget-exhausted", candidates, None
         candidates += 1
         if choice is not None:
-            rows = profile(p, space).inverse_relation.rows
+            rows = converse(profile(p, space).relation).rows
             if choice(p) is not None or any(r.bit_count() > 1 for r in rows):
                 continue
         lv = holds(left, Triple(b, p, c))
@@ -279,7 +281,7 @@ def test_transformer_tables_are_shared_by_semantic_class(variables, modulus):
         tables = transformers.class_tables(prof)
         for q in range(1 << space.size):
             assert tables[q] == tuple(
-                _oracle_bits(kind, prof, q) for kind in TransformerKind), (p, q)
+                oracle_bits(kind, prof, q) for kind in TransformerKind), (p, q)
     assert transformers._class_store.cache_info().misses == len(classes)
 
 

@@ -327,25 +327,6 @@ def test_profile_matches_direct_computations(seed):
     assert prof.relation == denote_relation(p, SPACE)
     assert prof.may_div == may_diverge(p, SPACE).bits
     assert prof.must_div == must_div(p, SPACE).bits
-
-
-def test_profile_derives_the_converse_only_when_read(monkeypatch):
-    """`profile` builds no converse relation; the first read of
-    `inverse_relation` builds it once, and later reads return that object."""
-    calls = []
-    converse = Relation.converse
-
-    def counting(self):
-        calls.append(self)
-        return converse(self)
-
-    monkeypatch.setattr(Relation, "converse", counting)
-    p = prog("{ x := 0 } [] { while x != 0 { x := x - 1 } }")
-    prof = profile.__wrapped__(p, SPACE)     # uncached: a new Profile
-    assert calls == []
-    inverse = prof.inverse_relation
-    assert calls == [prof.relation] and inverse == converse(prof.relation)
-    assert prof.inverse_relation is inverse and len(calls) == 1
     assert prof.reach == prof.relation.codomain_bits()
 
 

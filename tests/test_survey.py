@@ -26,6 +26,7 @@ from ngclab.semantics import profile
 from ngclab.syntax import Choice, Skip, While, TRUE
 from ngclab.theorems import THEOREM_IDS, Verdict, corpus_items
 
+import oracle_reference
 from kat_reference import Chains
 
 K = transformers.TransformerKind
@@ -36,7 +37,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _tr(prof, kind, q):
     # looked up on the module at each call, so a monkeypatched fault applies
-    return transformers._oracle_bits(kind, prof, q)
+    return oracle_reference.oracle_bits(kind, prof, q)
 
 
 def _vector(prof, b, c):
@@ -150,7 +151,7 @@ def _bridges(prof, b, c):
 
 
 def _reversible_on(prof, c):
-    return all(prof.inverse_relation.rows[i].bit_count() <= 1
+    return all(oracle_reference.converse(prof.relation).rows[i].bit_count() <= 1
                for i in range(prof.space.size) if c >> i & 1)
 
 
@@ -275,10 +276,11 @@ def test_deduplicated_survey_matches_per_triple_reference(name):
 
 @pytest.fixture
 def dwp_forgets_divergence(monkeypatch):
-    """dwp computed as dwlp, in the per-kind oracle and in the class store's
-    tables alike.  The store is cleared before and after, so that no table
-    cached without the fault hides it, and none cached with it outlives it."""
-    real_bits, real_table = transformers._oracle_bits, transformers.rows_table
+    """dwp computed as dwlp, in the per-kind reference oracle and in the
+    class store's tables alike.  The store is cleared before and after, so
+    that no table cached without the fault hides it, and none cached with it
+    outlives it."""
+    real_bits, real_table = oracle_reference.oracle_bits, transformers.rows_table
 
     def bits(kind, prof, q):
         return real_bits(K.DWLP if kind is K.DWP else kind, prof, q)
@@ -287,8 +289,7 @@ def dwp_forgets_divergence(monkeypatch):
         awp, _, awlp, dwlp, *forward = real_table(rows, may_div, q)
         return (awp, dwlp, awlp, dwlp, *forward)
 
-    monkeypatch.setattr(transformers, "_oracle_bits", bits)
-    monkeypatch.setattr(theorems, "_oracle_bits", bits)
+    monkeypatch.setattr(oracle_reference, "oracle_bits", bits)
     monkeypatch.setattr(transformers, "rows_table", table)
     transformers._class_store.cache_clear()
     yield

@@ -35,6 +35,23 @@ C5 = Predicate.from_indices(FIVE, [1, 2, 3])
 P5 = Relation.from_pairs(5, [(0, 0), (1, 1), (2, 1), (3, 2), (3, 3)])
 
 
+# catalog metadata: syntactic moves connecting the equation schemas.
+# "flip" carries the top element to the other side while swapping the
+# pre/post roles; "insert-program" adds the program on the right-hand side,
+# trading the liberal reading for the non-liberal one; "swap-negate"
+# exchanges the pre-program prefix with the program-post suffix and negates
+# all tests, trading angelic for demonic resolution.
+EQUATION_TRANSFORMATIONS = (
+    ("flip", "PARTIAL_CORRECTNESS", "DEMONIC_PARTIAL_INCORRECTNESS"),
+    ("flip", "LISBON", "INCORRECTNESS"),
+    ("flip", "IN_BETWEEN", "ANGELIC_PARTIAL_INCORRECTNESS"),
+    ("insert-program", "LISBON", "IN_BETWEEN"),
+    ("insert-program", "INCORRECTNESS", "ANGELIC_PARTIAL_INCORRECTNESS"),
+    ("insert-program", "DSLP_UB", "DSP_UB"),
+    ("swap-negate", "ANGELIC_PARTIAL_INCORRECTNESS", "DEMONIC_PARTIAL_INCORRECTNESS"),
+)
+
+
 def rel(pairs, n=5):
     return Relation.from_pairs(n, pairs)
 
@@ -250,7 +267,6 @@ class TestEquationCatalog:
 
     def test_transformation_metadata_stays_inside_the_catalog(self):
         from ngclab import EQUATIONS
-        from ngclab.topkat import EQUATION_TRANSFORMATIONS
 
         for move, src, dst in EQUATION_TRANSFORMATIONS:
             assert move in ("flip", "insert-program", "swap-negate")

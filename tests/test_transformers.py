@@ -16,14 +16,20 @@ from ngclab import (
     parse_program,
     reachability_class,
 )
+from ngclab import transformers
 from ngclab.generators import all_predicates, random_program
-from ngclab.semantics import profile
+from ngclab.parser import parse_guard
+from ngclab.relations import Relation
+from ngclab.semantics import Profile, profile
+from ngclab.syntax import guard_to_predicate
 from ngclab.transformers import (
     COREACH_INCLUSION,
     REACH_INCLUSION,
-    _oracle_bits,
     class_tables,
+    rows_table,
 )
+
+from oracle_reference import converse, oracle_bits
 
 K = TransformerKind
 SPACE = StateSpace(("x",), 3)
@@ -142,9 +148,68 @@ def test_one_pass_table_matches_per_kind_oracle_and_inductive_rules(space):
         prof = profile(p, space)
         for q in range(1 << space.size):
             table = class_tables(prof)[q]
-            assert table == tuple(_oracle_bits(kind, prof, q) for kind in K), (p, q)
+            assert table == tuple(oracle_bits(kind, prof, q) for kind in K), (p, q)
             assert table == tuple(inductive_transform(kind, p, Predicate(space, q)).bits
                                   for kind in K), (p, q)
+
+
+# --- both sides of rows_table's size switch -------------------------------------
+
+def test_one_pass_table_matches_per_kind_oracle_on_random_relations():
+    """rows_table against the per-kind oracle for every n up to 300, on both
+    sides of its switch from the state loop to the linear passes: random rows
+    (empty, one successor, or dense) and random may-divergence."""
+    assert transformers._LOOPED < 300
+    rng = random.Random(8080)
+    for n in range(1, 301):
+        space = StateSpace(("x",), n)
+        rows = tuple(rng.choice((0, 1 << rng.randrange(n), rng.getrandbits(n)))
+                     for _ in range(n))
+        prof = Profile(space, Relation(n, rows), rng.getrandbits(n), 0)
+        for q in (0, space.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+            assert rows_table(rows, prof.may_div, q) == tuple(
+                oracle_bits(kind, prof, q) for kind in K), (n, q)
+
+
+LARGE_PROGRAMS = (
+    "while x != 0 { x := x - 1 }",
+    "while x != 0 { { x := x - 1 } [] { y := y + 1 } [] { diverge } }",
+    "x := x + 1",
+    "if x = 0 { y := y + 1 } else { diverge }",
+    "{ x := x + 1 } [] { skip } ; diverge",
+    "{ x := 0 } [] { y := x } ; while y != z { z := z + 1 }",
+)
+# the paper's reachability classes, by (reachable from b, from outside b)
+REACH = {(True, False): 1, (True, True): 2, (False, False): 3, (False, True): 4}
+
+
+@pytest.mark.parametrize("modulus", [4, 5, 6, 7])
+def test_one_pass_table_and_converse_reads_on_large_spaces(modulus):
+    """Over x, y, z mod 4..7 (64 to 343 states, both sides of rows_table's
+    switch): each table equals the per-kind oracle and the inductive engine,
+    the irreversible states are the converse's rows with two or more bits,
+    and each state's reachability class is read off its converse row."""
+    space = StateSpace(("x", "y", "z"), modulus)
+    full = space.full_mask
+    rng = random.Random(6060 + modulus)
+    programs = [prog(text, space) for text in LARGE_PROGRAMS]
+    programs += [random_program(rng, space, 3, loops=True) for _ in range(4)]
+    for p in programs:
+        prof = profile(p, space)
+        inverse = converse(prof.relation).rows
+        assert prof.irreversible == sum(1 << j for j, row in enumerate(inverse)
+                                        if row.bit_count() > 1), p
+        qs = (0, full, guard_to_predicate(parse_guard("x = 0", space), space).bits,
+              rng.getrandbits(space.size))
+        for q in qs:
+            table = class_tables(prof)[q]
+            assert table == tuple(oracle_bits(kind, prof, q) for kind in K), (p, q)
+            assert table == tuple(inductive_transform(kind, p, Predicate(space, q)).bits
+                                  for kind in K), (p, q)
+        b = Predicate(space, qs[-1])
+        for j, row in enumerate(inverse):
+            want = REACH[bool(row & b.bits), bool(row & ~b.bits & full)]
+            assert reachability_class(p, b, space.state(j)) == want, (p, j)
 
 
 class TestLaws:

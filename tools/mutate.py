@@ -4,10 +4,12 @@ Each mutant is a small textual edit of one module of `src/ngclab`: a rule
 of the profile's composer or a step of its loops' SCC pass dropped or bent,
 its budget off by one, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
-the class store of transformer tables keyed wrongly, or a per-class memo of
-the counterexample search keyed, bounded or filtered wrongly.  For every mutant the script copies `src/` to a
-temporary directory, plants the fault there (never in the checkout), and runs
-the mutant's test file against the copy in a fresh interpreter.  A mutant is
+the class store of transformer tables keyed wrongly, its linear passes for
+large spaces reading the wrong masks, or a per-class memo of the
+counterexample search keyed, bounded or filtered wrongly.  For every mutant
+the script copies `src/` to a temporary directory, plants the fault there
+(never in the checkout), and runs the mutant's test file against the copy in
+a fresh interpreter.  A mutant is
 killed when the tests fail.  It prints one line per mutant and then
 killed/total, and exits 1 if any mutant survives: a survivor means a test is
 missing.  Every test file first runs on the unmutated copy and must pass.
@@ -203,15 +205,11 @@ MUTANTS = (
     Mutant("the composer admits one state-node over its budget", "semantics.py", (
         ("if n * nodes > budget:", "if n * nodes >= budget:"),
     )),
-    Mutant("inverse_relation is the relation itself", "semantics.py", (
-        ("inverse = self.relation.converse()", "inverse = self.relation"),
-    )),
     Mutant("reach is the relation's domain", "semantics.py", (
         ("reach = self.relation.codomain_bits()", "reach = self.relation.domain_bits()"),
     )),
     Mutant("the irreversible mask counts states with one predecessor", "semantics.py", (
-        ("[row.bit_count() > 1 for row in self.inverse_relation.rows]",
-         "[row.bit_count() >= 1 for row in self.inverse_relation.rows]"),
+        ("irreversible |= seen & row", "irreversible |= row"),
     )),
     Mutant("a long mask is read highest state first", "space.py", (
         ("return int(bytes(flags).translate(_DIGITS)[::-1], 2)",
@@ -236,6 +234,15 @@ MUTANTS = (
         ("return _class_store(prof.relation.rows, prof.may_div)",
          "return _class_store(prof.relation.rows,\n"
          "                        _FIRST_MAY.setdefault(prof.relation.rows, prof.may_div))"),
+    ), "test_transformers.py"),
+    Mutant("the linear-pass table swaps the img and img-not flags", "transformers.py", (
+        ("img = reduce(or_, compress(rows, in_q), 0)\n"
+         "        img_not = reduce(or_, compress(rows, in_not_q), 0)",
+         "img = reduce(or_, compress(rows, in_not_q), 0)\n"
+         "        img_not = reduce(or_, compress(rows, in_q), 0)"),
+    ), "test_transformers.py"),
+    Mutant("the linear-pass table reads pre-not against q", "transformers.py", (
+        ("map(and_, rows, repeat(not_q))", "map(and_, rows, repeat(q))"),
     ), "test_transformers.py"),
     # the counterexample search
     Mutant("the search's class key leaves out may-divergence", "search.py", (
