@@ -10,15 +10,17 @@ state may diverge in `a ; b` iff it may in a or reaches a state where b may;
 over the states, where a state satisfying the guard has the body's
 successors and every other state is final, so it may diverge iff it reaches
 a cycle or a state where the body may.  A relation is kept as the union of
-a few successor tables, each a function on a domain mask, and rows (one
-successor mask per state): skip and an assignment are tables on every
-state, `if` and later statements cut the domains, and a loop is the
-identity outside its guard beside rows for the states under it.  Tables
-are composed with `map` and become rows only in a union of more than four
-and as the profile's relation.  The budget is states times program nodes,
-checked before each rule's own work.  The profile's reachable states and
-its final states with more than one initial state are derived only when
-first read.
+a few successor tables and rows (one successor mask per state).  A table
+has an entry per state and one for a sink, n: the state's successor, or n
+where it has none, and n for the sink itself, so tables compose with `map`
+and a partial function needs no domain of its own.  Skip and an assignment
+are tables, `if` gives the sink to the states its guard sends to a side
+without tables, and a loop is the identity outside its guard beside rows
+for the states under it.  Tables become rows only in a union of more than
+four and as the profile's relation.  The budget is states times program
+nodes, checked before each rule's own work.  The profile's reachable states
+and its final states with more than one initial state are derived only
+when first read.
 
 The configuration graph runs over integer configurations `point * n +
 state`, where the points are a flat compilation of the program; it is there
@@ -32,8 +34,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress, repeat
-from operator import add, not_, or_, sub
+from itertools import chain, repeat, zip_longest
+from operator import add, getitem, itemgetter, not_, or_, sub
 from typing import NamedTuple
 
 from . import space as _space  # for iter_bits and mask_of; see relations.py
@@ -57,14 +59,19 @@ from .syntax import (
 DEFAULT_NODE_BUDGET = 10**6
 
 
-@lru_cache(maxsize=65536)
-def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
-    """Assignment is a total function on states; tabulate it once.  Only
-    var's digit changes: succ(i) = i + (e(i) - var(i)) * stride_var."""
+def _assign_table(var: str, expr, space: StateSpace):
+    """Assignment is a total function on states.  Only var's digit changes:
+    succ(i) = i + (e(i) - var(i)) * stride_var, state by state."""
     stride, column = space.columns[space.var_index(var)]
     value = expr_column(expr, space)
     delta = map(sub, _spread(value), column)
-    return tuple(map(add, range(space.size), map(stride.__mul__, delta)))
+    return map(add, range(space.size), map(stride.__mul__, delta))
+
+
+@lru_cache(maxsize=65536)
+def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
+    """The assignment's successors, tabulated once."""
+    return tuple(_assign_table(var, expr, space))
 
 
 def _collect_bits(p: Program, bits: int, space: StateSpace) -> int:
@@ -282,28 +289,26 @@ def build_graph(
 
 class _Meaning(NamedTuple):
     """What the composer keeps per (program, space): a relation as the union
-    of its successor tables, each on its domain, and its rows; and its
-    may-divergence."""
+    of its successor tables and its rows, and its may-divergence."""
 
     nodes: int      # non-`;` nodes in the program, which the budget multiplies by n
-    succs: tuple    # at most _WIDTH successor tables, one state per state (a
-                    # tuple, or a range for the identity)
-    doms: tuple     # per table, the mask of the states it applies to
-    rows: tuple     # one successor mask per state, or None for none
+    succs: tuple    # at most _WIDTH successor tables (a tuple, or a range for
+                    # the identity) of n + 1 entries: entry i is state i's
+                    # successor, or n where i has none; entry n is n
+    rows: tuple     # n + 1 successor masks, the last 0, or None for none
     may: int        # may-divergence mask
 
 
-# Skip and an assignment are one table on every state, and diverge is
-# empty.  `;` composes each part of a with each part of b (a table keeps
-# the states of its domain that it sends into the next table's), `[]` joins
-# the parts, and `if` selects table by table and cuts the domains by the
-# guard.  A loop is rows, beside the identity as a table on the states
-# outside its guard unless the states under it reach them all.  So a few
-# partial functions never become a mask per state, which can take memory
-# quadratic in n, whatever they sit beside and however a later statement
-# maps them.  Tables become rows only in a union
-# wider than _WIDTH and as the profile's relation; equal rows stay one
-# shared int wherever a rule builds, selects or looks rows up.
+# Tables and rows run over the n states and the sink, n, whose row is 0 and
+# which never diverges.  Skip and an assignment are one table, and diverge is
+# empty.  `;` composes each part of a with each part of b, `[]` joins the
+# parts, and `if` selects table by table.  A loop is rows, beside the
+# identity outside its guard as a table unless the states under it reach
+# them all.  So a few partial functions never become a mask per state, which
+# can take memory quadratic in n, whatever they sit beside and however a
+# later statement maps them.  Tables become rows only in a union wider than
+# _WIDTH and as the profile's relation; equal rows stay one shared int
+# wherever a rule builds, selects or looks rows up.
 _WIDTH = 4
 
 
@@ -312,9 +317,14 @@ def _flag_string(bits: int, n: int) -> str:
     return format(bits, "b").zfill(n)[::-1]
 
 
+def _flag_bytes(bits: int, n: int) -> bytes:
+    """The mask as n bytes 0/1, state 0 first."""
+    return _flag_string(bits, n).encode().translate(_ONES)
+
+
 def _pre(table: tuple, mask: int, n: int) -> int:
     """The states that the table sends into the mask."""
-    flags = _flag_string(mask, n)
+    flags = _flag_string(mask, n + 1)
     return int("".join(map(flags.__getitem__, table))[::-1], 2)
 
 
@@ -329,32 +339,19 @@ def _check_budget(nodes: int, n: int) -> None:
 
 def _rows(meaning: _Meaning, space: StateSpace) -> tuple[int, ...]:
     """The whole relation as rows, built once per distinct successor (or
-    tuple of successors, -1 outside a table's domain) and shared."""
-    tables, doms, rows = meaning.succs, meaning.doms, meaning.rows
-    n, full = space.size, space.full_mask
+    tuple of successors) and shared."""
+    tables, rows = meaning.succs, meaning.rows
+    n = space.size
     if not tables:
-        return (0,) * n if rows is None else rows
+        return (0,) * (n + 1) if rows is None else rows
+    bit = {s: 1 << s for s in set().union(*tables)}
+    bit[n] = 0                                  # the sink: no successor
     if len(tables) == 1:
-        table, dom = tables[0], doms[0]
-        if dom == full:
-            one = {s: 1 << s for s in set(table)}
-            built = tuple(map(one.__getitem__, table))
-            return built if rows is None else _union(built, rows)
-        flags = _flag_string(dom, n)
-        inside = flags.encode().translate(_ONES)
-        one = {s: 1 << s for s in set(compress(table, inside))}
-        if rows is None:
-            return tuple([one[s] if c == "1" else 0 for c, s in zip(flags, table)])
-        return tuple([(one[s] | r if r else one[s]) if c == "1" else r
-                      for c, s, r in zip(flags, table, rows)])
-    columns = [table if dom == full else
-               [s if c == "1" else -1 for c, s in zip(_flag_string(dom, n), table)]
-               for table, dom in zip(tables, doms)]
-    keys = list(zip(*columns))
-    bit = {s: 1 << s for s in set().union(*columns) if s >= 0}
-    bit[-1] = 0
-    one = {key: reduce(or_, map(bit.__getitem__, key)) for key in set(keys)}
-    built = tuple(map(one.__getitem__, keys))
+        built = tuple(map(bit.__getitem__, tables[0]))
+    else:
+        keys = list(zip(*tables))
+        one = {key: reduce(or_, map(bit.__getitem__, key)) for key in set(keys)}
+        built = tuple(map(one.__getitem__, keys))
     return built if rows is None else _union(built, rows)
 
 
@@ -363,19 +360,16 @@ def _union(rows: tuple, more: tuple) -> tuple:
     return tuple([a | b if a and b else a or b for a, b in zip(rows, more)])
 
 
-def _join(nodes: int, tables, doms, rows: tuple | None, may: int,
-          space: StateSpace) -> _Meaning:
-    """A meaning from its parts: a table on no state dropped, the domains of
-    a repeated table joined, and too many tables folded into rows."""
-    if len(tables) > 1 or tables and not doms[0]:
-        joined: dict[tuple, int] = {}
-        for table, dom in zip(tables, doms):
-            if dom:
-                joined[table] = joined.get(table, 0) | dom
-        tables, doms = joined, joined.values()
-    meaning = _Meaning(nodes, tuple(tables), tuple(doms), rows, may)
+def _join(nodes: int, tables, rows: tuple | None, may: int, space: StateSpace) -> _Meaning:
+    """A meaning from its parts: a repeated table and a table with no
+    successor dropped, and too many tables folded into rows."""
+    n = space.size
+    if len(tables) > 1:
+        tables = dict.fromkeys(tables)
+    tables = tuple([table for table in tables if table.count(n) <= n])
+    meaning = _Meaning(nodes, tables, rows, may)
     if len(tables) > _WIDTH:
-        return _Meaning(nodes, (), (), _rows(meaning, space), may)
+        return _Meaning(nodes, (), _rows(meaning, space), may)
     return meaning
 
 
@@ -389,18 +383,17 @@ def _meaning(p: Program, space: StateSpace) -> _Meaning:
 
 def _skip_rule(p: Skip, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, (range(space.size),), (space.full_mask,), None, 0)
+    return _Meaning(1, (range(space.size + 1),), None, 0)
 
 
 def _diverge_rule(p: Diverge, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, (), (), None, space.full_mask)
+    return _Meaning(1, (), None, space.full_mask)
 
 
 def _assign_rule(p: Assign, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, (_assign_successors(p.var, p.expr, space),), (space.full_mask,),
-                    None, 0)
+    return _Meaning(1, ((*_assign_table(p.var, p.expr, space), space.size),), None, 0)
 
 
 def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
@@ -422,53 +415,45 @@ def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
 
 
 def _then(a: _Meaning, b: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
-    """a ; b: each part of a (a table on its domain, or its rows) composed
-    with each part of b, and may-divergence may(a) | pre_a(may(b))."""
-    n, full = space.size, space.full_mask
-    succs, doms, rows, may = b.succs, b.doms, b.rows, b.may
+    """a ; b: each part of a (a table, or its rows) composed with each part
+    of b, and may-divergence may(a) | pre_a(may(b)).  A sink entry of a
+    table stays the sink: b's tables send n to n, and b's rows give it 0."""
+    n = space.size
+    succs, rows, may = b.succs, b.rows, b.may
     if a.rows is None and rows is None and len(a.succs) == len(succs) == 1:
-        first, dom = a.succs[0], a.doms[0]      # two (partial) functions
-        a_may = a.may | dom & _pre(first, may, n) if may else a.may
-        if doms[0] != full:
-            dom &= _pre(first, doms[0], n)
-        if not dom:
-            return _Meaning(nodes, (), (), None, a_may)
-        return _Meaning(nodes, (tuple(map(succs[0].__getitem__, first)),), (dom,), None, a_may)
+        first = a.succs[0]                      # two (partial) functions
+        a_may = a.may | _pre(first, may, n) if may else a.may
+        table = tuple(map(succs[0].__getitem__, first))
+        return _Meaning(nodes, (table,) if table.count(n) <= n else (), None, a_may)
     if len(a.succs) * len(succs) > _WIDTH:
-        succs, doms, rows = (), (), _rows(b, space)
+        succs, rows = (), _rows(b, space)
     a_may = a.may
-    tables, domains, parts = [], [], []
-    for first, dom in zip(a.succs, a.doms):
-        for second, into in zip(succs, doms):
+    tables, parts = [], []
+    for first in a.succs:
+        for second in succs:
             tables.append(tuple(map(second.__getitem__, first)))
-            domains.append(dom if into == full else dom & _pre(first, into, n))
         if rows is not None:
-            part = tuple(map(rows.__getitem__, first))
-            if dom != full:
-                part = _select(_flag_string(dom, n), part, repeat(0))
-            parts.append(part)
+            parts.append(tuple(map(rows.__getitem__, first)))
         if may:
-            a_may |= dom & _pre(first, may, n)
+            a_may |= _pre(first, may, n)
     if a.rows is not None:
         image = {}              # by distinct row of a: its image under b
-        into = [None if dom == full else _flag_string(dom, n) for dom in doms]
-        iter_bits = _space.iter_bits
+        iter_bits, full = _space.iter_bits, space.full_mask
         for row in set(a.rows):
             acc = 0
             for j in iter_bits(row):
-                for second, flags in zip(succs, into):
-                    if flags is None or flags[j] == "1":
-                        acc |= 1 << second[j]
+                for second in succs:
+                    acc |= 1 << second[j]
                 if rows is not None:
                     acc |= rows[j]
-            image[row] = acc
+            image[row] = acc & full             # not the sink
         parts.append(tuple(map(image.__getitem__, a.rows)))
         if may:
             a_may |= _space.mask_of([row & may != 0 for row in a.rows])
     rows = None
     for part in parts:
         rows = part if rows is None else _union(rows, part)
-    return _join(nodes, tables, domains, rows, a_may, space)
+    return _join(nodes, tables, rows, a_may, space)
 
 
 def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
@@ -480,54 +465,44 @@ def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
         rows = right.rows
     elif right.rows is not None:
         rows = _union(rows, right.rows)
-    return _join(nodes, left.succs + right.succs, left.doms + right.doms, rows,
-                 left.may | right.may, space)
+    return _join(nodes, left.succs + right.succs, rows, left.may | right.may, space)
 
 
 def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
+    """Table by table, the then side's entries where the guard holds and the
+    else side's elsewhere, the side with fewer tables giving the sink for
+    the rest; the sink stays the sink, as both sides send it there."""
     then, orelse = _meaning(p.then, space), _meaning(p.orelse, space)
     nodes = 1 + then.nodes + orelse.nodes
     n = space.size
     _check_budget(nodes, n)
     g = guard_to_predicate(p.guard, space).bits
-    other = ~g & space.full_mask
-    flags = _flag_string(g, n)
-    left, right = then.succs, orelse.succs
-    if len(left) == len(right) == 1 and then.rows is None and orelse.rows is None:
-        dom = then.doms[0] & g | orelse.doms[0] & other     # two (partial) functions
-        return _Meaning(nodes, (_select(flags, left[0], right[0]),), (dom,), None,
-                        then.may & g | orelse.may & other)
-    if left and right:
-        width = max(len(left), len(right))      # repeat the narrower side's
-        tables = [_select(flags, left[j % len(left)], right[j % len(right)])
-                  for j in range(width)]
-        doms = [then.doms[j % len(left)] & g | orelse.doms[j % len(right)] & other
-                for j in range(width)]
-    elif left:                                  # one side's, cut to its states
-        tables, doms = left, [dom & g for dom in then.doms]
-    else:
-        tables, doms = right, [dom & other for dom in orelse.doms]
+    flags = _flag_bytes(g, n + 1)
+    tables = [_select(flags, left, right)
+              for left, right in zip_longest(then.succs, orelse.succs, fillvalue=repeat(n))]
     rows = None
     if then.rows is not None or orelse.rows is not None:
         rows = _select(flags, then.rows or repeat(0), orelse.rows or repeat(0))
-    return _join(nodes, tables, doms, rows, then.may & g | orelse.may & other, space)
+    may = then.may & g | orelse.may & ~g & space.full_mask
+    return _join(nodes, tables, rows, may, space)
 
 
-def _select(flags: str, then, orelse) -> tuple:
-    """Per state, then's entry where the flag is "1", else orelse's."""
-    return tuple([a if c == "1" else b for c, a, b in zip(flags, then, orelse)])
+def _select(flags: bytes, then, orelse) -> tuple:
+    """Per state, then's entry where the flag is 1, else orelse's."""
+    return tuple(map(getitem, zip(orelse, then), flags))
 
 
 def _while_rule(p: While, space: StateSpace) -> _Meaning:
     """One SCC pass over the states, which handles each edge once: a state
     where the guard holds has the body's successors, and every other state
-    is closed from the start, with itself as its final state.  A state's
-    final states are the closed ones it reaches, and it may diverge iff it
-    reaches a cycle or a state where the body may diverge.  As in Tarjan's
-    algorithm, an edge v -> w adds to v's answer w's final states and cycle
-    flag if w is closed, marks a cycle (w is then in v's component) if w is
-    open, and otherwise explores w first and merges w's answer into v's when
-    it returns.  A root that closes hands its component's final states,
+    is closed from the start, with itself as its final state; the sink is
+    closed from the start too, with no final state.  A state's final states
+    are the closed ones it reaches, and it may diverge iff it reaches a
+    cycle or a state where the body may diverge.  As in Tarjan's algorithm,
+    an edge v -> w adds to v's answer w's final states and cycle flag if w
+    is closed, marks a cycle (w is then in v's component) if w is open, and
+    otherwise explores w first and merges w's answer into v's when it
+    returns.  A root that closes hands its component's final states,
     complete by then, to the members; each member of a component of more
     than one state has already marked its own cycle.  A state outside the
     guard gets its mask only when a state under the guard reaches it: if
@@ -538,33 +513,18 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
     nodes = 1 + body.nodes
     n = space.size
     _check_budget(nodes, n)
-    _, succs, doms, rows, may = body
+    _, succs, rows, may = body
     g = guard_to_predicate(p.guard, space).bits
-    flags = _flag_string(g, n)
-    finals = [0] * n
-    closed = bytearray(flags.encode().translate(_CLOSED))
-    cyclic = bytearray(_flag_string(may & g, n).encode().translate(_ONES))
-    full = space.full_mask
-    if rows is None and len(succs) == 1 and doms[0] == full:
-        succ = succs[0]
+    exits, sink = ~g & space.full_mask, 1 << n
+    under = _flag_bytes(g | sink, n + 1)        # the sink has no final state,
+    closed = bytearray(_flag_bytes(exits | sink, n + 1))    # and is closed
+    finals = [0] * (n + 1)
+    cyclic = bytearray(_flag_bytes(may & g, n + 1))
+    iter_bits = _space.iter_bits
 
-        def successors(v):
-            return iter((succ[v],))
-    elif rows is None and succs and doms.count(full) == len(doms):
-        per_state = list(zip(*succs))
-
-        def successors(v):
-            return iter(per_state[v])
-    else:
-        parts = [(table, None if dom == full else _flag_string(dom, n))
-                 for table, dom in zip(succs, doms)]
-        iter_bits = _space.iter_bits
-
-        def successors(v):
-            out = [table[v] for table, into in parts if into is None or into[v] == "1"]
-            if rows is not None:
-                out += iter_bits(rows[v])
-            return iter(out)
+    def successors(v):
+        tables = map(itemgetter(v), succs)
+        return tables if rows is None else chain(tables, iter_bits(rows[v]))
     number = [-1] * n           # discovery number of a state under the guard
     low = [0] * n
     stack: list[int] = []       # Tarjan's stack of open states
@@ -582,7 +542,7 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
             for w in pending[-1]:
                 if closed[w]:
                     reach = finals[w]
-                    if not reach and flags[w] == "0":   # outside the guard, first reached
+                    if not reach and not under[w]:  # outside the guard, first reached
                         reach = finals[w] = 1 << w
                         reached += 1
                     if reach and reach is not finals[v]:  # share, don't copy
@@ -620,15 +580,13 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
                         cyclic[u] = 1
                     if low[v] < low[u]:
                         low[u] = low[v]
-    exits = ~g & full
     may = _space.mask_of(cyclic)
     if reached == exits.bit_count():            # every final state's mask is built
-        return _Meaning(nodes, (), (), tuple(finals), may)
-    return _Meaning(nodes, (range(n),), (exits,), _select(flags, finals, repeat(0)) if g else None,
-                    may)
+        return _Meaning(nodes, (), tuple(finals), may)
+    return _Meaning(nodes, (_select(under, repeat(n), range(n + 1)),),
+                    _select(under, finals, repeat(0)) if g else None, may)
 
 
-_CLOSED = bytes.maketrans(b"01", b"\x01\x00")   # a guard flag: closed iff false
 _ONES = bytes.maketrans(b"01", b"\x00\x01")     # a mask's flag: 0 or 1
 _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _seq_rule,
           Choice: _choice_rule, Ite: _ite_rule, While: _while_rule}
@@ -680,6 +638,7 @@ class Profile:
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
     meaning = _meaning(p, space)
-    rows = _rows(meaning, space)
-    must = 0 if space.full_mask in meaning.doms else _space.mask_of(list(map(not_, rows)))
-    return Profile(space, Relation(space.size, rows), meaning.may, must)
+    n = space.size
+    rows = _rows(meaning, space)[:n]
+    must = _space.mask_of(list(map(not_, rows))) if 0 in rows else 0
+    return Profile(space, Relation(n, rows), meaning.may, must)

@@ -413,7 +413,8 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
                     nonvacuity = _witness(p, space, detail, b, c)
                 continue
             return Verdict(theorem, False, _witness(p, space, detail, b, c),
-                           {"programs": programs, "triples": triples})
+                           {"programs": programs, "triples": triples,
+                            "elapsed_s": round(time.perf_counter() - started, 3)})
     return Verdict(theorem, True, None,
                    {"programs": programs, "triples": triples,
                     "elapsed_s": round(time.perf_counter() - started, 3)},

@@ -100,8 +100,7 @@ def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
     else:
         pre = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(q)))))
         pre_not = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(not_q)))))
-        in_q, in_not_q = (_semantics._flag_string(mask, n).encode().translate(_semantics._ONES)
-                          for mask in (q, not_q))
+        in_q, in_not_q = _semantics._flag_bytes(q, n), _semantics._flag_bytes(not_q, n)
         img = reduce(or_, compress(rows, in_q), 0)
         img_not = reduce(or_, compress(rows, in_not_q), 0)
     reach = img | img_not

@@ -303,7 +303,7 @@ class TestFailFast:
         def refuse(*args):
             raise AssertionError("built a table over the node budget")
 
-        monkeypatch.setattr(semantics, "_assign_successors", refuse)
+        monkeypatch.setattr(semantics, "_assign_table", refuse)
         monkeypatch.setattr(semantics, "guard_to_predicate", refuse)
         # a single statement over more states than the budget
         space = StateSpace(("x", "y", "z"), 101)

@@ -234,6 +234,7 @@ def test_graph_terminals_agree_with_collecting(seed):
 
 
 CROSS_SPACES = (
+    StateSpace(("x",), 1),      # one state: a table is (s, 1)
     StateSpace(("x",), 3),
     StateSpace(("x", "y"), 2),
     StateSpace(("x", "y", "z"), 2),
@@ -368,12 +369,13 @@ def test_profile_matches_the_reference_on_the_scale_programs(text):
 
 def test_functions_stay_successor_tables_and_equal_rows_stay_shared():
     space = StateSpace(("x",), 20)
-    full = space.full_mask
-    # skip, assignments, and `;` and `if` of them: a table, never rows
+    # skip, assignments, and `;` and `if` of them: one table of n + 1
+    # entries, the last the sink's, never rows
     p = prog("x := x + 1 ; if x = 0 { skip } else { x := x * 2 }", space)
-    nodes, succs, doms, rows, may = semantics._meaning(p, space)
-    assert (nodes, doms, rows, may) == (4, (full,), None, 0)
-    assert succs == (tuple(0 if i == 19 else (2 * i + 2) % 20 for i in range(20)),)
+    nodes, succs, rows, may = semantics._meaning(p, space)
+    assert (nodes, rows, may) == (4, None, 0)
+    assert succs == (tuple(0 if i == 19 else (2 * i + 2) % 20 for i in range(20)) + (20,),)
+    assert semantics._meaning(prog("skip", space), space).succs == (range(21),)
     # every state goes to 19 and then takes 19's row of the choice: one int
     rows = profile(prog("x := 19 ; { skip } [] { x := 18 }", space), space).relation.rows
     assert rows[0] == 3 << 18 and len(set(map(id, rows))) == 1
@@ -383,34 +385,40 @@ def test_a_choice_of_functions_stays_a_union_of_tables():
     space = StateSpace(("x",), 20)
     full = space.full_mask
     meaning = semantics._meaning(prog("{ x := x + 1 } [] { skip } ; x := 0", space), space)
-    assert meaning == (4, ((0,) * 20,), (full,), None, 0)    # the two tables are equal
+    assert meaning == (4, ((0,) * 20 + (20,),), None, 0)    # the two tables are equal
     meaning = semantics._meaning(prog("{ x := 1 } [] { x := 2 } ; diverge", space), space)
-    assert meaning == (4, (), (), None, full)
+    assert meaning == (4, (), None, full)
     # beside diverge, the tables stay tables
     meaning = semantics._meaning(prog("{ x := x + 1 } [] { diverge } ; x := 3", space), space)
-    assert meaning == (4, ((3,) * 20,), (full,), None, full)
+    assert meaning == (4, ((3,) * 20 + (20,),), None, full)
     # a union wider than semantics._WIDTH becomes rows, one int per distinct
-    # tuple of successors
+    # tuple of successors, and the sink's row is 0
     text = " [] ".join(f"{{ x := {k} }}" for k in range(semantics._WIDTH + 1))
-    _, succs, _, rows, _ = semantics._meaning(prog(text, space), space)
-    assert succs == () and rows[0] == (1 << semantics._WIDTH + 1) - 1
-    assert len(set(map(id, rows))) == 1
+    _, succs, rows, _ = semantics._meaning(prog(text, space), space)
+    assert succs == () and rows[0] == (1 << semantics._WIDTH + 1) - 1 and rows[20] == 0
+    assert len(set(map(id, rows[:20]))) == 1
 
 
 def test_if_and_loops_keep_tables_on_part_of_the_states():
     space = StateSpace(("x",), 20)
     full = space.full_mask
-    increment = tuple((i + 1) % 20 for i in range(20))
-    # an `if` cuts each side's tables to the states its guard sends there
+    # an `if` gives the sink to the states its guard sends to a side without
+    # tables, and a table with no successor left is dropped
     meaning = semantics._meaning(prog("if x = 3 { x := x + 1 } else { diverge }", space),
                                  space)
-    assert meaning == (3, (increment,), (1 << 3,), None, full & ~(1 << 3))
-    # a loop is the identity outside its guard, and rows under it
+    assert meaning == (3, ((20,) * 3 + (4,) + (20,) * 17,), None, full & ~(1 << 3))
+    p = prog("if x = 3 { x := x + 1 } else { diverge } ; if x = 5 { skip } else { diverge }",
+             space)
+    assert semantics._meaning(p, space) == (6, (), None, full)
+    p = prog("if x = 3 { if x = 4 { skip } else { diverge } } else { diverge }", space)
+    assert semantics._meaning(p, space) == (5, (), None, full)
+    # a loop is the identity outside its guard, beside rows under it
     meaning = semantics._meaning(prog("while x = 0 { x := 1 }", space), space)
-    assert meaning == (2, (range(20),), (full & ~1,), (2,) + (0,) * 19, 0)
-    # and a later statement maps both
+    assert meaning == (2, ((20,) + tuple(range(1, 21)),), (2,) + (0,) * 20, 0)
+    # and a later statement maps both, the sink staying the sink
     p = prog("while x = 0 { x := 1 } ; x := 5", space)
-    assert semantics._meaning(p, space) == (3, ((5,) * 20,), (full & ~1,), (32,) + (0,) * 19, 0)
+    assert semantics._meaning(p, space) == (3, ((20,) + (5,) * 19 + (20,),),
+                                            (32,) + (0,) * 20, 0)
     assert profile(p, space).relation.rows == (32,) * 20
 
 

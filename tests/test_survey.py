@@ -303,9 +303,12 @@ def test_fault_gives_the_reference_witnesses(name, dwp_forgets_divergence):
     corpus = CORPORA[name]
     failed = 0
     for theorem in THEOREM_IDS:
-        got = _jsonable(check_theorem(theorem, corpus))
+        verdict = check_theorem(theorem, corpus)
+        got = _jsonable(verdict)
         assert got == _jsonable(reference_check(theorem, corpus)), theorem
         failed += not got["holds"]
+        # a failing verdict is timed as a passing one is
+        assert verdict.stats["elapsed_s"] >= 0
     assert failed >= 3
 
 

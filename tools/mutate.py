@@ -2,7 +2,8 @@
 
 Each mutant is a small textual edit of one module of `src/ngclab`: a rule
 of the profile's composer or a step of its loops' SCC pass dropped or bent,
-its budget off by one, a derived field of `Profile` read from the wrong
+the sink of its successor tables given a successor, a row bit or a final
+state, its budget off by one, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
 the class store of transformer tables keyed wrongly, its linear passes for
 large spaces reading the wrong masks, or a per-class memo of the
@@ -42,46 +43,38 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the composer's rules
     Mutant("`;` of two functions drops pre_a(may(b))", "semantics.py", (
-        ("a_may = a.may | dom & _pre(first, may, n) if may else a.may", "a_may = a.may"),
+        ("a_may = a.may | _pre(first, may, n) if may else a.may", "a_may = a.may"),
     )),
     Mutant("`;` after a union of tables drops pre_a(may(b))", "semantics.py", (
-        ("            a_may |= dom & _pre(first, may, n)\n", "            pass\n"),
+        ("            a_may |= _pre(first, may, n)\n", "            pass\n"),
     )),
     Mutant("`;` after rows drops pre_a(may(b))", "semantics.py", (
         ("            a_may |= _space.mask_of([row & may != 0 for row in a.rows])",
          "            pass"),
     )),
     Mutant("two successor tables are composed in the wrong order", "semantics.py", (
-        ("(tuple(map(succs[0].__getitem__, first)),)",
-         "(tuple(map(first.__getitem__, succs[0])),)"),
+        ("table = tuple(map(succs[0].__getitem__, first))",
+         "table = tuple(map(first.__getitem__, succs[0]))"),
     )),
     Mutant("a union's tables are composed in the wrong order", "semantics.py", (
         ("tables.append(tuple(map(second.__getitem__, first)))",
          "tables.append(tuple(map(first.__getitem__, second)))"),
     )),
-    Mutant("`;` keeps a table's whole domain before a partial table", "semantics.py", (
-        ("            dom &= _pre(first, doms[0], n)\n", "            pass\n"),
+    Mutant("`;` of two functions keeps a table with no successor", "semantics.py", (
+        ("(table,) if table.count(n) <= n else ()", "(table,)"),
     )),
-    Mutant("`;` of a union keeps whole domains before a partial table", "semantics.py", (
-        ("domains.append(dom if into == full else dom & _pre(first, into, n))",
-         "domains.append(dom)"),
-    )),
-    Mutant("`;` of a partial table and then rows reads outside its domain", "semantics.py", (
-        ("                part = _select(_flag_string(dom, n), part, repeat(0))\n",
-         "                pass\n"),
+    Mutant("`;` of more tables than a union keeps drops the later ones", "semantics.py", (
+        ("        succs, rows = (), _rows(b, space)\n", "        succs = ()\n"),
     )),
     Mutant("`;` of a union of tables and then rows ignores the rows", "semantics.py", (
-        ("        if rows is not None:\n            part = ",
-         "        if False:\n            part = "),
+        ("        if rows is not None:\n            parts.append(",
+         "        if False:\n            parts.append("),
     )),
     Mutant("`;` of rows ignores the rows that follow", "semantics.py", (
         ("                if rows is not None:\n                    acc |= rows[j]\n", ""),
     )),
     Mutant("`;` of rows and then a table ignores the table", "semantics.py", (
         ("acc |= 1 << second[j]", "acc |= 1 << j"),
-    )),
-    Mutant("`;` of rows reads a partial table outside its domain", "semantics.py", (
-        ('if flags is None or flags[j] == "1":', "if True:"),
     )),
     Mutant("`[]` intersects may-div", "semantics.py", (
         ("left.may | right.may", "left.may & right.may"),
@@ -90,52 +83,54 @@ MUTANTS = (
         ("        rows = _union(rows, right.rows)\n", "        pass\n"),
     )),
     Mutant("`[]` of tables keeps only its left branch's", "semantics.py", (
-        ("_join(nodes, left.succs + right.succs, left.doms + right.doms, rows,",
-         "_join(nodes, left.succs, left.doms, rows,"),
+        ("_join(nodes, left.succs + right.succs, rows,", "_join(nodes, left.succs, rows,"),
     )),
-    Mutant("a repeated table keeps only its last domain", "semantics.py", (
-        ("joined[table] = joined.get(table, 0) | dom", "joined[table] = dom"),
+    Mutant("a union keeps only its first table", "semantics.py", (
+        ("        tables = dict.fromkeys(tables)\n", "        tables = tables[:1]\n"),
+    )),
+    Mutant("a union keeps a table with no successor", "semantics.py", (
+        ("[table for table in tables if table.count(n) <= n]", "list(tables)"),
     )),
     Mutant("a union's rows keep only its first table", "semantics.py", (
         ("one = {key: reduce(or_, map(bit.__getitem__, key))", "one = {key: bit[key[0]]"),
     )),
-    Mutant("a partial table's rows ignore its domain", "semantics.py", (
-        ('return tuple([one[s] if c == "1" else 0 for c, s in zip(flags, table)])',
-         "return tuple([1 << s for s in table])"),
-    )),
-    Mutant("a union's rows ignore the tables' domains", "semantics.py", (
-        ("columns = [table if dom == full else", "columns = [table if True else"),
-    )),
     Mutant("`if` takes the guard the wrong way round", "semantics.py", (
-        ('[a if c == "1" else b for c, a, b', '[b if c == "1" else a for c, a, b'),
+        ("map(getitem, zip(orelse, then), flags)", "map(getitem, zip(then, orelse), flags)"),
     )),
     Mutant("`if` joins both branches' may-div", "semantics.py", (
-        ("                        then.may & g | orelse.may & other)",
-         "                        then.may | orelse.may)"),
-        ("_join(nodes, tables, doms, rows, then.may & g | orelse.may & other, space)",
-         "_join(nodes, tables, doms, rows, then.may | orelse.may, space)"),
-    )),
-    Mutant("an `if` of two functions keeps both whole domains", "semantics.py", (
-        ("dom = then.doms[0] & g | orelse.doms[0] & other",
-         "dom = then.doms[0] | orelse.doms[0]"),
-    )),
-    Mutant("an `if` keeps the whole domain of its one side with tables", "semantics.py", (
-        ("tables, doms = left, [dom & g for dom in then.doms]",
-         "tables, doms = left, list(then.doms)"),
+        ("may = then.may & g | orelse.may & ~g & space.full_mask",
+         "may = then.may | orelse.may"),
     )),
     Mutant("an `if` of two unions drops the wider one's extra tables", "semantics.py", (
-        ("                  for j in range(width)]",
-         "                  for j in range(min(len(left), len(right)))]"),
-        ("                for j in range(width)]",
-         "                for j in range(min(len(left), len(right)))]"),
+        ("zip_longest(then.succs, orelse.succs, fillvalue=repeat(n))",
+         "zip(then.succs, orelse.succs)"),
     )),
     Mutant("an `if` drops the rows beside its tables", "semantics.py", (
         ("        rows = _select(flags, then.rows or repeat(0), orelse.rows or repeat(0))",
          "        rows = None"),
     )),
     Mutant("diverge may not diverge", "semantics.py", (
-        ("return _Meaning(1, (), (), None, space.full_mask)",
-         "return _Meaning(1, (), (), None, 0)"),
+        ("return _Meaning(1, (), None, space.full_mask)", "return _Meaning(1, (), None, 0)"),
+    )),
+    # the sink, n: no successor in a table
+    Mutant("the rows give the sink a bit", "semantics.py", (
+        ("    bit[n] = 0 ", "    pass "),
+    )),
+    Mutant("`;` of rows and then a partial table gives the sink a bit", "semantics.py", (
+        ("image[row] = acc & full", "image[row] = acc"),
+    )),
+    Mutant("a preimage counts the sink as in the mask", "semantics.py", (
+        ("flags = _flag_string(mask, n + 1)", "flags = _flag_string(mask | 1 << n, n + 1)"),
+    )),
+    Mutant("an `if` side without tables is the identity, not the sink", "semantics.py", (
+        ("fillvalue=repeat(n))", "fillvalue=range(n + 1))"),
+    )),
+    Mutant("the loop pass leaves the sink open", "semantics.py", (
+        ("closed = bytearray(_flag_bytes(exits | sink, n + 1))",
+         "closed = bytearray(_flag_bytes(exits, n + 1))"),
+    )),
+    Mutant("the loop pass counts the sink as a final state", "semantics.py", (
+        ("under = _flag_bytes(g | sink, n + 1)", "under = _flag_bytes(g, n + 1)"),
     )),
     # the loop's SCC pass over the states
     Mutant("a loop self-edge is not flagged as a cycle", "semantics.py", (
@@ -144,14 +139,11 @@ MUTANTS = (
          "                        cyclic[v] = 1\n"),
     )),
     Mutant("a loop body's union of tables reads only its first", "semantics.py", (
-        ("return iter(per_state[v])", "return iter(per_state[v][:1])"),
+        ("map(itemgetter(v), succs)", "map(itemgetter(v), succs[:1])"),
     )),
     Mutant("a loop body's rows beside tables are ignored", "semantics.py", (
-        ("                out += iter_bits(rows[v])\n", "                pass\n"),
-    )),
-    Mutant("a loop body's partial table is read outside its domain", "semantics.py", (
-        ('for table, into in parts if into is None or into[v] == "1"]',
-         "for table, into in parts]"),
+        ("return tables if rows is None else chain(tables, iter_bits(rows[v]))",
+         "return tables"),
     )),
     Mutant("a state outside the guard is not its own final state", "semantics.py", (
         ("reach = finals[w] = 1 << w", "reach = finals[w] = 0"),
@@ -161,7 +153,7 @@ MUTANTS = (
         ("if reached == exits.bit_count():", "if True:"),
     )),
     Mutant("a loop is not the identity outside its guard", "semantics.py", (
-        ("    exits = ~g & full\n", "    exits = 0\n"),
+        ("_select(under, repeat(n), range(n + 1))", "_select(under, repeat(n), repeat(n))"),
     )),
     Mutant("an edge to an open state sets no cycle flag", "semantics.py", (
         ("                        low[v] = number[w]\n                    cyclic[v] = 1\n",
@@ -189,18 +181,18 @@ MUTANTS = (
          "                    if False:"),
     )),
     Mutant("a state outside the guard is left open", "semantics.py", (
-        ('_CLOSED = bytes.maketrans(b"01", b"\\x01\\x00")',
-         '_CLOSED = bytes.maketrans(b"01", b"\\x00\\x00")'),
+        ("closed = bytearray(_flag_bytes(exits | sink, n + 1))",
+         "closed = bytearray(_flag_bytes(sink, n + 1))"),
     )),
     Mutant("the body's may-div is ignored", "semantics.py", (
-        ("cyclic = bytearray(_flag_string(may & g, n)", "cyclic = bytearray(_flag_string(0, n)"),
+        ("_flag_bytes(may & g, n + 1)", "_flag_bytes(0, n + 1)"),
     )),
     Mutant("the body's may-div counts outside the guard", "semantics.py", (
-        ("cyclic = bytearray(_flag_string(may & g, n)", "cyclic = bytearray(_flag_string(may, n)"),
+        ("_flag_bytes(may & g, n + 1)", "_flag_bytes(may, n + 1)"),
     )),
     # the budget and the profile's derived fields
-    Mutant("must-div ignores the tables' domains", "semantics.py", (
-        ("must = 0 if space.full_mask in meaning.doms else", "must = 0 if meaning.succs else"),
+    Mutant("must-div counts a partial table as total", "semantics.py", (
+        ("if 0 in rows else 0", "if not meaning.succs else 0"),
     )),
     Mutant("the composer admits one state-node over its budget", "semantics.py", (
         ("if n * nodes > budget:", "if n * nodes >= budget:"),

@@ -15,10 +15,12 @@ new interpreter,
     check --logic dwp-lb --pre "true" --post "x = 0"          (--command check)
 
 It prints one row per point: n, wall time, peak RSS of the child, its exit
-code and the first 12 hex digits of the SHA-256 of its standard output.  The
-sweep stops after the first point that exits non-zero or takes longer than
-LIMIT_S (60) seconds; a point still running after ten times that is killed.
-Standard library only; Linux (peak RSS comes from wait4).
+code and the first 12 hex digits of the SHA-256 of its standard output.  An
+exit code of 1 is an answer (`check`: the triple is invalid), so the sweep
+goes on past it; it stops after the first point that exits with any other
+non-zero code (2 or more: an error or the budget; or a signal) or takes
+longer than LIMIT_S (60) seconds.  A point still running after ten times
+that is killed.  Standard library only; Linux (peak RSS comes from wait4).
 
     python3 tools/sweep.py
     python3 tools/sweep.py --command check
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
             note = f"  {err}" if code else ""
             print(f"{m ** 3:>9}  {wall:>8.2f}  {rss:>11.0f}  {code:>4}  {digest}{note}",
                   flush=True)
-            if code or wall > LIMIT_S:
+            if code not in (0, 1) or wall > LIMIT_S:
                 break
     return 0
 
