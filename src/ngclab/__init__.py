@@ -1,9 +1,9 @@
 """ngclab: a finite-state laboratory for guarded-command program logics.
 
-Programs in a small nondeterministic language get three interchangeable
-meanings (collecting semantics, configuration graph, relation); eight
-weakest-pre / strongest-post transformers are computed both from the
-semantics and by structural rules; eighteen triple logics, a relational
+Programs in a small nondeterministic language get one semantic profile, an
+input-output relation and may-divergence composed from the sub-programs';
+eight weakest-pre / strongest-post transformers are computed both from the
+profile and by structural rules; eighteen triple logics, a relational
 Kleene algebra with top and tests, a theorem survey, and a counterexample
 engine sit on top.
 """
@@ -34,12 +34,6 @@ from .logics import (
 from .parser import parse_guard, parse_module, parse_program
 from .relations import Relation
 from .search import SearchConfig, SearchResult, appendix_c_claims, find_counterexample
-from .semantics import (
-    build_graph,
-    collecting,
-    denote_relation,
-    may_diverge,
-)
 from .space import Predicate, State, StateSpace
 from .syntax import guard_to_predicate, pretty_guard, pretty_program
 from .theorems import THEOREM_IDS, CorpusConfig, Verdict, check_theorem, corpus_preset

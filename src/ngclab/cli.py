@@ -94,6 +94,9 @@ def cmd_check(args) -> int:
 def _corpus_from_args(args) -> CorpusConfig:
     overrides = {}
     if args.count is not None:
+        if args.count < 1:
+            # a corpus of no programs would pass every theorem vacuously
+            raise SystemExit(f"error: --count must be a positive integer, got {args.count}")
         overrides["count"] = args.count
     if args.seed is not None:
         overrides["seed"] = args.seed

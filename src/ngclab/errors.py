@@ -33,7 +33,7 @@ class UnknownVariableError(NgclSyntaxError):
 
 
 class BudgetExceededError(NgclError):
-    """A configured resource budget (graph nodes, search candidates) ran out."""
+    """A configured resource budget (profile size, search candidates) ran out."""
 
 
 class MalformedTermError(NgclError):

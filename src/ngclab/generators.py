@@ -45,24 +45,16 @@ class GeneratorConfig:
     mode: str = "exhaustive"  # or "random"
     seed: int = 0
     count: int = 1000          # random mode only
-    expr_depth: int = 1        # exhaustive pool: 1 = atoms, 2 = one binop layer
 
     def space(self) -> StateSpace:
         return StateSpace(self.variables, self.modulus)
 
 
-def expr_pool(space: StateSpace, depth: int = 1) -> list[Expr]:
-    """Constants 0..m-1 and variables; at depth 2 also one layer of + - *."""
+def expr_pool(space: StateSpace) -> list[Expr]:
+    """Constants 0..m-1 and variables."""
     atoms: list[Expr] = [Const(k) for k in range(space.modulus)]
     atoms += [Var(v) for v in space.variables]
-    if depth <= 1:
-        return atoms
-    out = list(atoms)
-    for op in ("+", "-", "*"):
-        for a in atoms:
-            for b in atoms:
-                out.append(BinExpr(op, a, b))
-    return out
+    return atoms
 
 
 def guard_pool(space: StateSpace) -> list[Guard]:
@@ -83,13 +75,12 @@ def exhaustive_programs(
     space: StateSpace,
     max_depth: int,
     loops: bool = False,
-    expr_depth: int = 1,
 ) -> Iterator[Program]:
     """Every AST of depth <= max_depth over the canonical pools, smallest
     depth first, constructors in a fixed order within each depth.  Programs
     are yielded as they are built, so a consumer that stops early does not
     pay for the rest of the depth."""
-    exprs = expr_pool(space, expr_depth)
+    exprs = expr_pool(space)
     guards = guard_pool(space)
     leaves: list[Program] = [Skip(), Diverge()]
     leaves += [Assign(v, e) for v in space.variables for e in exprs]
@@ -181,9 +172,7 @@ def generate_programs(config: GeneratorConfig) -> Iterator[Program]:
     """Stream programs per the config; exhaustive order is deterministic and
     random streams are reproducible from the seed."""
     if config.mode == "exhaustive":
-        return exhaustive_programs(
-            config.space(), config.max_depth, config.loops, config.expr_depth
-        )
+        return exhaustive_programs(config.space(), config.max_depth, config.loops)
     if config.mode == "random":
         return random_programs(config)
     raise ValueError(f"unknown generator mode {config.mode!r}")

@@ -56,7 +56,6 @@ class SearchConfig:
         (("x",), 3),
     )
     max_depth: int = 3
-    loops: bool = False
     budget: int = 10**5
 
 
@@ -184,7 +183,7 @@ def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, list], 
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
         preds = list(all_predicates(space))
-        for p in exhaustive_programs(space, config.max_depth, config.loops):
+        for p in exhaustive_programs(space, config.max_depth):
             prof = profile(p, space)
             stats["programs"] += 1
             key = (prof.relation.rows, prof.may_div)

@@ -1,6 +1,5 @@
-"""Program meaning three ways: collecting semantics, a small-step
-configuration graph, and each program's profile: its relation and its
-may-divergence, composed from its sub-programs'.
+"""Program meaning: each program's profile, its input-output relation and
+its may-divergence, composed from its sub-programs'.
 
 `profile` reads nothing off a whole-program graph.  A memoised composer
 builds the meaning of each (sub-program, space) once, bottom up: `;`
@@ -22,16 +21,14 @@ nodes, checked before each rule's own work.  The profile's reachable states
 and its final states with more than one initial state are derived only
 when first read.
 
-The configuration graph runs over integer configurations `point * n +
-state`, where the points are a flat compilation of the program; it is there
-for `build_graph` and as the operational reference the tests check the
-composer against.  `collecting` and `denote_relation` stay AST walks, a
-further independent route.
+Program points are a flat compilation of a program over a state space, with
+integer configurations `point * n + state`.  Nothing here walks them: they
+are the small-step semantics on which `tests/profile_reference.py` runs the
+operational reference that the composer is checked against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, repeat, zip_longest
@@ -41,7 +38,7 @@ from typing import NamedTuple
 from . import space as _space  # for iter_bits and mask_of; see relations.py
 from .errors import BudgetExceededError
 from .relations import Relation
-from .space import Predicate, StateSpace
+from .space import StateSpace
 from .syntax import (
     Assign,
     Choice,
@@ -74,52 +71,7 @@ def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
     return tuple(_assign_table(var, expr, space))
 
 
-def _collect_bits(p: Program, bits: int, space: StateSpace) -> int:
-    if isinstance(p, Skip):
-        return bits
-    if isinstance(p, Diverge):
-        return 0
-    if isinstance(p, Assign):
-        succ = _assign_successors(p.var, p.expr, space)
-        acc = 0
-        for i in _space.iter_bits(bits):
-            acc |= 1 << succ[i]
-        return acc
-    if isinstance(p, Seq):
-        return _collect_bits(p.second, _collect_bits(p.first, bits, space), space)
-    if isinstance(p, Choice):
-        return _collect_bits(p.left, bits, space) | _collect_bits(p.right, bits, space)
-    if isinstance(p, Ite):
-        g = guard_to_predicate(p.guard, space).bits
-        return (
-            _collect_bits(p.then, bits & g, space)
-            | _collect_bits(p.orelse, bits & ~g & space.full_mask, space)
-        )
-    if isinstance(p, While):
-        g = guard_to_predicate(p.guard, space).bits
-        x = 0
-        while True:
-            nxt = bits | _collect_bits(p.body, x & g, space)
-            if nxt == x:
-                break
-            x = nxt
-        return x & ~g & space.full_mask
-    raise TypeError(f"not a program: {p!r}")
-
-
-def collecting(p: Program, initial: Predicate) -> Predicate:
-    """All final states reachable from the initial set; loops by least fixpoint."""
-    space = initial.space
-    return Predicate(space, _collect_bits(p, initial.bits, space))
-
-
-def denote_relation(p: Program, space: StateSpace) -> Relation:
-    """Initial-to-final state relation; branching divergence is invisible here."""
-    rows = tuple(_collect_bits(p, 1 << i, space) for i in range(space.size))
-    return Relation(space.size, rows)
-
-
-# --- program points and the configuration graph ---------------------------
+# --- program points -------------------------------------------------------
 #
 # A program compiles, once per state space, to a flat list of program points;
 # point 0 is the terminal point.  A configuration is the int `point * n +
@@ -217,72 +169,6 @@ class _Points:
 
 _COMPILE = {Skip: _Points._skip, Diverge: _Points._diverge, Assign: _Points._assign,
             Choice: _Points._choice, Ite: _Points._ite, While: _Points._while}
-
-
-@dataclass
-class TransitionGraph:
-    """Configurations as ints: `state_of(node)` is the state, and the nodes
-    below `space.size` are the terminal ones."""
-
-    space: StateSpace
-    nodes: list[int]
-    edges: dict[int, tuple[int, ...]]
-    seeds: dict[int, int]
-
-    def successors(self, node: int) -> tuple[int, ...]:
-        return self.edges.get(node, ())
-
-    def is_terminal(self, node: int) -> bool:
-        return node < self.space.size
-
-    def state_of(self, node: int) -> int:
-        return node % self.space.size
-
-    def terminal_states(self, seed_index: int) -> Predicate:
-        """Final states reachable from one seed, read off the graph."""
-        start = self.seeds[seed_index]
-        seen = {start}
-        queue = deque([start])
-        bits = 0
-        while queue:
-            node = queue.popleft()
-            if self.is_terminal(node):
-                bits |= 1 << node
-                continue
-            for nxt in self.edges[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return Predicate(self.space, bits)
-
-
-def build_graph(
-    p: Program,
-    seeds: Predicate,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> TransitionGraph:
-    """All configurations reachable from seeding p on each seed state."""
-    points = _Points(p, seeds.space)
-    n, step = points.n, points.step
-    seed_map = {i: points.seed(i) for i in seeds.indices()}
-    nodes: list[int] = []
-    edges: dict[int, tuple[int, ...]] = {}
-    seen = set(seed_map.values())
-    queue = deque(seed_map.values())
-    while queue:
-        node = queue.popleft()
-        nodes.append(node)
-        if len(nodes) > node_budget:
-            raise BudgetExceededError(f"configuration graph exceeded {node_budget} nodes")
-        if node < n:
-            continue
-        first, second = step(node)
-        succs = edges[node] = (first,) if second < 0 else (first, second)
-        for nxt in succs:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return TransitionGraph(seeds.space, nodes, edges, seed_map)
 
 
 # --- the composer: a program's profile from its sub-programs' ---------------
@@ -590,12 +476,6 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
 _ONES = bytes.maketrans(b"01", b"\x00\x01")     # a mask's flag: 0 or 1
 _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _seq_rule,
           Choice: _choice_rule, Ite: _ite_rule, While: _while_rule}
-
-
-def may_diverge(p: Program, space: StateSpace) -> Predicate:
-    """States admitting an infinite execution: the profile's may-divergence,
-    which the composer builds from the sub-programs'."""
-    return Predicate(space, profile(p, space).may_div)
 
 
 # --- cached per-program profile ---------------------------------------------

@@ -3,7 +3,7 @@
 Terms are evaluated extensionally over an enumerated state space: tests are
 sub-identity filters, composition is relational composition, star is
 reflexive-transitive closure, and top is the universal relation.  Programs
-compile to terms whose evaluation matches their relational denotation, and a
+compile to terms whose evaluation matches the relation of their profile, and a
 catalog of equation schemas over (pre, program, post) expresses the triple
 logics that the relational model can see.
 
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import MalformedTermError
 from .relations import Relation
-from .semantics import denote_relation
+from .semantics import profile
 from .space import Predicate, StateSpace
 from .syntax import (
     Assign,
@@ -131,14 +131,14 @@ def eval_kat(t: KatTerm, space: StateSpace) -> Relation:
 
 
 def compile_kat(p: Program, space: StateSpace) -> KatTerm:
-    """Translate a program to a term; eval_kat of the result equals the
-    relational denotation."""
+    """Translate a program to a term whose eval_kat is the relation of the
+    program's profile; an assignment is its profile's relation, a primitive."""
     if isinstance(p, Skip):
         return One()
     if isinstance(p, Diverge):
         return Zero()
     if isinstance(p, Assign):
-        return Prim(denote_relation(p, space))
+        return Prim(profile(p, space).relation)
     if isinstance(p, Seq):
         return Dot(compile_kat(p.first, space), compile_kat(p.second, space))
     if isinstance(p, Choice):
@@ -308,12 +308,12 @@ def catalog_values(rel: Relation, b: int, c: int) -> tuple[bool, ...]:
 
 
 def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
-    """Evaluate one catalog equation (or system) over the relational
-    denotation of p; p may be a Program or a raw Relation."""
+    """Evaluate one catalog equation (or system) over the relation of p's
+    profile; p may be a Program or a raw Relation."""
     space = b.space
     if c.space != space:
         raise ValueError("pre- and postcondition live in different spaces")
-    rel = p if isinstance(p, Relation) else denote_relation(p, space)
+    rel = p if isinstance(p, Relation) else profile(p, space).relation
     if rel.n != space.size:
         raise ValueError("program relation has the wrong size")
     if eq not in _CATALOG:

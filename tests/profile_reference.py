@@ -3,7 +3,10 @@ the configuration graph of a program compiled to points.
 
 `profile` composes each program's relation and may-divergence from its
 sub-programs'; this is the whole-program pass it replaced, kept as the route
-it is checked against.  On a finite, finitely branching graph an infinite
+it is checked against.  It reads the program only through `_Points`, the
+small-step semantics: the graph's nodes are the configurations
+`point * n + state` reachable from the seeds, and `_Points.step` gives each
+node's successors.  On a finite, finitely branching graph an infinite
 execution exists from a configuration iff that configuration can reach a
 node lying on a cycle (a lasso).
 """
@@ -42,7 +45,7 @@ def final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], i
     has at most two successors, so the DFS path keeps, beside each open node,
     only its pending second successor (-1 for none), not a successor tuple
     and an iterator over it.  More than `node_budget` configurations raise
-    BudgetExceededError, as `build_graph` does: both visit the same ones."""
+    BudgetExceededError: the pass numbers each reachable configuration once."""
     n = points.n
     step = points.step
     number: dict[int, int] = {}     # configuration -> discovery number

@@ -24,7 +24,6 @@ from ngclab import (
     appendix_c_claims,
     check_theorem,
     compile_kat,
-    denote_relation,
     eval_kat,
     find_counterexample,
     holds,
@@ -213,7 +212,7 @@ def test_criterion_6_total_correctness_relationally_invisible():
         space = StateSpace(tuple(w["variables"]), w["modulus"])
         p1 = parse_program(w["program_a"], space)
         p2 = parse_program(w["program_b"], space)
-        assert denote_relation(p1, space) == denote_relation(p2, space)
+        assert profile(p1, space).relation == profile(p2, space).relation
         triple1 = Triple(Predicate.from_indices(space, w["pre_indices"]), p1,
                          Predicate.from_indices(space, w["post_indices"]))
         triple2 = Triple(triple1.pre, p2, triple1.post)

@@ -188,6 +188,16 @@ class TestSurvey:
     def test_unknown_theorem_is_usage_error(self, capsys):
         assert main(["survey", "--suite", "NOT_A_THEOREM"]) == 2
 
+    @pytest.mark.parametrize("corpus", ["loops", "tiny"])
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_empty_corpus_is_a_one_line_usage_error(self, capsys, corpus, count):
+        # a corpus of no programs must not pass every theorem vacuously
+        assert main(["survey", "--corpus", corpus, "--count", count,
+                     "--suite", "ORDERING"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --count must be a positive integer, got {count}\n"
+
 
 class TestCounterexample:
     def test_known_gap_prints_witness(self, capsys):

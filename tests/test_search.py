@@ -30,7 +30,7 @@ def _ref_triples(config):
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
         preds = list(all_predicates(space))
-        for p in _ref_programs(space, config.max_depth, config.loops):
+        for p in _ref_programs(space, config.max_depth):
             for b in preds:
                 for c in preds:
                     yield space, p, b, c
@@ -67,7 +67,7 @@ def _ref_search(claim, config):
         K = TransformerKind
         for variables, modulus in config.spaces:
             space = StateSpace(variables, modulus)
-            for p in _ref_programs(space, config.max_depth, config.loops):
+            for p in _ref_programs(space, config.max_depth):
                 for c in all_predicates(space):
                     if not spend():
                         return "budget-exhausted", candidates, None
@@ -93,7 +93,7 @@ def _ref_search(claim, config):
             space = StateSpace(variables, modulus)
             preds = list(all_predicates(space))
             by_relation = {}
-            for p in _ref_programs(space, config.max_depth, config.loops):
+            for p in _ref_programs(space, config.max_depth):
                 others = by_relation.setdefault(profile(p, space).relation, [])
                 for q in others:
                     for c in preds:
@@ -361,7 +361,7 @@ def _drawn(config, count):
     """The first `count` (space, program) pairs the search draws."""
     spaces = [StateSpace(variables, modulus) for variables, modulus in config.spaces]
     return [(space, p) for space in spaces
-            for p in _ref_programs(space, config.max_depth, config.loops)][:count]
+            for p in _ref_programs(space, config.max_depth)][:count]
 
 
 def _counting_scans(monkeypatch):

@@ -1,22 +1,14 @@
-"""Collecting semantics, preimages, the configuration graph, and the
-composed profile, cross-checked against each other and against the
-operational reference (one Tarjan pass over the configuration graph)."""
+"""The composed profile: its relation, preimages and divergence, checked
+against the operational reference (one Tarjan pass over the configuration
+graph of the program's points) and against the inductive engine's strongest
+postconditions, the collecting semantics, from single states."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngclab import (
-    BudgetExceededError,
-    Predicate,
-    StateSpace,
-    build_graph,
-    collecting,
-    denote_relation,
-    may_diverge,
-    parse_program,
-)
+from ngclab import BudgetExceededError, Predicate, StateSpace, parse_program
 from ngclab import semantics
 from ngclab.generators import GeneratorConfig, generate_programs, random_program
 from ngclab.relations import Relation
@@ -37,20 +29,32 @@ def pred(indices, space=SPACE):
     return Predicate.from_indices(space, indices)
 
 
+def collecting(p, initial):
+    """All final states reachable from the initial set: the inductive
+    engine's angelic strongest postcondition, loops by least fixpoint."""
+    return inductive_transform(TransformerKind.ASP, p, initial)
+
+
+def singleton_rows(p, space):
+    """The relation's rows as the collecting semantics of each single state."""
+    return tuple(collecting(p, pred([i], space)).bits for i in range(space.size))
+
+
 def preimage(p, target):
     """States from which some execution of p ends in the target: the
-    profile's relation, checked against the AST walk's relation."""
+    profile's relation, checked against the reference pass's rows."""
     space = target.space
     bits = profile(p, space).relation.preimage_bits(target.bits)
-    assert bits == denote_relation(p, space).preimage_bits(target.bits)
+    rows, _, _ = reference_profile(p, space)
+    assert bits == Relation(space.size, rows).preimage_bits(target.bits)
     return Predicate(space, bits)
 
 
 def must_div(p, space):
     """States with an empty image: the profile's must-divergence, checked
-    against the empty rows of the AST walk's relation."""
+    against the empty rows of the reference pass."""
     bits = profile(p, space).must_div
-    rows = denote_relation(p, space).rows
+    rows, _, _ = reference_profile(p, space)
     assert bits == sum(1 << i for i, row in enumerate(rows) if row == 0)
     return Predicate(space, bits)
 
@@ -105,80 +109,48 @@ class TestInverse:
             assert preimage(p, target) == pred(hits)
 
 
-class TestGraph:
-    def test_skip_graph_shape(self):
-        graph = build_graph(prog("skip"), pred([1]))
-        assert len(graph.nodes) == 2
-        terminals = [n for n in graph.nodes if graph.is_terminal(n)]
-        assert terminals == [1] and graph.state_of(terminals[0]) == 1
-
-    def test_diverge_self_loops(self):
-        graph = build_graph(prog("diverge"), pred([0]))
-        (seed,) = graph.seeds.values()
-        assert graph.successors(seed) == (seed,)
-
-    def test_countdown_graph_is_acyclic_and_lands_on_zero(self):
+class TestReference:
+    def test_countdown_reaches_no_cycle_and_lands_on_zero(self):
+        # the pass flags a seed that reaches a configuration on a cycle
         p = prog("while x != 0 { x := x - 1 }")
-        graph = build_graph(p, SIGMA)
-        # every edge leads to a node not yet visited on the current path:
-        # a DFS that never meets a node on its own stack finds no cycle
-        on_path, done = set(), set()
+        assert reference_profile(p, SPACE) == ((1, 1, 1), 0, 0)
 
-        def acyclic_from(node):
-            on_path.add(node)
-            for nxt in graph.successors(node):
-                assert nxt not in on_path
-                if nxt not in done:
-                    acyclic_from(nxt)
-            on_path.discard(node)
-            done.add(node)
-
-        for seed in graph.seeds.values():
-            acyclic_from(seed)
-        for i in range(SPACE.size):
-            assert graph.terminal_states(i) == pred([0])
-        assert may_diverge(p, SPACE).is_empty
-
-    def test_node_budget_is_a_hard_error(self):
+    @pytest.mark.parametrize("text, k", (
+        ("while true { x := x + 1 }", 6),
+        ("while x != 0 { { x := x - 1 } [] { x := x + 1 } }", 10),
+        ("{ while x = 1 { skip } } [] { x := 0 ; diverge }", 13),
+        ("x := x + 1 ; if x = 0 { skip } else { x := 2 }", 11),
+    ))
+    def test_node_budget_counts_the_reachable_configurations(self, text, k):
+        # k configurations are reachable from the three seeds (counted by
+        # hand), so the pass fits a budget of k and not of k - 1
+        p = prog(text)
+        assert final_and_divergent(semantics._Points(p, SPACE), k)
         with pytest.raises(BudgetExceededError):
-            build_graph(prog("while true { x := x + 1 }"), SIGMA, node_budget=3)
-
-    def test_profile_pass_keeps_the_node_budget(self):
-        # the reference pass and build_graph visit the same configurations, so
-        # both fit a budget of exactly that many nodes and neither fits one fewer
-        for text in ("while true { x := x + 1 }",
-                     "while x != 0 { { x := x - 1 } [] { x := x + 1 } }",
-                     "{ while x = 1 { skip } } [] { x := 0 ; diverge }",
-                     "x := x + 1 ; if x = 0 { skip } else { x := 2 }"):
-            p = prog(text)
-            k = len(build_graph(p, SIGMA).nodes)
-            assert final_and_divergent(semantics._Points(p, SPACE), k)
-            build_graph(p, SIGMA, node_budget=k)
-            with pytest.raises(BudgetExceededError):
-                final_and_divergent(semantics._Points(p, SPACE), k - 1)
-            with pytest.raises(BudgetExceededError):
-                build_graph(p, SIGMA, node_budget=k - 1)
+            final_and_divergent(semantics._Points(p, SPACE), k - 1)
 
     def test_sequences_compile_without_recursing_per_statement(self):
-        # a `;` chain far longer than the interpreter's recursion limit
+        # a `;` chain far longer than the interpreter's recursion limit;
+        # neither compiling nor the pass hashes the program
         p = prog("x := x + 1")
         for _ in range(5000):
             p = Seq(prog("x := x + 1"), p)
-        graph = build_graph(p, pred([0]))
-        assert graph.terminal_states(0) == pred([5001 % 3])
+        rows, may = final_and_divergent(semantics._Points(p, SPACE),
+                                        semantics.DEFAULT_NODE_BUDGET)
+        assert rows[0] == 1 << 5001 % 3 and may == 0
 
 
 class TestDivergence:
     def test_skip_never_diverges(self):
-        assert may_diverge(prog("skip"), SPACE).is_empty
+        assert profile(prog("skip"), SPACE).may_div == 0
 
     def test_optional_divergence_is_everywhere(self):
         p = prog("{ skip } [] { while true { skip } }")
-        assert may_diverge(p, SPACE) == SIGMA
+        assert profile(p, SPACE).may_div == SIGMA.bits
         assert must_div(p, SPACE).is_empty
 
     def test_terminating_loop_has_no_divergence(self):
-        assert may_diverge(prog("while x != 0 { x := x - 1 }"), SPACE).is_empty
+        assert profile(prog("while x != 0 { x := x - 1 }"), SPACE).may_div == 0
 
     def test_diverge_must_diverge(self):
         assert must_div(prog("diverge"), SPACE) == SIGMA
@@ -187,50 +159,47 @@ class TestDivergence:
         space = StateSpace(("x",), 2)
         p = prog("if x = 0 { diverge } else { skip }", space)
         assert must_div(p, space) == Predicate.from_indices(space, [0])
-        assert may_diverge(p, space) == Predicate.from_indices(space, [0])
+        assert profile(p, space).may_div == 1
 
     def test_must_implies_may(self):
         rng = random.Random(11)
         for _ in range(150):
             p = random_program(rng, SPACE, 4, loops=True)
-            assert must_div(p, SPACE) <= may_diverge(p, SPACE)
+            assert must_div(p, SPACE).bits & ~profile(p, SPACE).may_div == 0
 
 
 class TestRelation:
     def test_skip_denotes_identity(self):
-        rel = denote_relation(prog("skip"), SPACE)
-        assert rel.rows == (1, 2, 4)
+        assert singleton_rows(prog("skip"), SPACE) == (1, 2, 4)
 
     def test_diverge_denotes_empty(self):
-        assert denote_relation(prog("diverge"), SPACE).rows == (0, 0, 0)
+        assert singleton_rows(prog("diverge"), SPACE) == (0, 0, 0)
 
     def test_branching_divergence_lost_relationally(self):
-        a = denote_relation(prog("{ skip } [] { diverge }"), SPACE)
-        assert a == denote_relation(prog("skip"), SPACE)
+        a = prog("{ skip } [] { diverge }")
+        assert singleton_rows(a, SPACE) == singleton_rows(prog("skip"), SPACE)
+        assert profile(a, SPACE).relation == profile(prog("skip"), SPACE).relation
 
     def test_diverge_equals_trivial_loop(self):
         # the dedicated node and its unfolding are semantically identical
         spin = prog("while true { skip }")
         stop = prog("diverge")
-        assert denote_relation(stop, SPACE) == denote_relation(spin, SPACE)
-        assert may_diverge(stop, SPACE) == may_diverge(spin, SPACE) == SIGMA
+        assert singleton_rows(stop, SPACE) == singleton_rows(spin, SPACE)
+        assert profile(stop, SPACE).relation == profile(spin, SPACE).relation
+        assert profile(stop, SPACE).may_div == profile(spin, SPACE).may_div == SIGMA.bits
         assert must_div(stop, SPACE) == must_div(spin, SPACE) == SIGMA
 
 
 @settings(max_examples=250, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
-def test_graph_terminals_agree_with_collecting(seed):
-    """The graph's terminal extraction and the collecting semantics are two
-    routes to the same image, for every seed state."""
+def test_reference_rows_agree_with_collecting(seed):
+    """The reference pass's final states and the collecting semantics are
+    two routes to the same image, for every seed state."""
     rng = random.Random(seed)
     space = StateSpace(("x", "y"), 2)
     p = random_program(rng, space, 4, loops=True)
-    graph = build_graph(p, Predicate.universe(space))
-    assert set(graph.seeds) == set(range(space.size))
-    for node in graph.nodes:
-        assert graph.is_terminal(node) == (not graph.successors(node))
-    for i in range(space.size):
-        assert graph.terminal_states(i) == collecting(p, Predicate.from_indices(space, [i]))
+    rows, _, _ = reference_profile(p, space)
+    assert rows == singleton_rows(p, space)
 
 
 CROSS_SPACES = (
@@ -300,7 +269,7 @@ def _cross_check(p, space):
     prof = profile(p, space)
     empty = Predicate.empty(space)
     assert (prof.relation.rows, prof.may_div, prof.must_div) == reference_profile(p, space)
-    assert prof.relation == denote_relation(p, space)
+    assert prof.relation.rows == singleton_rows(p, space)
     assert prof.may_div == inductive_transform(TransformerKind.AWLP, p, empty).bits
     assert prof.must_div == sum(1 << i for i, row in enumerate(prof.relation.rows) if not row)
     assert prof.must_div & ~prof.may_div == 0
@@ -309,7 +278,7 @@ def _cross_check(p, space):
 @pytest.mark.parametrize("space", CROSS_SPACES, ids=lambda s: f"n{s.size}")
 def test_profile_matches_reference_collecting_and_greatest_fixpoint(space):
     """The composed profile against three independent routes: the pass over
-    the configuration graph, the relation of the collecting semantics, and
+    the configuration graph, the collecting semantics of each state, and
     may-divergence as the inductive engine's awlp(false), a greatest
     fixpoint for loops."""
     for text in CROSS_PROGRAMS:
@@ -325,8 +294,7 @@ def test_profile_matches_direct_computations(seed):
     rng = random.Random(seed)
     p = random_program(rng, SPACE, 4, loops=True)
     prof = profile(p, SPACE)
-    assert prof.relation == denote_relation(p, SPACE)
-    assert prof.may_div == may_diverge(p, SPACE).bits
+    _cross_check(p, SPACE)
     assert prof.must_div == must_div(p, SPACE).bits
     assert prof.reach == prof.relation.codomain_bits()
 
@@ -427,7 +395,7 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
     p = prog("x := x + 1 ; { skip } [] { x := 0 }")
     monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 4 * 3)
     semantics._meaning.cache_clear()
-    assert profile.__wrapped__(p, SPACE).relation == denote_relation(p, SPACE)
+    assert profile.__wrapped__(p, SPACE).relation.rows == reference_profile(p, SPACE)[0]
     monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 4 * 3 - 1)
     semantics._meaning.cache_clear()
     with pytest.raises(BudgetExceededError,

@@ -16,17 +16,18 @@ from ngclab import (
     check_equation,
     codomain,
     compile_kat,
-    denote_relation,
     domain,
     eval_kat,
     parse_program,
 )
 from ngclab import topkat
-from ngclab.generators import random_program
+from ngclab.generators import GeneratorConfig, generate_programs, random_program
+from ngclab.semantics import profile
 from ngclab.topkat import EQUATIONS, Dot, NotT, One, Plus, Prim, Star, Top, Zero, catalog_values
 from ngclab.topkat import Test as KatTest  # aliased so pytest does not collect it
 
 from kat_reference import Chains, reference_values
+from profile_reference import reference_profile
 
 # the worked five-state example: states are labeled 1..5, indices 0..4
 FIVE = StateSpace(("s",), 5)
@@ -200,16 +201,35 @@ class TestCompile:
 
     def test_countdown_loop_matches_denotation(self):
         p = parse_program("while x != 0 { x := x - 1 }", SPACE3)
-        term = compile_kat(p, SPACE3)
-        assert eval_kat(term, SPACE3) == denote_relation(p, SPACE3)
+        assert compiled_relation(p, SPACE3).rows == (1, 1, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_compile_agrees_with_denotation(self, seed):
         """eval_kat(compile_kat(p)) equals the relational denotation."""
         rng = random.Random(seed)
-        p = random_program(rng, SPACE3, 4, loops=True)
-        assert eval_kat(compile_kat(p, SPACE3), SPACE3) == denote_relation(p, SPACE3)
+        compiled_relation(random_program(rng, SPACE3, 4, loops=True), SPACE3)
+
+    def test_compile_agrees_on_the_depth_3_corpus(self):
+        config = GeneratorConfig(("x",), 2, max_depth=3)
+        for p in random.Random(2026).sample(list(generate_programs(config)), 600):
+            compiled_relation(p, config.space())
+
+    def test_compile_agrees_on_random_loop_programs(self):
+        config = GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True, mode="random",
+                                 seed=2025, count=600)
+        for p in generate_programs(config):
+            compiled_relation(p, config.space())
+
+
+def compiled_relation(p, space):
+    """eval_kat(compile_kat(p)), checked as a third route to p's relation
+    against the reference pass's rows and the profile's relation."""
+    value = eval_kat(compile_kat(p, space), space)
+    rows, _, _ = reference_profile(p, space)
+    assert value.rows == rows
+    assert value == profile(p, space).relation
+    return value
 
 
 class TestSelectors:

@@ -1,4 +1,4 @@
-"""Mutation check of the semantics, logic and search tests, one planted fault per run.
+"""Mutation check of the semantics, logic, algebra and search tests, one planted fault per run.
 
 Each mutant is a small textual edit of one module of `src/ngclab`: a rule
 of the profile's composer or a step of its loops' SCC pass dropped or bent,
@@ -6,8 +6,9 @@ the sink of its successor tables given a successor, a row bit or a final
 state, its budget off by one, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
 the class store of transformer tables keyed wrongly, its linear passes for
-large spaces reading the wrong masks, or a per-class memo of the
-counterexample search keyed, bounded or filtered wrongly.  For every mutant
+large spaces reading the wrong masks, the equation catalog's rectangle plans
+reading the wrong relation direction, side or test, or a per-class memo of
+the counterexample search keyed, bounded or filtered wrongly.  For every mutant
 the script copies `src/` to a temporary directory, plants the fault there
 (never in the checkout), and runs the mutant's test file against the copy in
 a fresh interpreter.  A mutant is
@@ -236,6 +237,17 @@ MUTANTS = (
     Mutant("the linear-pass table reads pre-not against q", "transformers.py", (
         ("map(and_, rows, repeat(not_q))", "map(and_, rows, repeat(q))"),
     ), "test_transformers.py"),
+    # the rectangle plans of the equation catalog
+    Mutant("the catalog takes images for preimages and back", "topkat.py", (
+        ("image, preimage = rel.image_bits, rel.preimage_bits",
+         "image, preimage = rel.preimage_bits, rel.image_bits"),
+    ), "test_topkat.py"),
+    Mutant("a rectangle with an empty side is not the empty relation", "topkat.py", (
+        ("m.append(m[x] << n | m[y] if m[x] and m[y] else 0)", "m.append(m[x] << n | m[y])"),
+    ), "test_topkat.py"),
+    Mutant("the letter C reads the postcondition, not its negation", "topkat.py", (
+        ('"B": _NB, "C": _NC}', '"B": _NB, "C": _C}'),
+    ), "test_topkat.py"),
     # the counterexample search
     Mutant("the search's class key leaves out may-divergence", "search.py", (
         ("key = (prof.relation.rows, prof.may_div)", "key = prof.relation.rows"),
