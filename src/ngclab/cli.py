@@ -92,16 +92,10 @@ def cmd_check(args) -> int:
 
 
 def _corpus_from_args(args) -> CorpusConfig:
-    overrides = {}
-    if args.count is not None:
-        if args.count < 1:
-            # a corpus of no programs would pass every theorem vacuously
-            raise SystemExit(f"error: --count must be a positive integer, got {args.count}")
-        overrides["count"] = args.count
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-        overrides["predicate_seed"] = args.seed
-    return corpus_preset(args.corpus, **overrides)
+    if args.count is not None and args.count < 1:
+        # a corpus of no programs would pass every theorem vacuously
+        raise SystemExit(f"error: --count must be a positive integer, got {args.count}")
+    return corpus_preset(args.corpus, args.count, args.seed)
 
 
 def cmd_survey(args) -> int:
@@ -219,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--corpus", default="tiny",
                       choices=["tiny", "small-exhaustive", "loops"])
     p_sv.add_argument("--count", type=int, default=None,
-                      help="program count for random corpora")
-    p_sv.add_argument("--seed", type=int, default=None)
+                      help="program count of the random corpus loops")
+    p_sv.add_argument("--seed", type=int, default=None,
+                      help="seed of the random corpus loops")
     p_sv.add_argument("--format", default="text", choices=["text", "json"])
     p_sv.set_defaults(func=cmd_survey)
 
@@ -244,9 +239,10 @@ def main(argv=None) -> int:
         state_cap()  # reject a malformed NGCL_STATE_CAP whatever the command
         return args.func(args)
     except RecursionError:
-        # parsing and hashing recurse once per nesting level, `;` included
+        # parsing, hashing and the rules recurse once per level of nesting;
+        # a `;` chain of any length is read, hashed and composed in a loop
         print("error: program nested too deeply (the limit is a few hundred "
-              "statements or levels)", file=sys.stderr)
+              "levels of nesting)", file=sys.stderr)
         return USAGE_ERROR
     except NgclSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -4,8 +4,10 @@ Sixteen arise from bounding each transformer from below or above; two more
 bound the union and the intersection of the angelic weakest pre and the
 demonic weakest liberal pre.  `violations` is the one implementation of
 that subset condition: `holds`, the command line's `check`, the theorem
-suite and the search all read their verdicts off it.  Also here: the
-assumption classifiers the collapse theorems filter on.
+suite and the search all read their verdicts off it.  Which logics are
+contrapositive or Galois partners is derived from the transformers'
+negation duals and adjunctions (`transformers.DUALS`, `ADJUNCTIONS`).
+Also here: the assumption classifiers the collapse theorems filter on.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
-from .transformers import AWP, DWLP, TransformerKind, class_tables
+from .transformers import ADJUNCTIONS, AWP, DUALS, DWLP, TransformerKind, class_tables
 
 
 class Bound(Enum):
@@ -31,7 +33,6 @@ class LogicId:
     kind: Optional[TransformerKind]  # None for the union/intersection logics
     bound: Bound
     colloquial: Optional[str] = None
-    equation: Optional[str] = None   # linked catalog EquationId, if expressible
     # the subset condition as `violations` reads it: (table position of the
     # transformer, or None for the union/intersection logics; backward;
     # lower bound)
@@ -40,7 +41,7 @@ class LogicId:
     def __post_init__(self):
         kind = self.kind
         object.__setattr__(self, "shape", (
-            None if kind is None else tuple(TransformerKind).index(kind),
+            None if kind is None else kind.position,
             kind is None or kind.backward,
             self.bound is Bound.LB,
         ))
@@ -49,27 +50,27 @@ class LogicId:
         return f"LogicId({self.name})"
 
 
-def _mk(kind: TransformerKind, bound: Bound, colloquial=None, equation=None) -> LogicId:
-    return LogicId(f"{kind.value}-{bound.value}", kind, bound, colloquial, equation)
+def _mk(kind: TransformerKind, bound: Bound, colloquial=None) -> LogicId:
+    return LogicId(f"{kind.value}-{bound.value}", kind, bound, colloquial)
 
 
-AWP_LB = _mk(TransformerKind.AWP, Bound.LB, "Lisbon logic (angelic total correctness)", "LISBON")
+AWP_LB = _mk(TransformerKind.AWP, Bound.LB, "Lisbon logic (angelic total correctness)")
 DWP_LB = _mk(TransformerKind.DWP, Bound.LB, "Hoare logic (total correctness)")
 AWLP_LB = _mk(TransformerKind.AWLP, Bound.LB, "angelic partial correctness")
-DWLP_LB = _mk(TransformerKind.DWLP, Bound.LB, "Hoare logic (partial correctness)", "PARTIAL_CORRECTNESS")
-AWP_UB = _mk(TransformerKind.AWP, Bound.UB, "partial incorrectness (necessary preconditions)", "DEMONIC_PARTIAL_INCORRECTNESS")
+DWLP_LB = _mk(TransformerKind.DWLP, Bound.LB, "Hoare logic (partial correctness)")
+AWP_UB = _mk(TransformerKind.AWP, Bound.UB, "partial incorrectness (necessary preconditions)")
 DWP_UB = _mk(TransformerKind.DWP, Bound.UB)
 AWLP_UB = _mk(TransformerKind.AWLP, Bound.UB)
-DWLP_UB = _mk(TransformerKind.DWLP, Bound.UB, None, "DWLP_UB")
-ASP_LB = _mk(TransformerKind.ASP, Bound.LB, "incorrectness logic", "INCORRECTNESS")
-DSP_LB = _mk(TransformerKind.DSP, Bound.LB, "demonic incorrectness", "DEMONIC_INCORRECTNESS")
-ASLP_LB = _mk(TransformerKind.ASLP, Bound.LB, "angelic partial incorrectness", "ANGELIC_PARTIAL_INCORRECTNESS")
-DSLP_LB = _mk(TransformerKind.DSLP, Bound.LB, "partial incorrectness", "DEMONIC_PARTIAL_INCORRECTNESS")
-ASP_UB = _mk(TransformerKind.ASP, Bound.UB, "Hoare logic (partial correctness)", "PARTIAL_CORRECTNESS")
-DSP_UB = _mk(TransformerKind.DSP, Bound.UB, None, "DSP_UB")
+DWLP_UB = _mk(TransformerKind.DWLP, Bound.UB)
+ASP_LB = _mk(TransformerKind.ASP, Bound.LB, "incorrectness logic")
+DSP_LB = _mk(TransformerKind.DSP, Bound.LB, "demonic incorrectness")
+ASLP_LB = _mk(TransformerKind.ASLP, Bound.LB, "angelic partial incorrectness")
+DSLP_LB = _mk(TransformerKind.DSLP, Bound.LB, "partial incorrectness")
+ASP_UB = _mk(TransformerKind.ASP, Bound.UB, "Hoare logic (partial correctness)")
+DSP_UB = _mk(TransformerKind.DSP, Bound.UB)
 ASLP_UB = _mk(TransformerKind.ASLP, Bound.UB)
-DSLP_UB = _mk(TransformerKind.DSLP, Bound.UB, None, "DSLP_UB")
-UNION_LOGIC = LogicId("union-lb", None, Bound.LB, "in-between logic", "IN_BETWEEN")
+DSLP_UB = _mk(TransformerKind.DSLP, Bound.UB)
+UNION_LOGIC = LogicId("union-lb", None, Bound.LB, "in-between logic")
 INTERSECTION_LOGIC = LogicId("intersection-lb", None, Bound.LB, "outcome conjunction")
 
 ALL_LOGICS: tuple[LogicId, ...] = (
@@ -81,6 +82,8 @@ ALL_LOGICS: tuple[LogicId, ...] = (
 )
 
 _BY_NAME = {logic.name: logic for logic in ALL_LOGICS}
+# the sixteen bounded logics by (table position of the transformer, bound)
+BOUNDED = {(logic.kind.position, logic.bound): logic for logic in ALL_LOGICS[:16]}
 
 # colloquial aliases accepted on the command line
 ALIASES = {
@@ -106,20 +109,16 @@ def logic_by_name(name: str) -> LogicId:
     raise KeyError(f"unknown logic {name!r}")
 
 
-# contrapositive partners: holds(L, (b, p, c)) iff holds(partner(L), (~b, p, ~c))
-CONTRAPOSITIVE = {
-    AWP_LB: DWLP_UB, DWLP_UB: AWP_LB,
-    DWP_LB: AWLP_UB, AWLP_UB: DWP_LB,
-    AWLP_LB: DWP_UB, DWP_UB: AWLP_LB,
-    DWLP_LB: AWP_UB, AWP_UB: DWLP_LB,
-    ASP_LB: DSLP_UB, DSLP_UB: ASP_LB,
-    DSP_LB: ASLP_UB, ASLP_UB: DSP_LB,
-    ASLP_LB: DSP_UB, DSP_UB: ASLP_LB,
-    DSLP_LB: ASP_UB, ASP_UB: DSLP_LB,
-}
+# contrapositive partners: holds(L, (b, p, c)) iff holds(partner(L), (~b, p, ~c)),
+# where the partner bounds the negation dual of L's transformer the other way
+_DUAL = dict(DUALS + tuple((y, x) for x, y in DUALS))
+_FLIP = {Bound.LB: Bound.UB, Bound.UB: Bound.LB}
+CONTRAPOSITIVE = {logic: BOUNDED[_DUAL[pos], _FLIP[bound]]
+                  for (pos, bound), logic in BOUNDED.items()}
 
-# Galois partners: equivalent on every triple
-GALOIS = {DWLP_LB: ASP_UB, ASP_UB: DWLP_LB, AWP_UB: DSLP_LB, DSLP_LB: AWP_UB}
+# Galois partners, equivalent on every triple: g-lb and f-ub for f -| g
+_ADJOINT = [(BOUNDED[g, Bound.LB], BOUNDED[f, Bound.UB]) for _, f, g in ADJUNCTIONS]
+GALOIS = dict(_ADJOINT + [(y, x) for x, y in _ADJOINT])
 
 
 @dataclass(frozen=True)
@@ -196,15 +195,19 @@ class AssumptionSet:
 
 
 def syntactic_choice(p: Program) -> Optional[Program]:
-    """The first nondeterministic choice subterm, in preorder, if any."""
-    if isinstance(p, Choice):
-        return p
-    if isinstance(p, Seq):
-        return syntactic_choice(p.first) or syntactic_choice(p.second)
-    if isinstance(p, Ite):
-        return syntactic_choice(p.then) or syntactic_choice(p.orelse)
-    if isinstance(p, While):
-        return syntactic_choice(p.body)
+    """The first nondeterministic choice subterm, in preorder, if any.  An
+    explicit stack, so that a `;` chain of any length is walked."""
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, Choice):
+            return p
+        if isinstance(p, Seq):
+            todo += (p.second, p.first)
+        elif isinstance(p, Ite):
+            todo += (p.orelse, p.then)
+        elif isinstance(p, While):
+            todo.append(p.body)
     return None
 
 

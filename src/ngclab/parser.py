@@ -219,10 +219,12 @@ class _Parser:
         while self.at(";"):
             self.next()
             statements.append(self.statement())
-        # fold right: s1; s2; s3 is Seq(s1, Seq(s2, s3))
+        # fold right: s1; s2; s3 is Seq(s1, Seq(s2, s3)); each link is hashed
+        # as it is made, so that no later hash recurses along the chain
         node = statements.pop()
         while statements:
             node = Seq(statements.pop(), node)
+            hash(node)
         return node
 
     def statement(self) -> Program:

@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from . import logics as _logics
 from .generators import all_predicates, exhaustive_programs
 from .logics import (
-    ASP_LB, ASP_UB, ASLP_LB, ASLP_UB, AWP_LB, AWP_UB, AWLP_LB, AWLP_UB,
-    DSP_LB, DSP_UB, DSLP_LB, DSLP_UB, DWP_LB, DWP_UB, DWLP_LB, DWLP_UB,
+    CONTRAPOSITIVE, GALOIS,
+    ASP_LB, ASLP_LB, AWP_LB, AWP_UB, AWLP_LB, DSP_LB, DSP_UB, DWP_LB, DWLP_LB,
     INTERSECTION_LOGIC,
     LogicId, syntactic_choice,
 )
@@ -83,40 +83,23 @@ class SearchResult:
 
 # seven representative logics plus their contrapositives; the two logics
 # equivalent to one of these via an adjunction are deliberately absent
-_BASE_LEGS = (
-    ("dwlpLB", DWLP_LB),
-    ("dwpLB", DWP_LB),
-    ("awpLB", AWP_LB),
-    ("awlpLB", AWLP_LB),
-    ("aspLB", ASP_LB),
-    ("dspLB", DSP_LB),
-    ("aslpLB", ASLP_LB),
-)
-_CONTRA_OF = {
-    "dwlpLB": AWP_UB,
-    "dwpLB": AWLP_UB,
-    "awpLB": DWLP_UB,
-    "awlpLB": DWP_UB,
-    "aspLB": DSLP_UB,
-    "dspLB": ASLP_UB,
-    "aslpLB": DSP_UB,
-}
+_REPRESENTATIVES = (DWLP_LB, DWP_LB, AWP_LB, AWLP_LB, ASP_LB, DSP_LB, ASLP_LB)
 
-LEGS: dict[str, LogicId] = {}
-for _name, _logic in _BASE_LEGS:
-    LEGS[_name] = _logic
-for _name, _logic in _CONTRA_OF.items():
-    LEGS[f"{_name}-contra"] = _logic
-# direct bound-direction spellings are accepted too
-for _logic in (AWP_UB, AWLP_UB, DWLP_UB, DWP_UB, DSLP_UB, ASLP_UB, DSP_UB):
-    LEGS[_logic.name.replace("-ub", "UB")] = _logic
+
+def _leg(logic: LogicId) -> str:
+    return logic.kind.value + logic.bound.name   # dwlp-lb is dwlpLB
+
+
+LEGS: dict[str, LogicId] = {_leg(logic): logic for logic in _REPRESENTATIVES}
+LEGS.update((_leg(logic) + "-contra", CONTRAPOSITIVE[logic]) for logic in _REPRESENTATIVES)
+# a contrapositive's own spelling is accepted too
+LEGS.update((_leg(CONTRAPOSITIVE[logic]), CONTRAPOSITIVE[logic]) for logic in _REPRESENTATIVES)
 
 
 def appendix_c_claims() -> list[str]:
     """All 91 pairwise-distinctness claims over the seven representative
     logics and their seven contrapositives (stable `appendixC:` ids)."""
-    names = [name for name, _ in _BASE_LEGS]
-    names += [f"{name}-contra" for name, _ in _BASE_LEGS]
+    names = list(LEGS)[:2 * len(_REPRESENTATIVES)]
     return [f"appendixC:{a}-vs-{b}" for a, b in combinations(names, 2)]
 
 
@@ -348,9 +331,9 @@ def _blocks(claim: str, config: SearchConfig, stats: dict) -> Iterator[_Block]:
     if claim == "dwp-neq-intersection" or claim == "awlp-neq-union":
         return _combination_gap_blocks(claim, config, stats)
     if claim == "galois-pc":
-        return _logic_pair_blocks(config, stats, DWLP_LB, ASP_UB)
+        return _logic_pair_blocks(config, stats, DWLP_LB, GALOIS[DWLP_LB])
     if claim == "galois-pi":
-        return _logic_pair_blocks(config, stats, AWP_UB, DSLP_LB)
+        return _logic_pair_blocks(config, stats, AWP_UB, GALOIS[AWP_UB])
     if claim == "galois-awlp-dsp-det-rev":
         # the forced adjunction: deterministic plus reversible programs only
         return _logic_pair_blocks(config, stats, AWLP_LB, DSP_UB, det_rev=True)

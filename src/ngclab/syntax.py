@@ -378,11 +378,14 @@ def pretty_program(p: Program) -> str:
     if isinstance(p, Assign):
         return f"{p.var} := {pretty_expr(p.expr)}"
     if isinstance(p, Seq):
+        # along the right spine in a loop, so a chain of any length prints;
         # the parser folds `;` to the right, so a left-nested Seq needs braces
-        left = pretty_program(p.first)
-        if isinstance(p.first, Seq):
-            left = "{ " + left + " }"
-        return f"{left} ; {pretty_program(p.second)}"
+        parts = []
+        while isinstance(p, Seq):
+            left = pretty_program(p.first)
+            parts.append("{ " + left + " }" if isinstance(p.first, Seq) else left)
+            p = p.second
+        return " ; ".join(parts + [pretty_program(p)])
     if isinstance(p, Choice):
         return "{ " + pretty_program(p.left) + " } [] { " + pretty_program(p.right) + " }"
     if isinstance(p, Ite):

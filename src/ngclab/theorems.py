@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -21,18 +21,18 @@ from typing import Optional
 from . import logics as _logics
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (
-    ALL_LOGICS,
-    ASP_LB, ASP_UB, ASLP_LB, ASLP_UB, AWP_LB, AWP_UB, AWLP_LB, AWLP_UB,
-    DSP_LB, DSP_UB, DSLP_LB, DSLP_UB, DWP_LB, DWP_UB, DWLP_LB, DWLP_UB,
+    ALL_LOGICS, BOUNDED, CONTRAPOSITIVE,
+    ASP_LB, ASP_UB, ASLP_LB, AWP_LB, AWP_UB, AWLP_LB,
+    DSP_LB, DSP_UB, DSLP_LB, DSLP_UB, DWP_LB, DWLP_LB, DWLP_UB,
     INTERSECTION_LOGIC, UNION_LOGIC,
-    syntactic_choice,
+    Bound, syntactic_choice,
 )
 from .semantics import profile
 from .space import Predicate, StateSpace
 from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
 from .transformers import (
-    AWP, AWLP, ASP, ASLP, DSP, DSLP, DWP, DWLP,
+    ADJUNCTIONS, AWP, AWLP, ASP, ASLP, DSP, DSLP, DUALS, DWP, DWLP, ORDERING,
     TransformerKind, class_tables,
 )
 
@@ -74,29 +74,21 @@ class CorpusConfig:
         return self.programs.space()
 
 
-def corpus_preset(name: str, **overrides) -> CorpusConfig:
-    if name == "tiny":
-        base = CorpusConfig(GeneratorConfig(("x",), 2, max_depth=2))
-    elif name == "small-exhaustive":
-        base = CorpusConfig(GeneratorConfig(("x",), 2, max_depth=3))
-    elif name == "loops":
-        base = CorpusConfig(
-            GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True,
-                            mode="random", seed=2025, count=10_000),
-            predicate_mode="sample",
-            predicate_pairs=3,
-            predicate_seed=2025,
-        )
-    else:
+def corpus_preset(name: str, count: Optional[int] = None,
+                  seed: Optional[int] = None) -> CorpusConfig:
+    """A named corpus.  Only `loops` is random: the program count and the
+    seed (of its programs and predicate pairs alike) apply to it alone."""
+    if name == "loops":
+        seed = 2025 if seed is None else seed
+        return CorpusConfig(
+            GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True, mode="random",
+                            seed=seed, count=10_000 if count is None else count),
+            predicate_mode="sample", predicate_pairs=3, predicate_seed=seed)
+    if name not in ("tiny", "small-exhaustive"):
         raise KeyError(f"unknown corpus preset {name!r}")
-    if overrides:
-        prog_fields = {k: v for k, v in overrides.items()
-                       if k in GeneratorConfig.__dataclass_fields__}
-        rest = {k: v for k, v in overrides.items()
-                if k not in GeneratorConfig.__dataclass_fields__}
-        prog = replace(base.programs, **prog_fields) if prog_fields else base.programs
-        base = replace(base, programs=prog, **rest)
-    return base
+    if count is not None or seed is not None:
+        raise ValueError(f"the corpus {name} is exhaustive: it takes no program count or seed")
+    return CorpusConfig(GeneratorConfig(("x",), 2, max_depth=2 if name == "tiny" else 3))
 
 
 @lru_cache(maxsize=4)
@@ -158,27 +150,26 @@ def _logic_pairs(template: str, pairs) -> tuple:
                   template.format(a.name, d.name)) for a, d in pairs)
 
 
+# Fig. 4: an ordering x <= y gives x-lb => y-lb and y-ub => x-ub; the
+# in-between logics sit strictly inside the upper-left quadrant
 _IMPLICATIONS = _logic_pairs("{} does not imply {}", (
-    (DWP_LB, AWP_LB), (DWP_LB, DWLP_LB), (AWP_LB, AWLP_LB), (DWLP_LB, AWLP_LB),
-    (AWP_UB, DWP_UB), (AWLP_UB, AWP_UB), (AWLP_UB, DWLP_UB), (DWLP_UB, DWP_UB),
-    (DSP_LB, ASP_LB), (DSP_LB, DSLP_LB), (ASP_LB, ASLP_LB), (DSLP_LB, ASLP_LB),
-    (ASP_UB, DSP_UB), (ASLP_UB, ASP_UB), (ASLP_UB, DSLP_UB), (DSLP_UB, DSP_UB),
-    # the in-between logics sit strictly inside the upper-left quadrant
+    *((BOUNDED[x, Bound.LB], BOUNDED[y, Bound.LB]) for x, y in ORDERING),
+    *((BOUNDED[y, Bound.UB], BOUNDED[x, Bound.UB]) for x, y in ORDERING),
     (DWP_LB, INTERSECTION_LOGIC), (INTERSECTION_LOGIC, AWP_LB),
     (INTERSECTION_LOGIC, DWLP_LB), (INTERSECTION_LOGIC, UNION_LOGIC),
     (AWP_LB, UNION_LOGIC), (DWLP_LB, UNION_LOGIC), (UNION_LOGIC, AWLP_LB),
 ))
 
+# one logic of each contrapositive pair, the one bounding awp, dwp, asp or dsp
 _CONTRA_PAIRS = _logic_pairs("{} and {} are not contrapositive", (
-    (AWP_UB, DWLP_LB), (DWP_UB, AWLP_LB), (AWP_LB, DWLP_UB), (DWP_LB, AWLP_UB),
-    (ASP_UB, DSLP_LB), (ASP_LB, DSLP_UB), (DSP_UB, ASLP_LB), (DSP_LB, ASLP_UB),
+    (BOUNDED[x, bound], CONTRAPOSITIVE[BOUNDED[x, bound]])
+    for x, _ in DUALS for bound in (Bound.UB, Bound.LB)
 ))
 
-_GALOIS_PAIRS = (
-    (ALL_LOGICS.index(DWLP_LB), ALL_LOGICS.index(ASP_UB),
-     "partial-correctness Galois pair disagrees"),
-    (ALL_LOGICS.index(AWP_UB), ALL_LOGICS.index(DSLP_LB),
-     "partial-incorrectness Galois pair disagrees"),
+_GALOIS_PAIRS = tuple(
+    (ALL_LOGICS.index(BOUNDED[g, Bound.LB]), ALL_LOGICS.index(BOUNDED[f, Bound.UB]),
+     f"{name} Galois pair disagrees")
+    for name, f, g in ADJUNCTIONS
 )
 
 _BRIDGES = tuple(
@@ -192,6 +183,7 @@ _BRIDGES = tuple(
         ("INCORRECTNESS", ASP_LB),
         ("ANGELIC_PARTIAL_INCORRECTNESS", ASLP_LB),
         ("DEMONIC_PARTIAL_INCORRECTNESS", DSLP_LB),
+        ("DEMONIC_PARTIAL_INCORRECTNESS", AWP_UB),
         ("DSLP_UB", DSLP_UB),
         ("DSP_UB", DSP_UB),
         ("IN_BETWEEN", UNION_LOGIC),
@@ -200,15 +192,13 @@ _BRIDGES = tuple(
 )
 
 _NAMES = [kind.value for kind in TransformerKind]     # by table position
-_ORDERING_CHAINS = tuple(
-    (low, mid, high,
-     f"ordering {_NAMES[low]} <= {_NAMES[mid]} <= {_NAMES[high]} fails")
-    for low, mid, high in ((DWP, AWP, AWLP), (DWP, DWLP, AWLP),
-                           (DSP, ASP, ASLP), (DSP, DSLP, ASLP))
+_ORDERING_CHAINS = tuple(   # x <= y <= z from two edges of the ordering
+    (x, y, z, f"ordering {_NAMES[x]} <= {_NAMES[y]} <= {_NAMES[z]} fails")
+    for x, y in ORDERING for y_, z in ORDERING if y_ == y
 )
 _COMPLEMENTS = tuple(
     (a, d, f"{_NAMES[a]} is not the complement of {_NAMES[d]} on the negation")
-    for a, d in ((AWP, DWLP), (DWP, AWLP), (ASP, DSLP), (DSP, ASLP))
+    for a, d in DUALS
 )
 
 
@@ -238,21 +228,19 @@ def _check_contrapositive(t, prof, free, b, c, full):
         for a, d, detail in _COMPLEMENTS:
             if v[a] != full ^ neg[d]:
                 return detail
-        if v[DSP] & neg[ASLP] or v[DSP] | neg[ASLP] != full:
-            return "dsp and aslp of the negation do not split the state space"
     return None
 
 
-def _check_galois_pc(t, prof, free, b, c, full):
-    lhs = b & ~t[c][DWLP] == 0
-    rhs = t[b][ASP] & ~c & full == 0
-    return None if lhs == rhs else "partial-correctness adjunction fails"
+def _adjunction(name, f, g):
+    """The check of f -| g: f(x) <= y iff x <= g(y), where x is the
+    condition f reads and y the other one."""
+    detail = f"{name} adjunction fails"
+    forward = not tuple(TransformerKind)[f].backward
 
-
-def _check_galois_pi(t, prof, free, b, c, full):
-    lhs = t[c][AWP] & ~b & full == 0
-    rhs = c & ~t[b][DSLP] == 0
-    return None if lhs == rhs else "partial-incorrectness adjunction fails"
+    def check(t, prof, free, b, c, full):
+        x, y = (b, c) if forward else (c, b)
+        return None if (t[x][f] & ~y & full == 0) == (x & ~t[y][g] == 0) else detail
+    return check
 
 
 def _check_combo(t, prof, free, b, c, full):
@@ -305,8 +293,8 @@ def _collapse(assumption, equality):
 _CHECKS = {
     "ORDERING": _check_ordering,
     "CONTRAPOSITIVE": _check_contrapositive,
-    "GALOIS_PC": _check_galois_pc,
-    "GALOIS_PI": _check_galois_pi,
+    "GALOIS_PC": _adjunction(*ADJUNCTIONS[0]),
+    "GALOIS_PI": _adjunction(*ADJUNCTIONS[1]),
     "COMBO_IDENTITIES": _check_combo,
     "FIG4_IMPLICATIONS": _check_fig4,
     "BRIDGES": _check_bridges,
@@ -357,35 +345,35 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     determinism collapse, whose assumption reads the text -- is checked on
     each (pre, post) pair once: a later program of a class checked on the
     same pairs adds only to the counts, since every answer would repeat.
+    The stats count the programs, the triples and the classes checked.
     """
     space = corpus.space()
     full = space.full_mask
     started = time.perf_counter()
     programs = 0
     triples = 0
+    checked: dict[tuple, set] = {}    # per class: the (b, c) pairs done
+
+    def stats() -> dict:
+        return {"programs": programs, "triples": triples, "classes": len(checked),
+                "elapsed_s": round(time.perf_counter() - started, 3)}
 
     if theorem == "REMARK_DIVERGING":
-        plain = Skip()
         branching = Choice(Skip(), While(TRUE, Skip()))
-        prof_a = profile(plain, space)
-        prof_b = profile(branching, space)
-        same_relation = prof_a.relation == prof_b.relation
-        awlp_a = class_tables(prof_a)[0][AWLP]
-        awlp_b = class_tables(prof_b)[0][AWLP]
-        holds_ = same_relation and awlp_a != awlp_b
+        prof_a, prof_b = profile(Skip(), space), profile(branching, space)
+        holds_ = (prof_a.relation == prof_b.relation
+                  and class_tables(prof_a)[0][AWLP] != class_tables(prof_b)[0][AWLP])
         witness = None if holds_ else _witness(
-            branching, space, "collecting semantics or liberal precondition mismatch"
-        )
-        return Verdict(theorem, holds_, witness,
-                       {"programs": 2, "triples": 1,
-                        "elapsed_s": round(time.perf_counter() - started, 3)})
+            branching, space, "collecting semantics or liberal precondition mismatch")
+        programs, triples = 2, 1
+        checked = dict.fromkeys((prof.relation.rows, prof.may_div) for prof in (prof_a, prof_b))
+        return Verdict(theorem, holds_, witness, stats())
 
     if theorem not in _CHECKS:
         raise KeyError(f"unknown theorem {theorem!r}")
     check = _CHECKS[theorem]
     syntactic = theorem == "DETERMINISM_COLLAPSE"
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all
-    checked: dict[tuple, set] = {}    # per class: the (b, c) pairs done
     nonvacuity = None
     for p, pairs in corpus_items(corpus):
         programs += 1
@@ -412,13 +400,8 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
                 if nonvacuity is None:
                     nonvacuity = _witness(p, space, detail, b, c)
                 continue
-            return Verdict(theorem, False, _witness(p, space, detail, b, c),
-                           {"programs": programs, "triples": triples,
-                            "elapsed_s": round(time.perf_counter() - started, 3)})
-    return Verdict(theorem, True, None,
-                   {"programs": programs, "triples": triples,
-                    "elapsed_s": round(time.perf_counter() - started, 3)},
-                   nonvacuity)
+            return Verdict(theorem, False, _witness(p, space, detail, b, c), stats())
+    return Verdict(theorem, True, None, stats(), nonvacuity)
 
 
 def run_survey(suite: list[str], corpus: CorpusConfig) -> list[Verdict]:

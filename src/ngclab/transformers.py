@@ -9,7 +9,9 @@ and state space.
 The two must agree everywhere; the test suite checks that differentially.
 The oracle's one store is the class store: per semantic class, the eight
 results of each predicate, computed together on first use and shared by
-every caller.
+every caller.  Here too are the three facts about the transformers that
+the taxonomy of logics follows from: their pointwise orderings, their
+negation duals and two adjunctions.
 """
 
 from __future__ import annotations
@@ -50,15 +52,26 @@ class TransformerKind(Enum):
 
     def __init__(self, value: str):
         # plain attributes, fixed once per member: they sit on hot paths
+        self.position = len(type(self)._member_names_)   # members before it
         self.backward = value in ("awp", "dwp", "awlp", "dwlp")
         self.angelic = value in ("awp", "awlp", "asp", "aslp")
         self.liberal = value in ("awlp", "dwlp", "aslp", "dslp")
 
 
 # A transformer table holds one predicate's eight results in TransformerKind
-# order; these are their positions.
+# order; these are their positions, each kind's `position`.
 AWP, DWP, AWLP, DWLP, ASP, DSP, ASLP, DSLP = range(8)
-_POSITION = {kind: i for i, kind in enumerate(TransformerKind)}
+
+# The three facts, over table positions, that the implications between the
+# triple logics and their contrapositive and Galois partners derive from:
+# orderings (x, y): x(q) <= y(q) for every q
+ORDERING = ((DWP, AWP), (DWP, DWLP), (AWP, AWLP), (DWLP, AWLP),
+            (DSP, ASP), (DSP, DSLP), (ASP, ASLP), (DSLP, ASLP))
+# negation duals (x, y): x(q) = ~y(~q), and so y(q) = ~x(~q)
+DUALS = ((AWP, DWLP), (DWP, AWLP), (ASP, DSLP), (DSP, ASLP))
+# adjunctions f -| g, by the logic they found: f(x) <= y iff x <= g(y), where
+# x is the condition f reads (the precondition if f is forward)
+ADJUNCTIONS = (("partial-correctness", ASP, DWLP), ("partial-incorrectness", AWP, DSLP))
 
 
 # --- semantic oracle ---------------------------------------------------------
@@ -113,7 +126,7 @@ def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
 def oracle_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predicate:
     """Quantifier definition of the transformer, off the program's profile:
     the kind's entry in q's table from the class store."""
-    return Predicate(q.space, class_tables(profile(p, q.space))[q.bits][_POSITION[kind]])
+    return Predicate(q.space, class_tables(profile(p, q.space))[q.bits][kind.position])
 
 
 class _Tables(dict):

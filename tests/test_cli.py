@@ -177,8 +177,8 @@ class TestSurvey:
         assert json.loads(json.dumps(report)) == report
 
     def test_json_reports_are_byte_identical(self, capsys):
-        args = ["survey", "--suite", "ORDERING,BRIDGES", "--corpus", "tiny",
-                "--format", "json", "--seed", "13"]
+        args = ["survey", "--suite", "ORDERING,BRIDGES", "--corpus", "loops",
+                "--count", "30", "--format", "json", "--seed", "13"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -197,6 +197,28 @@ class TestSurvey:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --count must be a positive integer, got {count}\n"
+
+    @pytest.mark.parametrize("corpus", ["tiny", "small-exhaustive"])
+    @pytest.mark.parametrize("flag", [["--count", "1"], ["--seed", "7"]])
+    def test_count_and_seed_of_an_exhaustive_corpus_are_usage_errors(self, capsys, corpus,
+                                                                     flag):
+        # an exhaustive corpus has no count to cut and nothing to seed
+        assert main(["survey", "--corpus", corpus, *flag, "--suite", "ORDERING",
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the corpus {corpus} is exhaustive: "
+                                "it takes no program count or seed\n")
+
+    def test_count_and_seed_of_the_random_corpus_are_read(self, capsys):
+        def report(*flags):
+            assert main(["survey", "--corpus", "loops", *flags, "--suite", "ORDERING",
+                         "--format", "json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        seeded = report("--count", "20", "--seed", "7")
+        assert seeded["seed"] == seeded["items"][0]["seed"] == 7
+        assert seeded != report("--count", "20", "--seed", "8")
 
 
 class TestCounterexample:
@@ -233,15 +255,39 @@ def _deep_module(tmp_path, statements):
 
 
 class TestInputLimits:
-    @pytest.mark.parametrize("statements", [600, 1200])
-    def test_too_deep_program_is_a_one_line_usage_error(self, tmp_path, capsys, statements):
-        # the parser reads `;` chains in a loop; hashing the right-nested
-        # sequence tree for the profile cache is what recurses too deeply
-        path = _deep_module(tmp_path, statements)
-        assert main(["transform", "--kind", "awp", "--pred", "x = 0", path]) == 2
+    @pytest.mark.parametrize("levels", [400, 1200])
+    def test_too_deep_program_is_a_one_line_usage_error(self, tmp_path, capsys, levels):
+        # parsing recurses once per level of nesting (here nested blocks)
+        path = tmp_path / f"nested{levels}.ngcl"
+        path.write_text("vars x mod 2\n" + "{ " * levels + "x := 0" + " }" * levels + "\n")
+        assert main(["transform", "--kind", "awp", "--pred", "x = 0", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: program nested too deeply")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == ("error: program nested too deeply "
+                       "(the limit is a few hundred levels of nesting)\n")
+
+    @pytest.mark.parametrize("statements", [600, 1200, 5000])
+    def test_a_sequence_of_any_length_is_read(self, tmp_path, capsys, statements):
+        # x := x + 1 runs statements / 2 times, a multiple of the modulus 4
+        path = _deep_module(tmp_path, statements)
+        assert main(["transform", "--engine", "both", "--kind", "awp", "--pred", "x = 0",
+                     path]) == 0
+        assert capsys.readouterr().out == (
+            "{<x=0, y=0>, <x=0, y=1>, <x=0, y=2>, <x=0, y=3>} (4 of 16 states)\n")
+        assert main(["check", "--logic", "awp-lb", "--pre", "x = 0", "--post", "x = 0",
+                     path]) == 0
+        assert main(["classify", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("valid for awp-lb\n")
+        assert "determinism              fails (witness { y := y + x } [] { y := y + 1 })" in out
+
+    def test_a_long_sequence_in_a_witness_is_printed(self, tmp_path, capsys):
+        # classify prints the first choice, here with a 2 000-statement branch
+        chain = " ; ".join(["x := x + 1"] * 2000)
+        path = tmp_path / "choice_chain.ngcl"
+        path.write_text(f"vars x mod 4\n{{ {chain} }} [] {{ skip }}\n")
+        assert main(["classify", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == f"determinism              fails (witness {{ {chain} }} [] {{ skip }})"
 
     def test_back_to_back_calls_on_a_deep_file_agree(self, tmp_path, capsys):
         # the second parse is compared with the equal tree cached by the first

@@ -440,3 +440,21 @@ def test_search_stats_count_programs_and_classes_outside_the_json():
         "programs": 106, "classes": len({_class_key(p, space) for p in programs})}
     assert first.to_jsonable() == {"claim": "galois-pc", "outcome": "budget-exhausted",
                                    "candidates": 1681}
+
+
+def test_contra_legs_are_contrapositives_of_their_legs():
+    """A `-contra` leg holds on a triple iff its representative holds on the
+    negated triple, and its direct `...UB` spelling names the same logic."""
+    space = StateSpace(("x",), 2)
+    preds = list(all_predicates(space))
+    programs = list(exhaustive_programs(space, 2))
+    contras = [name for name in search.LEGS if name.endswith("-contra")]
+    assert len(contras) == 7
+    for name in contras:
+        base, contra = search.LEGS[name[:-len("-contra")]], search.LEGS[name]
+        assert search.LEGS[contra.kind.value + "UB"] is contra
+        for p in programs:
+            for b in preds:
+                for c in preds:
+                    t = Triple(b, p, c)
+                    assert holds(contra, t) == holds(base, t.negated()), (name, t)

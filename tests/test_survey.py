@@ -73,7 +73,8 @@ BRIDGES = (
     ("LISBON", AWP_LB), ("PARTIAL_CORRECTNESS", DWLP_LB),
     ("PARTIAL_CORRECTNESS", ASP_UB), ("PC_CONTRA", DWLP_LB), ("DWLP_UB", DWLP_UB),
     ("INCORRECTNESS", ASP_LB), ("ANGELIC_PARTIAL_INCORRECTNESS", ASLP_LB),
-    ("DEMONIC_PARTIAL_INCORRECTNESS", DSLP_LB), ("DSLP_UB", DSLP_UB),
+    ("DEMONIC_PARTIAL_INCORRECTNESS", DSLP_LB),
+    ("DEMONIC_PARTIAL_INCORRECTNESS", AWP_UB), ("DSLP_UB", DSLP_UB),
     ("DSP_UB", DSP_UB), ("IN_BETWEEN", UNION_LOGIC), ("DEMONIC_INCORRECTNESS", DSP_LB),
 )
 
@@ -205,10 +206,14 @@ def _witness(p, space, detail, b=None, c=None):
 
 
 def reference_check(theorem, corpus):
-    """Every triple of the corpus, in order, each checked on its own."""
+    """Every triple of the corpus, in order, each checked on its own.  The
+    classes counted are the distinct (relation, may-divergence) profiles of
+    the programs walked, told apart by choice-freedom for the determinism
+    collapse."""
     space = corpus.space()
     full = space.full_mask
     programs = triples = 0
+    classes = set()
     if theorem == "REMARK_DIVERGING":
         branching = Choice(Skip(), While(TRUE, Skip()))
         prof_a, prof_b = profile(Skip(), space), profile(branching, space)
@@ -216,11 +221,15 @@ def reference_check(theorem, corpus):
                  and _tr(prof_a, K.AWLP, 0) != _tr(prof_b, K.AWLP, 0))
         witness = None if holds else _witness(
             branching, space, "collecting semantics or liberal precondition mismatch")
-        return Verdict(theorem, holds, witness, {"programs": 2, "triples": 1})
+        classes = {(prof.relation, prof.may_div) for prof in (prof_a, prof_b)}
+        return Verdict(theorem, holds, witness,
+                       {"programs": 2, "triples": 1, "classes": len(classes)})
     nonvacuity = None
     for p, pairs in corpus_items(corpus):
         programs += 1
         prof = profile(p, space)
+        classes.add((prof.relation, prof.may_div,
+                     theorem == "DETERMINISM_COLLAPSE" and syntactic_choice(p) is None))
         for b, c in pairs:
             triples += 1
             if theorem in COLLAPSES:
@@ -237,8 +246,10 @@ def reference_check(theorem, corpus):
                 detail = UNIVERSAL[theorem](prof, b.bits, c.bits)
             if detail is not None:
                 return Verdict(theorem, False, _witness(p, space, detail, b, c),
-                               {"programs": programs, "triples": triples})
-    return Verdict(theorem, True, None, {"programs": programs, "triples": triples},
+                               {"programs": programs, "triples": triples,
+                                "classes": len(classes)})
+    return Verdict(theorem, True, None,
+                   {"programs": programs, "triples": triples, "classes": len(classes)},
                    nonvacuity)
 
 

@@ -7,12 +7,15 @@ state, its budget off by one, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
 the class store of transformer tables keyed wrongly, its linear passes for
 large spaces reading the wrong masks, the equation catalog's rectangle plans
-reading the wrong relation direction, side or test, or a per-class memo of
-the counterexample search keyed, bounded or filtered wrongly.  For every mutant
-the script copies `src/` to a temporary directory, plants the fault there
-(never in the checkout), and runs the mutant's test file against the copy in
-a fresh interpreter.  A mutant is
-killed when the tests fail.  It prints one line per mutant and then
+reading the wrong relation direction, side or test, a per-class memo of
+the counterexample search keyed, bounded or filtered wrongly, one of the
+three transformer facts the taxonomy is derived from misstated (an ordering,
+a negation dual or an adjunction), the search's `-contra` legs read as
+their representatives, or the parser's hash of each `;` link left out.
+For every mutant the script copies `src/` to a temporary directory, plants
+the fault there (never in the checkout), and runs the mutant's test file
+against the copy in a fresh interpreter.  A mutant is killed when the tests
+fail.  It prints one line per mutant and then
 killed/total, and exits 1 if any mutant survives: a survivor means a test is
 missing.  Every test file first runs on the unmutated copy and must pass.
 Standard library only, apart from pytest for the test run itself.
@@ -237,6 +240,16 @@ MUTANTS = (
     Mutant("the linear-pass table reads pre-not against q", "transformers.py", (
         ("map(and_, rows, repeat(not_q))", "map(and_, rows, repeat(q))"),
     ), "test_transformers.py"),
+    # the three transformer facts the taxonomy's tables are derived from
+    Mutant("a negation dual is paired wrongly", "transformers.py", (
+        ("DUALS = ((AWP, DWLP), (DWP, AWLP),", "DUALS = ((AWP, AWLP), (DWP, DWLP),"),
+    ), "test_logics.py"),
+    Mutant("an ordering edge is reversed", "transformers.py", (
+        ("ORDERING = ((DWP, AWP),", "ORDERING = ((AWP, DWP),"),
+    ), "test_theorems.py"),
+    Mutant("an adjunction's two sides are swapped", "transformers.py", (
+        ('("partial-correctness", ASP, DWLP)', '("partial-correctness", DWLP, ASP)'),
+    ), "test_logics.py"),
     # the rectangle plans of the equation catalog
     Mutant("the catalog takes images for preimages and back", "topkat.py", (
         ("image, preimage = rel.image_bits, rel.preimage_bits",
@@ -262,6 +275,9 @@ MUTANTS = (
         ("cls = pairs.get((q_may, may))", "cls = pairs.get(q_may)"),
         ("cls = pairs[q_may, may] = ", "cls = pairs[q_may] = "),
     ), "test_search.py"),
+    Mutant("the -contra legs are the representative logics themselves", "search.py", (
+        ('(_leg(logic) + "-contra", CONTRAPOSITIVE[logic])', '(_leg(logic) + "-contra", logic)'),
+    ), "test_search.py"),
     Mutant("the det-rev filter keeps its syntactic half per class", "search.py", (
         ("    for space, preds, p, cls in _classes(config, stats, block):\n"
          "        # a program's syntax",
@@ -271,6 +287,10 @@ MUTANTS = (
         ("syntactic_choice(p) is not None:",
          "first_syntax.setdefault(id(cls), syntactic_choice(p) is not None):"),
     ), "test_search.py"),
+    # the parser
+    Mutant("a `;` link is not hashed as the chain is folded", "parser.py", (
+        ("            hash(node)\n", ""),
+    ), "test_cli.py"),
 )
 
 
