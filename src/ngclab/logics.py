@@ -7,7 +7,7 @@ that subset condition: `holds`, the command line's `check`, the theorem
 suite and the search all read their verdicts off it.  Which logics are
 contrapositive or Galois partners is derived from the transformers'
 negation duals and adjunctions (`transformers.DUALS`, `ADJUNCTIONS`).
-Also here: the assumption classifiers the collapse theorems filter on.
+Also here: the collapse assumptions, stated once, and their classifier.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class LogicId:
     name: str                      # stable identifier, e.g. "awp-lb"
     kind: Optional[TransformerKind]  # None for the union/intersection logics
     bound: Bound
-    colloquial: Optional[str] = None
     # the subset condition as `violations` reads it: (table position of the
     # transformer, or None for the union/intersection logics; backward;
     # lower bound)
@@ -50,28 +49,28 @@ class LogicId:
         return f"LogicId({self.name})"
 
 
-def _mk(kind: TransformerKind, bound: Bound, colloquial=None) -> LogicId:
-    return LogicId(f"{kind.value}-{bound.value}", kind, bound, colloquial)
+def _mk(kind: TransformerKind, bound: Bound) -> LogicId:
+    return LogicId(f"{kind.value}-{bound.value}", kind, bound)
 
 
-AWP_LB = _mk(TransformerKind.AWP, Bound.LB, "Lisbon logic (angelic total correctness)")
-DWP_LB = _mk(TransformerKind.DWP, Bound.LB, "Hoare logic (total correctness)")
-AWLP_LB = _mk(TransformerKind.AWLP, Bound.LB, "angelic partial correctness")
-DWLP_LB = _mk(TransformerKind.DWLP, Bound.LB, "Hoare logic (partial correctness)")
-AWP_UB = _mk(TransformerKind.AWP, Bound.UB, "partial incorrectness (necessary preconditions)")
+AWP_LB = _mk(TransformerKind.AWP, Bound.LB)
+DWP_LB = _mk(TransformerKind.DWP, Bound.LB)
+AWLP_LB = _mk(TransformerKind.AWLP, Bound.LB)
+DWLP_LB = _mk(TransformerKind.DWLP, Bound.LB)
+AWP_UB = _mk(TransformerKind.AWP, Bound.UB)
 DWP_UB = _mk(TransformerKind.DWP, Bound.UB)
 AWLP_UB = _mk(TransformerKind.AWLP, Bound.UB)
 DWLP_UB = _mk(TransformerKind.DWLP, Bound.UB)
-ASP_LB = _mk(TransformerKind.ASP, Bound.LB, "incorrectness logic")
-DSP_LB = _mk(TransformerKind.DSP, Bound.LB, "demonic incorrectness")
-ASLP_LB = _mk(TransformerKind.ASLP, Bound.LB, "angelic partial incorrectness")
-DSLP_LB = _mk(TransformerKind.DSLP, Bound.LB, "partial incorrectness")
-ASP_UB = _mk(TransformerKind.ASP, Bound.UB, "Hoare logic (partial correctness)")
+ASP_LB = _mk(TransformerKind.ASP, Bound.LB)
+DSP_LB = _mk(TransformerKind.DSP, Bound.LB)
+ASLP_LB = _mk(TransformerKind.ASLP, Bound.LB)
+DSLP_LB = _mk(TransformerKind.DSLP, Bound.LB)
+ASP_UB = _mk(TransformerKind.ASP, Bound.UB)
 DSP_UB = _mk(TransformerKind.DSP, Bound.UB)
 ASLP_UB = _mk(TransformerKind.ASLP, Bound.UB)
 DSLP_UB = _mk(TransformerKind.DSLP, Bound.UB)
-UNION_LOGIC = LogicId("union-lb", None, Bound.LB, "in-between logic")
-INTERSECTION_LOGIC = LogicId("intersection-lb", None, Bound.LB, "outcome conjunction")
+UNION_LOGIC = LogicId("union-lb", None, Bound.LB)
+INTERSECTION_LOGIC = LogicId("intersection-lb", None, Bound.LB)
 
 ALL_LOGICS: tuple[LogicId, ...] = (
     AWP_LB, DWP_LB, AWLP_LB, DWLP_LB,
@@ -185,6 +184,16 @@ class Flag:
     witness: object = None  # a State or a program fragment when holds is False
 
 
+# The four semantic collapse assumptions: whether each is scoped to the
+# precondition (else the postcondition), and a profile's states breaking it.
+ASSUMPTIONS = {
+    "termination": (True, lambda prof: prof.may_div),
+    "reachability": (False, lambda prof: ~prof.reach),
+    "reversibility": (False, lambda prof: prof.irreversible),
+    "no_branching_divergence": (True, lambda prof: prof.may_div & ~prof.must_div),
+}
+
+
 @dataclass(frozen=True)
 class AssumptionSet:
     termination: Optional[Flag] = None
@@ -217,30 +226,14 @@ def classify(
     scope_pre: Optional[Predicate] = None,
     scope_post: Optional[Predicate] = None,
 ) -> AssumptionSet:
-    """Evaluate the five collapse assumptions, scoped to the states of
-    interest: termination and branching divergence over the precondition
-    scope, reachability and reversibility over the postcondition scope."""
+    """Evaluate the five collapse assumptions, each semantic one over the
+    scope its `ASSUMPTIONS` entry names; determinism is syntactic."""
     prof = profile(p, space)
     pre_bits = space.full_mask if scope_pre is None else scope_pre.bits
     post_bits = space.full_mask if scope_post is None else scope_post.bits
-
-    diverging = prof.may_div & pre_bits
-    termination = Flag(diverging == 0,
-                       None if diverging == 0 else space.state(low_bit(diverging)))
-
-    unreached = post_bits & ~prof.reach & space.full_mask
-    reachability = Flag(unreached == 0,
-                        None if unreached == 0 else space.state(low_bit(unreached)))
-
+    flags = {}
+    for name, (on_pre, breaking) in ASSUMPTIONS.items():
+        bad = breaking(prof) & (pre_bits if on_pre else post_bits)
+        flags[name] = Flag(bad == 0, None if bad == 0 else space.state(low_bit(bad)))
     offending = syntactic_choice(p)
-    determinism = Flag(offending is None, offending)
-
-    irreversible = prof.irreversible & post_bits
-    reversibility = Flag(irreversible == 0,
-                         None if irreversible == 0 else space.state(low_bit(irreversible)))
-
-    branching = (prof.may_div & ~prof.must_div) & pre_bits
-    nbd = Flag(branching == 0,
-               None if branching == 0 else space.state(low_bit(branching)))
-
-    return AssumptionSet(termination, reachability, determinism, reversibility, nbd)
+    return AssumptionSet(determinism=Flag(offending is None, offending), **flags)

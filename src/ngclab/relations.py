@@ -59,10 +59,6 @@ class Relation:
         self._check(other)
         return Relation(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
-    def __and__(self, other: "Relation") -> "Relation":
-        self._check(other)
-        return Relation(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
     def compose(self, other: "Relation") -> "Relation":
         """Relational composition: first self, then other."""
         self._check(other)

@@ -15,7 +15,8 @@ rows and may-divergence), so within one call the candidates are scanned once
 per class for the first refuting one, and a later program of the class
 costs one comparison of that hit against the budget left.  The memo lives and
 dies with the call, so a caller that clears the caches starts cold.  Verdicts
-come from the logics' kernel, over the class store's transformer tables.
+come from the logics' kernel and the equation catalog, both over the class
+store's transformer tables.
 `SearchResult.stats` counts the programs drawn and their classes.
 """
 
@@ -38,7 +39,7 @@ from .logics import (
 from .semantics import Profile, profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
-from .topkat import check_equation
+from .topkat import EQUATIONS, catalog_values
 from .transformers import AWLP, AWP, DWLP, DWP, class_tables
 
 FOUND = "found"
@@ -155,13 +156,14 @@ def _masks(logics: tuple, prof: Profile) -> Callable[[int, int], list[int]]:
     return lambda b, c: violations(logics, t[b], t[c], b, c, full)
 
 
-def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, list], object]
+def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], object]
              ) -> Iterator[tuple[StateSpace, list[Predicate], Program, object]]:
-    """Each enumerated program with the value `make(prof, preds)` of its
-    semantic class: its relation rows and may-divergence, which are all that
-    a block's verdicts read (predicates are indexed by their bits, so a class
-    may span two rungs of one size).  The value is made once per class and
-    kept for this search only.  Counts programs and classes into `stats`."""
+    """Each enumerated program with the value `make(prof, npred)` of its
+    semantic class, given its space's predicate count: its relation rows and
+    may-divergence are all that a block's verdicts read (predicates are
+    indexed by their bits, so a class may span two rungs of one size).  The
+    value is made once per class and kept for this search only.  Counts
+    programs and classes into `stats`."""
     memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
@@ -172,7 +174,7 @@ def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, list], 
             key = (prof.relation.rows, prof.may_div)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = make(prof, preds)
+                value = memo[key] = make(prof, len(preds))
                 stats["classes"] += 1
             yield space, preds, p, value
 
@@ -201,8 +203,7 @@ def _logic_pair_blocks(config: SearchConfig, stats: dict, left: LogicId, right: 
     the semantic half of that filter is decided once per class, the syntactic
     half per program."""
 
-    def block(prof: Profile, class_preds: list) -> _Block:
-        npred = len(class_preds)
+    def block(prof: Profile, npred: int) -> _Block:
         if det_rev and prof.irreversible:
             return _Block(npred * npred, None, None)
         t, full, violations = class_tables(prof), prof.space.full_mask, _logics.violations
@@ -238,10 +239,9 @@ def _combination_gap_blocks(claim: str, config: SearchConfig, stats: dict) -> It
         pos, combine = AWLP, or_
         detail = "awlp differs from awp union dwlp"
 
-    def block(prof: Profile, class_preds: list) -> _Block:
+    def block(prof: Profile, npred: int) -> _Block:
         t = class_tables(prof)
-        gaps = [v[pos] ^ combine(v[AWP], v[DWLP])
-                for v in map(t.__getitem__, range(len(class_preds)))]
+        gaps = [v[pos] ^ combine(v[AWP], v[DWLP]) for v in map(t.__getitem__, range(npred))]
 
         def witness(c: int) -> dict:
             idx = low_bit(gaps[c])
@@ -261,7 +261,7 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
     relation, candidates postcondition-major.  Within one relation a pair of
     classes is a pair of may-divergences, and each such pair is scanned once."""
 
-    def total(prof: Profile, class_preds: list) -> tuple:
+    def total(prof: Profile, npred: int) -> tuple:
         return prof.relation, prof.may_div, _masks((DWP_LB,), prof)
 
     def pair(npred: int, q_total, p_total) -> _Block:
@@ -291,13 +291,13 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
 
 def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     """The two-equation outcome system versus the pointwise intersection logic."""
+    outcome = EQUATIONS.index("OUTCOME_CONJUNCTION")
 
-    def block(prof: Profile, class_preds: list) -> _Block:
-        npred, relation = len(class_preds), prof.relation
+    def block(prof: Profile, npred: int) -> _Block:
+        t, full = class_tables(prof), prof.space.full_mask
 
         def system(b: int, c: int) -> bool:
-            return check_equation("OUTCOME_CONJUNCTION", class_preds[b], relation,
-                                  class_preds[c])
+            return catalog_values(t, b, c, full)[outcome]
 
         masks = _masks((INTERSECTION_LOGIC,), prof)
 

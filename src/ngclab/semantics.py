@@ -35,7 +35,7 @@ from itertools import chain, repeat, zip_longest
 from operator import add, getitem, itemgetter, not_, or_, sub
 from typing import NamedTuple
 
-from . import space as _space  # for iter_bits and mask_of; see relations.py
+from . import space as _space  # for its bit and flag helpers; see relations.py
 from .errors import BudgetExceededError
 from .relations import Relation
 from .space import StateSpace
@@ -134,7 +134,7 @@ class _Points:
         return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
 
     def _flags(self, guard) -> str:
-        return _flag_string(guard_to_predicate(guard, self.space).bits, self.n)
+        return _space.flag_string(guard_to_predicate(guard, self.space).bits, self.n)
 
     def _ite(self, p: Ite, cont: int) -> int:
         flags = self._flags(p.guard)
@@ -198,19 +198,9 @@ class _Meaning(NamedTuple):
 _WIDTH = 4
 
 
-def _flag_string(bits: int, n: int) -> str:
-    """The mask as n characters "0"/"1", state 0 first."""
-    return format(bits, "b").zfill(n)[::-1]
-
-
-def _flag_bytes(bits: int, n: int) -> bytes:
-    """The mask as n bytes 0/1, state 0 first."""
-    return _flag_string(bits, n).encode().translate(_ONES)
-
-
 def _pre(table: tuple, mask: int, n: int) -> int:
     """The states that the table sends into the mask."""
-    flags = _flag_string(mask, n + 1)
+    flags = _space.flag_string(mask, n + 1)
     return int("".join(map(flags.__getitem__, table))[::-1], 2)
 
 
@@ -363,7 +353,7 @@ def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
     n = space.size
     _check_budget(nodes, n)
     g = guard_to_predicate(p.guard, space).bits
-    flags = _flag_bytes(g, n + 1)
+    flags = _space.flag_bytes(g, n + 1)
     tables = [_select(flags, left, right)
               for left, right in zip_longest(then.succs, orelse.succs, fillvalue=repeat(n))]
     rows = None
@@ -402,10 +392,10 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
     _, succs, rows, may = body
     g = guard_to_predicate(p.guard, space).bits
     exits, sink = ~g & space.full_mask, 1 << n
-    under = _flag_bytes(g | sink, n + 1)        # the sink has no final state,
-    closed = bytearray(_flag_bytes(exits | sink, n + 1))    # and is closed
+    under = _space.flag_bytes(g | sink, n + 1)      # the sink has no final state,
+    closed = bytearray(_space.flag_bytes(exits | sink, n + 1))  # and is closed
     finals = [0] * (n + 1)
-    cyclic = bytearray(_flag_bytes(may & g, n + 1))
+    cyclic = bytearray(_space.flag_bytes(may & g, n + 1))
     iter_bits = _space.iter_bits
 
     def successors(v):
@@ -473,7 +463,6 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
                     _select(under, finals, repeat(0)) if g else None, may)
 
 
-_ONES = bytes.maketrans(b"01", b"\x00\x01")     # a mask's flag: 0 or 1
 _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _seq_rule,
           Choice: _choice_rule, Ite: _ite_rule, While: _while_rule}
 

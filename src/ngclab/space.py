@@ -61,6 +61,7 @@ def iter_bits(bits: int) -> Iterator[int]:
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_ONES = bytes.maketrans(b"01", b"\x00\x01")     # a mask's flag: 0 or 1
 # longest mask that mask_of builds bit by bit: measured, reading the flags as
 # binary digits costs about 0.3 us more up to 8 states and less from 16 on
 _SHORT = 8
@@ -77,6 +78,16 @@ def mask_of(flags: Sequence[int]) -> int:
                 mask |= 1 << i
         return mask
     return int(bytes(flags).translate(_DIGITS)[::-1], 2)
+
+
+def flag_string(bits: int, n: int) -> str:
+    """The mask as n characters "0"/"1", state 0 first."""
+    return format(bits, "b").zfill(n)[::-1]
+
+
+def flag_bytes(bits: int, n: int) -> bytes:
+    """The mask as n bytes 0/1, state 0 first: mask_of's inverse."""
+    return flag_string(bits, n).encode().translate(_ONES)
 
 
 def low_bit(bits: int) -> int:

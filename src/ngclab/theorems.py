@@ -271,11 +271,17 @@ def _check_fig4(t, prof, free, b, c, full):
 
 def _check_bridges(t, prof, free, b, c, full):
     vec = _logics.violations(ALL_LOGICS, t[b], t[c], b, c, full)
-    values = catalog_values(prof.relation, b, c)
+    values = catalog_values(t, b, c, full)
     for eq, logic, detail in _BRIDGES:
         if values[eq] != (not vec[logic]):
             return detail
     return None
+
+
+def _scoped(name):
+    """A semantic assumption's check, on the side `logics.ASSUMPTIONS` names."""
+    on_pre, breaking = _logics.ASSUMPTIONS[name]
+    return lambda t, prof, free, b, c, full: breaking(prof) & (b if on_pre else c) == 0
 
 
 def _collapse(assumption, equality):
@@ -287,9 +293,8 @@ def _collapse(assumption, equality):
     return check
 
 
-# The assumption is scoped to the states the triple talks about: the
-# precondition for backward collapses, the postcondition for forward ones.
-# The equality is the collapse claim restricted to the same scope.
+# A semantic assumption is scoped as `logics.ASSUMPTIONS` states, and the
+# equality is the collapse claim restricted to the same scope.
 _CHECKS = {
     "ORDERING": _check_ordering,
     "CONTRAPOSITIVE": _check_contrapositive,
@@ -299,13 +304,13 @@ _CHECKS = {
     "FIG4_IMPLICATIONS": _check_fig4,
     "BRIDGES": _check_bridges,
     "TERMINATION_COLLAPSE": _collapse(
-        lambda t, prof, free, b, c, full: prof.may_div & b == 0,
+        _scoped("termination"),
         lambda t, prof, free, b, c, full: (
             b & t[c][DWP] == b & t[c][DWLP] and b & t[c][AWP] == b & t[c][AWLP]
         ),
     ),
     "REACHABILITY_COLLAPSE": _collapse(
-        lambda t, prof, free, b, c, full: c & ~prof.reach & full == 0,
+        _scoped("reachability"),
         lambda t, prof, free, b, c, full: (
             c & t[b][ASP] == c & t[b][ASLP] and c & t[b][DSP] == c & t[b][DSLP]
         ),
@@ -315,13 +320,13 @@ _CHECKS = {
         lambda t, prof, free, b, c, full: t[c][AWP] == t[c][DWP] and t[c][AWLP] == t[c][DWLP],
     ),
     "REVERSIBILITY_COLLAPSE": _collapse(
-        lambda t, prof, free, b, c, full: c & prof.irreversible == 0,
+        _scoped("reversibility"),
         lambda t, prof, free, b, c, full: (
             c & t[b][ASP] == c & t[b][DSP] and c & t[b][ASLP] == c & t[b][DSLP]
         ),
     ),
     "BRANCHING_COLLAPSE": _collapse(
-        lambda t, prof, free, b, c, full: prof.may_div & ~prof.must_div & b == 0,
+        _scoped("no_branching_divergence"),
         lambda t, prof, free, b, c, full: (
             b & t[c][DWP] == b & t[c][AWP] & t[c][DWLP]
             and b & t[c][AWLP] == b & (t[c][AWP] | t[c][DWLP])

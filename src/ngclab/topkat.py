@@ -9,9 +9,9 @@ logics that the relational model can see.
 
 The catalog is not evaluated by composing relations.  A word containing top
 is a rectangle, R;T;S = dom(R) x cod(S), so each word is compiled once, at
-import, into domain and codomain masks built from image and preimage calls on
-the program's relation, and each clause compares two rectangles or tests a
-top-free word for emptiness.
+import, into domain and codomain masks built from preimages and images (awp
+and asp, read off the class store), and each clause compares two rectangles
+or tests a top-free word for emptiness.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import transformers as _transformers  # not by name: see relations.py
 from .errors import MalformedTermError
 from .relations import Relation
 from .semantics import profile
@@ -34,6 +35,7 @@ from .syntax import (
     While,
     guard_to_predicate,
 )
+from .transformers import ASP, AWP
 
 
 class KatTerm:
@@ -205,19 +207,20 @@ EQUATIONS = tuple(_CATALOG)
 # slots that are equal iff its two words are: T;R = T;S iff cod(R) = cod(S),
 # R;T = S;T iff dom(R) = dom(S), and any other two rectangles are compared
 # as one packed int each, 0 when either side is empty.  The folds of a plan
-# are shared by all its words, so one triple costs a few image/preimage calls
-# on the relation and some mask arithmetic.
+# are shared by all its words, so one triple costs a few reads of the class
+# store -- the preimage of m is awp(m), its image asp(m) -- and some mask
+# arithmetic.
 
 _FULL, _B, _C, _NB, _NC, _ZERO = range(6)   # the first mask slots of a triple
 _FIRST_STEP_SLOT = 6
 _TEST_SLOTS = {"b": _B, "c": _C, "B": _NB, "C": _NC}
-_AND, _OR, _IMAGE, _PREIMAGE, _RECTANGLE = range(5)   # step ops
+_AND, _IMAGE, _PREIMAGE, _RECTANGLE = range(4)   # step ops
 
 
 class _Plan(NamedTuple):
-    # (op, x, y): the next mask slot is slot x & slot y, slot x | slot y,
-    # the image or preimage of slot x under the relation, or the rectangle
-    # slot x by slot y packed into one int
+    # (op, x, y): the next mask slot is slot x & slot y, the image or
+    # preimage of slot x under the relation, or the rectangle slot x by
+    # slot y packed into one int
     steps: tuple
     # every clause as (slot, slot, equal)
     clauses: tuple
@@ -232,11 +235,6 @@ def _compile(catalog: dict) -> _Plan:
     def step(op, x, y=None):
         if op == _AND and x == _FULL:
             return y
-        if op in (_IMAGE, _PREIMAGE) and x == _FULL:
-            # image and preimage distribute over union, and the full set is
-            # b + B (c + C): the whole catalog needs those four anyway
-            tests = (_B, _NB) if op == _IMAGE else (_C, _NC)
-            return step(_OR, *(step(op, t) for t in tests))
         key = (op, x, y)
         if key not in slots:
             slots[key] = _FIRST_STEP_SLOT + len(steps)
@@ -276,20 +274,16 @@ def _compile(catalog: dict) -> _Plan:
     return _Plan(tuple(steps), tuple(clauses), tuple(equations))
 
 
-def _evaluate(plan: _Plan, rel: Relation, b: int, c: int) -> tuple[bool, ...]:
-    n = rel.n
-    full = (1 << n) - 1
+def _evaluate(plan: _Plan, tables, b: int, c: int, full: int) -> tuple[bool, ...]:
+    n = full.bit_length()
     m = [full, b, c, full ^ b, full ^ c, 0]
-    image, preimage = rel.image_bits, rel.preimage_bits
     for op, x, y in plan.steps:
         if op == _AND:
             m.append(m[x] & m[y])
-        elif op == _OR:
-            m.append(m[x] | m[y])
         elif op == _IMAGE:
-            m.append(image(m[x]))
+            m.append(tables[m[x]][ASP])
         elif op == _PREIMAGE:
-            m.append(preimage(m[x]))
+            m.append(tables[m[x]][AWP])
         else:
             m.append(m[x] << n | m[y] if m[x] and m[y] else 0)
     held = [(m[x] == m[y]) == equal for x, y, equal in plan.clauses]
@@ -297,25 +291,28 @@ def _evaluate(plan: _Plan, rel: Relation, b: int, c: int) -> tuple[bool, ...]:
 
 
 _CATALOG_PLAN = _compile(_CATALOG)
-_PLANS = {eq: _compile({eq: _CATALOG[eq]}) for eq in EQUATIONS}
 
 
-def catalog_values(rel: Relation, b: int, c: int) -> tuple[bool, ...]:
-    """Every catalog equation on one triple, in EQUATIONS order, as rectangle
-    and emptiness comparisons of image/preimage masks; b and c are state
-    bitmasks."""
-    return _evaluate(_CATALOG_PLAN, rel, b, c)
+def catalog_values(tables, b: int, c: int, full: int) -> tuple[bool, ...]:
+    """Every catalog equation on one triple, in EQUATIONS order, from a class
+    store's transformer tables (`transformers.class_tables`) of the masks
+    it folds; b, c and full are state bitmasks."""
+    return _evaluate(_CATALOG_PLAN, tables, b, c, full)
 
 
 def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
     """Evaluate one catalog equation (or system) over the relation of p's
-    profile; p may be a Program or a raw Relation."""
+    profile; p may be a Program or a raw Relation, whose may-divergence is
+    taken as empty: no word reads it."""
+    if eq not in _CATALOG:
+        raise KeyError(f"unknown equation id {eq!r}")
     space = b.space
     if c.space != space:
         raise ValueError("pre- and postcondition live in different spaces")
-    rel = p if isinstance(p, Relation) else profile(p, space).relation
-    if rel.n != space.size:
-        raise ValueError("program relation has the wrong size")
-    if eq not in _CATALOG:
-        raise KeyError(f"unknown equation id {eq!r}")
-    return _evaluate(_PLANS[eq], rel, b.bits, c.bits)[0]
+    if isinstance(p, Relation):
+        if p.n != space.size:
+            raise ValueError("program relation has the wrong size")
+        tables = _transformers._class_store(p.rows, 0)
+    else:
+        tables = _transformers.class_tables(profile(p, space))
+    return catalog_values(tables, b.bits, c.bits, space.full_mask)[EQUATIONS.index(eq)]

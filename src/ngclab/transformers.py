@@ -21,9 +21,9 @@ from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import and_, or_
 
-# as modules, not by name, as relations.py imports space: the benchmark's
+# as a module, not by name, as relations.py imports it: the benchmark's
 # tracer wraps every name imported from another module as a layer
-from . import semantics as _semantics, space as _space
+from . import space as _space
 from .errors import InvariantError
 from .semantics import Profile, _assign_successors, profile
 from .space import Predicate, State, StateSpace
@@ -113,7 +113,7 @@ def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
     else:
         pre = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(q)))))
         pre_not = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(not_q)))))
-        in_q, in_not_q = _semantics._flag_bytes(q, n), _semantics._flag_bytes(not_q, n)
+        in_q, in_not_q = _space.flag_bytes(q, n), _space.flag_bytes(not_q, n)
         img = reduce(or_, compress(rows, in_q), 0)
         img_not = reduce(or_, compress(rows, in_not_q), 0)
     reach = img | img_not

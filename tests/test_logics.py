@@ -18,6 +18,8 @@ from ngclab.generators import random_program
 from ngclab.logics import ASP_LB, AWP_LB, CONTRAPOSITIVE, DWLP_LB, DWP_LB, GALOIS, Flag
 from ngclab.semantics import profile
 
+from profile_reference import reference_profile
+
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
 
@@ -123,6 +125,28 @@ class TestClassify:
         p = prog("x := 0")
         assert not classify(p, SPACE).reachability.holds
         assert classify(p, SPACE, scope_post=pred([0])).reachability.holds
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9),
+           st.integers(min_value=0, max_value=7),
+           st.integers(min_value=0, max_value=7))
+    def test_scoped_assumptions_match_their_definitions(self, seed, pre, post):
+        """Termination and branching divergence are read over the
+        precondition scope, reachability and reversibility over the
+        postcondition scope, each off the operational reference; the witness
+        is the lowest breaking state."""
+        p = random_program(random.Random(seed), SPACE, 4, True)
+        rows, may, must = reference_profile(p, SPACE)
+        flags = classify(p, SPACE, Predicate(SPACE, pre), Predicate(SPACE, post))
+
+        def expect(flag, scope, breaks):
+            bad = [i for i in range(SPACE.size) if scope >> i & 1 and breaks(i)]
+            assert flag == Flag(not bad, SPACE.state(bad[0]) if bad else None), (p, pre, post)
+
+        expect(flags.termination, pre, lambda i: may >> i & 1)
+        expect(flags.no_branching_divergence, pre, lambda i: may >> i & 1 and rows[i])
+        expect(flags.reachability, post, lambda j: not any(row >> j & 1 for row in rows))
+        expect(flags.reversibility, post, lambda j: sum(row >> j & 1 for row in rows) > 1)
 
     def test_semantic_determinism_differs_from_syntactic(self):
         # a choice between identical branches is semantically deterministic

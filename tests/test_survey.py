@@ -332,7 +332,6 @@ def _swap_image_and_preimage(monkeypatch):
         return plan._replace(steps=tuple((swap.get(op, op), x, y) for op, x, y in plan.steps))
 
     monkeypatch.setattr(topkat, "_CATALOG_PLAN", faulty(topkat._CATALOG_PLAN))
-    monkeypatch.setattr(topkat, "_PLANS", {eq: faulty(plan) for eq, plan in topkat._PLANS.items()})
 
 
 def test_rectangle_fault_fails_bridges(monkeypatch):

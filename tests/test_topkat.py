@@ -20,8 +20,9 @@ from ngclab import (
     eval_kat,
     parse_program,
 )
-from ngclab import topkat
+from ngclab import check_theorem, corpus_preset, topkat, transformers
 from ngclab.generators import GeneratorConfig, generate_programs, random_program
+from ngclab.search import find_counterexample
 from ngclab.semantics import profile
 from ngclab.topkat import EQUATIONS, Dot, NotT, One, Plus, Prim, Star, Top, Zero, catalog_values
 from ngclab.topkat import Test as KatTest  # aliased so pytest does not collect it
@@ -279,6 +280,14 @@ class TestEquationCatalog:
         with pytest.raises(KeyError):
             check_equation("NO_SUCH_EQ", B5, P5, C5)
 
+    def test_unknown_equation_rejected_before_the_profile_is_built(self):
+        # 101^3 states times one node is over the profile budget
+        space = StateSpace(("x", "y", "z"), 101)
+        p = parse_program("x := x + 1", space)
+        empty = Predicate.empty(space)
+        with pytest.raises(KeyError):
+            check_equation("NO_SUCH_EQ", empty, p, empty)
+
     def test_all_catalog_ids_evaluate(self):
         from ngclab import EQUATIONS
 
@@ -331,7 +340,8 @@ def _assert_evaluators_agree(b, rel, c, space):
         for eq in EQUATIONS
     )
     assert reference_values(rel, b.bits, c.bits) == expected, (rel, b, c)
-    assert catalog_values(rel, b.bits, c.bits) == expected, (rel, b, c)
+    tables = transformers._class_store(rel.rows, 0)
+    assert catalog_values(tables, b.bits, c.bits, space.full_mask) == expected, (rel, b, c)
     assert tuple(check_equation(eq, b, rel, c) for eq in EQUATIONS) == expected, (rel, b, c)
 
 
@@ -349,6 +359,42 @@ def test_shared_chain_evaluator_matches_eval_kat(n):
         b = Predicate(space, rng.randrange(1 << n))
         c = Predicate(space, rng.randrange(1 << n))
         _assert_evaluators_agree(b, rel, c, space)
+
+
+def test_catalog_over_the_class_store_of_diverging_programs():
+    """The catalog read off a class's tables, whose demonic and liberal
+    entries see its may-divergence, against the full-composition reference
+    on its relation, on random loop programs that may diverge."""
+    config = GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True, mode="random",
+                             seed=6300, count=300)
+    space = config.space()
+    rng = random.Random(6300)
+    diverging = 0
+    for p in generate_programs(config):
+        prof = profile(p, space)
+        if not prof.may_div:
+            continue
+        diverging += 1
+        tables = transformers.class_tables(prof)
+        for _ in range(4):
+            b, c = rng.randrange(1 << space.size), rng.randrange(1 << space.size)
+            assert (catalog_values(tables, b, c, space.full_mask)
+                    == reference_values(prof.relation, b, c)), (p, b, c)
+    assert diverging >= 30
+
+
+def test_verdicts_read_no_image_or_preimage_off_the_relation(monkeypatch):
+    """BRIDGES on the tiny corpus and the outcome claim's search take every
+    image and preimage from the class store, none from `Relation`."""
+    calls = []
+    for name in ("image_bits", "preimage_bits"):
+        real = getattr(Relation, name)
+        monkeypatch.setattr(Relation, name, lambda self, bits, real=real, name=name:
+                            calls.append(name) or real(self, bits))
+    transformers._class_store.cache_clear()
+    assert check_theorem("BRIDGES", corpus_preset("tiny")).holds
+    assert find_counterexample("outcome-vs-intersection").found
+    assert calls == []
 
 
 def _corner_relations(n):
@@ -400,7 +446,8 @@ def test_rectangle_compiler_on_words_outside_the_catalog():
                 chains = Chains(rel, b, c)
                 expected = tuple((chains[left] == chains[right]) == equal
                                  for left, right, equal in clauses)
-                assert topkat._evaluate(plan, rel, b, c) == expected, (rel, b, c)
+                tables = transformers._class_store(rel.rows, 0)
+                assert topkat._evaluate(plan, tables, b, c, (1 << n) - 1) == expected, (rel, b, c)
 
 
 @pytest.mark.parametrize("clause", [("bTpT", "bT", True), ("bp", "pc", True), ("bpT", "b", True)])

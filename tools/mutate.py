@@ -6,8 +6,9 @@ the sink of its successor tables given a successor, a row bit or a final
 state, its budget off by one, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
 the class store of transformer tables keyed wrongly, its linear passes for
-large spaces reading the wrong masks, the equation catalog's rectangle plans
-reading the wrong relation direction, side or test, a per-class memo of
+large spaces reading the wrong masks, a collapse assumption scoped to the
+wrong side or to no side, the equation catalog's rectangle plans reading
+the wrong table entry, side or test, a per-class memo of
 the counterexample search keyed, bounded or filtered wrongly, one of the
 three transformer facts the taxonomy is derived from misstated (an ordering,
 a negation dual or an adjunction), the search's `-contra` legs read as
@@ -124,17 +125,18 @@ MUTANTS = (
         ("image[row] = acc & full", "image[row] = acc"),
     )),
     Mutant("a preimage counts the sink as in the mask", "semantics.py", (
-        ("flags = _flag_string(mask, n + 1)", "flags = _flag_string(mask | 1 << n, n + 1)"),
+        ("flags = _space.flag_string(mask, n + 1)",
+         "flags = _space.flag_string(mask | 1 << n, n + 1)"),
     )),
     Mutant("an `if` side without tables is the identity, not the sink", "semantics.py", (
         ("fillvalue=repeat(n))", "fillvalue=range(n + 1))"),
     )),
     Mutant("the loop pass leaves the sink open", "semantics.py", (
-        ("closed = bytearray(_flag_bytes(exits | sink, n + 1))",
-         "closed = bytearray(_flag_bytes(exits, n + 1))"),
+        ("closed = bytearray(_space.flag_bytes(exits | sink, n + 1))",
+         "closed = bytearray(_space.flag_bytes(exits, n + 1))"),
     )),
     Mutant("the loop pass counts the sink as a final state", "semantics.py", (
-        ("under = _flag_bytes(g | sink, n + 1)", "under = _flag_bytes(g, n + 1)"),
+        ("under = _space.flag_bytes(g | sink, n + 1)", "under = _space.flag_bytes(g, n + 1)"),
     )),
     # the loop's SCC pass over the states
     Mutant("a loop self-edge is not flagged as a cycle", "semantics.py", (
@@ -185,14 +187,14 @@ MUTANTS = (
          "                    if False:"),
     )),
     Mutant("a state outside the guard is left open", "semantics.py", (
-        ("closed = bytearray(_flag_bytes(exits | sink, n + 1))",
-         "closed = bytearray(_flag_bytes(sink, n + 1))"),
+        ("closed = bytearray(_space.flag_bytes(exits | sink, n + 1))",
+         "closed = bytearray(_space.flag_bytes(sink, n + 1))"),
     )),
     Mutant("the body's may-div is ignored", "semantics.py", (
-        ("_flag_bytes(may & g, n + 1)", "_flag_bytes(0, n + 1)"),
+        ("flag_bytes(may & g, n + 1)", "flag_bytes(0, n + 1)"),
     )),
     Mutant("the body's may-div counts outside the guard", "semantics.py", (
-        ("_flag_bytes(may & g, n + 1)", "_flag_bytes(may, n + 1)"),
+        ("flag_bytes(may & g, n + 1)", "flag_bytes(may, n + 1)"),
     )),
     # the budget and the profile's derived fields
     Mutant("must-div counts a partial table as total", "semantics.py", (
@@ -224,6 +226,13 @@ MUTANTS = (
         ("awp | dwlp if logic is UNION_LOGIC else awp & dwlp",
          "awp & dwlp if logic is UNION_LOGIC else awp | dwlp"),
     ), "test_cli.py"),
+    # the collapse assumptions and their scopes
+    Mutant("reversibility is scoped to the precondition", "logics.py", (
+        ('"reversibility": (False,', '"reversibility": (True,'),
+    ), "test_logics.py"),
+    Mutant("classify drops the postcondition scope", "logics.py", (
+        ("(pre_bits if on_pre else post_bits)", "(pre_bits if on_pre else space.full_mask)"),
+    ), "test_logics.py"),
     Mutant("the class store's key leaves out may-divergence", "transformers.py", (
         ("@lru_cache(maxsize=1 << 16)\ndef _class_store(",
          "_FIRST_MAY: dict = {}\n\n\n@lru_cache(maxsize=1 << 16)\ndef _class_store("),
@@ -252,8 +261,13 @@ MUTANTS = (
     ), "test_logics.py"),
     # the rectangle plans of the equation catalog
     Mutant("the catalog takes images for preimages and back", "topkat.py", (
-        ("image, preimage = rel.image_bits, rel.preimage_bits",
-         "image, preimage = rel.preimage_bits, rel.image_bits"),
+        ("m.append(tables[m[x]][ASP])\n        elif op == _PREIMAGE:\n"
+         "            m.append(tables[m[x]][AWP])",
+         "m.append(tables[m[x]][AWP])\n        elif op == _PREIMAGE:\n"
+         "            m.append(tables[m[x]][ASP])"),
+    ), "test_topkat.py"),
+    Mutant("the catalog's preimage reads the awlp column", "topkat.py", (
+        ("m.append(tables[m[x]][AWP])", "m.append(tables[m[x]][_transformers.AWLP])"),
     ), "test_topkat.py"),
     Mutant("a rectangle with an empty side is not the empty relation", "topkat.py", (
         ("m.append(m[x] << n | m[y] if m[x] and m[y] else 0)", "m.append(m[x] << n | m[y])"),
