@@ -143,6 +143,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.budget < 0:
+        raise SystemExit(f"error: --budget must be a non-negative integer, got {args.budget}")
     config = SearchConfig(budget=args.budget)
     result = find_counterexample(args.claim, config)
     if args.format == "json":
@@ -253,7 +255,9 @@ def main(argv=None) -> int:
                 return exc.code
             print(exc.code, file=sys.stderr)
             return USAGE_ERROR
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
     except (SpaceCapError, BudgetExceededError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

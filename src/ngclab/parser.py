@@ -219,12 +219,10 @@ class _Parser:
         while self.at(";"):
             self.next()
             statements.append(self.statement())
-        # fold right: s1; s2; s3 is Seq(s1, Seq(s2, s3)); each link is hashed
-        # as it is made, so that no later hash recurses along the chain
+        # fold right: s1; s2; s3 is Seq(s1, Seq(s2, s3))
         node = statements.pop()
         while statements:
             node = Seq(statements.pop(), node)
-            hash(node)
         return node
 
     def statement(self) -> Program:

@@ -36,6 +36,7 @@ from operator import add, getitem, itemgetter, not_, or_, sub
 from typing import NamedTuple
 
 from . import space as _space  # for its bit and flag helpers; see relations.py
+from . import syntax as _syntax  # for statements, likewise
 from .errors import BudgetExceededError
 from .relations import Relation
 from .space import StateSpace
@@ -101,16 +102,7 @@ class _Points:
 
     def _chain(self, p: Program, cont: int) -> int:
         """Entry point of p followed by point `cont`: iterates along `;`."""
-        if type(p) is not Seq:
-            return self._single(p, cont)
-        chain, todo = [], [p]
-        while todo:
-            q = todo.pop()
-            if type(q) is Seq:
-                todo += (q.second, q.first)
-            else:
-                chain.append(q)
-        for q in reversed(chain):
+        for q in reversed(_syntax.statements(p)):
             cont = self._single(q, cont)
         return cont
 
@@ -274,15 +266,11 @@ def _assign_rule(p: Assign, space: StateSpace) -> _Meaning:
 
 def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
     """A `;` chain, flattened without recursion and composed from its end."""
-    chain, todo, nodes = [], [p], 0
-    while todo:
-        q = todo.pop()
-        if type(q) is Seq:
-            todo += (q.first, q.second)
-        else:
-            meaning = _meaning(q, space)
-            nodes += meaning.nodes
-            chain.append(meaning)               # last statement first
+    chain, nodes = [], 0
+    for q in reversed(_syntax.statements(p)):
+        meaning = _meaning(q, space)
+        nodes += meaning.nodes
+        chain.append(meaning)                   # last statement first
     _check_budget(nodes, space.size)
     meaning = chain[0]
     for first in chain[1:]:

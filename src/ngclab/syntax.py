@@ -5,10 +5,12 @@ the enumeration, caching, and round-trip machinery rely on.  A node's hash is
 that of its class and field tuple, so trees that differ only in a node's class
 (`skip` and `diverge`, `;` and `[]`, `&&` and `||`) do not collide; it is
 computed on the first `hash()` and kept, so a cache keyed by a program hashes
-it once per process.  Equality is the generated field-by-field comparison
-down to a fixed nesting and an explicit stack below it, so comparing deep
-programs never exhausts the recursion limit.  Arithmetic wraps mod m, so
-evaluation is total on every state.
+it once per process.  Equality is the generated field-by-field comparison.
+Hashing, comparing and reading a program recurse once per level of nesting,
+except along a `;` chain: `Seq` hashes and compares its spine in a loop, and
+`statements` lists a chain's statements, so a chain of any length never
+exhausts the recursion limit.  Arithmetic wraps mod m, so evaluation is
+total on every state.
 
 `eval_expr` and `eval_guard` define meaning one `State` at a time and stay
 the reference; `expr_column` and `guard_to_predicate` compute the same values
@@ -17,7 +19,6 @@ for every state at once, as arithmetic over the space's value columns.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
@@ -29,18 +30,6 @@ from .space import Predicate, State, StateSpace
 
 # --- nodes -----------------------------------------------------------------
 
-_SHALLOW = 32   # nesting compared by the generated equality before `_equal`
-
-
-class _Nesting(threading.local):
-    """Generated comparisons in progress, per thread: a shared counter
-    could lose updates between threads and drift."""
-    depth = 0
-
-
-_nesting = _Nesting()
-
-
 class _Node:
     """Base of every AST node.  The hash is kept in the instance attribute
     `_h`, which shadows the class-level None once set; it is read as an
@@ -50,7 +39,6 @@ class _Node:
     __slots__ = ()
     _h = None
     _fields_of = None   # per node class: node -> its field tuple
-    _eq_fields = None   # per node class: the generated field-by-field equality
 
     def __hash__(self):
         h = self._h
@@ -60,52 +48,14 @@ class _Node:
             object.__setattr__(self, "_h", h)
         return h
 
-    def __eq__(self, other):
-        # the generated equality recurses once per level, which is the
-        # fastest way through a shallow tree; below _SHALLOW levels of it,
-        # the rest of the tree is compared without recursion
-        if self is other:
-            return True
-        nesting = _nesting
-        depth = nesting.depth
-        if depth >= _SHALLOW:
-            return _equal(self, other)
-        nesting.depth = depth + 1
-        try:
-            return self._eq_fields(other)
-        finally:
-            nesting.depth = depth
-
     def __reduce__(self):
         # string hashes differ between processes: never pickle a kept hash
         return type(self), self._fields_of(self)
 
 
-def _equal(first: _Node, second) -> bool:
-    """Structural equality with an explicit stack: identity first, then
-    unequal kept hashes mean unequal, then field by field."""
-    if type(second) is not type(first):
-        return NotImplemented
-    todo = [(first, second)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if a._h is not None and b._h is not None and a._h != b._h:
-            return False
-        for x, y in zip(a._fields_of(a), b._fields_of(b)):
-            if isinstance(x, _Node):
-                todo.append((x, y))
-            elif x != y:
-                return False
-    return True
-
-
 def _node(cls):
-    """A frozen dataclass node whose hash is computed once and whose equality
-    does not recurse without bound (see _Node)."""
+    """A frozen dataclass node whose hash is computed once (see _Node)."""
+    own_hash = vars(cls).get("__hash__") or _Node.__hash__
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
     if len(names) > 1:
@@ -114,11 +64,7 @@ def _node(cls):
         def fields_of(node):
             return tuple(getattr(node, name) for name in names)
     cls._fields_of = staticmethod(fields_of)
-    cls.__hash__ = _Node.__hash__   # over the one dataclass generated
-    if any(f.type in ("Expr", "Guard", "Program") for f in fields(cls)):
-        # a node with children: wrap the generated equality (see _Node)
-        cls._eq_fields = cls.__eq__
-        cls.__eq__ = _Node.__eq__
+    cls.__hash__ = own_hash   # over the one dataclass generated
     return cls
 
 
@@ -303,8 +249,55 @@ class Assign(Program):
 
 @_node
 class Seq(Program):
+    """`first ; second`.  A chain of statements is a spine of links along
+    `second`, as long as the program; hash and equality walk it in a loop,
+    so a chain of any length never exhausts the recursion limit."""
+
     first: Program
     second: Program
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            p = self.second
+            if type(p) is Seq and p._h is None:   # else no list: the common case
+                # the links below, down to the first one already hashed,
+                # hashed back up, so no hash recurses along the chain
+                spine = []
+                while type(p) is Seq and p._h is None:
+                    spine.append(p)
+                    p = p.second
+                for link in reversed(spine):
+                    object.__setattr__(link, "_h", hash((Seq, (link.first, link.second))))
+            h = hash((Seq, (self.first, self.second)))
+            object.__setattr__(self, "_h", h)
+        return h
+
+    def __eq__(self, other):
+        if type(other) is not Seq:
+            return NotImplemented
+        a, b = self, other
+        while type(a) is Seq and type(b) is Seq:
+            if a is b:
+                return True
+            if a.first is not b.first and a.first != b.first:
+                return False
+            a, b = a.second, b.second
+        return a == b
+
+
+def statements(p: Program) -> list:
+    """The statements of a `;` chain in execution order, however its links
+    nest; a program that is not a `Seq` is a chain of one."""
+    parts, rest = [], []   # rest: the `second`s still to list, the next on top
+    while True:
+        while type(p) is Seq:
+            rest.append(p.second)
+            p = p.first
+        parts.append(p)
+        if not rest:
+            return parts
+        p = rest.pop()
 
 
 @_node

@@ -24,6 +24,7 @@ from operator import and_, or_
 # as a module, not by name, as relations.py imports it: the benchmark's
 # tracer wraps every name imported from another module as a layer
 from . import space as _space
+from . import syntax as _syntax   # for statements
 from .errors import InvariantError
 from .semantics import Profile, _assign_successors, profile
 from .space import Predicate, State, StateSpace
@@ -180,10 +181,9 @@ def _rules(p: Program, space: StateSpace) -> tuple:
     so the chains of shared sub-programs are built once."""
     if isinstance(p, Seq):
         chain = []
-        while isinstance(p, Seq):   # along the right spine, without recursion
-            chain += _rules(p.first, space)
-            p = p.second
-        return tuple(chain) + _rules(p, space)
+        for q in _syntax.statements(p):
+            chain += _rules(q, space)
+        return tuple(chain)
     if isinstance(p, Skip):
         return ()
     if isinstance(p, Diverge):

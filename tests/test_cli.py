@@ -111,9 +111,11 @@ class TestCheck:
         assert code == 1
         assert "<x=1>" in capsys.readouterr().out
 
-    def test_unknown_logic_is_usage_error(self, assign0):
-        assert main(["check", "--logic", "nonsense", "--pre", "true",
+    def test_unknown_logic_is_usage_error(self, assign0, capsys):
+        assert main(["check", "--logic", "nope", "--pre", "true",
                      "--post", "true", assign0]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown logic 'nope'\n"
 
     @pytest.mark.parametrize("name, text", CHECKED, ids=[name for name, _ in CHECKED])
     def test_every_logic_matches_the_oracle_reference(self, name, text, tmp_path, capsys):
@@ -237,6 +239,25 @@ class TestCounterexample:
         code = main(["counterexample", "--claim",
                      "appendixC:awpLB-vs-aslpLB-contra", "--budget", "30000"])
         assert code == 0
+
+    @pytest.mark.parametrize("claim, message", [
+        ("nope", "unknown claim 'nope'"),
+        ("appendixC:foo", "unknown catalog claim 'appendixC:foo'"),
+    ])
+    def test_unknown_claim_is_a_one_line_usage_error(self, capsys, claim, message):
+        assert main(["counterexample", "--claim", claim, "--budget", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_negative_budget_is_a_one_line_usage_error(self, capsys):
+        assert main(["counterexample", "--claim", "galois-pc", "--budget", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget must be a non-negative integer, got -5\n"
+
+    def test_zero_budget_searches_nothing(self, capsys):
+        assert main(["counterexample", "--claim", "galois-pc", "--budget", "0"]) == 1
+        assert capsys.readouterr().out == "none within budget (0 candidates)\n"
 
 
 class TestClassify:

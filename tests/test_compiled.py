@@ -3,8 +3,8 @@
 `expr_column`, `guard_to_predicate` and `_assign_successors` compute over
 the space's value columns what `eval_expr`/`eval_guard` compute one `State`
 at a time; `iter_bits` must list exactly the set bits; `render_states` must
-print exactly `repr(State)`; structural equality must agree with its
-explicit-stack walk and never exhaust the recursion limit.
+print exactly `repr(State)`; structural equality must agree with the
+canonical text and never exhaust the recursion limit on a `;` chain.
 """
 
 import random
@@ -250,10 +250,17 @@ class TestStructuralEquality:
     def test_deep_chains_differing_at_the_bottom_are_unequal(self):
         assert self.chain(5000) != self.chain(5000, last="y")
 
-    def test_explicit_stack_walk_agrees_with_equality(self):
+    def test_deep_chains_differing_in_the_middle_are_unequal(self):
+        # a `first` mismatch far below the top of both spines
+        a, b = self.chain(5000), Assign("x", Var("x"))
+        for i in range(5000):
+            b = Seq(Assign("y", Const(-1 if i == 2500 else i)), b)
+        assert a != b and not a == b and b != a
+
+    def test_equality_agrees_with_the_canonical_text(self):
         from ngclab.generators import GeneratorConfig, generate_programs
         from ngclab.parser import parse_program
-        from ngclab.syntax import _equal, pretty_program
+        from ngclab.syntax import pretty_program
 
         space = StateSpace(("x",), 2)
         programs = list(generate_programs(GeneratorConfig(("x",), 2, max_depth=3)))
@@ -261,33 +268,25 @@ class TestStructuralEquality:
         for p in rng.sample(programs, 300):
             copy = parse_program(pretty_program(p), space)
             other = rng.choice(programs)
-            assert _equal(p, copy) is True and p == copy
-            # NotImplemented for different classes, as the generated equality
-            assert (_equal(p, other) is True) is (p == other)
+            assert p == copy and not p != copy
+            assert (p == other) is (pretty_program(p) == pretty_program(other))
 
-    def test_nesting_depth_is_kept_per_thread(self):
-        from ngclab import syntax
-
+    def test_deep_chains_compare_in_parallel_threads(self):
         pairs = [(self.chain(5000), self.chain(5000), True),
                  (self.chain(5000), self.chain(5000, last="y"), False),
                  (self.chain(40), self.chain(40), True)]
-        results, depths = [], []
+        results = []
 
         def compare():
             for _ in range(3):
                 results.extend((a == b) is want for a, b, want in pairs)
-            depths.append(syntax._nesting.depth)
 
-        syntax._nesting.depth = syntax._SHALLOW   # this thread's only
-        try:
-            threads = [threading.Thread(target=compare) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            syntax._nesting.depth = 0
-        assert results == [True] * 36 and depths == [0] * 4
+        threads = [threading.Thread(target=compare) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [True] * 36
 
     def test_different_classes_and_kept_hashes(self):
         assert Skip() != Assign("x", Const(0))

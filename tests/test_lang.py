@@ -20,6 +20,7 @@ from ngclab import (
 from ngclab.generators import random_guard, random_program
 from ngclab.syntax import (
     And, Assign, BinExpr, Choice, Cmp, Const, Diverge, Or, Seq, Skip, Var, While,
+    statements,
 )
 
 import dataclasses
@@ -226,12 +227,21 @@ class TestNodeHashing:
             node = Seq(Assign("x", Const(i % 3)), node)
             first = hash(node)
         assert hash(node) == first and hash(node) == first
-        # the same chain built without hashing recurses once per level
+        # the same chain built without hashing hashes its spine in a loop,
+        # to the same value
         fresh = Assign("x", Const(0))
         for i in range(5000):
             fresh = Seq(Assign("x", Const(i % 3)), fresh)
-        with pytest.raises(RecursionError):
-            hash(fresh)
+        assert hash(fresh) == first
+
+    def test_statements_lists_a_chain_in_execution_order_however_it_nests(self):
+        a, b, c, d = Skip(), Diverge(), Assign("x", Const(1)), Assign("y", Var("x"))
+        assert statements(a) == [a]
+        assert statements(Seq(a, Seq(b, Seq(c, d)))) == [a, b, c, d]
+        assert statements(Seq(Seq(Seq(a, b), c), d)) == [a, b, c, d]
+        assert statements(Seq(Seq(a, b), Seq(c, d))) == [a, b, c, d]
+        loop = While(Cmp("=", Var("x"), Const(0)), Seq(c, d))
+        assert statements(Seq(loop, a)) == [loop, a]
 
     def test_pickling_keeps_no_hash(self):
         program = parse_program(_NESTED, SPACE_XY2)

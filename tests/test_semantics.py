@@ -14,7 +14,7 @@ from ngclab.generators import GeneratorConfig, generate_programs, random_program
 from ngclab.relations import Relation
 from ngclab.syntax import Seq
 from ngclab.semantics import profile
-from ngclab.transformers import TransformerKind, inductive_transform
+from ngclab.transformers import TransformerKind, inductive_transform, oracle_transform
 from profile_reference import final_and_divergent, reference_profile
 
 SPACE = StateSpace(("x",), 3)
@@ -404,12 +404,32 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
 
 
 def test_long_sequences_compose_without_recursing_per_statement():
-    # a `;` chain far longer than the recursion limit, nested both ways; each
-    # node is hashed as it is built, as the kept hash is computed recursively
+    # a `;` chain far longer than the recursion limit, nested both ways
     p = prog("x := x + 1")
     for _ in range(5000):
         p = Seq(prog("{ x := x + 1 } [] { skip }"), p)
-        hash(p)
     p = Seq(p, Seq(Seq(prog("x := x + 1"), prog("skip")), prog("x := x * 2")))
     prof = profile(p, SPACE)
     assert prof.relation == Relation(3, (7, 7, 7)) and prof.may_div == 0
+
+
+def test_a_chain_built_without_hashing_goes_through_every_entry_point():
+    # each entry point gets its own copy of a 5 000-link chain built link by
+    # link, so none of them finds a hash kept by another
+    from ngclab.logics import classify
+
+    def chain():
+        p = prog("x := x + 2")
+        for _ in range(5000):
+            p = Seq(prog("x := x + 1"), p)
+        return p                                # x := x + 5002, so x + 1
+
+    short = prog("x := x + 1")
+    assert hash(chain()) == hash(chain()) and chain() == chain()
+    assert profile(chain(), SPACE) == profile(short, SPACE)
+    zero = pred([0])
+    for kind in TransformerKind:
+        want = oracle_transform(kind, short, zero)
+        assert oracle_transform(kind, chain(), zero) == want
+        assert inductive_transform(kind, chain(), zero) == want
+    assert classify(chain(), SPACE) == classify(short, SPACE)

@@ -12,7 +12,8 @@ the wrong table entry, side or test, a per-class memo of
 the counterexample search keyed, bounded or filtered wrongly, one of the
 three transformer facts the taxonomy is derived from misstated (an ordering,
 a negation dual or an adjunction), the search's `-contra` legs read as
-their representatives, or the parser's hash of each `;` link left out.
+their representatives, or a `;` chain's spine hashed one link deep, compared
+without its statements, or listed out of order when it nests to the left.
 For every mutant the script copies `src/` to a temporary directory, plants
 the fault there (never in the checkout), and runs the mutant's test file
 against the copy in a fresh interpreter.  A mutant is killed when the tests
@@ -301,10 +302,17 @@ MUTANTS = (
         ("syntactic_choice(p) is not None:",
          "first_syntax.setdefault(id(cls), syntactic_choice(p) is not None):"),
     ), "test_search.py"),
-    # the parser
-    Mutant("a `;` link is not hashed as the chain is folded", "parser.py", (
-        ("            hash(node)\n", ""),
-    ), "test_cli.py"),
+    # the `;` chain's spine
+    Mutant("`Seq`'s hash walks only one link of the spine", "syntax.py", (
+        ("while type(p) is Seq and p._h is None:", "if type(p) is Seq and p._h is None:"),
+    ), "test_lang.py"),
+    Mutant("`Seq`'s equality skips comparing `first`", "syntax.py", (
+        ("            if a.first is not b.first and a.first != b.first:\n"
+         "                return False\n", ""),
+    ), "test_compiled.py"),
+    Mutant("`statements` lists a left-nested chain's parts in the wrong order", "syntax.py", (
+        ("        p = rest.pop()\n", "        p = rest.pop(0)\n"),
+    ), "test_lang.py"),
 )
 
 
