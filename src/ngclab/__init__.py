@@ -19,6 +19,7 @@ from .errors import (
     SettingError,
     SpaceCapError,
     UnknownVariableError,
+    UsageError,
 )
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (

@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract: 0 the command succeeded and the checked
 claim holds (or a counterexample was found, for the counterexample command),
-1 the claim is false (or no counterexample turned up), 2 usage or input
-error, 3 an internal invariant broke, 4 a resource limit was reached: the
-state-space cap, or the profile budget (states times program nodes, 10^6).
+1 the claim is false (or no counterexample turned up).  Anything else is
+one stderr line and an exit code that `errors` defines: 2 usage or input
+error, 4 a resource limit (the state cap, or the profile budget of states
+times program nodes, 10^6), 3 a bug, of whatever exception type.
 """
 
 from __future__ import annotations
@@ -14,27 +15,26 @@ import json
 import sys
 
 from . import __version__
-from .errors import BudgetExceededError, NgclError, NgclSyntaxError, SpaceCapError
+from .errors import NgclError, UsageError
 from .logics import Triple, classify, logic_by_name, violated_states
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
 from .space import Predicate, low_bit, state_cap
-from .theorems import THEOREM_IDS, CorpusConfig, corpus_preset, run_survey
+from .syntax import Program, guard_to_predicate, pretty_program
+from .theorems import THEOREM_IDS, corpus_preset, run_survey
 from .transformers import TransformerKind, inductive_transform, oracle_transform
 
-USAGE_ERROR = 2
 CLAIM_FALSE = 1
-INTERNAL_ERROR = 3
-RESOURCE_LIMIT = 4
 
 
 def _load_program(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_module(fh.read())
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
-    return parse_module(text)
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _render_predicate(pred: Predicate) -> str:
@@ -54,24 +54,19 @@ def cmd_transform(args) -> int:
         space = type(space)(space.variables, args.mod)
     pred = guard_pred(args.pred, space)
     kind = TransformerKind(args.kind)
-    engines = ("oracle", "inductive") if args.engine == "both" else (args.engine,)
-    results = {}
-    for engine in engines:
-        fn = oracle_transform if engine == "oracle" else inductive_transform
-        results[engine] = fn(kind, program, pred)
+    fns = {"oracle": oracle_transform, "inductive": inductive_transform}
+    engines = fns if args.engine == "both" else (args.engine,)
+    results = {engine: fns[engine](kind, program, pred) for engine in engines}
     if len(results) == 2 and results["oracle"] != results["inductive"]:
         print("engine disagreement:", file=sys.stderr)
         print(f"  oracle:    {_render_predicate(results['oracle'])}", file=sys.stderr)
         print(f"  inductive: {_render_predicate(results['inductive'])}", file=sys.stderr)
-        return INTERNAL_ERROR
-    value = next(iter(results.values()))
-    print(_render_predicate(value))
+        return NgclError.exit_code
+    print(_render_predicate(next(iter(results.values()))))
     return 0
 
 
 def guard_pred(text: str, space) -> Predicate:
-    from .syntax import guard_to_predicate
-
     return guard_to_predicate(parse_guard(text, space), space)
 
 
@@ -91,20 +86,15 @@ def cmd_check(args) -> int:
     return CLAIM_FALSE
 
 
-def _corpus_from_args(args) -> CorpusConfig:
+def cmd_survey(args) -> int:
     if args.count is not None and args.count < 1:
         # a corpus of no programs would pass every theorem vacuously
-        raise SystemExit(f"error: --count must be a positive integer, got {args.count}")
-    return corpus_preset(args.corpus, args.count, args.seed)
-
-
-def cmd_survey(args) -> int:
-    corpus = _corpus_from_args(args)
+        raise UsageError(f"--count must be a positive integer, got {args.count}")
+    corpus = corpus_preset(args.corpus, args.count, args.seed)
     suite = list(THEOREM_IDS) if args.suite == "all" else args.suite.split(",")
     for theorem in suite:
         if theorem not in THEOREM_IDS:
-            print(f"error: unknown theorem {theorem!r}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"unknown theorem {theorem!r}")
     seed = corpus.programs.seed
     verdicts = run_survey(suite, corpus)
     if args.format == "json":
@@ -133,9 +123,7 @@ def cmd_survey(args) -> int:
         width = max(len(v.claim) for v in verdicts)
         for v in verdicts:
             mark = "pass" if v.holds else "FAIL"
-            extra = ""
-            if v.nonvacuity is not None:
-                extra = "  [non-vacuous]"
+            extra = "" if v.nonvacuity is None else "  [non-vacuous]"
             print(f"{v.claim:<{width}}  {mark}{extra}")
             if not v.holds and v.witness:
                 print(f"  witness: {v.witness}")
@@ -144,7 +132,7 @@ def cmd_survey(args) -> int:
 
 def cmd_counterexample(args) -> int:
     if args.budget < 0:
-        raise SystemExit(f"error: --budget must be a non-negative integer, got {args.budget}")
+        raise UsageError(f"--budget must be a non-negative integer, got {args.budget}")
     config = SearchConfig(budget=args.budget)
     result = find_counterexample(args.claim, config)
     if args.format == "json":
@@ -165,8 +153,6 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .syntax import Program, pretty_program
-
     space, program = _load_program(args.program)
     assumptions = classify(program, space)
     for name in ("termination", "reachability", "determinism",
@@ -243,33 +229,16 @@ def main(argv=None) -> int:
     except RecursionError:
         # parsing, hashing and the rules recurse once per level of nesting;
         # a `;` chain of any length is read, hashed and composed in a loop
-        print("error: program nested too deeply (the limit is a few hundred "
-              "levels of nesting)", file=sys.stderr)
-        return USAGE_ERROR
-    except NgclSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (KeyError, ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            if isinstance(exc.code, int):
-                return exc.code
-            print(exc.code, file=sys.stderr)
-            return USAGE_ERROR
-        # a KeyError's str() is the repr of its message, quotes and all
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return USAGE_ERROR
-    except (SpaceCapError, BudgetExceededError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return RESOURCE_LIMIT
+        print(f"{UsageError.prefix}: program nested too deeply (the limit is a few "
+              "hundred levels of nesting)", file=sys.stderr)
+        return UsageError.exit_code
     except NgclError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:
         # a bug, not a false claim: one line and exit 3, never a traceback and 1
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
-
+        print(f"{NgclError.prefix}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return NgclError.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  Each class carries how the
+command line reports it: the prefix of its one stderr line and its exit code,
+2 for bad input (`UsageError`), 4 for a resource limit and 3 for any other
+`NgclError`, a bug, as for any exception the package does not define."""
 
 from __future__ import annotations
 
@@ -6,17 +9,31 @@ from __future__ import annotations
 class NgclError(Exception):
     """Base class for all errors raised by this package."""
 
+    prefix, exit_code = "internal error", 3
+
+
+class UsageError(NgclError, KeyError, ValueError):
+    """Bad input: an unknown name, a malformed file, option or setting.  It
+    is a `KeyError` and a `ValueError` too, for callers that catch those."""
+
+    prefix, exit_code = "error", 2
+    __str__ = BaseException.__str__   # the message, not KeyError's repr of it
+
 
 class SpaceCapError(NgclError):
     """State space would exceed the enumeration cap."""
 
+    prefix, exit_code = "resource limit", 4
 
-class SettingError(NgclError, ValueError):
+
+class SettingError(UsageError):
     """An environment setting has an invalid value."""
 
 
-class NgclSyntaxError(NgclError):
+class NgclSyntaxError(UsageError):
     """Parse error carrying a 1-based source position."""
+
+    prefix = "parse error"
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
@@ -34,6 +51,8 @@ class UnknownVariableError(NgclSyntaxError):
 
 class BudgetExceededError(NgclError):
     """A configured resource budget (profile size, search candidates) ran out."""
+
+    prefix, exit_code = "resource limit", 4
 
 
 class MalformedTermError(NgclError):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .errors import UsageError
 from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
@@ -105,7 +106,7 @@ def logic_by_name(name: str) -> LogicId:
         return _BY_NAME[name]
     if name in ALIASES:
         return ALIASES[name]
-    raise KeyError(f"unknown logic {name!r}")
+    raise UsageError(f"unknown logic {name!r}")
 
 
 # contrapositive partners: holds(L, (b, p, c)) iff holds(partner(L), (~b, p, ~c)),

@@ -16,6 +16,7 @@ comment.  Files carry a header line `vars x, y mod 4` declaring the space.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import NgclSyntaxError, UnknownVariableError
@@ -73,10 +74,12 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():   # what int() reads; isdigit() also takes "²"
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
+            if 0 < sys.get_int_max_str_digits() < i - start:   # more than int() reads
+                raise NgclSyntaxError(f"integer literal too long ({i - start} digits)", line, col)
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start
             continue

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # the kernel is imported as a module, not by name: see theorems.py
 from . import logics as _logics
+from .errors import UsageError
 from .generators import all_predicates, exhaustive_programs
 from .logics import (
     CONTRAPOSITIVE, GALOIS,
@@ -347,6 +348,6 @@ def _blocks(claim: str, config: SearchConfig, stats: dict) -> Iterator[_Block]:
             left_name, right_name = body.split("-vs-")
             left, right = LEGS[left_name], LEGS[right_name]
         except (ValueError, KeyError):
-            raise KeyError(f"unknown catalog claim {claim!r}") from None
+            raise UsageError(f"unknown catalog claim {claim!r}") from None
         return _logic_pair_blocks(config, stats, left, right)
-    raise KeyError(f"unknown claim {claim!r}")
+    raise UsageError(f"unknown claim {claim!r}")

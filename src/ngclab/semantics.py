@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, repeat, zip_longest
-from operator import add, getitem, itemgetter, not_, or_, sub
+from operator import getitem, itemgetter, not_, or_
 from typing import NamedTuple
 
 from . import space as _space  # for its bit and flag helpers; see relations.py
-from . import syntax as _syntax  # for statements, likewise
+from . import syntax as _syntax  # for statements and assign_table, likewise
 from .errors import BudgetExceededError
 from .relations import Relation
 from .space import StateSpace
@@ -49,27 +49,10 @@ from .syntax import (
     Seq,
     Skip,
     While,
-    _spread,
-    expr_column,
     guard_to_predicate,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
-
-
-def _assign_table(var: str, expr, space: StateSpace):
-    """Assignment is a total function on states.  Only var's digit changes:
-    succ(i) = i + (e(i) - var(i)) * stride_var, state by state."""
-    stride, column = space.columns[space.var_index(var)]
-    value = expr_column(expr, space)
-    delta = map(sub, _spread(value), column)
-    return map(add, range(space.size), map(stride.__mul__, delta))
-
-
-@lru_cache(maxsize=65536)
-def _assign_successors(var: str, expr, space: StateSpace) -> tuple[int, ...]:
-    """The assignment's successors, tabulated once."""
-    return tuple(_assign_table(var, expr, space))
 
 
 # --- program points -------------------------------------------------------
@@ -120,7 +103,7 @@ class _Points:
         return self._add(_GOTO, len(self.points))
 
     def _assign(self, p: Assign, cont: int) -> int:
-        return self._add(_ASSIGN, cont, 0, _assign_successors(p.var, p.expr, self.space))
+        return self._add(_ASSIGN, cont, 0, tuple(_syntax.assign_table(p.var, p.expr, self.space)))
 
     def _choice(self, p: Choice, cont: int) -> int:
         return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
@@ -261,7 +244,7 @@ def _diverge_rule(p: Diverge, space: StateSpace) -> _Meaning:
 
 def _assign_rule(p: Assign, space: StateSpace) -> _Meaning:
     _check_budget(1, space.size)
-    return _Meaning(1, ((*_assign_table(p.var, p.expr, space), space.size),), None, 0)
+    return _Meaning(1, ((*_syntax.assign_table(p.var, p.expr, space), space.size),), None, 0)
 
 
 def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:

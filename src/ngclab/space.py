@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SettingError, SpaceCapError
+from .errors import SettingError, SpaceCapError, UsageError
 
 HARD_STATE_CAP = 2**20
 
@@ -124,11 +124,11 @@ class StateSpace:
 
     def __post_init__(self):
         if not self.variables:
-            raise ValueError("state space needs at least one variable")
+            raise UsageError("state space needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError("state space variables must be distinct")
+            raise UsageError("state space variables must be distinct")
         if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise UsageError("modulus must be >= 1")
         size = self.modulus ** len(self.variables)
         cap = state_cap()
         if size > cap:
@@ -151,7 +151,7 @@ class StateSpace:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise KeyError(f"unknown variable '{name}'") from None
+            raise UsageError(f"unknown variable '{name}'") from None
 
     def index_of(self, values: tuple[int, ...]) -> int:
         idx = 0

@@ -6,15 +6,15 @@ that of its class and field tuple, so trees that differ only in a node's class
 (`skip` and `diverge`, `;` and `[]`, `&&` and `||`) do not collide; it is
 computed on the first `hash()` and kept, so a cache keyed by a program hashes
 it once per process.  Equality is the generated field-by-field comparison.
-Hashing, comparing and reading a program recurse once per level of nesting,
-except along a `;` chain: `Seq` hashes and compares its spine in a loop, and
-`statements` lists a chain's statements, so a chain of any length never
-exhausts the recursion limit.  Arithmetic wraps mod m, so evaluation is
-total on every state.
+Hashing, comparing, printing and reading a program recurse once per level of
+nesting, except along a `;` chain: `Seq` hashes, compares, `repr`s and
+pickles its spine in a loop, and `statements` lists a chain's statements, so
+a chain of any length never exhausts the recursion limit.  Arithmetic wraps
+mod m, so evaluation is total on every state.
 
 `eval_expr` and `eval_guard` define meaning one `State` at a time and stay
-the reference; `expr_column` and `guard_to_predicate` compute the same values
-for every state at once, as arithmetic over the space's value columns.
+the reference; `expr_column`, `guard_to_predicate` and `assign_table` compute
+over the space's value columns what they give for every state at once.
 """
 
 from __future__ import annotations
@@ -134,6 +134,15 @@ def expr_column(expr: Expr, space: StateSpace):
 def _spread(value):
     """A column as is, a constant as an endless column."""
     return repeat(value) if type(value) is int else value
+
+
+def assign_table(var: str, expr: Expr, space: StateSpace):
+    """`var := expr`'s successor of every state index, as an iterator.  An
+    assignment is a total function on states, and only var's digit changes:
+    succ(i) = i + (e(i) - var(i)) * stride_var."""
+    stride, column = space.columns[space.var_index(var)]
+    delta = map(sub, _spread(expr_column(expr, space)), column)
+    return map(add, range(space.size), map(stride.__mul__, delta))
 
 
 # --- guards ----------------------------------------------------------------
@@ -285,6 +294,31 @@ class Seq(Program):
             a, b = a.second, b.second
         return a == b
 
+    def __repr__(self):
+        # the generated text, built along the spine in a loop
+        firsts, last = _spine(self)
+        heads = "".join(f"Seq(first={first!r}, second=" for first in firsts)
+        return f"{heads}{last!r}{')' * len(firsts)}"
+
+    def __reduce__(self):
+        # the spine as a list, rebuilt in a loop: pickle recurses per field
+        return _right_chain, _spine(self)
+
+
+def _spine(p: Program) -> tuple:
+    """The `first`s down the right spine of p's links, and the last `second`."""
+    firsts = []
+    while type(p) is Seq:
+        firsts.append(p.first)
+        p = p.second
+    return firsts, p
+
+
+def _right_chain(firsts: list, last: Program) -> Program:
+    for first in reversed(firsts):
+        last = Seq(first, last)
+    return last
+
 
 def statements(p: Program) -> list:
     """The statements of a `;` chain in execution order, however its links
@@ -371,14 +405,11 @@ def pretty_program(p: Program) -> str:
     if isinstance(p, Assign):
         return f"{p.var} := {pretty_expr(p.expr)}"
     if isinstance(p, Seq):
-        # along the right spine in a loop, so a chain of any length prints;
-        # the parser folds `;` to the right, so a left-nested Seq needs braces
-        parts = []
-        while isinstance(p, Seq):
-            left = pretty_program(p.first)
-            parts.append("{ " + left + " }" if isinstance(p.first, Seq) else left)
-            p = p.second
-        return " ; ".join(parts + [pretty_program(p)])
+        # along the right spine, so a chain of any length prints; the parser
+        # folds `;` to the right, so a left-nested Seq needs braces
+        firsts, last = _spine(p)
+        return " ; ".join([*("{ " + pretty_program(q) + " }" if type(q) is Seq
+                             else pretty_program(q) for q in firsts), pretty_program(last)])
     if isinstance(p, Choice):
         return "{ " + pretty_program(p.left) + " } [] { " + pretty_program(p.right) + " }"
     if isinstance(p, Ite):

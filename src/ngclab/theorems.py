@@ -19,6 +19,7 @@ from typing import Optional
 # every name one ngclab module imports from another as a layer, and a
 # per-triple step is not one
 from . import logics as _logics
+from .errors import UsageError
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (
     ALL_LOGICS, BOUNDED, CONTRAPOSITIVE,
@@ -41,7 +42,7 @@ THEOREM_IDS = (
     "CONTRAPOSITIVE",
     "GALOIS_PC",
     "GALOIS_PI",
-    "TERMINATION_COLLAPSE",
+    "TERMINATION_COLLAPSE",     # the six collapse theorems: COLLAPSE_IDS
     "MAY_TERMINATION",
     "REACHABILITY_COLLAPSE",
     "DETERMINISM_COLLAPSE",
@@ -52,15 +53,7 @@ THEOREM_IDS = (
     "FIG4_IMPLICATIONS",
     "REMARK_DIVERGING",
 )
-
-COLLAPSE_IDS = (
-    "TERMINATION_COLLAPSE",
-    "MAY_TERMINATION",
-    "REACHABILITY_COLLAPSE",
-    "DETERMINISM_COLLAPSE",
-    "REVERSIBILITY_COLLAPSE",
-    "BRANCHING_COLLAPSE",
-)
+COLLAPSE_IDS = THEOREM_IDS[4:10]
 
 
 @dataclass(frozen=True)
@@ -85,9 +78,9 @@ def corpus_preset(name: str, count: Optional[int] = None,
                             seed=seed, count=10_000 if count is None else count),
             predicate_mode="sample", predicate_pairs=3, predicate_seed=seed)
     if name not in ("tiny", "small-exhaustive"):
-        raise KeyError(f"unknown corpus preset {name!r}")
+        raise UsageError(f"unknown corpus preset {name!r}")
     if count is not None or seed is not None:
-        raise ValueError(f"the corpus {name} is exhaustive: it takes no program count or seed")
+        raise UsageError(f"the corpus {name} is exhaustive: it takes no program count or seed")
     return CorpusConfig(GeneratorConfig(("x",), 2, max_depth=2 if name == "tiny" else 3))
 
 
@@ -375,7 +368,7 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
         return Verdict(theorem, holds_, witness, stats())
 
     if theorem not in _CHECKS:
-        raise KeyError(f"unknown theorem {theorem!r}")
+        raise UsageError(f"unknown theorem {theorem!r}")
     check = _CHECKS[theorem]
     syntactic = theorem == "DETERMINISM_COLLAPSE"
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import transformers as _transformers  # not by name: see relations.py
-from .errors import MalformedTermError
+from .errors import MalformedTermError, UsageError
 from .relations import Relation
 from .semantics import profile
 from .space import Predicate, StateSpace
@@ -305,7 +305,7 @@ def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
     profile; p may be a Program or a raw Relation, whose may-divergence is
     taken as empty: no word reads it."""
     if eq not in _CATALOG:
-        raise KeyError(f"unknown equation id {eq!r}")
+        raise UsageError(f"unknown equation id {eq!r}")
     space = b.space
     if c.space != space:
         raise ValueError("pre- and postcondition live in different spaces")

@@ -24,9 +24,9 @@ from operator import and_, or_
 # as a module, not by name, as relations.py imports it: the benchmark's
 # tracer wraps every name imported from another module as a layer
 from . import space as _space
-from . import syntax as _syntax   # for statements
+from . import syntax as _syntax   # for statements and assign_table
 from .errors import InvariantError
-from .semantics import Profile, _assign_successors, profile
+from .semantics import Profile, profile
 from .space import Predicate, State, StateSpace
 from .syntax import (
     Assign,
@@ -189,7 +189,7 @@ def _rules(p: Program, space: StateSpace) -> tuple:
     if isinstance(p, Diverge):
         return ((_DIVERGE,),)
     if isinstance(p, Assign):
-        succ = _assign_successors(p.var, p.expr, space)
+        succ = _syntax.assign_table(p.var, p.expr, space)
         return ((_ASSIGN, tuple((1 << i, 1 << j) for i, j in enumerate(succ))),)
     if isinstance(p, Choice):
         return ((_CHOICE, _rules(p.left, space), _rules(p.right, space)),)
@@ -291,11 +291,7 @@ def inductive_transform(kind: TransformerKind, p: Program, q: Predicate) -> Pred
         return Predicate(space, _forward(kind.angelic, chain, q.bits, full))
     asp = _forward(True, chain, q.bits, full)
     dslp = _forward(False, chain, q.bits, full)
-    if kind is TransformerKind.DSP:
-        return Predicate(space, asp & dslp)
-    if kind is TransformerKind.ASLP:
-        return Predicate(space, asp | dslp)
-    raise InvariantError(f"unhandled transformer kind {kind}")
+    return Predicate(space, asp & dslp if kind is TransformerKind.DSP else asp | dslp)
 
 
 # --- behavioral classes ------------------------------------------------------

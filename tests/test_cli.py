@@ -1,10 +1,13 @@
 """Command-line behavior: outputs, exit codes, and report determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ngclab.cli import main
 from ngclab.logics import ALL_LOGICS, UNION_LOGIC, Bound
@@ -350,16 +353,91 @@ class TestInputLimits:
         err = capsys.readouterr().err
         assert err == "resource limit: states x program nodes = 3 x 2 exceeds the budget of 5\n"
 
+    @pytest.mark.parametrize("name, data, err", [
+        ("not_utf8", b"vars x mod 3\n\xffx := 1\n",
+         "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+        ("long_literal", b"vars x mod 3\nx := " + b"1" * 5000 + b"\n",
+         "parse error: 2:6: integer literal too long (5000 digits)"),
+        ("long_modulus", b"vars x mod " + b"1" * 5000 + b"\nx := 1\n",
+         "parse error: 1:12: integer literal too long (5000 digits)"),
+        ("superscript_digit", "vars x mod 3\nx := \u00b2\n".encode(),
+         "parse error: 2:6: unexpected character '\u00b2'"),
+        ("duplicate_variables", b"vars x, x mod 3\nskip\n",
+         "error: state space variables must be distinct"),
+        ("modulus_zero", b"vars x mod 0\nskip\n", "error: modulus must be >= 1"),
+    ])
+    def test_bad_input_file_is_a_one_line_usage_error(self, tmp_path, capsys, name, data,
+                                                       err):
+        path = tmp_path / f"{name}.ngcl"
+        path.write_bytes(data)
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err + "\n"
+
+    def test_long_literal_in_a_guard_is_a_parse_error(self, choice01, capsys):
+        assert main(["transform", "--kind", "awp", "--pred", "x < " + "9" * 4301,
+                     choice01]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: 1:5: integer literal too long (4301 digits)\n")
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
     def test_unexpected_exception_is_a_one_line_internal_error(self, choice01, capsys,
-                                                               monkeypatch):
-        # a bug must not read as "claim false" (exit 1) or print a traceback
+                                                               monkeypatch, error):
+        # a bug must not read as "claim false" (exit 1), as a usage error
+        # (exit 2), whatever its type, or print a traceback
         from ngclab import cli
 
         def broken(kind, program, pred):
-            raise TypeError("planted")
+            raise error("planted")
 
         monkeypatch.setattr(cli, "oracle_transform", broken)
         assert main(["transform", "--kind", "awp", "--pred", "x = 0", choice01]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "internal error: TypeError: planted\n"
+        assert captured.err == f"internal error: {error.__name__}: {error('planted')}\n"
+
+
+# grammar tokens, digit runs (one past what int() reads, and a modulus over
+# the state cap) and bytes that are not UTF-8, or a digit int() does not read
+_FUZZ_TOKENS = (
+    "{", "}", ";", "[]", ":=", "(", ")", "&&", "||", "!", "<", "<=", "=", "!=", "+",
+    "-", "*", ",", "#", "\n", "skip", "diverge", "while", "if", "else", "vars", "mod",
+    "x", "y", "0", "1", "9" * 30, "7" * 4301, "\u00b2", "\u0663",
+)
+_EDIT = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 200), st.integers(1, 12)),
+    st.tuples(st.just("insert"), st.integers(0, 200),
+              st.sampled_from([t.encode() for t in _FUZZ_TOKENS] + [b"\xff"])),
+)
+_FUZZ_COMMANDS = (
+    ["classify"],
+    ["check", "--logic", "dwp-lb", "--pre", "true", "--post", "true"],
+    ["transform", "--engine", "both", "--kind", "dsp", "--pred", "true"],
+)
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(DEMOS), st.lists(_EDIT, min_size=1, max_size=4))
+    def test_edited_demo_files_end_in_a_documented_exit(self, tmp_path, monkeypatch, demo,
+                                                        edits):
+        # a few byte edits of a demo file: each command ends in 0, 1, 2 or 4,
+        # with at most one line on stderr and never a traceback
+        data = bytearray(demo.read_bytes())
+        for op, at, arg in edits:
+            at = min(at, len(data))
+            if op == "delete":
+                del data[at:at + arg]
+            else:
+                data[at:at] = b" " + arg + b" "
+        path = tmp_path / "edited.ngcl"
+        path.write_bytes(bytes(data))
+        monkeypatch.setenv("NGCL_STATE_CAP", "4096")
+        for command in _FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*command, str(path)])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2, 4), (bytes(data), command, lines)
+            assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (bytes(data), lines)

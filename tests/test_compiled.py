@@ -1,6 +1,6 @@
 """The compiled per-state paths against their definitional references.
 
-`expr_column`, `guard_to_predicate` and `_assign_successors` compute over
+`expr_column`, `guard_to_predicate` and `assign_table` compute over
 the space's value columns what `eval_expr`/`eval_guard` compute one `State`
 at a time; `iter_bits` must list exactly the set bits; `render_states` must
 print exactly `repr(State)`; structural equality must agree with the
@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from ngclab.errors import BudgetExceededError
-from ngclab.semantics import _assign_successors, profile
+from ngclab.semantics import profile
 from ngclab.space import Predicate, StateSpace, iter_bits, low_bit, mask_of
 from ngclab.syntax import (
     And,
@@ -29,6 +29,7 @@ from ngclab.syntax import (
     Skip,
     Var,
     While,
+    assign_table,
     eval_expr,
     eval_guard,
     expr_column,
@@ -133,7 +134,7 @@ class TestExpressions:
             var = rng.choice(space.variables)
             e = random_expr(rng, space.variables, space.modulus, 3)
             want = tuple(s.set(var, eval_expr(e, s)).index for s in space.states())
-            assert _assign_successors(var, e, space) == want
+            assert tuple(assign_table(var, e, space)) == want
 
 
 class TestGuards:
@@ -297,12 +298,12 @@ class TestStructuralEquality:
 
 class TestFailFast:
     def test_profile_refuses_an_oversized_program_before_its_own_work(self, monkeypatch):
-        from ngclab import semantics
+        from ngclab import semantics, syntax
 
         def refuse(*args):
             raise AssertionError("built a table over the node budget")
 
-        monkeypatch.setattr(semantics, "_assign_table", refuse)
+        monkeypatch.setattr(syntax, "assign_table", refuse)
         monkeypatch.setattr(semantics, "guard_to_predicate", refuse)
         # a single statement over more states than the budget
         space = StateSpace(("x", "y", "z"), 101)

@@ -14,10 +14,9 @@ from ngclab import semantics, transformers
 from ngclab.errors import InvariantError
 from ngclab.generators import all_predicates, exhaustive_programs, random_program
 from ngclab.parser import parse_program
-from ngclab.semantics import _assign_successors
 from ngclab.space import Predicate, StateSpace
 from ngclab.syntax import (
-    Assign, Choice, Diverge, Ite, Seq, Skip, While, guard_to_predicate,
+    Assign, Choice, Diverge, Ite, Seq, Skip, While, assign_table, guard_to_predicate,
 )
 from ngclab.transformers import TransformerKind, inductive_transform
 
@@ -43,7 +42,7 @@ def _ref_backward(kind, p, c, space):
     if isinstance(p, Diverge):
         return full if kind.liberal else 0
     if isinstance(p, Assign):
-        succ = _assign_successors(p.var, p.expr, space)
+        succ = tuple(assign_table(p.var, p.expr, space))
         bits = 0
         for i in range(space.size):
             if c >> succ[i] & 1:
@@ -80,7 +79,7 @@ def _ref_forward(kind, p, b, space):
     if isinstance(p, Diverge):
         return 0 if angelic else full
     if isinstance(p, Assign):
-        succ = _assign_successors(p.var, p.expr, space)
+        succ = tuple(assign_table(p.var, p.expr, space))
         hit = miss = 0
         for i in range(space.size):
             if b >> i & 1:

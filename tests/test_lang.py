@@ -253,6 +253,50 @@ class TestNodeHashing:
         assert space == SPACE_XY2 and hash(space) == hash((("x", "y"), 2))
 
 
+def _generated_repr(value):
+    """The text a dataclass's generated `__repr__` gives, field by field."""
+    if not dataclasses.is_dataclass(value):
+        return repr(value)
+    fields = ", ".join(f"{f.name}={_generated_repr(getattr(value, f.name))}"
+                       for f in dataclasses.fields(value))
+    return f"{type(value).__name__}({fields})"
+
+
+def _chain(links, last=Assign("x", Const(0))):
+    for i in range(links):
+        last = Seq(Assign("x", Const(i % 3)) if i % 7 else Seq(Skip(), Diverge()), last)
+    return last
+
+
+class TestLongChains:
+    def test_repr_of_short_programs_is_the_generated_text(self):
+        assert repr(Seq(Seq(Skip(), Diverge()), Assign("x", Const(1)))) == (
+            "Seq(first=Seq(first=Skip(), second=Diverge()), "
+            "second=Assign(var='x', expr=Const(value=1)))")
+        rng = random.Random(11)
+        programs = [parse_program(_NESTED, SPACE_XY2), _chain(12)]
+        programs += [random_program(rng, SPACE_XY2, 5) for _ in range(200)]
+        for program in programs:
+            assert repr(program) == _generated_repr(program)
+
+    def test_repr_of_a_long_chain_does_not_recurse_per_link(self):
+        # far past the interpreter's recursion limit
+        text = repr(_chain(5000))
+        assert text.startswith("Seq(first=Assign(var='x', expr=Const(value=1)), "
+                               "second=Seq(first=Seq(first=Skip(), second=Diverge()), ")
+        assert text.endswith("second=Assign(var='x', expr=Const(value=0))" + ")" * 5000)
+        assert text.count("Seq(") == 5000 + 5000 // 7 + 1
+
+    def test_pickling_a_long_chain_keeps_its_shape(self):
+        # right-nested along the spine, left-nested links kept as they are
+        chain = _chain(5000)
+        copy = pickle.loads(pickle.dumps(chain))
+        assert copy == chain and copy is not chain and hash(copy) == hash(chain)
+        assert pretty_program(copy) == pretty_program(chain)
+        left = Seq(Seq(Assign("x", Const(1)), Skip()), Diverge())
+        assert pickle.loads(pickle.dumps(left)) == left
+
+
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=5))

@@ -12,8 +12,10 @@ the wrong table entry, side or test, a per-class memo of
 the counterexample search keyed, bounded or filtered wrongly, one of the
 three transformer facts the taxonomy is derived from misstated (an ordering,
 a negation dual or an adjunction), the search's `-contra` legs read as
-their representatives, or a `;` chain's spine hashed one link deep, compared
-without its statements, or listed out of order when it nests to the left.
+their representatives, a `;` chain's spine hashed one link deep, compared
+without its statements, or listed out of order when it nests to the left, the
+inductive engine's choice, forward `if` or loop rule bent, a compiled `!`
+or `<` or the assignment table wrong, or a usage error given exit code 3.
 For every mutant the script copies `src/` to a temporary directory, plants
 the fault there (never in the checkout), and runs the mutant's test file
 against the copy in a fresh interpreter.  A mutant is killed when the tests
@@ -313,6 +315,33 @@ MUTANTS = (
     Mutant("`statements` lists a left-nested chain's parts in the wrong order", "syntax.py", (
         ("        p = rest.pop()\n", "        p = rest.pop(0)\n"),
     ), "test_lang.py"),
+    # the inductive engine's rules
+    Mutant("the backward rules join a demonic choice with |", "transformers.py", (
+        ("c = a | b if kind.angelic else a & b", "c = a | b"),
+    ), "test_inductive_rules.py"),
+    Mutant("the demonic forward `if` swaps the guard and its complement", "transformers.py", (
+        ("_forward(False, then, not_g | b, full) & _forward(False, orelse, g | b, full)",
+         "_forward(False, then, g | b, full) & _forward(False, orelse, not_g | b, full)"),
+    ), "test_inductive_rules.py"),
+    Mutant("a backward loop starts every kind from the full space", "transformers.py", (
+        ("x = full if kind.liberal else 0", "x = full"),
+    ), "test_inductive_rules.py"),
+    # the compiled guards and the shared assignment table
+    Mutant("a compiled `!` drops the complement", "syntax.py", (
+        ("return _guard_mask(guard.inner, space) ^ space.full_mask",
+         "return _guard_mask(guard.inner, space)"),
+    ), "test_compiled.py"),
+    Mutant("a compiled `<` is read as `<=`", "syntax.py", (
+        ('"<": lt,', '"<": le,'),
+    ), "test_compiled.py"),
+    Mutant("the assignment table moves the digit the wrong way", "syntax.py", (
+        ("return map(add, range(space.size), map(stride.__mul__, delta))",
+         "return map(sub, range(space.size), map(stride.__mul__, delta))"),
+    ), "test_compiled.py"),
+    # the exit-code map
+    Mutant("a usage error exits 3", "errors.py", (
+        ('prefix, exit_code = "error", 2', 'prefix, exit_code = "error", 3'),
+    ), "test_cli.py"),
 )
 
 
