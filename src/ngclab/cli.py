@@ -166,8 +166,16 @@ def cmd_classify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of the command and of each subcommand: a command line it
+    rejects is a usage error, one stderr line and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ngclab",
         description="check triples, transformers, theorems, and equations "
                     "over finite guarded-command programs",
@@ -221,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         state_cap()  # reject a malformed NGCL_STATE_CAP whatever the command
         return args.func(args)
     except RecursionError:

@@ -20,7 +20,7 @@ from .errors import UsageError
 from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
-from .transformers import ADJUNCTIONS, AWP, DUALS, DWLP, TransformerKind, class_tables
+from .transformers import ADJUNCTIONS, AWP, DUALS, DWLP, TransformerKind
 
 
 class Bound(Enum):
@@ -163,11 +163,11 @@ def violations(logics, tb, tc, b: int, c: int, full: int) -> list[int]:
 
 def violated_states(logic: LogicId, t: Triple) -> int:
     """The mask of the states breaking the logic's subset condition on the
-    triple, from one transformer table of the class store: the
+    triple, from one transformer table of the program's profile: the
     postcondition's for a backward logic, the precondition's for a forward
     one."""
     _, backward, _ = logic.shape
-    table = class_tables(profile(t.program, t.space))[t.post.bits if backward else t.pre.bits]
+    table = profile(t.program, t.space)[t.post.bits if backward else t.pre.bits]
     return violations((logic,), table, table, t.pre.bits, t.post.bits,
                       t.space.full_mask)[0]
 

@@ -10,13 +10,13 @@ suffices, and the caller needs to know the search was honest.
 
 One loop, `_drive`, counts the candidates of every kind of claim.  Each kind
 supplies a stream of per-program blocks: the program is profiled once.  A
-block's verdicts depend only on the program's semantic class (its relation
-rows and may-divergence), so within one call the candidates are scanned once
-per class for the first refuting one, and a later program of the class
-costs one comparison of that hit against the budget left.  The memo lives and
+block's verdicts depend only on the program's semantic class (its profile:
+relation rows and may-divergence), so within one call the candidates are
+scanned once per class for the first refuting one, and a later program of
+the class costs one comparison of that hit against the budget left.  The memo lives and
 dies with the call, so a caller that clears the caches starts cold.  Verdicts
-come from the logics' kernel and the equation catalog, both over the class
-store's transformer tables.
+come from the logics' kernel and the equation catalog, both over the
+profile's transformer tables.
 `SearchResult.stats` counts the programs drawn and their classes.
 """
 
@@ -41,7 +41,7 @@ from .semantics import Profile, profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
 from .topkat import EQUATIONS, catalog_values
-from .transformers import AWLP, AWP, DWLP, DWP, class_tables
+from .transformers import AWLP, AWP, DWLP, DWP
 
 FOUND = "found"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -153,18 +153,18 @@ def _first_difference(npred: int, differ: Callable[[int, int], bool]) -> Optiona
 def _masks(logics: tuple, prof: Profile) -> Callable[[int, int], list[int]]:
     """The logics' violation masks on the bits of (pre, post) in prof's
     class: a logic holds where its mask is 0."""
-    t, full, violations = class_tables(prof), prof.space.full_mask, _logics.violations
-    return lambda b, c: violations(logics, t[b], t[c], b, c, full)
+    full, violations = prof.space.full_mask, _logics.violations
+    return lambda b, c: violations(logics, prof[b], prof[c], b, c, full)
 
 
 def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], object]
              ) -> Iterator[tuple[StateSpace, list[Predicate], Program, object]]:
     """Each enumerated program with the value `make(prof, npred)` of its
-    semantic class, given its space's predicate count: its relation rows and
-    may-divergence are all that a block's verdicts read (predicates are
-    indexed by their bits, so a class may span two rungs of one size).  The
-    value is made once per class and kept for this search only.  Counts
-    programs and classes into `stats`."""
+    semantic class, given its space's predicate count: its profile is all
+    that a block's verdicts read (predicates are indexed by their bits, and
+    profiles of one class over two rungs of one size are equal).  The value
+    is made once per class and kept for this search only.  Counts programs
+    and classes into `stats`."""
     memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
@@ -172,10 +172,9 @@ def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], o
         for p in exhaustive_programs(space, config.max_depth):
             prof = profile(p, space)
             stats["programs"] += 1
-            key = (prof.relation.rows, prof.may_div)
-            value = memo.get(key)
+            value = memo.get(prof)
             if value is None:
-                value = memo[key] = make(prof, len(preds))
+                value = memo[prof] = make(prof, len(preds))
                 stats["classes"] += 1
             yield space, preds, p, value
 
@@ -207,16 +206,16 @@ def _logic_pair_blocks(config: SearchConfig, stats: dict, left: LogicId, right: 
     def block(prof: Profile, npred: int) -> _Block:
         if det_rev and prof.irreversible:
             return _Block(npred * npred, None, None)
-        t, full, violations = class_tables(prof), prof.space.full_mask, _logics.violations
+        full, violations = prof.space.full_mask, _logics.violations
         logics = (left, right)
 
         def differ(b: int, c: int) -> bool:
-            lv, rv = violations(logics, t[b], t[c], b, c, full)
+            lv, rv = violations(logics, prof[b], prof[c], b, c, full)
             return (not lv) != (not rv)
 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
-            lv, rv = violations(logics, t[b], t[c], b, c, full)
+            lv, rv = violations(logics, prof[b], prof[c], b, c, full)
             return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
                             f"{left.name} is {not lv} but {right.name} is {not rv}",
                             left=left.name, right=right.name)
@@ -241,8 +240,7 @@ def _combination_gap_blocks(claim: str, config: SearchConfig, stats: dict) -> It
         detail = "awlp differs from awp union dwlp"
 
     def block(prof: Profile, npred: int) -> _Block:
-        t = class_tables(prof)
-        gaps = [v[pos] ^ combine(v[AWP], v[DWLP]) for v in map(t.__getitem__, range(npred))]
+        gaps = [v[pos] ^ combine(v[AWP], v[DWLP]) for v in map(prof.__getitem__, range(npred))]
 
         def witness(c: int) -> dict:
             idx = low_bit(gaps[c])
@@ -295,10 +293,10 @@ def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     outcome = EQUATIONS.index("OUTCOME_CONJUNCTION")
 
     def block(prof: Profile, npred: int) -> _Block:
-        t, full = class_tables(prof), prof.space.full_mask
+        full = prof.space.full_mask
 
         def system(b: int, c: int) -> bool:
-            return catalog_values(t, b, c, full)[outcome]
+            return catalog_values(prof, b, c, full)[outcome]
 
         masks = _masks((INTERSECTION_LOGIC,), prof)
 

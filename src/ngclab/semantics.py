@@ -17,9 +17,12 @@ are tables, `if` gives the sink to the states its guard sends to a side
 without tables, and a loop is the identity outside its guard beside rows
 for the states under it.  Tables become rows only in a union of more than
 four and as the profile's relation.  The budget is states times program
-nodes, checked before each rule's own work.  The profile's reachable states
-and its final states with more than one initial state are derived only
-when first read.
+nodes, checked before each rule's own work.  A program's profile is its
+semantic class, one object per relation, may-divergence and space: the
+store of the class's transformer tables by predicate bits, read off the
+relation's images and preimages (`rows_table`).  A table, and the class's
+reachable states and its final states with more than one initial state,
+are derived only when first read.
 
 Program points are a flat compilation of a program over a state space, with
 integer configurations `point * n + state`.  Nothing here walks them: they
@@ -29,10 +32,9 @@ operational reference that the composer is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, repeat, zip_longest
-from operator import getitem, itemgetter, not_, or_
+from itertools import chain, compress, repeat, zip_longest
+from operator import and_, getitem, itemgetter, not_, or_
 from typing import NamedTuple
 
 from . import space as _space  # for its bit and flag helpers; see relations.py
@@ -438,47 +440,115 @@ _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _
           Choice: _choice_rule, Ite: _ite_rule, While: _while_rule}
 
 
-# --- cached per-program profile ---------------------------------------------
+# --- the semantic class: a profile per (space, relation, may-divergence) ----
+#
+# Image/preimage algebra over the class, with pre(q) the states having some
+# final state in q and img(q) the final states of some run from q:
+#   awp = pre(q)    dwlp = ~pre(~q)    dwp = dwlp - div    awlp = awp | div
+#   asp = img(q)    dslp = ~img(~q)    dsp = dslp & reach  aslp = asp | ~reach
 
-@dataclass(frozen=True)
-class Profile:
-    """Everything the transformer oracles need, computed once per program."""
+# most states for which rows_table sets its masks state by state: measured
+# on random rows and on those of the countdown and of x := x + 1, that loop
+# is 2.5-4x faster than the four linear passes up to 27 states and 5-25 %
+# faster at 64-125; the two are within 15 % of each other at 216-512, the
+# passes win from about 1 000 on, and at 2^18 the loop's ever longer ints
+# take 1.4 s on the countdown's rows against 0.08 s
+_LOOPED = 200
 
-    space: StateSpace
-    relation: Relation
-    may_div: int
-    must_div: int
 
-    # derived from the relation on first read and kept as attributes, as
-    # StateSpace keeps its columns: many profiles never need them
-    _reach = None
-    _irreversible = None
+def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
+    """The transformer table of q in the semantic class with these relation
+    rows and may-divergence, from pre(q), pre(~q), img(q) and img(~q): the
+    eight results depend on nothing else."""
+    n = len(rows)
+    full = (1 << n) - 1
+    not_q = full ^ q
+    if n <= _LOOPED:
+        pre = pre_not = img = img_not = 0
+        bit = 1
+        for row in rows:
+            if row & q:
+                pre |= bit
+            if row & not_q:
+                pre_not |= bit
+            if q & bit:
+                img |= row
+            else:
+                img_not |= row
+            bit <<= 1
+    else:
+        pre = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(q)))))
+        pre_not = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(not_q)))))
+        in_q, in_not_q = _space.flag_bytes(q, n), _space.flag_bytes(not_q, n)
+        img = reduce(or_, compress(rows, in_q), 0)
+        img_not = reduce(or_, compress(rows, in_not_q), 0)
+    reach = img | img_not
+    dwlp = full ^ pre_not
+    dslp = full ^ img_not
+    return (pre, dwlp & ~may_div, pre | may_div, dwlp,
+            img, dslp & reach, img | full ^ reach, dslp)
+
+
+class Profile(dict):
+    """A semantic class: a relation over a space and its may-divergence, all
+    that the transformer oracles read.  It maps predicate bits to their
+    transformer table (the eight results in `TransformerKind` order), each
+    computed on first use.  `profile` gives every program of a class in a
+    space the same object, and a profile compares and hashes as its class,
+    (relation rows, may-divergence), whatever its space."""
+
+    def __init__(self, space: StateSpace, relation: Relation, may_div: int):
+        super().__init__()
+        rows = relation.rows
+        self.space, self.relation, self.may_div = space, relation, may_div
+        self.must_div = _space.mask_of(list(map(not_, rows))) if 0 in rows else 0
+        self._key = (rows, may_div)
+
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        table = self[q] = rows_table(self.relation.rows, self.may_div, q)
+        return table
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, Profile) and self._key == other._key
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    # derived on first read and kept as attributes, as StateSpace keeps its
+    # columns: many classes never need them (a command on one program never
+    # hashes its profile)
+    _hash = _reach = _irreversible = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     @property
     def reach(self) -> int:
-        reach = self._reach
-        if reach is None:
-            reach = self.relation.codomain_bits()
-            object.__setattr__(self, "_reach", reach)
-        return reach
+        if self._reach is None:
+            self._reach = self.relation.codomain_bits()
+        return self._reach
 
     @property
     def irreversible(self) -> int:
         """The final states with more than one initial state."""
-        irreversible = self._irreversible
-        if irreversible is None:
+        if self._irreversible is None:
             seen = irreversible = 0
             for row in self.relation.rows:
                 irreversible |= seen & row
                 seen |= row
-            object.__setattr__(self, "_irreversible", irreversible)
-        return irreversible
+            self._irreversible = irreversible
+        return self._irreversible
 
 
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
+    """p's semantic class over the space, shared by every program in it."""
     meaning = _meaning(p, space)
-    n = space.size
-    rows = _rows(meaning, space)[:n]
-    must = _space.mask_of(list(map(not_, rows))) if 0 in rows else 0
-    return Profile(space, Relation(n, rows), meaning.may, must)
+    return _class(space, _rows(meaning, space)[:space.size], meaning.may)
+
+
+@lru_cache(maxsize=1 << 18)
+def _class(space: StateSpace, rows: tuple[int, ...], may_div: int) -> Profile:
+    return Profile(space, Relation(space.size, rows), may_div)

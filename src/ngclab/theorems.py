@@ -34,7 +34,7 @@ from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
 from .transformers import (
     ADJUNCTIONS, AWP, AWLP, ASP, ASLP, DSP, DSLP, DUALS, DWP, DWLP, ORDERING,
-    TransformerKind, class_tables,
+    TransformerKind,
 )
 
 THEOREM_IDS = (
@@ -195,18 +195,18 @@ _COMPLEMENTS = tuple(
 )
 
 
-# Per-triple checks: (t, prof, free, b, c, full) -> None when the triple
-# passes, or a failure detail.  t is the class's store of transformer tables
-# by predicate bits, prof a profile of the class, and free whether the
-# program text is choice-free (read by the determinism collapse only).  A
-# collapse check returns _OUTSIDE when the bare equality fails outside the
+# Per-triple checks: (t, free, b, c, full) -> None when the triple passes,
+# or a failure detail.  t is the program's profile, its semantic class and
+# the store of its transformer tables by predicate bits, and free whether
+# the program text is choice-free (read by the determinism collapse only).
+# A collapse check returns _OUTSIDE when the bare equality fails outside the
 # assumption filter (a non-vacuity witness).
 
 _OUTSIDE = "equality fails outside the assumption filter"
 _INSIDE = "collapse equality fails under the assumption"
 
 
-def _check_ordering(t, prof, free, b, c, full):
+def _check_ordering(t, free, b, c, full):
     for q in (b, c):
         v = t[q]
         for low, mid, high, detail in _ORDERING_CHAINS:
@@ -215,7 +215,7 @@ def _check_ordering(t, prof, free, b, c, full):
     return None
 
 
-def _check_contrapositive(t, prof, free, b, c, full):
+def _check_contrapositive(t, free, b, c, full):
     for q in (b, c):
         v, neg = t[q], t[full ^ q]
         for a, d, detail in _COMPLEMENTS:
@@ -230,13 +230,13 @@ def _adjunction(name, f, g):
     detail = f"{name} adjunction fails"
     forward = not tuple(TransformerKind)[f].backward
 
-    def check(t, prof, free, b, c, full):
+    def check(t, free, b, c, full):
         x, y = (b, c) if forward else (c, b)
         return None if (t[x][f] & ~y & full == 0) == (x & ~t[y][g] == 0) else detail
     return check
 
 
-def _check_combo(t, prof, free, b, c, full):
+def _check_combo(t, free, b, c, full):
     for q in (b, c):
         v = t[q]
         if v[DSP] != v[ASP] & v[DSLP]:
@@ -246,7 +246,7 @@ def _check_combo(t, prof, free, b, c, full):
     return None
 
 
-def _check_fig4(t, prof, free, b, c, full):
+def _check_fig4(t, free, b, c, full):
     vec = _logics.violations(ALL_LOGICS, t[b], t[c], b, c, full)
     for src, dst, detail in _IMPLICATIONS:
         if not vec[src] and vec[dst]:
@@ -262,7 +262,7 @@ def _check_fig4(t, prof, free, b, c, full):
     return None
 
 
-def _check_bridges(t, prof, free, b, c, full):
+def _check_bridges(t, free, b, c, full):
     vec = _logics.violations(ALL_LOGICS, t[b], t[c], b, c, full)
     values = catalog_values(t, b, c, full)
     for eq, logic, detail in _BRIDGES:
@@ -274,15 +274,15 @@ def _check_bridges(t, prof, free, b, c, full):
 def _scoped(name):
     """A semantic assumption's check, on the side `logics.ASSUMPTIONS` names."""
     on_pre, breaking = _logics.ASSUMPTIONS[name]
-    return lambda t, prof, free, b, c, full: breaking(prof) & (b if on_pre else c) == 0
+    return lambda t, free, b, c, full: breaking(t) & (b if on_pre else c) == 0
 
 
 def _collapse(assumption, equality):
     """A per-triple check from the collapse's scoped assumption and equality."""
-    def check(t, prof, free, b, c, full):
-        if equality(t, prof, free, b, c, full):
+    def check(t, free, b, c, full):
+        if equality(t, free, b, c, full):
             return None
-        return _INSIDE if assumption(t, prof, free, b, c, full) else _OUTSIDE
+        return _INSIDE if assumption(t, free, b, c, full) else _OUTSIDE
     return check
 
 
@@ -298,29 +298,29 @@ _CHECKS = {
     "BRIDGES": _check_bridges,
     "TERMINATION_COLLAPSE": _collapse(
         _scoped("termination"),
-        lambda t, prof, free, b, c, full: (
+        lambda t, free, b, c, full: (
             b & t[c][DWP] == b & t[c][DWLP] and b & t[c][AWP] == b & t[c][AWLP]
         ),
     ),
     "REACHABILITY_COLLAPSE": _collapse(
         _scoped("reachability"),
-        lambda t, prof, free, b, c, full: (
+        lambda t, free, b, c, full: (
             c & t[b][ASP] == c & t[b][ASLP] and c & t[b][DSP] == c & t[b][DSLP]
         ),
     ),
     "DETERMINISM_COLLAPSE": _collapse(
-        lambda t, prof, free, b, c, full: free,
-        lambda t, prof, free, b, c, full: t[c][AWP] == t[c][DWP] and t[c][AWLP] == t[c][DWLP],
+        lambda t, free, b, c, full: free,
+        lambda t, free, b, c, full: t[c][AWP] == t[c][DWP] and t[c][AWLP] == t[c][DWLP],
     ),
     "REVERSIBILITY_COLLAPSE": _collapse(
         _scoped("reversibility"),
-        lambda t, prof, free, b, c, full: (
+        lambda t, free, b, c, full: (
             c & t[b][ASP] == c & t[b][DSP] and c & t[b][ASLP] == c & t[b][DSLP]
         ),
     ),
     "BRANCHING_COLLAPSE": _collapse(
         _scoped("no_branching_divergence"),
-        lambda t, prof, free, b, c, full: (
+        lambda t, free, b, c, full: (
             b & t[c][DWP] == b & t[c][AWP] & t[c][DWLP]
             and b & t[c][AWLP] == b & (t[c][AWP] | t[c][DWLP])
         ),
@@ -328,8 +328,8 @@ _CHECKS = {
     # under no branching divergence, may-termination everywhere and
     # must-termination everywhere are the same program property
     "MAY_TERMINATION": _collapse(
-        lambda t, prof, free, b, c, full: prof.may_div == prof.must_div,
-        lambda t, prof, free, b, c, full: (t[full][AWP] == full) == (t[0][AWLP] == 0),
+        lambda t, free, b, c, full: t.may_div == t.must_div,
+        lambda t, free, b, c, full: (t[full][AWP] == full) == (t[0][AWLP] == 0),
     ),
 }
 
@@ -338,19 +338,19 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     """Check one theorem over the corpus; collapse theorems also hunt for a
     triple outside the assumption filter that breaks the bare equality.
 
-    The corpus is walked in order, but each semantic class -- a (relation,
-    may-divergence) profile, plus the program's choice-freedom for the
-    determinism collapse, whose assumption reads the text -- is checked on
-    each (pre, post) pair once: a later program of a class checked on the
-    same pairs adds only to the counts, since every answer would repeat.
-    The stats count the programs, the triples and the classes checked.
+    The corpus is walked in order.  Where every program is checked on the
+    same (pre, post) pairs, each semantic class -- a profile, plus the
+    program's choice-freedom for the determinism collapse, whose assumption
+    reads the text -- is checked once: a later program of the class adds
+    only to the counts, since every answer would repeat.  The stats count
+    the programs, the triples and the classes checked.
     """
     space = corpus.space()
     full = space.full_mask
     started = time.perf_counter()
     programs = 0
     triples = 0
-    checked: dict[tuple, set] = {}    # per class: the (b, c) pairs done
+    checked: set = set()    # the (profile, choice-freedom) classes met
 
     def stats() -> dict:
         return {"programs": programs, "triples": triples, "classes": len(checked),
@@ -358,13 +358,12 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
 
     if theorem == "REMARK_DIVERGING":
         branching = Choice(Skip(), While(TRUE, Skip()))
-        prof_a, prof_b = profile(Skip(), space), profile(branching, space)
-        holds_ = (prof_a.relation == prof_b.relation
-                  and class_tables(prof_a)[0][AWLP] != class_tables(prof_b)[0][AWLP])
+        t_a, t_b = profile(Skip(), space), profile(branching, space)
+        holds_ = t_a.relation == t_b.relation and t_a[0][AWLP] != t_b[0][AWLP]
         witness = None if holds_ else _witness(
             branching, space, "collecting semantics or liberal precondition mismatch")
         programs, triples = 2, 1
-        checked = dict.fromkeys((prof.relation.rows, prof.may_div) for prof in (prof_a, prof_b))
+        checked = {t_a, t_b}
         return Verdict(theorem, holds_, witness, stats())
 
     if theorem not in _CHECKS:
@@ -375,23 +374,15 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     nonvacuity = None
     for p, pairs in corpus_items(corpus):
         programs += 1
-        prof = profile(p, space)
+        t = profile(p, space)
         free = syntactic and syntactic_choice(p) is None
-        key = (prof.relation.rows, prof.may_div, free)
-        done = checked.get(key)
-        if done is None:
-            done = checked[key] = set()
-        elif shared_pairs:
+        if shared_pairs and (t, free) in checked:
             triples += len(pairs)
             continue
-        t = class_tables(prof)
+        checked.add((t, free))
         for b, c in pairs:
             triples += 1
-            bits = (b.bits, c.bits)
-            if bits in done:
-                continue
-            done.add(bits)
-            detail = check(t, prof, free, bits[0], bits[1], full)
+            detail = check(t, free, b.bits, c.bits, full)
             if detail is None:
                 continue
             if detail is _OUTSIDE:

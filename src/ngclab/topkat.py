@@ -10,7 +10,7 @@ logics that the relational model can see.
 The catalog is not evaluated by composing relations.  A word containing top
 is a rectangle, R;T;S = dom(R) x cod(S), so each word is compiled once, at
 import, into domain and codomain masks built from preimages and images (awp
-and asp, read off the class store), and each clause compares two rectangles
+and asp, read off a profile), and each clause compares two rectangles
 or tests a top-free word for emptiness.
 """
 
@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import transformers as _transformers  # not by name: see relations.py
 from .errors import MalformedTermError, UsageError
 from .relations import Relation
-from .semantics import profile
+from .semantics import Profile, profile
 from .space import Predicate, StateSpace
 from .syntax import (
     Assign,
@@ -35,7 +34,6 @@ from .syntax import (
     While,
     guard_to_predicate,
 )
-from .transformers import ASP, AWP
 
 
 class KatTerm:
@@ -207,10 +205,11 @@ EQUATIONS = tuple(_CATALOG)
 # slots that are equal iff its two words are: T;R = T;S iff cod(R) = cod(S),
 # R;T = S;T iff dom(R) = dom(S), and any other two rectangles are compared
 # as one packed int each, 0 when either side is empty.  The folds of a plan
-# are shared by all its words, so one triple costs a few reads of the class
-# store -- the preimage of m is awp(m), its image asp(m) -- and some mask
-# arithmetic.
+# are shared by all its words, so one triple costs a few reads of a
+# profile's transformer tables -- the preimage of m is awp(m), its image
+# asp(m) -- and some mask arithmetic.
 
+_AWP, _ASP = 0, 4   # their positions in a table, in `TransformerKind` order
 _FULL, _B, _C, _NB, _NC, _ZERO = range(6)   # the first mask slots of a triple
 _FIRST_STEP_SLOT = 6
 _TEST_SLOTS = {"b": _B, "c": _C, "B": _NB, "C": _NC}
@@ -281,9 +280,9 @@ def _evaluate(plan: _Plan, tables, b: int, c: int, full: int) -> tuple[bool, ...
         if op == _AND:
             m.append(m[x] & m[y])
         elif op == _IMAGE:
-            m.append(tables[m[x]][ASP])
+            m.append(tables[m[x]][_ASP])
         elif op == _PREIMAGE:
-            m.append(tables[m[x]][AWP])
+            m.append(tables[m[x]][_AWP])
         else:
             m.append(m[x] << n | m[y] if m[x] and m[y] else 0)
     held = [(m[x] == m[y]) == equal for x, y, equal in plan.clauses]
@@ -294,9 +293,9 @@ _CATALOG_PLAN = _compile(_CATALOG)
 
 
 def catalog_values(tables, b: int, c: int, full: int) -> tuple[bool, ...]:
-    """Every catalog equation on one triple, in EQUATIONS order, from a class
-    store's transformer tables (`transformers.class_tables`) of the masks
-    it folds; b, c and full are state bitmasks."""
+    """Every catalog equation on one triple, in EQUATIONS order, from the
+    transformer tables of a profile (`semantics.Profile`) of the masks it
+    folds; b, c and full are state bitmasks."""
     return _evaluate(_CATALOG_PLAN, tables, b, c, full)
 
 
@@ -312,7 +311,7 @@ def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
     if isinstance(p, Relation):
         if p.n != space.size:
             raise ValueError("program relation has the wrong size")
-        tables = _transformers._class_store(p.rows, 0)
+        prof = Profile(space, p, 0)
     else:
-        tables = _transformers.class_tables(profile(p, space))
-    return catalog_values(tables, b.bits, c.bits, space.full_mask)[EQUATIONS.index(eq)]
+        prof = profile(p, space)
+    return catalog_values(prof, b.bits, c.bits, space.full_mask)[EQUATIONS.index(eq)]

@@ -7,9 +7,9 @@ structural rules with Kleene-iterated loop fixpoints (least from the empty
 set, greatest from the full space) to a rule chain compiled once per program
 and state space.
 The two must agree everywhere; the test suite checks that differentially.
-The oracle's one store is the class store: per semantic class, the eight
-results of each predicate, computed together on first use and shared by
-every caller.  Here too are the three facts about the transformers that
+The oracle reads one store, the program's profile: per semantic class, the
+eight results of each predicate, computed together on first use and shared
+by every caller.  Here too are the three facts about the transformers that
 the taxonomy of logics follows from: their pointwise orderings, their
 negation duals and two adjunctions.
 """
@@ -17,16 +17,14 @@ negation duals and two adjunctions.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, reduce
-from itertools import compress, repeat
-from operator import and_, or_
+from functools import lru_cache
 
 # as a module, not by name, as relations.py imports it: the benchmark's
 # tracer wraps every name imported from another module as a layer
 from . import space as _space
 from . import syntax as _syntax   # for statements and assign_table
 from .errors import InvariantError
-from .semantics import Profile, profile
+from .semantics import profile
 from .space import Predicate, State, StateSpace
 from .syntax import (
     Assign,
@@ -76,85 +74,11 @@ ADJUNCTIONS = (("partial-correctness", ASP, DWLP), ("partial-incorrectness", AWP
 
 
 # --- semantic oracle ---------------------------------------------------------
-#
-# Image/preimage algebra over the profile, with pre(q) the states having some
-# final state in q and img(q) the final states of some run from q:
-#   awp = pre(q)    dwlp = ~pre(~q)    dwp = dwlp - div    awlp = awp | div
-#   asp = img(q)    dslp = ~img(~q)    dsp = dslp & reach  aslp = asp | ~reach
-
-# most states for which rows_table sets its masks state by state: measured
-# on random rows and on those of the countdown and of x := x + 1, that loop
-# is 2.5-4x faster than the four linear passes up to 27 states and 5-25 %
-# faster at 64-125; the two are within 15 % of each other at 216-512, the
-# passes win from about 1 000 on, and at 2^18 the loop's ever longer ints
-# take 1.4 s on the countdown's rows against 0.08 s
-_LOOPED = 200
-
-
-def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
-    """The transformer table of q in the semantic class with these relation
-    rows and may-divergence, from pre(q), pre(~q), img(q) and img(~q): the
-    eight results depend on nothing else."""
-    n = len(rows)
-    full = (1 << n) - 1
-    not_q = full ^ q
-    if n <= _LOOPED:
-        pre = pre_not = img = img_not = 0
-        bit = 1
-        for row in rows:
-            if row & q:
-                pre |= bit
-            if row & not_q:
-                pre_not |= bit
-            if q & bit:
-                img |= row
-            else:
-                img_not |= row
-            bit <<= 1
-    else:
-        pre = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(q)))))
-        pre_not = _space.mask_of(bytes(map(bool, map(and_, rows, repeat(not_q)))))
-        in_q, in_not_q = _space.flag_bytes(q, n), _space.flag_bytes(not_q, n)
-        img = reduce(or_, compress(rows, in_q), 0)
-        img_not = reduce(or_, compress(rows, in_not_q), 0)
-    reach = img | img_not
-    dwlp = full ^ pre_not
-    dslp = full ^ img_not
-    return (pre, dwlp & ~may_div, pre | may_div, dwlp,
-            img, dslp & reach, img | full ^ reach, dslp)
-
 
 def oracle_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predicate:
-    """Quantifier definition of the transformer, off the program's profile:
-    the kind's entry in q's table from the class store."""
-    return Predicate(q.space, class_tables(profile(p, q.space))[q.bits][kind.position])
-
-
-class _Tables(dict):
-    """One semantic class's transformer tables by predicate bits, each
-    computed on first use."""
-
-    def __init__(self, rows: tuple[int, ...], may_div: int):
-        super().__init__()
-        self.rows = rows
-        self.may_div = may_div
-
-    def __missing__(self, q: int) -> tuple[int, ...]:
-        table = self[q] = rows_table(self.rows, self.may_div, q)
-        return table
-
-
-@lru_cache(maxsize=1 << 16)
-def _class_store(rows: tuple[int, ...], may_div: int) -> _Tables:
-    return _Tables(rows, may_div)
-
-
-def class_tables(prof: Profile) -> dict[int, tuple[int, ...]]:
-    """The transformer tables of prof's semantic class -- every program with
-    its relation rows and may-divergence, over any space of its size -- by
-    predicate bits.  One store, shared by all the theorems of a survey and
-    by the search."""
-    return _class_store(prof.relation.rows, prof.may_div)
+    """Quantifier definition of the transformer, off the program's semantic
+    class: the kind's entry in q's table (`semantics.rows_table`)."""
+    return Predicate(q.space, profile(p, q.space)[q.bits][kind.position])
 
 
 # --- inductive rules ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The per-kind transformer oracle: the reference for the class store's tables.
+"""The per-kind transformer oracle: the reference for the profile's tables.
 
 Each transformer is read off its quantifier definition over the profile, one
 kind at a time, with pre(q) the image of q under the converse relation and
@@ -7,7 +7,7 @@ img(q) its image under the relation:
     awp = pre(q)    dwlp = ~pre(~q)    dwp = dwlp - div    awlp = awp | div
     asp = img(q)    dslp = ~img(~q)    dsp = dslp & reach  aslp = asp | ~reach
 
-`transformers.rows_table`, behind every oracle read of the library, computes
+`semantics.rows_table`, behind every oracle read of the library, computes
 all eight of a predicate at once from the relation's rows; the tests check it
 against this route and against the inductive engine.
 """

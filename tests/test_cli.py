@@ -21,7 +21,7 @@ from oracle_reference import oracle_bits
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demo").glob("*.ngcl"))
 # a loop over the largest space the benchmark's CLI items use (216 states),
-# where the class store builds its tables with linear passes
+# where a profile builds its tables with linear passes
 SCALE = ("scale216", "vars x, y, z mod 6\n"
          "while x != 0 { { x := x - 1 } [] { y := y + 1 } [] { diverge } }\n")
 CHECKED = [(demo.stem, demo.read_text(encoding="utf-8")) for demo in DEMOS] + [SCALE]
@@ -441,3 +441,73 @@ class TestFuzz:
             lines = err.getvalue().splitlines()
             assert code in (0, 1, 2, 4), (bytes(data), command, lines)
             assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (bytes(data), lines)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--count", "abc"],                                # not an int
+        ["check", "--pre", "true", "--post", "true", "p.ngcl"],      # no --logic
+        ["frobnicate"],                                              # no such command
+        ["transform", "--kind", "wp", "--pred", "true", "p.ngcl"],   # no such kind
+        [],                                                          # no command
+    ])
+    def test_a_rejected_command_line_is_a_one_line_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("error: ngclab") and "usage:" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0 and capsys.readouterr().out
+
+
+# guard edits: grammar tokens, digit runs, characters int() does not read,
+# unknown names, and a guard nested 1 000 deep in `(` or `!`
+_GUARD_TOKENS = (
+    "(", ")", "&&", "||", "!", "<", "<=", "=", "!=", "+", "-", "*", "true", "false",
+    "x", "0", "1", "9" * 30, "7" * 4301, "²", "٣", "\xff", "nope", "mod",
+)
+_GUARD_EDIT = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 40), st.integers(1, 6)),
+    st.tuples(st.just("insert"), st.integers(0, 40), st.sampled_from(_GUARD_TOKENS)),
+    st.tuples(st.just("nest"), st.just(0), st.sampled_from(["(", "!"])),
+)
+
+
+def _edit_guard(text, edits):
+    for op, at, arg in edits:
+        at = min(at, len(text))
+        if op == "delete":
+            text = text[:at] + text[at + arg:]
+        elif op == "insert":
+            text = f"{text[:at]} {arg} {text[at:]}"
+        elif arg == "(":
+            text = "(" * 1000 + text + ")" * 1000
+        else:
+            text = "!" * 1000 + text
+    return text
+
+
+class TestGuardFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(DEMOS), st.lists(_GUARD_EDIT, min_size=1, max_size=3))
+    def test_edited_guards_end_in_a_documented_exit(self, demo, edits):
+        # the --pre, --post and --pred text edited: each command ends in 0,
+        # 1, 2 or 4, with at most one line on stderr and never a traceback
+        space, _ = parse_module(demo.read_text(encoding="utf-8"))
+        v = space.variables[-1]
+        base = f"!({v} < 1) || {v} = 0"
+        guard = _edit_guard(base, edits)
+        for command in (["check", "--logic", "dwp-lb", "--pre", guard, "--post", base],
+                        ["check", "--logic", "asp-ub", "--pre", base, "--post", guard],
+                        ["transform", "--engine", "both", "--kind", "dsp", "--pred", guard]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*command, str(demo)])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2, 4), (guard, command, lines)
+            assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (guard, lines)

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from ngclab import search, transformers
+from ngclab import search, semantics
 from ngclab.generators import all_predicates, exhaustive_programs, expr_pool, guard_pool
 from ngclab.logics import (
     ASP_UB, AWLP_LB, AWP_UB, DSLP_LB, DSP_UB, DWLP_LB, DWP_LB, INTERSECTION_LOGIC,
@@ -273,16 +273,17 @@ def test_lazy_enumeration_with_loops_keeps_the_order(variables, modulus):
 @pytest.mark.parametrize("variables, modulus", [(("x",), 2), (("x",), 3)])
 def test_transformer_tables_are_shared_by_semantic_class(variables, modulus):
     space = StateSpace(variables, modulus)
-    transformers._class_store.cache_clear()
-    classes = set()
+    semantics.profile.cache_clear()
+    semantics._class.cache_clear()
+    classes, profiles = set(), set()
     for p in exhaustive_programs(space, 2, loops=True):
         prof = profile(p, space)
         classes.add((prof.relation.rows, prof.may_div))
-        tables = transformers.class_tables(prof)
+        profiles.add(id(prof))
         for q in range(1 << space.size):
-            assert tables[q] == tuple(
+            assert prof[q] == tuple(
                 oracle_bits(kind, prof, q) for kind in TransformerKind), (p, q)
-    assert transformers._class_store.cache_info().misses == len(classes)
+    assert len(profiles) == len(classes)
 
 
 # --- semantic classes: one scan per class, shared by every program in it -------
@@ -417,17 +418,18 @@ def test_blindspot_scans_each_pair_of_classes_once(monkeypatch):
 @pytest.mark.parametrize("claim", ["dwp-neq-intersection", "awlp-neq-union"])
 def test_gap_tables_are_read_once_per_class(monkeypatch, claim):
     reads = []
-    real = search.class_tables
+    real = semantics.Profile.__getitem__
 
-    def counting(prof):
-        reads.append(prof)
-        return real(prof)
+    def counting(prof, q):
+        reads.append(q)
+        return real(prof, q)
 
-    monkeypatch.setattr(search, "class_tables", counting)
+    monkeypatch.setattr(semantics.Profile, "__getitem__", counting)
     result = find_counterexample(claim, SearchConfig())
-    # the first gap is on the 32nd program, the first of the fifth class
+    # the first gap is on the 32nd program, the first of the fifth class:
+    # each class's table of each of the four predicates of x mod 2, once
     assert result.outcome == "found" and result.stats == {"programs": 32, "classes": 5}
-    assert len(reads) == 5
+    assert len(reads) == 5 * 4
 
 
 def test_search_stats_count_programs_and_classes_outside_the_json():

@@ -403,6 +403,28 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
         profile.__wrapped__(p, SPACE)           # refused before the `;` composes
 
 
+def test_a_semantic_class_is_one_profile_per_space():
+    """Every program of a class in a space gets the same profile object, and
+    profiles compare and hash as their class, (relation rows, may-divergence),
+    whatever their space."""
+    semantics.profile.cache_clear()
+    semantics._class.cache_clear()
+    identity = [prog(text) for text in (
+        "skip", "x := x", "if x = 0 { skip } else { x := x }", "skip ; skip")]
+    first = profile(identity[0], SPACE)
+    assert all(profile(p, SPACE) is first for p in identity)
+    assert first[1] is profile(identity[1], SPACE)[1]      # one store of tables
+    spin = profile(prog("{ skip } [] { diverge }"), SPACE)
+    assert spin.relation == first.relation and spin != first
+    assert spin.may_div != first.may_div
+    left, right = StateSpace(("x",), 4), StateSpace(("x", "y"), 2)
+    a, b = profile(prog("skip", left), left), profile(prog("skip", right), right)
+    assert a is not b and a.space != b.space
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != profile(prog("x := 0", left), left)
+    assert len({a, b, first, spin}) == 3
+
+
 def test_long_sequences_compose_without_recursing_per_statement():
     # a `;` chain far longer than the recursion limit, nested both ways
     p = prog("x := x + 1")
@@ -419,9 +441,9 @@ def test_a_chain_built_without_hashing_goes_through_every_entry_point():
     from ngclab.logics import classify
 
     def chain():
-        p = prog("x := x + 2")
+        p, leaf = prog("x := x + 2"), prog("x := x + 1")
         for _ in range(5000):
-            p = Seq(prog("x := x + 1"), p)
+            p = Seq(leaf, p)
         return p                                # x := x + 5002, so x + 1
 
     short = prog("x := x + 1")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ngclab import CorpusConfig, GeneratorConfig, check_theorem, corpus_preset
-from ngclab import theorems, topkat, transformers
+from ngclab import semantics, theorems, topkat, transformers
 from ngclab.cli import main
 from ngclab.logics import (
     ALL_LOGICS,
@@ -288,10 +288,10 @@ def test_deduplicated_survey_matches_per_triple_reference(name):
 @pytest.fixture
 def dwp_forgets_divergence(monkeypatch):
     """dwp computed as dwlp, in the per-kind reference oracle and in the
-    class store's tables alike.  The store is cleared before and after, so
+    profiles' tables alike.  The profiles are cleared before and after, so
     that no table cached without the fault hides it, and none cached with it
     outlives it."""
-    real_bits, real_table = oracle_reference.oracle_bits, transformers.rows_table
+    real_bits, real_table = oracle_reference.oracle_bits, semantics.rows_table
 
     def bits(kind, prof, q):
         return real_bits(K.DWLP if kind is K.DWP else kind, prof, q)
@@ -301,10 +301,15 @@ def dwp_forgets_divergence(monkeypatch):
         return (awp, dwlp, awlp, dwlp, *forward)
 
     monkeypatch.setattr(oracle_reference, "oracle_bits", bits)
-    monkeypatch.setattr(transformers, "rows_table", table)
-    transformers._class_store.cache_clear()
+    monkeypatch.setattr(semantics, "rows_table", table)
+    _clear_profiles()
     yield
-    transformers._class_store.cache_clear()
+    _clear_profiles()
+
+
+def _clear_profiles():
+    semantics.profile.cache_clear()
+    semantics._class.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["tiny", "loops-sample", "sample-x2"])

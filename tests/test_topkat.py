@@ -20,10 +20,10 @@ from ngclab import (
     eval_kat,
     parse_program,
 )
-from ngclab import check_theorem, corpus_preset, topkat, transformers
+from ngclab import check_theorem, corpus_preset, semantics, topkat
 from ngclab.generators import GeneratorConfig, generate_programs, random_program
 from ngclab.search import find_counterexample
-from ngclab.semantics import profile
+from ngclab.semantics import Profile, profile
 from ngclab.topkat import EQUATIONS, Dot, NotT, One, Plus, Prim, Star, Top, Zero, catalog_values
 from ngclab.topkat import Test as KatTest  # aliased so pytest does not collect it
 
@@ -340,7 +340,7 @@ def _assert_evaluators_agree(b, rel, c, space):
         for eq in EQUATIONS
     )
     assert reference_values(rel, b.bits, c.bits) == expected, (rel, b, c)
-    tables = transformers._class_store(rel.rows, 0)
+    tables = Profile(space, rel, 0)
     assert catalog_values(tables, b.bits, c.bits, space.full_mask) == expected, (rel, b, c)
     assert tuple(check_equation(eq, b, rel, c) for eq in EQUATIONS) == expected, (rel, b, c)
 
@@ -361,8 +361,8 @@ def test_shared_chain_evaluator_matches_eval_kat(n):
         _assert_evaluators_agree(b, rel, c, space)
 
 
-def test_catalog_over_the_class_store_of_diverging_programs():
-    """The catalog read off a class's tables, whose demonic and liberal
+def test_catalog_over_the_profiles_of_diverging_programs():
+    """The catalog read off a profile's tables, whose demonic and liberal
     entries see its may-divergence, against the full-composition reference
     on its relation, on random loop programs that may diverge."""
     config = GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True, mode="random",
@@ -375,23 +375,23 @@ def test_catalog_over_the_class_store_of_diverging_programs():
         if not prof.may_div:
             continue
         diverging += 1
-        tables = transformers.class_tables(prof)
         for _ in range(4):
             b, c = rng.randrange(1 << space.size), rng.randrange(1 << space.size)
-            assert (catalog_values(tables, b, c, space.full_mask)
+            assert (catalog_values(prof, b, c, space.full_mask)
                     == reference_values(prof.relation, b, c)), (p, b, c)
     assert diverging >= 30
 
 
 def test_verdicts_read_no_image_or_preimage_off_the_relation(monkeypatch):
     """BRIDGES on the tiny corpus and the outcome claim's search take every
-    image and preimage from the class store, none from `Relation`."""
+    image and preimage from a profile's tables, none from `Relation`."""
     calls = []
     for name in ("image_bits", "preimage_bits"):
         real = getattr(Relation, name)
         monkeypatch.setattr(Relation, name, lambda self, bits, real=real, name=name:
                             calls.append(name) or real(self, bits))
-    transformers._class_store.cache_clear()
+    semantics.profile.cache_clear()
+    semantics._class.cache_clear()
     assert check_theorem("BRIDGES", corpus_preset("tiny")).holds
     assert find_counterexample("outcome-vs-intersection").found
     assert calls == []
@@ -446,7 +446,7 @@ def test_rectangle_compiler_on_words_outside_the_catalog():
                 chains = Chains(rel, b, c)
                 expected = tuple((chains[left] == chains[right]) == equal
                                  for left, right, equal in clauses)
-                tables = transformers._class_store(rel.rows, 0)
+                tables = Profile(StateSpace(("x",), n), rel, 0)
                 assert topkat._evaluate(plan, tables, b, c, (1 << n) - 1) == expected, (rel, b, c)
 
 

@@ -16,18 +16,13 @@ from ngclab import (
     parse_program,
     reachability_class,
 )
-from ngclab import transformers
+from ngclab import semantics
 from ngclab.generators import all_predicates, random_program
 from ngclab.parser import parse_guard
 from ngclab.relations import Relation
-from ngclab.semantics import Profile, profile
+from ngclab.semantics import Profile, profile, rows_table
 from ngclab.syntax import guard_to_predicate
-from ngclab.transformers import (
-    COREACH_INCLUSION,
-    REACH_INCLUSION,
-    class_tables,
-    rows_table,
-)
+from ngclab.transformers import COREACH_INCLUSION, REACH_INCLUSION
 
 from oracle_reference import converse, oracle_bits
 
@@ -135,8 +130,8 @@ class TestDifferential:
 @pytest.mark.parametrize("space", [StateSpace(("x",), 3), StateSpace(("x", "y"), 2),
                                    StateSpace(("x",), 5)], ids=lambda s: f"n{s.size}")
 def test_one_pass_table_matches_per_kind_oracle_and_inductive_rules(space):
-    """The eight-transformer table of one pass, as the class store hands it
-    out, equals the per-kind oracle and the inductive engine, in
+    """The eight-transformer table of one pass, as the profile hands it out,
+    equals the per-kind oracle and the inductive engine, in
     TransformerKind order, for every predicate."""
     rng = random.Random(5150 + space.size)
     programs = [prog(text, space) for text in (
@@ -147,7 +142,7 @@ def test_one_pass_table_matches_per_kind_oracle_and_inductive_rules(space):
     for p in programs:
         prof = profile(p, space)
         for q in range(1 << space.size):
-            table = class_tables(prof)[q]
+            table = prof[q]
             assert table == tuple(oracle_bits(kind, prof, q) for kind in K), (p, q)
             assert table == tuple(inductive_transform(kind, p, Predicate(space, q)).bits
                                   for kind in K), (p, q)
@@ -159,13 +154,13 @@ def test_one_pass_table_matches_per_kind_oracle_on_random_relations():
     """rows_table against the per-kind oracle for every n up to 300, on both
     sides of its switch from the state loop to the linear passes: random rows
     (empty, one successor, or dense) and random may-divergence."""
-    assert transformers._LOOPED < 300
+    assert semantics._LOOPED < 300
     rng = random.Random(8080)
     for n in range(1, 301):
         space = StateSpace(("x",), n)
         rows = tuple(rng.choice((0, 1 << rng.randrange(n), rng.getrandbits(n)))
                      for _ in range(n))
-        prof = Profile(space, Relation(n, rows), rng.getrandbits(n), 0)
+        prof = Profile(space, Relation(n, rows), rng.getrandbits(n))
         for q in (0, space.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
             assert rows_table(rows, prof.may_div, q) == tuple(
                 oracle_bits(kind, prof, q) for kind in K), (n, q)
@@ -202,7 +197,7 @@ def test_one_pass_table_and_converse_reads_on_large_spaces(modulus):
         qs = (0, full, guard_to_predicate(parse_guard("x = 0", space), space).bits,
               rng.getrandbits(space.size))
         for q in qs:
-            table = class_tables(prof)[q]
+            table = prof[q]
             assert table == tuple(oracle_bits(kind, prof, q) for kind in K), (p, q)
             assert table == tuple(inductive_transform(kind, p, Predicate(space, q)).bits
                                   for kind in K), (p, q)

@@ -5,11 +5,11 @@ of the profile's composer or a step of its loops' SCC pass dropped or bent,
 the sink of its successor tables given a successor, a row bit or a final
 state, its budget off by one, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
-the class store of transformer tables keyed wrongly, its linear passes for
-large spaces reading the wrong masks, a collapse assumption scoped to the
-wrong side or to no side, the equation catalog's rectangle plans reading
-the wrong table entry, side or test, a per-class memo of
-the counterexample search keyed, bounded or filtered wrongly, one of the
+a profile's class key leaving out may-divergence, the linear passes of
+its transformer tables for large spaces reading the wrong masks, a collapse
+assumption scoped to the wrong side or to no side, the equation catalog's
+rectangle plans reading the wrong table entry, side or test, a per-class
+memo of the counterexample search keyed, bounded or filtered wrongly, one of the
 three transformer facts the taxonomy is derived from misstated (an ordering,
 a negation dual or an adjunction), the search's `-contra` legs read as
 their representatives, a `;` chain's spine hashed one link deep, compared
@@ -200,14 +200,15 @@ MUTANTS = (
         ("flag_bytes(may & g, n + 1)", "flag_bytes(may, n + 1)"),
     )),
     # the budget and the profile's derived fields
-    Mutant("must-div counts a partial table as total", "semantics.py", (
-        ("if 0 in rows else 0", "if not meaning.succs else 0"),
+    Mutant("must-div is empty when only the last state has no final state", "semantics.py", (
+        ("if 0 in rows else 0", "if 0 in rows[:-1] else 0"),
     )),
     Mutant("the composer admits one state-node over its budget", "semantics.py", (
         ("if n * nodes > budget:", "if n * nodes >= budget:"),
     )),
     Mutant("reach is the relation's domain", "semantics.py", (
-        ("reach = self.relation.codomain_bits()", "reach = self.relation.domain_bits()"),
+        ("self._reach = self.relation.codomain_bits()",
+         "self._reach = self.relation.domain_bits()"),
     )),
     Mutant("the irreversible mask counts states with one predecessor", "semantics.py", (
         ("irreversible |= seen & row", "irreversible |= row"),
@@ -236,20 +237,16 @@ MUTANTS = (
     Mutant("classify drops the postcondition scope", "logics.py", (
         ("(pre_bits if on_pre else post_bits)", "(pre_bits if on_pre else space.full_mask)"),
     ), "test_logics.py"),
-    Mutant("the class store's key leaves out may-divergence", "transformers.py", (
-        ("@lru_cache(maxsize=1 << 16)\ndef _class_store(",
-         "_FIRST_MAY: dict = {}\n\n\n@lru_cache(maxsize=1 << 16)\ndef _class_store("),
-        ("return _class_store(prof.relation.rows, prof.may_div)",
-         "return _class_store(prof.relation.rows,\n"
-         "                        _FIRST_MAY.setdefault(prof.relation.rows, prof.may_div))"),
-    ), "test_transformers.py"),
-    Mutant("the linear-pass table swaps the img and img-not flags", "transformers.py", (
+    Mutant("the profile's class key leaves out may-divergence", "semantics.py", (
+        ("self._key = (rows, may_div)", "self._key = rows"),
+    ), "test_search.py"),
+    Mutant("the linear-pass table swaps the img and img-not flags", "semantics.py", (
         ("img = reduce(or_, compress(rows, in_q), 0)\n"
          "        img_not = reduce(or_, compress(rows, in_not_q), 0)",
          "img = reduce(or_, compress(rows, in_not_q), 0)\n"
          "        img_not = reduce(or_, compress(rows, in_q), 0)"),
     ), "test_transformers.py"),
-    Mutant("the linear-pass table reads pre-not against q", "transformers.py", (
+    Mutant("the linear-pass table reads pre-not against q", "semantics.py", (
         ("map(and_, rows, repeat(not_q))", "map(and_, rows, repeat(q))"),
     ), "test_transformers.py"),
     # the three transformer facts the taxonomy's tables are derived from
@@ -264,13 +261,13 @@ MUTANTS = (
     ), "test_logics.py"),
     # the rectangle plans of the equation catalog
     Mutant("the catalog takes images for preimages and back", "topkat.py", (
-        ("m.append(tables[m[x]][ASP])\n        elif op == _PREIMAGE:\n"
-         "            m.append(tables[m[x]][AWP])",
-         "m.append(tables[m[x]][AWP])\n        elif op == _PREIMAGE:\n"
-         "            m.append(tables[m[x]][ASP])"),
+        ("m.append(tables[m[x]][_ASP])\n        elif op == _PREIMAGE:\n"
+         "            m.append(tables[m[x]][_AWP])",
+         "m.append(tables[m[x]][_AWP])\n        elif op == _PREIMAGE:\n"
+         "            m.append(tables[m[x]][_ASP])"),
     ), "test_topkat.py"),
     Mutant("the catalog's preimage reads the awlp column", "topkat.py", (
-        ("m.append(tables[m[x]][AWP])", "m.append(tables[m[x]][_transformers.AWLP])"),
+        ("m.append(tables[m[x]][_AWP])", "m.append(tables[m[x]][2])"),   # awlp
     ), "test_topkat.py"),
     Mutant("a rectangle with an empty side is not the empty relation", "topkat.py", (
         ("m.append(m[x] << n | m[y] if m[x] and m[y] else 0)", "m.append(m[x] << n | m[y])"),
@@ -279,9 +276,6 @@ MUTANTS = (
         ('"B": _NB, "C": _NC}', '"B": _NB, "C": _C}'),
     ), "test_topkat.py"),
     # the counterexample search
-    Mutant("the search's class key leaves out may-divergence", "search.py", (
-        ("key = (prof.relation.rows, prof.may_div)", "key = prof.relation.rows"),
-    ), "test_search.py"),
     Mutant("a hit past the budget is found", "search.py", (
         ("if hit is not None and hit < left:", "if hit is not None:"),
     ), "test_search.py"),
