@@ -67,7 +67,13 @@ def cmd_transform(args) -> int:
 
 
 def guard_pred(text: str, space) -> Predicate:
-    return guard_to_predicate(parse_guard(text, space), space)
+    try:
+        return guard_to_predicate(parse_guard(text, space), space)
+    except RecursionError:
+        # the guard parser and compiler recurse per `(` and `!`; without this,
+        # main's handler would blame the program
+        raise UsageError("guard nested too deeply (the limit is a few hundred "
+                         "levels of nesting)") from None
 
 
 def cmd_check(args) -> int:
@@ -95,7 +101,8 @@ def cmd_survey(args) -> int:
     for theorem in suite:
         if theorem not in THEOREM_IDS:
             raise UsageError(f"unknown theorem {theorem!r}")
-    seed = corpus.programs.seed
+    # only the random corpus has a seed to report
+    seed = {"seed": corpus.programs.seed} if corpus.programs.mode == "random" else {}
     verdicts = run_survey(suite, corpus)
     if args.format == "json":
         items = []
@@ -103,7 +110,7 @@ def cmd_survey(args) -> int:
             item = v.to_jsonable()
             item.pop("stats", None)
             item["corpus"] = args.corpus
-            item["seed"] = seed
+            item.update(seed)
             item["duration_ms"] = None
             item["version"] = __version__
             items.append(item)
@@ -113,13 +120,13 @@ def cmd_survey(args) -> int:
             "command": "survey",
             "corpus": args.corpus,
             "space": f"vars {', '.join(space.variables)} mod {space.modulus}",
-            "seed": seed,
+            **seed,
             "items": items,
         }
         sys.stdout.write(_json_report(report))
     else:
-        if corpus.programs.mode == "random":
-            print(f"seed: {seed}")
+        if seed:
+            print(f"seed: {seed['seed']}")
         width = max(len(v.claim) for v in verdicts)
         for v in verdicts:
             mark = "pass" if v.holds else "FAIL"

@@ -99,24 +99,6 @@ class Relation:
             bits |= row
         return bits
 
-    def image_bits(self, bits: int) -> int:
-        acc = 0
-        for i in _space.iter_bits(bits):
-            acc |= self.rows[i]
-        return acc
-
-    def preimage_bits(self, bits: int) -> int:
-        """Sources with at least one successor in the given set (may-preimage)."""
-        acc = 0
-        for i, row in enumerate(self.rows):
-            if row & bits:
-                acc |= 1 << i
-        return acc
-
-    def __le__(self, other: "Relation") -> bool:
-        self._check(other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
     def pairs(self) -> Iterable[tuple[int, int]]:
         for i, row in enumerate(self.rows):
             for j in _space.iter_bits(row):

@@ -161,10 +161,9 @@ def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], o
              ) -> Iterator[tuple[StateSpace, list[Predicate], Program, object]]:
     """Each enumerated program with the value `make(prof, npred)` of its
     semantic class, given its space's predicate count: its profile is all
-    that a block's verdicts read (predicates are indexed by their bits, and
-    profiles of one class over two rungs of one size are equal).  The value
-    is made once per class and kept for this search only.  Counts programs
-    and classes into `stats`."""
+    that a block's verdicts read (predicates are indexed by their bits).
+    The value is made once per profile, one object per class and space, and
+    kept for this search only.  Counts programs and classes into `stats`."""
     memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)

@@ -17,17 +17,18 @@ are tables, `if` gives the sink to the states its guard sends to a side
 without tables, and a loop is the identity outside its guard beside rows
 for the states under it.  Tables become rows only in a union of more than
 four and as the profile's relation.  The budget is states times program
-nodes, checked before each rule's own work.  A program's profile is its
-semantic class, one object per relation, may-divergence and space: the
-store of the class's transformer tables by predicate bits, read off the
-relation's images and preimages (`rows_table`).  A table, and the class's
-reachable states and its final states with more than one initial state,
-are derived only when first read.
+nodes, checked before each rule's own work.  The composer is checked
+against an operational reference, one pass over the configurations of the
+program compiled to points, which lives beside the tests
+(`tests/profile_reference.py`).
 
-Program points are a flat compilation of a program over a state space, with
-integer configurations `point * n + state`.  Nothing here walks them: they
-are the small-step semantics on which `tests/profile_reference.py` runs the
-operational reference that the composer is checked against.
+A program's profile is its semantic class, one object per relation,
+may-divergence and space, so profiles compare by identity.  It is the store
+of the class's transformer tables by predicate bits, read off the
+relation's images and preimages (`rows_table`, which fixes the positions of
+the eight results in a table).  A table, and the class's reachable states
+and its final states with more than one initial state, are derived only
+when first read.
 """
 
 from __future__ import annotations
@@ -55,97 +56,6 @@ from .syntax import (
 )
 
 DEFAULT_NODE_BUDGET = 10**6
-
-
-# --- program points -------------------------------------------------------
-#
-# A program compiles, once per state space, to a flat list of program points;
-# point 0 is the terminal point.  A configuration is the int `point * n +
-# state`, so configurations below n are the finished ones.  A point is
-# (kind, first, second, data) with successor points pre-multiplied by n:
-
-_GOTO = 0     # skip (to its continuation) and diverge (to itself)
-_ASSIGN = 1   # to the continuation, through the successor table in data
-_CHOICE = 2   # to either of two points
-_BRANCH = 3   # if and while: to first where the guard flag in data is "1",
-              # else to second; a while point is its body's continuation
-
-
-class _Points:
-    """A program compiled over a state space."""
-
-    def __init__(self, p: Program, space: StateSpace):
-        self.n = space.size
-        self.space = space
-        self.points: list = [None]
-        self.entry = self._chain(p, 0)
-
-    def _add(self, kind, first: int, second: int = 0, data=None) -> int:
-        n = self.n
-        self.points.append((kind, first * n, second * n, data))
-        return len(self.points) - 1
-
-    def _chain(self, p: Program, cont: int) -> int:
-        """Entry point of p followed by point `cont`: iterates along `;`."""
-        for q in reversed(_syntax.statements(p)):
-            cont = self._single(q, cont)
-        return cont
-
-    def _single(self, p: Program, cont: int) -> int:
-        compile_point = _COMPILE.get(type(p))
-        if compile_point is None:
-            raise TypeError(f"not a program: {p!r}")
-        return compile_point(self, p, cont)
-
-    def _skip(self, p: Skip, cont: int) -> int:
-        return self._add(_GOTO, cont)
-
-    def _diverge(self, p: Diverge, cont: int) -> int:
-        # a self-loop: the point about to be added
-        return self._add(_GOTO, len(self.points))
-
-    def _assign(self, p: Assign, cont: int) -> int:
-        return self._add(_ASSIGN, cont, 0, tuple(_syntax.assign_table(p.var, p.expr, self.space)))
-
-    def _choice(self, p: Choice, cont: int) -> int:
-        return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
-
-    def _flags(self, guard) -> str:
-        return _space.flag_string(guard_to_predicate(guard, self.space).bits, self.n)
-
-    def _ite(self, p: Ite, cont: int) -> int:
-        flags = self._flags(p.guard)
-        return self._add(_BRANCH, self._chain(p.then, cont), self._chain(p.orelse, cont),
-                         flags)
-
-    def _while(self, p: While, cont: int) -> int:
-        flags = self._flags(p.guard)
-        point = len(self.points)
-        self.points.append(None)
-        body = self._chain(p.body, point)
-        n = self.n
-        self.points[point] = (_BRANCH, body * n, cont * n, flags)
-        return point
-
-    def step(self, node: int) -> tuple[int, int]:
-        """The successors of a configuration that has not finished: the first,
-        and the second of a choice, or -1."""
-        point, state = divmod(node, self.n)
-        kind, first, second, data = self.points[point]
-        if kind == _GOTO:
-            return first + state, -1
-        if kind == _ASSIGN:
-            return first + data[state], -1
-        if kind == _CHOICE:
-            return first + state, second + state
-        return (first if data[state] == "1" else second) + state, -1
-
-    def seed(self, state: int) -> int:
-        return self.entry * self.n + state
-
-
-_COMPILE = {Skip: _Points._skip, Diverge: _Points._diverge, Assign: _Points._assign,
-            Choice: _Points._choice, Ite: _Points._ite, While: _Points._while}
 
 
 # --- the composer: a program's profile from its sub-programs' ---------------
@@ -269,11 +179,6 @@ def _then(a: _Meaning, b: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
     table stays the sink: b's tables send n to n, and b's rows give it 0."""
     n = space.size
     succs, rows, may = b.succs, b.rows, b.may
-    if a.rows is None and rows is None and len(a.succs) == len(succs) == 1:
-        first = a.succs[0]                      # two (partial) functions
-        a_may = a.may | _pre(first, may, n) if may else a.may
-        table = tuple(map(succs[0].__getitem__, first))
-        return _Meaning(nodes, (table,) if table.count(n) <= n else (), None, a_may)
     if len(a.succs) * len(succs) > _WIDTH:
         succs, rows = (), _rows(b, space)
     a_may = a.may
@@ -455,6 +360,10 @@ _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _
 # take 1.4 s on the countdown's rows against 0.08 s
 _LOOPED = 200
 
+# A transformer table holds one predicate's eight results in this order,
+# `transformers.TransformerKind`'s; these are their positions.
+AWP, DWP, AWLP, DWLP, ASP, DSP, ASLP, DSLP = range(8)
+
 
 def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
     """The transformer table of q in the semantic class with these relation
@@ -492,37 +401,27 @@ def rows_table(rows: tuple[int, ...], may_div: int, q: int) -> tuple[int, ...]:
 class Profile(dict):
     """A semantic class: a relation over a space and its may-divergence, all
     that the transformer oracles read.  It maps predicate bits to their
-    transformer table (the eight results in `TransformerKind` order), each
+    transformer table (the eight results at the positions above), each
     computed on first use.  `profile` gives every program of a class in a
-    space the same object, and a profile compares and hashes as its class,
-    (relation rows, may-divergence), whatever its space."""
+    space the same object, so a profile compares and hashes by identity, not
+    as the dict of the tables read so far: two profiles over different
+    spaces are different classes."""
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __init__(self, space: StateSpace, relation: Relation, may_div: int):
         super().__init__()
         rows = relation.rows
         self.space, self.relation, self.may_div = space, relation, may_div
         self.must_div = _space.mask_of(list(map(not_, rows))) if 0 in rows else 0
-        self._key = (rows, may_div)
 
     def __missing__(self, q: int) -> tuple[int, ...]:
         table = self[q] = rows_table(self.relation.rows, self.may_div, q)
         return table
 
-    def __eq__(self, other) -> bool:
-        return self is other or isinstance(other, Profile) and self._key == other._key
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
     # derived on first read and kept as attributes, as StateSpace keeps its
-    # columns: many classes never need them (a command on one program never
-    # hashes its profile)
-    _hash = _reach = _irreversible = None
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
+    # columns: many classes never need them
+    _reach = _irreversible = None
 
     @property
     def reach(self) -> int:

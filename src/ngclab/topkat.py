@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import MalformedTermError, UsageError
 from .relations import Relation
-from .semantics import Profile, profile
+from .semantics import ASP, AWP, Profile, profile
 from .space import Predicate, StateSpace
 from .syntax import (
     Assign,
@@ -209,7 +209,6 @@ EQUATIONS = tuple(_CATALOG)
 # profile's transformer tables -- the preimage of m is awp(m), its image
 # asp(m) -- and some mask arithmetic.
 
-_AWP, _ASP = 0, 4   # their positions in a table, in `TransformerKind` order
 _FULL, _B, _C, _NB, _NC, _ZERO = range(6)   # the first mask slots of a triple
 _FIRST_STEP_SLOT = 6
 _TEST_SLOTS = {"b": _B, "c": _C, "B": _NB, "C": _NC}
@@ -280,9 +279,9 @@ def _evaluate(plan: _Plan, tables, b: int, c: int, full: int) -> tuple[bool, ...
         if op == _AND:
             m.append(m[x] & m[y])
         elif op == _IMAGE:
-            m.append(tables[m[x]][_ASP])
+            m.append(tables[m[x]][ASP])
         elif op == _PREIMAGE:
-            m.append(tables[m[x]][_AWP])
+            m.append(tables[m[x]][AWP])
         else:
             m.append(m[x] << n | m[y] if m[x] and m[y] else 0)
     held = [(m[x] == m[y]) == equal for x, y, equal in plan.clauses]

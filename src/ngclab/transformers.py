@@ -19,12 +19,11 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-# as a module, not by name, as relations.py imports it: the benchmark's
+# as a module, not by name, as relations.py imports space: the benchmark's
 # tracer wraps every name imported from another module as a layer
-from . import space as _space
 from . import syntax as _syntax   # for statements and assign_table
 from .errors import InvariantError
-from .semantics import profile
+from .semantics import AWLP, AWP, ASLP, ASP, DSLP, DSP, DWLP, DWP, profile
 from .space import Predicate, State, StateSpace
 from .syntax import (
     Assign,
@@ -56,10 +55,6 @@ class TransformerKind(Enum):
         self.angelic = value in ("awp", "awlp", "asp", "aslp")
         self.liberal = value in ("awlp", "dwlp", "aslp", "dslp")
 
-
-# A transformer table holds one predicate's eight results in TransformerKind
-# order; these are their positions, each kind's `position`.
-AWP, DWP, AWLP, DWLP, ASP, DSP, ASLP, DSLP = range(8)
 
 # The three facts, over table positions, that the implications between the
 # triple logics and their contrapositive and Galois partners derive from:
@@ -276,7 +271,6 @@ def coreachability_class(p: Program, c: Predicate, sigma: State) -> int:
 def reachability_class(p: Program, b: Predicate, tau: State) -> int:
     """Which of the four reachable-from / reachable-from-outside classes the
     final state falls into."""
-    j = tau.index
-    column = _space.mask_of([row >> j & 1 for row in profile(p, b.space).relation.rows])
-    key = (bool(column & b.bits), bool(column & ~b.bits & b.space.full_mask))
+    pre = profile(p, b.space)[1 << tau.index][AWP]     # the states reaching tau
+    key = (bool(pre & b.bits), bool(pre & ~b.bits & b.space.full_mask))
     return _REACH_CLASSES[key]

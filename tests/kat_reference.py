@@ -10,6 +10,11 @@ from ngclab.relations import Relation
 from ngclab.topkat import _CATALOG, EQUATIONS
 
 
+def leq(a: Relation, b: Relation) -> bool:
+    """The order of a Kleene algebra, a <= b iff a + b = b: inclusion."""
+    return a | b == b
+
+
 class Chains(dict):
     """The relations of one triple (b, rel, c) by word, each built once: a
     word starting with top is top composed with the rest of it, any other

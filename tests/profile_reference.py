@@ -3,26 +3,131 @@ the configuration graph of a program compiled to points.
 
 `profile` composes each program's relation and may-divergence from its
 sub-programs'; this is the whole-program pass it replaced, kept as the route
-it is checked against.  It reads the program only through `_Points`, the
-small-step semantics: the graph's nodes are the configurations
-`point * n + state` reachable from the seeds, and `_Points.step` gives each
+it is checked against.  It reads the program only through `Points`, the
+small-step semantics: a flat compilation of the program over a state space
+that shares only the syntax's guard masks, assignment tables and `;` walker
+with the composer.  The graph's nodes are the configurations
+`point * n + state` reachable from the seeds, and `Points.step` gives each
 node's successors.  On a finite, finitely branching graph an infinite
 execution exists from a configuration iff that configuration can reach a
 node lying on a cycle (a lasso).
 """
 
 from ngclab.errors import BudgetExceededError
-from ngclab.semantics import DEFAULT_NODE_BUDGET, _Points
-from ngclab.space import StateSpace, mask_of
+from ngclab.semantics import DEFAULT_NODE_BUDGET
+from ngclab.space import StateSpace, flag_string, mask_of
+from ngclab.syntax import (
+    Assign,
+    Choice,
+    Diverge,
+    Ite,
+    Program,
+    Skip,
+    While,
+    assign_table,
+    guard_to_predicate,
+    statements,
+)
+
+
+# A program compiles, once per state space, to a flat list of program points;
+# point 0 is the terminal point.  A configuration is the int `point * n +
+# state`, so configurations below n are the finished ones.  A point is
+# (kind, first, second, data) with successor points pre-multiplied by n:
+
+_GOTO = 0     # skip (to its continuation) and diverge (to itself)
+_ASSIGN = 1   # to the continuation, through the successor table in data
+_CHOICE = 2   # to either of two points
+_BRANCH = 3   # if and while: to first where the guard flag in data is "1",
+              # else to second; a while point is its body's continuation
+
+
+class Points:
+    """A program compiled over a state space."""
+
+    def __init__(self, p: Program, space: StateSpace):
+        self.n = space.size
+        self.space = space
+        self.points: list = [None]
+        self.entry = self._chain(p, 0)
+
+    def _add(self, kind, first: int, second: int = 0, data=None) -> int:
+        n = self.n
+        self.points.append((kind, first * n, second * n, data))
+        return len(self.points) - 1
+
+    def _chain(self, p: Program, cont: int) -> int:
+        """Entry point of p followed by point `cont`: iterates along `;`."""
+        for q in reversed(statements(p)):
+            cont = self._single(q, cont)
+        return cont
+
+    def _single(self, p: Program, cont: int) -> int:
+        compile_point = _COMPILE.get(type(p))
+        if compile_point is None:
+            raise TypeError(f"not a program: {p!r}")
+        return compile_point(self, p, cont)
+
+    def _skip(self, p: Skip, cont: int) -> int:
+        return self._add(_GOTO, cont)
+
+    def _diverge(self, p: Diverge, cont: int) -> int:
+        # a self-loop: the point about to be added
+        return self._add(_GOTO, len(self.points))
+
+    def _assign(self, p: Assign, cont: int) -> int:
+        return self._add(_ASSIGN, cont, 0, tuple(assign_table(p.var, p.expr, self.space)))
+
+    def _choice(self, p: Choice, cont: int) -> int:
+        return self._add(_CHOICE, self._chain(p.left, cont), self._chain(p.right, cont))
+
+    def _flags(self, guard) -> str:
+        return flag_string(guard_to_predicate(guard, self.space).bits, self.n)
+
+    def _ite(self, p: Ite, cont: int) -> int:
+        flags = self._flags(p.guard)
+        return self._add(_BRANCH, self._chain(p.then, cont), self._chain(p.orelse, cont),
+                         flags)
+
+    def _while(self, p: While, cont: int) -> int:
+        flags = self._flags(p.guard)
+        point = len(self.points)
+        self.points.append(None)
+        body = self._chain(p.body, point)
+        n = self.n
+        self.points[point] = (_BRANCH, body * n, cont * n, flags)
+        return point
+
+    def step(self, node: int) -> tuple[int, int]:
+        """The successors of a configuration that has not finished: the first,
+        and the second of a choice, or -1."""
+        point, state = divmod(node, self.n)
+        kind, first, second, data = self.points[point]
+        if kind == _GOTO:
+            return first + state, -1
+        if kind == _ASSIGN:
+            return first + data[state], -1
+        if kind == _CHOICE:
+            return first + state, second + state
+        return (first if data[state] == "1" else second) + state, -1
+
+    def seed(self, state: int) -> int:
+        return self.entry * self.n + state
+
+
+_COMPILE = {Skip: Points._skip, Diverge: Points._diverge, Assign: Points._assign,
+            Choice: Points._choice, Ite: Points._ite, While: Points._while}
+
+
 
 
 def reference_profile(p, space: StateSpace) -> tuple[tuple[int, ...], int, int]:
     """(rows, may_div, must_div) of p over the space, off the graph."""
-    rows, may = final_and_divergent(_Points(p, space), DEFAULT_NODE_BUDGET)
+    rows, may = final_and_divergent(Points(p, space), DEFAULT_NODE_BUDGET)
     return tuple(rows), may, mask_of([not row for row in rows])
 
 
-def final_and_divergent(points: _Points, node_budget: int) -> tuple[list[int], int]:
+def final_and_divergent(points: Points, node_budget: int) -> tuple[list[int], int]:
     """Per state: the final states its seed reaches, and (as a bitmask over
     states) whether the seed can reach a cycle.  One iterative Tarjan pass
     over the configurations reachable from the seeds that handles each edge

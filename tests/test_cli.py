@@ -278,16 +278,35 @@ def _deep_module(tmp_path, statements):
     return str(path)
 
 
+def _nested_module(tmp_path, levels):
+    path = tmp_path / f"nested{levels}.ngcl"
+    path.write_text("vars x mod 2\n" + "{ " * levels + "x := 0" + " }" * levels + "\n")
+    return str(path)
+
+
+TOO_DEEP = "nested too deeply (the limit is a few hundred levels of nesting)\n"
+
+
 class TestInputLimits:
     @pytest.mark.parametrize("levels", [400, 1200])
     def test_too_deep_program_is_a_one_line_usage_error(self, tmp_path, capsys, levels):
         # parsing recurses once per level of nesting (here nested blocks)
-        path = tmp_path / f"nested{levels}.ngcl"
-        path.write_text("vars x mod 2\n" + "{ " * levels + "x := 0" + " }" * levels + "\n")
-        assert main(["transform", "--kind", "awp", "--pred", "x = 0", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == ("error: program nested too deeply "
-                       "(the limit is a few hundred levels of nesting)\n")
+        path = _nested_module(tmp_path, levels)
+        assert main(["transform", "--kind", "awp", "--pred", "x = 0", path]) == 2
+        assert capsys.readouterr().err == "error: program " + TOO_DEEP
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--kind", "awp", "--pred", "(" * 300 + "x = 0" + ")" * 300],
+        ["check", "--logic", "awp-lb", "--pre", "!" * 1000 + "x = 0", "--post", "x = 0"],
+    ])
+    def test_too_deep_guard_is_a_one_line_usage_error(self, tmp_path, choice01, capsys,
+                                                      argv):
+        # the guard parser recurses several frames per `(` or `!`
+        assert main(argv + [choice01]) == 2
+        assert capsys.readouterr().err == "error: guard " + TOO_DEEP
+        # the program is read first: a deep one is still named
+        assert main(argv + [_nested_module(tmp_path, 400)]) == 2
+        assert capsys.readouterr().err == "error: program " + TOO_DEEP
 
     @pytest.mark.parametrize("statements", [600, 1200, 5000])
     def test_a_sequence_of_any_length_is_read(self, tmp_path, capsys, statements):

@@ -294,8 +294,8 @@ EQUAL_RUNGS = SearchConfig(spaces=((("x",), 4), (("x", "y"), 2)), max_depth=1)
 @pytest.mark.parametrize("claim", CLAIMS)
 @pytest.mark.parametrize("budget", (1000, 2000, 10**6))
 def test_search_matches_reference_loop_on_rungs_of_equal_size(claim, budget):
-    # both rungs have four states, so a class met on the first is reused on
-    # the second, where its witness must still name the second space
+    # both rungs have four states, so rows met on the first recur on the
+    # second, where a witness must name the second space
     config = SearchConfig(EQUAL_RUNGS.spaces, EQUAL_RUNGS.max_depth, budget=budget)
     result = find_counterexample(claim, config)
     assert _outcome(result) == _ref_search(claim, config)
@@ -304,8 +304,9 @@ def test_search_matches_reference_loop_on_rungs_of_equal_size(claim, budget):
 def test_equal_rungs_share_classes():
     result = find_counterexample("galois-pc", EQUAL_RUNGS)
     assert result.outcome == "space-exhausted"
-    # 7 + 10 programs, but skip, diverge and more recur on the second rung
-    assert result.stats == {"programs": 17, "classes": 12}
+    # 7 + 10 programs; a profile is one class over one space, so classes
+    # recur within a rung but not across the two
+    assert result.stats == {"programs": 17, "classes": 14}
 
 
 def _class_key(p, space):

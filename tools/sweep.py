@@ -7,8 +7,8 @@ the permutation `x := x + 1` with `--program increment`; or, with `--program
 branch` and `--program choice`, an assignment beside `diverge` in an `if` and
 a `[]` of assignments before `diverge`, whose relations are nearly empty.
 Each row of the increment's relation is an int with one bit somewhere in
-0..n-1, so the rows and their converse take about n^2/8 bytes (2 GB at
-n = 125 000): its default sweep stops at m = 40 (n = 64 000).  It runs, in a
+0..n-1, so the rows take about n^2/16 bytes (1 GB at n = 125 000): its
+default sweep stops at m = 40 (n = 64 000).  It runs, in a
 new interpreter,
 
     transform --kind dwp --pred "x = 0"                       (default)
