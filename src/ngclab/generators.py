@@ -9,7 +9,6 @@ entirely by a seeded generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
@@ -34,17 +33,23 @@ from .syntax import (
     Var,
     While,
 )
+from .values import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    variables: tuple[str, ...] = ("x",)
-    modulus: int = 2
-    max_depth: int = 3
-    loops: bool = False
-    mode: str = "exhaustive"  # or "random"
-    seed: int = 0
-    count: int = 1000          # random mode only
+class GeneratorConfig(Frozen):
+    # mode: "exhaustive" or "random"; count: random mode only
+    __slots__ = ("variables", "modulus", "max_depth", "loops", "mode", "seed", "count")
+
+    def __init__(self, variables: tuple[str, ...] = ("x",), modulus: int = 2,
+                 max_depth: int = 3, loops: bool = False, mode: str = "exhaustive",
+                 seed: int = 0, count: int = 1000):
+        setfield(self, "variables", variables)
+        setfield(self, "modulus", modulus)
+        setfield(self, "max_depth", max_depth)
+        setfield(self, "loops", loops)
+        setfield(self, "mode", mode)
+        setfield(self, "seed", seed)
+        setfield(self, "count", count)
 
     def space(self) -> StateSpace:
         return StateSpace(self.variables, self.modulus)

@@ -12,7 +12,6 @@ Also here: the collapse assumptions, stated once, and their classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -21,6 +20,7 @@ from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
 from .transformers import ADJUNCTIONS, AWP, DUALS, DWLP, TransformerKind
+from .values import Frozen, setfield
 
 
 class Bound(Enum):
@@ -28,22 +28,23 @@ class Bound(Enum):
     UB = "ub"  # transformer result below the pre- or postcondition
 
 
-@dataclass(frozen=True)
-class LogicId:
-    name: str                      # stable identifier, e.g. "awp-lb"
-    kind: Optional[TransformerKind]  # None for the union/intersection logics
-    bound: Bound
-    # the subset condition as `violations` reads it: (table position of the
-    # transformer, or None for the union/intersection logics; backward;
-    # lower bound)
-    shape: tuple = field(init=False, repr=False, compare=False)
+class LogicId(Frozen):
+    # name: a stable identifier, e.g. "awp-lb"; kind: None for the
+    # union/intersection logics; shape: the subset condition as `violations`
+    # reads it (table position of the transformer, or None for the
+    # union/intersection logics; backward; lower bound), derived, so not
+    # part of equality, repr or pickling
+    __slots__ = ("name", "kind", "bound", "shape")
+    _fields = ("name", "kind", "bound")
 
-    def __post_init__(self):
-        kind = self.kind
-        object.__setattr__(self, "shape", (
+    def __init__(self, name: str, kind: Optional[TransformerKind], bound: Bound):
+        setfield(self, "name", name)
+        setfield(self, "kind", kind)
+        setfield(self, "bound", bound)
+        setfield(self, "shape", (
             None if kind is None else kind.position,
             kind is None or kind.backward,
-            self.bound is Bound.LB,
+            bound is Bound.LB,
         ))
 
     def __repr__(self) -> str:
@@ -121,15 +122,15 @@ _ADJOINT = [(BOUNDED[g, Bound.LB], BOUNDED[f, Bound.UB]) for _, f, g in ADJUNCTI
 GALOIS = dict(_ADJOINT + [(y, x) for x, y in _ADJOINT])
 
 
-@dataclass(frozen=True)
-class Triple:
-    pre: Predicate
-    program: Program
-    post: Predicate
+class Triple(Frozen):
+    __slots__ = ("pre", "program", "post")
 
-    def __post_init__(self):
-        if self.pre.space != self.post.space:
+    def __init__(self, pre: Predicate, program: Program, post: Predicate):
+        if pre.space != post.space:
             raise ValueError("pre- and postcondition live in different spaces")
+        setfield(self, "pre", pre)
+        setfield(self, "program", program)
+        setfield(self, "post", post)
 
     @property
     def space(self) -> StateSpace:
@@ -179,10 +180,13 @@ def holds(logic: LogicId, t: Triple) -> bool:
 
 # --- assumption classifiers ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Flag:
-    holds: bool
-    witness: object = None  # a State or a program fragment when holds is False
+class Flag(Frozen):
+    # witness: a State or a program fragment when holds is False
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: object = None):
+        setfield(self, "holds", holds)
+        setfield(self, "witness", witness)
 
 
 # The four semantic collapse assumptions: whether each is scoped to the
@@ -195,13 +199,20 @@ ASSUMPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class AssumptionSet:
-    termination: Optional[Flag] = None
-    reachability: Optional[Flag] = None
-    determinism: Optional[Flag] = None
-    reversibility: Optional[Flag] = None
-    no_branching_divergence: Optional[Flag] = None
+class AssumptionSet(Frozen):
+    __slots__ = ("termination", "reachability", "determinism", "reversibility",
+                 "no_branching_divergence")
+
+    def __init__(self, termination: Optional[Flag] = None,
+                 reachability: Optional[Flag] = None,
+                 determinism: Optional[Flag] = None,
+                 reversibility: Optional[Flag] = None,
+                 no_branching_divergence: Optional[Flag] = None):
+        setfield(self, "termination", termination)
+        setfield(self, "reachability", reachability)
+        setfield(self, "determinism", determinism)
+        setfield(self, "reversibility", reversibility)
+        setfield(self, "no_branching_divergence", no_branching_divergence)
 
 
 def syntactic_choice(p: Program) -> Optional[Program]:

@@ -17,7 +17,6 @@ comment.  Files carry a header line `vars x, y mod 4` declaring the space.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .errors import NgclSyntaxError, UnknownVariableError
 from .space import StateSpace
@@ -41,18 +40,21 @@ from .syntax import (
     Var,
     While,
 )
+from .values import Frozen, setfield
 
 _KEYWORDS = {"skip", "diverge", "if", "else", "while", "true", "false", "vars", "mod"}
 _SYMBOLS = (":=", "[]", "<=", "!=", "==", "&&", "||", ";", "{", "}", "(", ")",
             "+", "-", "*", "<", "=", "!", ",")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | int | sym | eof
-    text: str
-    line: int
-    column: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "column")   # kind: name | int | sym | eof
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        setfield(self, "kind", kind)
+        setfield(self, "text", text)
+        setfield(self, "line", line)
+        setfield(self, "column", column)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -7,24 +7,24 @@ operations the relational algebra evaluator is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 # imported as a module, not by name: perfbench's tracer wraps every name one
 # ngclab module imports from another as a layer, and a per-bit step is not one
 from . import space as _space
+from .values import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class Relation:
-    n: int
-    rows: tuple[int, ...]
+class Relation(Frozen):
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if len(rows) != n:
             raise ValueError("row count does not match relation size")
-        if self.rows and not 0 <= min(self.rows) <= max(self.rows) < 1 << self.n:
+        if rows and not 0 <= min(rows) <= max(rows) < 1 << n:
             raise ValueError("row bits outside the state enumeration")
+        setfield(self, "n", n)
+        setfield(self, "rows", rows)
 
     @classmethod
     def empty(cls, n: int) -> "Relation":

@@ -22,7 +22,6 @@ profile's transformer tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -42,32 +41,37 @@ from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
 from .topkat import EQUATIONS, catalog_values
 from .transformers import AWLP, AWP, DWLP, DWP
+from .values import Frozen, Value, setfield
 
 FOUND = "found"
 BUDGET_EXHAUSTED = "budget-exhausted"
 SPACE_EXHAUSTED = "space-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Frozen):
     """Search ladder: each rung is a (variables, modulus) space searched with
     exhaustively enumerated programs up to the depth bound."""
 
-    spaces: tuple[tuple[tuple[str, ...], int], ...] = (
-        (("x",), 2),
-        (("x",), 3),
-    )
-    max_depth: int = 3
-    budget: int = 10**5
+    __slots__ = ("spaces", "max_depth", "budget")
+
+    def __init__(self,
+                 spaces: tuple[tuple[tuple[str, ...], int], ...] = ((("x",), 2), (("x",), 3)),
+                 max_depth: int = 3, budget: int = 10**5):
+        setfield(self, "spaces", spaces)
+        setfield(self, "max_depth", max_depth)
+        setfield(self, "budget", budget)
 
 
-@dataclass
-class SearchResult:
-    claim: str
-    outcome: str
-    witness: Optional[dict] = None
-    candidates: int = 0
-    stats: dict = field(default_factory=dict)
+class SearchResult(Value):
+    __slots__ = ("claim", "outcome", "witness", "candidates", "stats")
+
+    def __init__(self, claim: str, outcome: str, witness: Optional[dict] = None,
+                 candidates: int = 0, stats: Optional[dict] = None):
+        self.claim = claim
+        self.outcome = outcome
+        self.witness = witness
+        self.candidates = candidates
+        self.stats = {} if stats is None else stats
 
     @property
     def found(self) -> bool:

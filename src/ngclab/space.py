@@ -6,17 +6,18 @@ significant), and predicates are bitmasks over that enumeration.  A state is
 thus a mixed-radix index: variable k is the digit of weight `stride_k`, and
 each space keeps, per variable, that stride and the digit's value at every
 index (its column), both built on first use, so per-state work is index
-arithmetic over the columns rather than a `State` per index.  Everything
-here is immutable and hashable, so values can be shared freely across tasks.
+arithmetic over the columns rather than a `State` per index.  Spaces, states
+and predicates are slotted frozen values (see values.py): immutable and
+hashable, so they can be shared freely across tasks.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SettingError, SpaceCapError, UsageError
+from .values import Frozen, setfield
 
 HARD_STATE_CAP = 2**20
 
@@ -111,41 +112,38 @@ def _iter_bytes(bits: int) -> Iterator[int]:
         base += 8
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Frozen):
     """All states over `variables` with values in Z_modulus."""
 
-    variables: tuple[str, ...]
-    modulus: int
-    # derived once; not part of equality or hashing
-    size: int = field(init=False, repr=False, compare=False)
-    full_mask: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    # size, full_mask and the hash are derived once, the strides and columns
+    # on first use: none is part of equality, repr or pickling
+    __slots__ = ("variables", "modulus", "size", "full_mask", "_hash", "_strides", "_columns")
+    _fields = ("variables", "modulus")
 
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, variables: tuple[str, ...], modulus: int):
+        if not variables:
             raise UsageError("state space needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise UsageError("state space variables must be distinct")
-        if self.modulus < 1:
+        if modulus < 1:
             raise UsageError("modulus must be >= 1")
-        size = self.modulus ** len(self.variables)
+        size = modulus ** len(variables)
         cap = state_cap()
         if size > cap:
             raise SpaceCapError(
                 f"state space has {size} states, exceeding the cap of {cap}"
             )
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "full_mask", (1 << size) - 1)
-        object.__setattr__(self, "_hash", hash((self.variables, self.modulus)))
+        setfield(self, "variables", variables)
+        setfield(self, "modulus", modulus)
+        setfield(self, "size", size)
+        setfield(self, "full_mask", (1 << size) - 1)
+        setfield(self, "_hash", hash((variables, modulus)))
+        setfield(self, "_strides", None)
+        setfield(self, "_columns", None)
 
     def __hash__(self):
         # every cache keyed by (program, space) hashes the space
         return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild, never pickle one
-        return StateSpace, (self.variables, self.modulus)
 
     def var_index(self, name: str) -> int:
         try:
@@ -166,12 +164,6 @@ class StateSpace:
             out.append(v)
         return tuple(reversed(out))
 
-    # built on first use and kept as attributes (never through `__dict__`,
-    # which CPython would have to build as a real dict, slowing every later
-    # attribute read on the space)
-    _strides = None
-    _columns = None
-
     @property
     def strides(self) -> tuple[int, ...]:
         """Per variable, in order: the weight of its digit in a state index."""
@@ -179,7 +171,7 @@ class StateSpace:
         if strides is None:
             m = self.modulus
             strides = tuple(m ** k for k in reversed(range(len(self.variables))))
-            object.__setattr__(self, "_strides", strides)
+            setfield(self, "_strides", strides)
         return strides
 
     @property
@@ -192,7 +184,7 @@ class StateSpace:
             columns = tuple(
                 (stride, [v for v in range(m) for _ in range(stride)] * (n // (m * stride)))
                 for stride in self.strides)
-            object.__setattr__(self, "_columns", columns)
+            setfield(self, "_columns", columns)
         return columns
 
     def render_states(self, indices: Iterable[int]) -> list[str]:
@@ -214,18 +206,18 @@ class StateSpace:
             yield self.state(i)
 
 
-@dataclass(frozen=True)
-class State:
+class State(Frozen):
     """A total assignment of the space's variables."""
 
-    space: StateSpace
-    values: tuple[int, ...]
+    __slots__ = ("space", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.space.variables):
+    def __init__(self, space: StateSpace, values: tuple[int, ...]):
+        if len(values) != len(space.variables):
             raise ValueError("state arity does not match its space")
-        if any(not 0 <= v < self.space.modulus for v in self.values):
+        if any(not 0 <= v < space.modulus for v in values):
             raise ValueError("state value outside Z_m")
+        setfield(self, "space", space)
+        setfield(self, "values", values)
 
     @property
     def index(self) -> int:
@@ -246,16 +238,16 @@ class State:
         return f"<{inner}>"
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Frozen):
     """A subset of the state space, stored as a bitmask over state indices."""
 
-    space: StateSpace
-    bits: int
+    __slots__ = ("space", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits <= self.space.full_mask:
+    def __init__(self, space: StateSpace, bits: int):
+        if not 0 <= bits <= space.full_mask:
             raise ValueError("predicate bits outside the state enumeration")
+        setfield(self, "space", space)
+        setfield(self, "bits", bits)
 
     @classmethod
     def empty(cls, space: StateSpace) -> "Predicate":

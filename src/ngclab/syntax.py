@@ -1,11 +1,12 @@
 """Abstract syntax for guarded-command programs, expressions, and guards.
 
-All nodes are frozen dataclasses: structural equality and hashability are what
-the enumeration, caching, and round-trip machinery rely on.  A node's hash is
-that of its class and field tuple, so trees that differ only in a node's class
-(`skip` and `diverge`, `;` and `[]`, `&&` and `||`) do not collide; it is
-computed on the first `hash()` and kept, so a cache keyed by a program hashes
-it once per process.  Equality is the generated field-by-field comparison.
+All nodes are slotted frozen values (see values.py): structural equality and
+hashability are what the enumeration, caching, and round-trip machinery rely
+on.  A node's hash is that of its class and field tuple, so trees that differ
+only in a node's class (`skip` and `diverge`, `;` and `[]`, `&&` and `||`) do
+not collide; it is computed on the first `hash()` and kept, so a cache keyed
+by a program hashes it once per process.  Two nodes are equal when they are
+of the same class and their field tuples are equal.
 Hashing, comparing, printing and reading a program recurse once per level of
 nesting, except along a `;` chain: `Seq` hashes, compares, `repr`s and
 pickles its spine in a loop, and `statements` lists a chain's statements, so
@@ -19,53 +20,32 @@ over the space's value columns what they give for every state at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
-from operator import add, attrgetter, eq, le, lt, mul, ne, sub
+from operator import add, eq, le, lt, mul, ne, sub
 
 from . import space as _space  # for mask_of; see relations.py
 from .space import Predicate, State, StateSpace
+from .values import Frozen, setfield
 
 
 # --- nodes -----------------------------------------------------------------
 
-class _Node:
-    """Base of every AST node.  The hash is kept in the instance attribute
-    `_h`, which shadows the class-level None once set; it is read as an
-    attribute, never through `__dict__`, which CPython would then have to
-    build as a real dict for every node."""
+class _Node(Frozen):
+    """Base of every AST node: a frozen value (see values.py) whose hash is
+    that of its class and field tuple, computed on the first `hash()` and
+    kept in the slot `_h`, which each node's `__init__` sets to None."""
 
-    __slots__ = ()
-    _h = None
-    _fields_of = None   # per node class: node -> its field tuple
+    __slots__ = ("_h",)
+    _fields = ()
 
     def __hash__(self):
         h = self._h
         if h is None:
-            # one Python frame per nesting level, as the generated hash
-            h = hash((type(self), self._fields_of(self)))
-            object.__setattr__(self, "_h", h)
+            # one Python frame per nesting level
+            h = hash((type(self), self._values(self)))
+            setfield(self, "_h", h)
         return h
-
-    def __reduce__(self):
-        # string hashes differ between processes: never pickle a kept hash
-        return type(self), self._fields_of(self)
-
-
-def _node(cls):
-    """A frozen dataclass node whose hash is computed once (see _Node)."""
-    own_hash = vars(cls).get("__hash__") or _Node.__hash__
-    cls = dataclass(frozen=True)(cls)
-    names = tuple(f.name for f in fields(cls))
-    if len(names) > 1:
-        fields_of = attrgetter(*names)   # a tuple already
-    else:
-        def fields_of(node):
-            return tuple(getattr(node, name) for name in names)
-    cls._fields_of = staticmethod(fields_of)
-    cls.__hash__ = own_hash   # over the one dataclass generated
-    return cls
 
 
 # --- expressions -----------------------------------------------------------
@@ -74,21 +54,30 @@ class Expr(_Node):
     __slots__ = ()
 
 
-@_node
 class Const(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setfield(self, "value", value)
+        setfield(self, "_h", None)
 
 
-@_node
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+        setfield(self, "_h", None)
 
 
-@_node
 class BinExpr(Expr):
-    op: str  # one of + - *
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")   # op: one of + - *
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        setfield(self, "op", op)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "_h", None)
 
 
 def eval_expr(expr: Expr, state: State) -> int:
@@ -151,33 +140,48 @@ class Guard(_Node):
     __slots__ = ()
 
 
-@_node
 class BoolLit(Guard):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
+        setfield(self, "_h", None)
 
 
-@_node
 class Cmp(Guard):
-    op: str  # one of = != < <=
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")   # op: one of = != < <=
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        setfield(self, "op", op)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "_h", None)
 
 
-@_node
 class And(Guard):
-    left: Guard
-    right: Guard
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Guard, right: Guard):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "_h", None)
 
 
-@_node
 class Or(Guard):
-    left: Guard
-    right: Guard
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Guard, right: Guard):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "_h", None)
 
 
-@_node
 class Not(Guard):
-    inner: Guard
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Guard):
+        setfield(self, "inner", inner)
+        setfield(self, "_h", None)
 
 
 TRUE = BoolLit(True)
@@ -240,30 +244,40 @@ class Program(_Node):
     __slots__ = ()
 
 
-@_node
 class Skip(Program):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        setfield(self, "_h", None)
 
 
-@_node
 class Diverge(Program):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        setfield(self, "_h", None)
 
 
-@_node
 class Assign(Program):
-    var: str
-    expr: Expr
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: Expr):
+        setfield(self, "var", var)
+        setfield(self, "expr", expr)
+        setfield(self, "_h", None)
 
 
-@_node
 class Seq(Program):
     """`first ; second`.  A chain of statements is a spine of links along
     `second`, as long as the program; hash and equality walk it in a loop,
     so a chain of any length never exhausts the recursion limit."""
 
-    first: Program
-    second: Program
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Program, second: Program):
+        setfield(self, "first", first)
+        setfield(self, "second", second)
+        setfield(self, "_h", None)
 
     def __hash__(self):
         h = self._h
@@ -277,9 +291,9 @@ class Seq(Program):
                     spine.append(p)
                     p = p.second
                 for link in reversed(spine):
-                    object.__setattr__(link, "_h", hash((Seq, (link.first, link.second))))
+                    setfield(link, "_h", hash((Seq, (link.first, link.second))))
             h = hash((Seq, (self.first, self.second)))
-            object.__setattr__(self, "_h", h)
+            setfield(self, "_h", h)
         return h
 
     def __eq__(self, other):
@@ -334,23 +348,32 @@ def statements(p: Program) -> list:
         p = rest.pop()
 
 
-@_node
 class Choice(Program):
-    left: Program
-    right: Program
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Program, right: Program):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "_h", None)
 
 
-@_node
 class Ite(Program):
-    guard: Guard
-    then: Program
-    orelse: Program
+    __slots__ = ("guard", "then", "orelse")
+
+    def __init__(self, guard: Guard, then: Program, orelse: Program):
+        setfield(self, "guard", guard)
+        setfield(self, "then", then)
+        setfield(self, "orelse", orelse)
+        setfield(self, "_h", None)
 
 
-@_node
 class While(Program):
-    guard: Guard
-    body: Program
+    __slots__ = ("guard", "body")
+
+    def __init__(self, guard: Guard, body: Program):
+        setfield(self, "guard", guard)
+        setfield(self, "body", body)
+        setfield(self, "_h", None)
 
 
 # --- pretty printing -------------------------------------------------------

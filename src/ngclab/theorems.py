@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -36,6 +35,7 @@ from .transformers import (
     ADJUNCTIONS, AWP, AWLP, ASP, ASLP, DSP, DSLP, DUALS, DWP, DWLP, ORDERING,
     TransformerKind,
 )
+from .values import Frozen, Value, setfield
 
 THEOREM_IDS = (
     "ORDERING",
@@ -56,12 +56,18 @@ THEOREM_IDS = (
 COLLAPSE_IDS = THEOREM_IDS[4:10]
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    programs: GeneratorConfig = field(default_factory=GeneratorConfig)
-    predicate_mode: str = "all"  # "all" or "sample"
-    predicate_pairs: int = 3     # pairs per program when sampling
-    predicate_seed: int = 0
+class CorpusConfig(Frozen):
+    # predicate_mode: "all" or "sample"; predicate_pairs: pairs per program
+    # when sampling
+    __slots__ = ("programs", "predicate_mode", "predicate_pairs", "predicate_seed")
+
+    def __init__(self, programs: GeneratorConfig = GeneratorConfig(),
+                 predicate_mode: str = "all", predicate_pairs: int = 3,
+                 predicate_seed: int = 0):
+        setfield(self, "programs", programs)
+        setfield(self, "predicate_mode", predicate_mode)
+        setfield(self, "predicate_pairs", predicate_pairs)
+        setfield(self, "predicate_seed", predicate_seed)
 
     def space(self) -> StateSpace:
         return self.programs.space()
@@ -107,13 +113,16 @@ def corpus_items(
     raise ValueError(f"unknown predicate mode {corpus.predicate_mode!r}")
 
 
-@dataclass
-class Verdict:
-    claim: str
-    holds: bool
-    witness: Optional[dict] = None
-    stats: dict = field(default_factory=dict)
-    nonvacuity: Optional[dict] = None
+class Verdict(Value):
+    __slots__ = ("claim", "holds", "witness", "stats", "nonvacuity")
+
+    def __init__(self, claim: str, holds: bool, witness: Optional[dict] = None,
+                 stats: Optional[dict] = None, nonvacuity: Optional[dict] = None):
+        self.claim = claim
+        self.holds = holds
+        self.witness = witness
+        self.stats = {} if stats is None else stats
+        self.nonvacuity = nonvacuity
 
     def to_jsonable(self) -> dict:
         out = {"claim": self.claim, "holds": self.holds}

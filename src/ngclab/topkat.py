@@ -16,7 +16,6 @@ or tests a top-free word for emptiness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import MalformedTermError, UsageError
@@ -34,57 +33,67 @@ from .syntax import (
     While,
     guard_to_predicate,
 )
+from .values import Frozen, setfield
 
 
-class KatTerm:
+class KatTerm(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(KatTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(KatTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(KatTerm):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Test(KatTerm):
-    predicate: Predicate
+    __slots__ = ("predicate",)
+
+    def __init__(self, predicate: Predicate):
+        setfield(self, "predicate", predicate)
 
 
-@dataclass(frozen=True)
 class Prim(KatTerm):
-    relation: Relation
+    __slots__ = ("relation",)
+
+    def __init__(self, relation: Relation):
+        setfield(self, "relation", relation)
 
 
-@dataclass(frozen=True)
 class Plus(KatTerm):
-    left: KatTerm
-    right: KatTerm
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: KatTerm, right: KatTerm):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Dot(KatTerm):
-    left: KatTerm
-    right: KatTerm
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: KatTerm, right: KatTerm):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Star(KatTerm):
-    inner: KatTerm
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: KatTerm):
+        setfield(self, "inner", inner)
 
 
-@dataclass(frozen=True)
 class NotT(KatTerm):
-    inner: KatTerm
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: KatTerm):
+        setfield(self, "inner", inner)
 
 
 def is_test_term(t: KatTerm) -> bool:

@@ -15,6 +15,7 @@ from ngclab.parser import parse_guard, parse_module
 from ngclab.semantics import profile
 from ngclab.space import Predicate
 from ngclab.syntax import guard_to_predicate
+from ngclab.theorems import THEOREM_IDS
 from ngclab.transformers import TransformerKind
 
 from oracle_reference import oracle_bits
@@ -530,3 +531,58 @@ class TestGuardFuzz:
             lines = err.getvalue().splitlines()
             assert code in (0, 1, 2, 4), (guard, command, lines)
             assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (guard, lines)
+
+
+# option values: small integers, and text that int() reads in an unexpected
+# way (signs, spaces, underscores, a non-ASCII digit) or refuses (a word, a
+# float, hex, a superscript, one digit more than it reads, nothing)
+_ODD_NUMBERS = ("abc", "", "2.5", "1e3", "0x10", "\u00b2", "7" * 4301, "\u0663", " 5 ",
+                "1_0", "+3", "-0")
+_NUMBERS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(_ODD_NUMBERS))
+_CLAIMS = ("galois-pc", "galois-pi", "galois-awlp-dsp-det-rev", "dwp-neq-intersection",
+           "awlp-neq-union", "total-correctness-relational", "outcome-vs-intersection",
+           "appendixC:dwlpLB-vs-awpLB", "appendixC:aspLB-vs-dspLB-contra",
+           "appendixC:", "appendixC:dwlpLB-vs-nope", "nope", "")
+_SUITES = st.one_of(st.just("all"), st.lists(
+    st.sampled_from(THEOREM_IDS + ("all", "ordering", "nope", "")), min_size=1, max_size=3,
+).map(",".join))
+# a huge --count or --budget is a long run, not an error: those two stay small
+_OPTION_COMMANDS = st.one_of(
+    st.builds(lambda demo, mod: ["transform", "--engine", "both", "--kind", "dsp",
+                                 "--pred", "true", "--mod", mod, str(demo)],
+              st.sampled_from(DEMOS), st.one_of(_NUMBERS, st.just("9" * 30))),
+    st.builds(lambda corpus, seed, suite: ["survey", *corpus, *seed, "--suite", suite],
+              st.one_of(st.just(["--corpus", "tiny"]),
+                        st.builds(lambda corpus, count: ["--corpus", corpus, "--count", count],
+                                  st.sampled_from(["tiny", "loops"]), _NUMBERS)),
+              st.one_of(st.just([]), st.builds(lambda seed: ["--seed", seed],
+                                               st.one_of(_NUMBERS, st.just("9" * 30)))),
+              _SUITES),
+    st.builds(lambda claim, budget, form: ["counterexample", "--claim", claim,
+                                           "--budget", budget, "--format", form],
+              st.sampled_from(_CLAIMS), st.one_of(st.integers(-3, 300).map(str),
+                                                  st.sampled_from(_ODD_NUMBERS)),
+              st.sampled_from(["text", "json"])),
+)
+_CAPS = st.one_of(st.none(), st.integers(-2, 4096).map(str),
+                  st.sampled_from(_ODD_NUMBERS + ("9" * 30,)))
+
+
+class TestOptionFuzz:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_OPTION_COMMANDS, _CAPS)
+    def test_option_values_end_in_a_documented_exit(self, monkeypatch, command, cap):
+        # --mod, --count, --seed, --budget, --suite, --claim and the state
+        # cap: each command ends in 0, 1, 2 or 4, with at most one line on
+        # stderr and never a traceback
+        if cap is None:
+            monkeypatch.delenv("NGCL_STATE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("NGCL_STATE_CAP", cap)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(command)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 4), (command, cap, lines)
+        assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (command, cap, lines)

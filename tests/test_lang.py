@@ -22,8 +22,8 @@ from ngclab.syntax import (
     And, Assign, BinExpr, Choice, Cmp, Const, Diverge, Or, Seq, Skip, Var, While,
     statements,
 )
+from ngclab.values import Value
 
-import dataclasses
 import pickle
 import random
 
@@ -181,9 +181,9 @@ class TestParser:
 
 def _subtrees(node):
     yield node
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if dataclasses.is_dataclass(child):
+    for name in node._fields:
+        child = getattr(node, name)
+        if isinstance(child, Value):
             yield from _subtrees(child)
 
 
@@ -212,7 +212,7 @@ class TestNodeHashing:
 
     def test_hash_is_the_hash_of_the_class_and_field_tuple(self):
         for node in _subtrees(parse_program(_NESTED, SPACE_XY2)):
-            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            fields = tuple(getattr(node, name) for name in node._fields)
             assert hash(node) == hash((type(node), fields)), node
 
     def test_nodes_of_different_classes_with_equal_parts_hash_differently(self):
@@ -257,18 +257,18 @@ class TestNodeHashing:
         program = parse_program(_NESTED, SPACE_XY2)
         hash(program)
         copy = pickle.loads(pickle.dumps(program))
-        assert all("_h" not in vars(node) for node in _subtrees(copy))
+        assert all(node._h is None for node in _subtrees(copy))
         assert copy == program and hash(copy) == hash(program)
         space = pickle.loads(pickle.dumps(SPACE_XY2))
         assert space == SPACE_XY2 and hash(space) == hash((("x", "y"), 2))
 
 
 def _generated_repr(value):
-    """The text a dataclass's generated `__repr__` gives, field by field."""
-    if not dataclasses.is_dataclass(value):
+    """The text `Name(field=value, ...)`, built field by field."""
+    if not isinstance(value, Value):
         return repr(value)
-    fields = ", ".join(f"{f.name}={_generated_repr(getattr(value, f.name))}"
-                       for f in dataclasses.fields(value))
+    fields = ", ".join(f"{name}={_generated_repr(getattr(value, name))}"
+                       for name in value._fields)
     return f"{type(value).__name__}({fields})"
 
 

@@ -15,7 +15,9 @@ a negation dual or an adjunction), the search's `-contra` legs read as
 their representatives, a `;` chain's spine hashed one link deep, compared
 without its statements, or listed out of order when it nests to the left, the
 inductive engine's choice, forward `if` or loop rule bent, a compiled `!`
-or `<` or the assignment table wrong, or a usage error given exit code 3.
+or `<` or the assignment table wrong, a usage error given exit code 3, or
+the value types' shared base comparing values of two classes, hashing a node
+without its class, allowing assignment or pickling one field short.
 For every mutant the script copies `src/` to a temporary directory, plants
 the fault there (never in the checkout), and runs the mutant's test file
 against the copy in a fresh interpreter.  A mutant is killed when the tests
@@ -300,6 +302,20 @@ MUTANTS = (
     Mutant("`statements` lists a left-nested chain's parts in the wrong order", "syntax.py", (
         ("        p = rest.pop()\n", "        p = rest.pop(0)\n"),
     ), "test_lang.py"),
+    # the value types' shared base
+    Mutant("equality ignores the class, so `Seq(a, b) == Choice(a, b)`", "values.py", (
+        ("        if type(other) is type(self):\n", "        if isinstance(other, Value):\n"),
+    ), "test_values.py"),
+    Mutant("an AST node's hash leaves out its class", "syntax.py", (
+        ("h = hash((type(self), self._values(self)))", "h = hash(self._values(self))"),
+    ), "test_values.py"),
+    Mutant("a frozen value allows assignment", "values.py", (
+        ('raise AttributeError(f"cannot assign to field {name!r}")',
+         "object.__setattr__(self, name, value)"),
+    ), "test_values.py"),
+    Mutant("pickling drops a value's last field", "values.py", (
+        ("return type(self), self._values(self)", "return type(self), self._values(self)[:-1]"),
+    ), "test_values.py"),
     # the inductive engine's rules
     Mutant("the backward rules join a demonic choice with |", "transformers.py", (
         ("c = a | b if kind.angelic else a & b", "c = a | b"),
