@@ -6,6 +6,16 @@ claim holds (or a counterexample was found, for the counterexample command),
 one stderr line and an exit code that `errors` defines: 2 usage or input
 error, 4 a resource limit (the state cap, or the profile budget of states
 times program nodes, 10^6), 3 a bug, of whatever exception type.
+
+The commands live in one table, `COMMANDS`: name -> (help text, the function
+that adds the command's arguments, handler), from which `build_parser` builds
+either every command's parser or one command's.  A command line that starts
+with a command name builds that command's parser alone, under the same
+top-level parser, so it parses and is rejected as by the full parser; any
+other command line (help, version, no arguments, an unknown command, an
+option before the command) builds every command's, whose text the help and
+the rejections list.  A rejected value longer than 40 characters is quoted
+as its first 20, an ellipsis and its length.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import NgclError, UsageError
+from .errors import NgclError, UsageError, shorten_quoted
 from .logics import Triple, classify, logic_by_name, violated_states
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
@@ -175,13 +185,67 @@ def cmd_classify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """The parser of the command and of each subcommand: a command line it
-    rejects is a usage error, one stderr line and exit 2."""
+    rejects is a usage error, one short stderr line and exit 2."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise UsageError(shorten_quoted(f"{self.prog}: {message}"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _transform_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", required=True, choices=[k.value for k in TransformerKind])
+    p.add_argument("--engine", default="oracle", choices=["oracle", "inductive", "both"])
+    p.add_argument("--pred", required=True,
+                   help="guard string; postcondition for backward kinds, "
+                        "precondition for forward kinds")
+    p.add_argument("--mod", type=int, default=None,
+                   help="override the modulus declared in the file header")
+    p.add_argument("program", help=".ngcl file with a vars header")
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--logic", required=True)
+    p.add_argument("--pre", required=True)
+    p.add_argument("--post", required=True)
+    p.add_argument("program")
+
+
+def _survey_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", default="all",
+                   help="'all' or a comma-separated list of theorem ids")
+    p.add_argument("--corpus", default="tiny", choices=["tiny", "small-exhaustive", "loops"])
+    p.add_argument("--count", type=int, default=None,
+                   help="program count of the random corpus loops")
+    p.add_argument("--seed", type=int, default=None, help="seed of the random corpus loops")
+    p.add_argument("--format", default="text", choices=["text", "json"])
+
+
+def _counterexample_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--claim", required=True)
+    p.add_argument("--budget", type=int, default=10**5)
+    p.add_argument("--format", default="text", choices=["text", "json"])
+
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("program")
+
+
+# name -> (help text, the function that adds its arguments, handler), in the
+# order the full parser lists them
+COMMANDS = {
+    "transform": ("apply a predicate transformer", _transform_arguments, cmd_transform),
+    "check": ("check a triple under a logic", _check_arguments, cmd_check),
+    "survey": ("run the theorem suite over a corpus", _survey_arguments, cmd_survey),
+    "counterexample": ("search for a witness to a claim", _counterexample_arguments,
+                       cmd_counterexample),
+    "classify": ("evaluate the collapse assumptions", _classify_arguments, cmd_classify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every command, or with the one named.  A
+    command line that starts with that name parses, and is rejected, as by
+    the full parser; only the top-level help and an unknown command's
+    message list the commands."""
     parser = _Parser(
         prog="ngclab",
         description="check triples, transformers, theorems, and equations "
@@ -189,55 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tr = sub.add_parser("transform", help="apply a predicate transformer")
-    p_tr.add_argument("--kind", required=True,
-                      choices=[k.value for k in TransformerKind])
-    p_tr.add_argument("--engine", default="oracle",
-                      choices=["oracle", "inductive", "both"])
-    p_tr.add_argument("--pred", required=True,
-                      help="guard string; postcondition for backward kinds, "
-                           "precondition for forward kinds")
-    p_tr.add_argument("--mod", type=int, default=None,
-                      help="override the modulus declared in the file header")
-    p_tr.add_argument("program", help=".ngcl file with a vars header")
-    p_tr.set_defaults(func=cmd_transform)
-
-    p_ck = sub.add_parser("check", help="check a triple under a logic")
-    p_ck.add_argument("--logic", required=True)
-    p_ck.add_argument("--pre", required=True)
-    p_ck.add_argument("--post", required=True)
-    p_ck.add_argument("program")
-    p_ck.set_defaults(func=cmd_check)
-
-    p_sv = sub.add_parser("survey", help="run the theorem suite over a corpus")
-    p_sv.add_argument("--suite", default="all",
-                      help="'all' or a comma-separated list of theorem ids")
-    p_sv.add_argument("--corpus", default="tiny",
-                      choices=["tiny", "small-exhaustive", "loops"])
-    p_sv.add_argument("--count", type=int, default=None,
-                      help="program count of the random corpus loops")
-    p_sv.add_argument("--seed", type=int, default=None,
-                      help="seed of the random corpus loops")
-    p_sv.add_argument("--format", default="text", choices=["text", "json"])
-    p_sv.set_defaults(func=cmd_survey)
-
-    p_cx = sub.add_parser("counterexample", help="search for a witness to a claim")
-    p_cx.add_argument("--claim", required=True)
-    p_cx.add_argument("--budget", type=int, default=10**5)
-    p_cx.add_argument("--format", default="text", choices=["text", "json"])
-    p_cx.set_defaults(func=cmd_counterexample)
-
-    p_cl = sub.add_parser("classify", help="evaluate the collapse assumptions")
-    p_cl.add_argument("program")
-    p_cl.set_defaults(func=cmd_classify)
-
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        # a command line that starts with a command builds that command's
+        # parser alone; any other (help, version, no arguments, an unknown
+        # command, an option first) builds every command's, for its text
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         state_cap()  # reject a malformed NGCL_STATE_CAP whatever the command
         return args.func(args)
     except RecursionError:

@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.  Each class carries how the
 command line reports it: the prefix of its one stderr line and its exit code,
 2 for bad input (`UsageError`), 4 for a resource limit and 3 for any other
-`NgclError`, a bug, as for any exception the package does not define."""
+`NgclError`, a bug, as for any exception the package does not define.
+`shorten_quoted` cuts the long values a message quotes."""
 
 from __future__ import annotations
+
+import re
 
 
 class NgclError(Exception):
@@ -61,3 +64,21 @@ class MalformedTermError(NgclError):
 
 class InvariantError(NgclError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+# a quoted value in a message: a repr, in single or double quotes
+_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+
+
+def _shorten(match: re.Match) -> str:
+    text = match.group()
+    if len(text) <= 42:
+        return text
+    return f"{text[:21]}…{text[-1]} ({len(text) - 2} characters)"
+
+
+def shorten_quoted(message: str) -> str:
+    """The message with each quoted value longer than 40 characters cut to
+    its first 20, an ellipsis and its length, so that a rejected value of
+    any length is reported on one short line."""
+    return _QUOTED.sub(_shorten, message)

@@ -39,7 +39,7 @@ from .logics import (
 from .semantics import Profile, profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
-from .topkat import EQUATIONS, catalog_values
+from .topkat import equation_value
 from .transformers import AWLP, AWP, DWLP, DWP
 from .values import Frozen, Value, setfield
 
@@ -293,13 +293,11 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
 
 def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     """The two-equation outcome system versus the pointwise intersection logic."""
-    outcome = EQUATIONS.index("OUTCOME_CONJUNCTION")
-
     def block(prof: Profile, npred: int) -> _Block:
         full = prof.space.full_mask
 
         def system(b: int, c: int) -> bool:
-            return catalog_values(prof, b, c, full)[outcome]
+            return equation_value("OUTCOME_CONJUNCTION", prof, b, c, full)
 
         masks = _masks((INTERSECTION_LOGIC,), prof)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SettingError, SpaceCapError, UsageError
+from .errors import SettingError, SpaceCapError, UsageError, shorten_quoted
 from .values import Frozen, setfield
 
 HARD_STATE_CAP = 2**20
@@ -33,7 +33,8 @@ def state_cap() -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise SettingError(f"NGCL_STATE_CAP must be a positive integer, got {raw!r}")
+        raise SettingError(shorten_quoted(
+            f"NGCL_STATE_CAP must be a positive integer, got {raw!r}"))
     return min(value, HARD_STATE_CAP)
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ngclab import cli
 from ngclab.cli import main
+from ngclab.errors import UsageError
 from ngclab.logics import ALL_LOGICS, UNION_LOGIC, Bound
 from ngclab.parser import parse_guard, parse_module
 from ngclab.semantics import profile
@@ -463,6 +466,9 @@ class TestFuzz:
             assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (bytes(data), lines)
 
 
+LONG = "7" * 4301   # one digit more than int() reads
+
+
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["survey", "--count", "abc"],                                # not an int
@@ -483,6 +489,170 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 0 and capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, option", [
+        (["transform", "--kind", "awp", "--pred", "true", "--mod", LONG, "p.ngcl"], "--mod"),
+        (["survey", "--count", LONG], "--count"),
+        (["survey", "--corpus", "loops", "--seed", LONG], "--seed"),
+        (["counterexample", "--claim", "galois-pc", "--budget", LONG], "--budget"),
+    ])
+    def test_an_over_long_rejected_value_is_cut(self, capsys, argv, option):
+        # the value's first 20 characters, an ellipsis and its length
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: ngclab {argv[0]}: argument {option}: invalid int "
+                                "value: '77777777777777777777\u2026' (4301 characters)\n")
+
+    @pytest.mark.parametrize("length, shown", [
+        (40, "'" + "a" * 40 + "'"),
+        (41, "'" + "a" * 20 + "\u2026' (41 characters)"),
+    ])
+    def test_a_value_of_ordinary_length_is_shown_whole(self, capsys, length, shown):
+        assert main(["survey", "--corpus", "a" * length]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ngclab survey: argument --corpus: invalid choice: {shown} "
+            "(choose from 'tiny', 'small-exhaustive', 'loops')\n")
+
+    def test_an_over_long_state_cap_is_cut(self, capsys, monkeypatch):
+        monkeypatch.setenv("NGCL_STATE_CAP", "x" * 50)
+        assert main(["survey", "--suite", "ORDERING"]) == 2
+        assert capsys.readouterr().err == ("error: NGCL_STATE_CAP must be a positive integer, "
+                                           "got 'xxxxxxxxxxxxxxxxxxxx\u2026' (50 characters)\n")
+
+
+def _outcome(parser, argv):
+    """What a parser makes of a command line: its namespace, its rejection's
+    message, or the exit code and output of its help or version."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return "parsed", parser.parse_args(argv)
+    except UsageError as exc:
+        return "rejected", str(exc)
+    except SystemExit as exc:
+        return "exited", exc.code, out.getvalue()
+
+
+# per command, command lines it parses and command lines it rejects
+_PARSED = {
+    "transform": [
+        ["transform", "--kind", "awp", "--pred", "x = 0", "p.ngcl"],
+        ["transform", "p.ngcl", "--engine", "both", "--kind=dsp", "--pred", "true",
+         "--mod", "4"],
+        ["transform", "--eng", "inductive", "--kind", "aslp", "--pred", "-1", "--", "-p"],
+    ],
+    "check": [
+        ["check", "--logic", "lisbon", "--pre", "true", "--post", "x = 0", "p.ngcl"],
+        ["check", "--post", "", "--pre=-1", "--logic=nope", "p.ngcl"],
+    ],
+    "survey": [
+        ["survey"],
+        ["survey", "--suite", "ORDERING,BRIDGES", "--corpus", "loops", "--count", "30",
+         "--seed", "-13", "--format", "json"],
+        ["survey", "--cor", "small-exhaustive", "--count", "0"],
+    ],
+    "counterexample": [
+        ["counterexample", "--claim", "galois-pc"],
+        ["counterexample", "--budget", "-5", "--claim", "", "--format", "json"],
+    ],
+    "classify": [["classify", "p.ngcl"], ["classify", "--", "--p.ngcl"]],
+}
+_REJECTED = {
+    "transform": [
+        ["transform"],
+        ["transform", "--kind", "wp", "--pred", "true", "p.ngcl"],
+        ["transform", "--kind", "awp", "--pred", "true"],
+        ["transform", "--kind", "awp", "--pred", "true", "--mod", LONG, "p.ngcl"],
+        ["transform", "--kind", "awp", "--pred", "true", "a.ngcl", "b.ngcl"],
+        ["transform", "--kind"],
+    ],
+    "check": [
+        ["check", "--pre", "true", "--post", "true", "p.ngcl"],
+        ["check", "--logic", "x", "--pre", "t", "--post", "t", "p.ngcl", "--bogus"],
+        ["check", "--version"],
+        ["check", "--p", "true"],
+    ],
+    "survey": [
+        ["survey", "--count", "abc"],
+        ["survey", "--corpus", "x" * 60],
+        ["survey", "--format", "xml"],
+        ["survey", "extra"],
+        ["survey", "--seed"],
+        ["survey", "--s", "7"],
+    ],
+    "counterexample": [
+        ["counterexample"],
+        ["counterexample", "--claim", "c", "--budget", "1.5"],
+        ["counterexample", "--claim", "c", "--format", "yaml"],
+    ],
+    "classify": [["classify"], ["classify", "a.ngcl", "b.ngcl"], ["classify", "--program", "a"]],
+}
+
+
+class TestSingleCommandParser:
+    """A command line that starts with a command is parsed by a parser that
+    has that command alone; it must parse and reject as the full parser."""
+
+    def test_every_command_is_checked(self):
+        assert list(_PARSED) == list(_REJECTED) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(_PARSED))
+    def test_parsed_command_lines_give_equal_namespaces(self, command):
+        for argv in _PARSED[command]:
+            full = _outcome(cli.build_parser(), argv)
+            assert full[0] == "parsed", (argv, full)
+            assert _outcome(cli.build_parser(command), argv) == full, argv
+
+    @pytest.mark.parametrize("command", list(_REJECTED))
+    def test_rejected_command_lines_give_the_same_message(self, command):
+        for argv in _REJECTED[command]:
+            full = _outcome(cli.build_parser(), argv)
+            assert full[0] == "rejected", (argv, full)
+            assert _outcome(cli.build_parser(command), argv) == full, argv
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_is_the_same(self, command, flag):
+        full = _outcome(cli.build_parser(), [command, flag])
+        assert full[0] == "exited" and full[1] == 0 and f"usage: ngclab {command}" in full[2]
+        assert _outcome(cli.build_parser(command), [command, flag]) == full
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every parser built from here on, in order."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return built
+
+
+class TestParserBuilds:
+    CHECK = ["check", "--logic", "lisbon", "--pre", "true", "--post", "x = 0",
+             str(DEMOS[0])]
+
+    def test_a_command_builds_its_parser_alone(self, capsys, parsers_built):
+        assert main(self.CHECK) == 0
+        assert parsers_built == ["ngclab", "ngclab check"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+    def test_help_and_version_build_every_command(self, capsys, parsers_built, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(parsers_built) == 1 + len(cli.COMMANDS) == 6
+
+    def test_the_entry_point_reads_sys_argv(self, capsys, monkeypatch, parsers_built):
+        # the console script calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["ngclab", *self.CHECK])
+        assert main() == 0
+        assert capsys.readouterr().out == "valid for awp-lb\n"   # lisbon's name
+        assert parsers_built == ["ngclab", "ngclab check"]
 
 
 # guard edits: grammar tokens, digit runs, characters int() does not read,
@@ -586,3 +756,8 @@ class TestOptionFuzz:
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2, 4), (command, cap, lines)
         assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (command, cap, lines)
+        # a rejected value of any length leaves a short line
+        assert all(len(line) < 200 for line in lines), (command, cap, lines)
+        # the command's own parser and the full one agree
+        assert (_outcome(cli.build_parser(command[0]), command)
+                == _outcome(cli.build_parser(), command)), command

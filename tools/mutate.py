@@ -15,9 +15,11 @@ a negation dual or an adjunction), the search's `-contra` legs read as
 their representatives, a `;` chain's spine hashed one link deep, compared
 without its statements, or listed out of order when it nests to the left, the
 inductive engine's choice, forward `if` or loop rule bent, a compiled `!`
-or `<` or the assignment table wrong, a usage error given exit code 3, or
+or `<` or the assignment table wrong, a usage error given exit code 3,
 the value types' shared base comparing values of two classes, hashing a node
-without its class, allowing assignment or pickling one field short.
+without its class, allowing assignment or pickling one field short, an
+equation's own plan compiled from its neighbour, or a command's own parser
+short of an argument or never used.
 For every mutant the script copies `src/` to a temporary directory, plants
 the fault there (never in the checkout), and runs the mutant's test file
 against the copy in a fresh interpreter.  A mutant is killed when the tests
@@ -264,6 +266,11 @@ MUTANTS = (
     Mutant("the letter C reads the postcondition, not its negation", "topkat.py", (
         ('"B": _NB, "C": _NC}', '"B": _NB, "C": _C}'),
     ), "test_topkat.py"),
+    # killed by the per-equation plan test and by check_equation's cross-checks
+    Mutant("an equation's own plan is compiled from the neighbouring equation", "topkat.py", (
+        ("_compile({eq: _CATALOG[eq]})",
+         "_compile({eq: _CATALOG[EQUATIONS[EQUATIONS.index(eq) - 1]]})"),
+    ), "test_topkat.py"),
     # the counterexample search
     Mutant("a hit past the budget is found", "search.py", (
         ("if hit is not None and hit < left:", "if hit is not None:"),
@@ -342,6 +349,18 @@ MUTANTS = (
     # the exit-code map
     Mutant("a usage error exits 3", "errors.py", (
         ('prefix, exit_code = "error", 2', 'prefix, exit_code = "error", 3'),
+    ), "test_cli.py"),
+    # the command line's parsers: the first is killed by the command tests
+    # and by the cross-check against the full parser, the second by the
+    # parser count alone
+    Mutant("a command's own parser leaves out the command's last argument", "cli.py", (
+        ("        add_arguments(p)\n",
+         "        add_arguments(p)\n"
+         "        if command is not None:\n"
+         "            p._remove_action(p._actions[-1])\n"),
+    ), "test_cli.py"),
+    Mutant("main builds every command's parser for every command line", "cli.py", (
+        ("build_parser(argv[0] if argv and argv[0] in COMMANDS else None)", "build_parser()"),
     ), "test_cli.py"),
 )
 
