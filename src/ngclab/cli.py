@@ -14,8 +14,9 @@ with a command name builds that command's parser alone, under the same
 top-level parser, so it parses and is rejected as by the full parser; any
 other command line (help, version, no arguments, an unknown command, an
 option before the command) builds every command's, whose text the help and
-the rejections list.  A rejected value longer than 40 characters is quoted
-as its first 20, an ellipsis and its length.
+the rejections list.  A rejected value, an unrecognized argument or an
+unknown name longer than 40 characters is shown as its first 20, an
+ellipsis and its length.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import json
 import sys
 
 from . import __version__
-from .errors import NgclError, UsageError, shorten_quoted
-from .logics import Triple, classify, logic_by_name, violated_states
+from .errors import NgclError, UsageError, shorten, shorten_quoted, unknown_name
+from .logics import AssumptionSet, Triple, classify, logic_by_name, violated_states
 from .parser import parse_guard, parse_module
 from .search import SearchConfig, find_counterexample
 from .space import Predicate, low_bit, state_cap
@@ -48,10 +49,8 @@ def _load_program(path: str):
 
 
 def _render_predicate(pred: Predicate) -> str:
-    if pred.is_empty:
-        return "{} (no states)"
-    states = ", ".join(pred.space.render_states(pred.indices()))
-    return f"{{{states}}} ({pred.count} of {pred.space.size} states)"
+    count = "no states" if pred.is_empty else f"{pred.count} of {pred.space.size} states"
+    return f"{pred!r} ({count})"
 
 
 def _json_report(payload: dict) -> str:
@@ -110,7 +109,7 @@ def cmd_survey(args) -> int:
     suite = list(THEOREM_IDS) if args.suite == "all" else args.suite.split(",")
     for theorem in suite:
         if theorem not in THEOREM_IDS:
-            raise UsageError(f"unknown theorem {theorem!r}")
+            raise unknown_name("theorem", theorem)
     # only the random corpus has a seed to report
     seed = {"seed": corpus.programs.seed} if corpus.programs.mode == "random" else {}
     verdicts = run_survey(suite, corpus)
@@ -172,8 +171,7 @@ def cmd_counterexample(args) -> int:
 def cmd_classify(args) -> int:
     space, program = _load_program(args.program)
     assumptions = classify(program, space)
-    for name in ("termination", "reachability", "determinism",
-                 "reversibility", "no_branching_divergence"):
+    for name in AssumptionSet._fields:
         flag = getattr(assumptions, name)
         witness = flag.witness
         if isinstance(witness, Program):
@@ -189,6 +187,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(shorten_quoted(f"{self.prog}: {message}"))
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse's own, but with each unrecognized argument shortened
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(map(shorten, extra))}")
+        return args
 
 
 def _transform_arguments(p: argparse.ArgumentParser) -> None:

@@ -2,7 +2,8 @@
 command line reports it: the prefix of its one stderr line and its exit code,
 2 for bad input (`UsageError`), 4 for a resource limit and 3 for any other
 `NgclError`, a bug, as for any exception the package does not define.
-`shorten_quoted` cuts the long values a message quotes."""
+`shorten_quoted` cuts the long values a message quotes, `shorten` one value,
+and `unknown_name` builds the error for a name that names nothing."""
 
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ class UnknownVariableError(NgclSyntaxError):
     """A program or guard mentions a variable outside the state space."""
 
     def __init__(self, name: str, line: int, column: int):
-        super().__init__(f"unknown variable '{name}'", line, column)
+        super().__init__(shorten_quoted(f"unknown variable {name!r}"), line, column)
         self.name = name
 
 
@@ -70,15 +71,20 @@ class InvariantError(NgclError):
 _QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
 
 
-def _shorten(match: re.Match) -> str:
-    text = match.group()
-    if len(text) <= 42:
-        return text
-    return f"{text[:21]}…{text[-1]} ({len(text) - 2} characters)"
+def shorten(value: str, quote: str = "") -> str:
+    """The value in the given quotes, cut to its first 20 characters, an
+    ellipsis and its length when it is longer than 40, so that a rejected
+    value of any length is reported on one short line."""
+    if len(value) <= 40:
+        return f"{quote}{value}{quote}"
+    return f"{quote}{value[:20]}…{quote} ({len(value)} characters)"
 
 
 def shorten_quoted(message: str) -> str:
-    """The message with each quoted value longer than 40 characters cut to
-    its first 20, an ellipsis and its length, so that a rejected value of
-    any length is reported on one short line."""
-    return _QUOTED.sub(_shorten, message)
+    """The message with each quoted value shortened as by `shorten`."""
+    return _QUOTED.sub(lambda match: shorten(match.group()[1:-1], match.group()[0]), message)
+
+
+def unknown_name(what: str, name: str) -> UsageError:
+    """The usage error `unknown <what> '<name>'`, a long name shortened."""
+    return UsageError(shorten_quoted(f"unknown {what} {name!r}"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .errors import UsageError
+from .errors import unknown_name
 from .semantics import profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
@@ -107,7 +107,7 @@ def logic_by_name(name: str) -> LogicId:
         return _BY_NAME[name]
     if name in ALIASES:
         return ALIASES[name]
-    raise UsageError(f"unknown logic {name!r}")
+    raise unknown_name("logic", name)
 
 
 # contrapositive partners: holds(L, (b, p, c)) iff holds(partner(L), (~b, p, ~c)),

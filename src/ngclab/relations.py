@@ -7,6 +7,8 @@ operations the relational algebra evaluator is built on.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 # imported as a module, not by name: perfbench's tracer wraps every name one
@@ -87,17 +89,10 @@ class Relation(Frozen):
         return Relation(self.n, tuple(rows))
 
     def domain_bits(self) -> int:
-        bits = 0
-        for i, row in enumerate(self.rows):
-            if row:
-                bits |= 1 << i
-        return bits
+        return _space.mask_of(list(map(bool, self.rows)))
 
     def codomain_bits(self) -> int:
-        bits = 0
-        for row in self.rows:
-            bits |= row
-        return bits
+        return reduce(or_, self.rows, 0)
 
     def pairs(self) -> Iterable[tuple[int, int]]:
         for i, row in enumerate(self.rows):

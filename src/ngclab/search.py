@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # the kernel is imported as a module, not by name: see theorems.py
 from . import logics as _logics
-from .errors import UsageError
+from .errors import unknown_name
 from .generators import all_predicates, exhaustive_programs
 from .logics import (
     CONTRAPOSITIVE, GALOIS,
@@ -39,7 +39,7 @@ from .logics import (
 from .semantics import Profile, profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
-from .topkat import equation_value
+from .topkat import EQUATIONS, catalog_values
 from .transformers import AWLP, AWP, DWLP, DWP
 from .values import Frozen, Value, setfield
 
@@ -293,11 +293,13 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
 
 def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     """The two-equation outcome system versus the pointwise intersection logic."""
+    outcome = EQUATIONS.index("OUTCOME_CONJUNCTION")
+
     def block(prof: Profile, npred: int) -> _Block:
         full = prof.space.full_mask
 
         def system(b: int, c: int) -> bool:
-            return equation_value("OUTCOME_CONJUNCTION", prof, b, c, full)
+            return catalog_values(prof, b, c, full)[outcome]
 
         masks = _masks((INTERSECTION_LOGIC,), prof)
 
@@ -347,6 +349,6 @@ def _blocks(claim: str, config: SearchConfig, stats: dict) -> Iterator[_Block]:
             left_name, right_name = body.split("-vs-")
             left, right = LEGS[left_name], LEGS[right_name]
         except (ValueError, KeyError):
-            raise UsageError(f"unknown catalog claim {claim!r}") from None
+            raise unknown_name("catalog claim", claim) from None
         return _logic_pair_blocks(config, stats, left, right)
-    raise UsageError(f"unknown claim {claim!r}")
+    raise unknown_name("claim", claim)

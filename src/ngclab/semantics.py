@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat, zip_longest
-from operator import and_, getitem, itemgetter, not_, or_
+from operator import and_, getitem, itemgetter, or_
 from typing import NamedTuple
 
 from . import space as _space  # for its bit and flag helpers; see relations.py
@@ -413,7 +413,7 @@ class Profile(dict):
         super().__init__()
         rows = relation.rows
         self.space, self.relation, self.may_div = space, relation, may_div
-        self.must_div = _space.mask_of(list(map(not_, rows))) if 0 in rows else 0
+        self.must_div = space.full_mask ^ relation.domain_bits() if 0 in rows else 0
 
     def __missing__(self, q: int) -> tuple[int, ...]:
         table = self[q] = rows_table(self.relation.rows, self.may_div, q)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SettingError, SpaceCapError, UsageError, shorten_quoted
+from .errors import SettingError, SpaceCapError, UsageError, shorten_quoted, unknown_name
 from .values import Frozen, setfield
 
 HARD_STATE_CAP = 2**20
@@ -150,20 +150,15 @@ class StateSpace(Frozen):
         try:
             return self.variables.index(name)
         except ValueError:
-            raise UsageError(f"unknown variable '{name}'") from None
+            raise unknown_name("variable", name) from None
 
     def index_of(self, values: tuple[int, ...]) -> int:
-        idx = 0
-        for v in values:
-            idx = idx * self.modulus + (v % self.modulus)
-        return idx
+        m = self.modulus
+        return sum(v % m * stride for v, stride in zip(values, self.strides))
 
     def values_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in self.variables:
-            index, v = divmod(index, self.modulus)
-            out.append(v)
-        return tuple(reversed(out))
+        m = self.modulus
+        return tuple(index // stride % m for stride in self.strides)
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -235,8 +230,7 @@ class State(Frozen):
         return State(self.space, tuple(vals))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v}" for n, v in zip(self.space.variables, self.values))
-        return f"<{inner}>"
+        return self.space.render_states([self.index])[0]
 
 
 class Predicate(Frozen):

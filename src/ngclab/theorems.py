@@ -18,7 +18,7 @@ from typing import Optional
 # every name one ngclab module imports from another as a layer, and a
 # per-triple step is not one
 from . import logics as _logics
-from .errors import UsageError
+from .errors import UsageError, unknown_name
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (
     ALL_LOGICS, BOUNDED, CONTRAPOSITIVE,
@@ -84,7 +84,7 @@ def corpus_preset(name: str, count: Optional[int] = None,
                             seed=seed, count=10_000 if count is None else count),
             predicate_mode="sample", predicate_pairs=3, predicate_seed=seed)
     if name not in ("tiny", "small-exhaustive"):
-        raise UsageError(f"unknown corpus preset {name!r}")
+        raise unknown_name("corpus preset", name)
     if count is not None or seed is not None:
         raise UsageError(f"the corpus {name} is exhaustive: it takes no program count or seed")
     return CorpusConfig(GeneratorConfig(("x",), 2, max_depth=2 if name == "tiny" else 3))
@@ -376,7 +376,7 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
         return Verdict(theorem, holds_, witness, stats())
 
     if theorem not in _CHECKS:
-        raise UsageError(f"unknown theorem {theorem!r}")
+        raise unknown_name("theorem", theorem)
     check = _CHECKS[theorem]
     syntactic = theorem == "DETERMINISM_COLLAPSE"
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import MalformedTermError, UsageError
+from .errors import MalformedTermError, unknown_name
 from .relations import Relation
 from .semantics import ASP, AWP, Profile, profile
 from .space import Predicate, StateSpace
@@ -298,9 +298,6 @@ def _evaluate(plan: _Plan, tables, b: int, c: int, full: int) -> tuple[bool, ...
 
 
 _CATALOG_PLAN = _compile(_CATALOG)
-# a plan of its own per equation, for a caller that reads one: OUTCOME_CONJUNCTION
-# alone takes 3 of the shared plan's 14 steps
-_EQUATION_PLANS = {eq: _compile({eq: _CATALOG[eq]}) for eq in EQUATIONS}
 
 
 def catalog_values(tables, b: int, c: int, full: int) -> tuple[bool, ...]:
@@ -310,18 +307,12 @@ def catalog_values(tables, b: int, c: int, full: int) -> tuple[bool, ...]:
     return _evaluate(_CATALOG_PLAN, tables, b, c, full)
 
 
-def equation_value(eq: str, tables, b: int, c: int, full: int) -> bool:
-    """One catalog equation on one triple, as `catalog_values` gives it,
-    from that equation's plan alone."""
-    return _evaluate(_EQUATION_PLANS[eq], tables, b, c, full)[0]
-
-
 def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
     """Evaluate one catalog equation (or system) over the relation of p's
     profile; p may be a Program or a raw Relation, whose may-divergence is
     taken as empty: no word reads it."""
     if eq not in _CATALOG:
-        raise UsageError(f"unknown equation id {eq!r}")
+        raise unknown_name("equation id", eq)
     space = b.space
     if c.space != space:
         raise ValueError("pre- and postcondition live in different spaces")
@@ -331,4 +322,4 @@ def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
         prof = Profile(space, p, 0)
     else:
         prof = profile(p, space)
-    return equation_value(eq, prof, b.bits, c.bits, space.full_mask)
+    return catalog_values(prof, b.bits, c.bits, space.full_mask)[EQUATIONS.index(eq)]

@@ -75,6 +75,17 @@ class TestTransform:
         assert main(["transform", "--kind", "asp", "--pred", "false", str(path)]) == 0
         assert "no states" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pred, line", [
+        ("false", "{} (no states)"),
+        ("x = 1", "{<x=1>} (1 of 3 states)"),
+        ("true", "{<x=0>, <x=1>, <x=2>} (3 of 3 states)"),
+    ])
+    def test_a_predicate_prints_with_its_state_count(self, tmp_path, capsys, pred, line):
+        path = tmp_path / "skip.ngcl"
+        path.write_text("vars x mod 3\nskip\n")
+        assert main(["transform", "--kind", "awp", "--pred", pred, str(path)]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     def test_both_engines_agree(self, choice01):
         assert main(["transform", "--kind", "dslp", "--engine", "both",
                      "--pred", "x = 0", choice01]) == 0
@@ -467,6 +478,7 @@ class TestFuzz:
 
 
 LONG = "7" * 4301   # one digit more than int() reads
+LONG_NAME = "x" * 5000
 
 
 class TestCommandLine:
@@ -513,6 +525,28 @@ class TestCommandLine:
         assert capsys.readouterr().err == (
             f"error: ngclab survey: argument --corpus: invalid choice: {shown} "
             "(choose from 'tiny', 'small-exhaustive', 'loops')\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["check", "--logic", LONG_NAME, "--pre", "true", "--post", "true"],
+         "error: unknown logic 'xxxxxxxxxxxxxxxxxxxx\u2026' (5000 characters)"),
+        (["check", "--logic", "dwp-lb", "--pre", f"{LONG_NAME} = 0", "--post", "true"],
+         "parse error: 1:1: unknown variable 'xxxxxxxxxxxxxxxxxxxx\u2026' (5000 characters)"),
+        (["classify", "y" * 5000],
+         "error: ngclab: unrecognized arguments: yyyyyyyyyyyyyyyyyyyy\u2026 (5000 characters)"),
+        (["counterexample", "--claim", LONG_NAME],
+         "error: unknown claim 'xxxxxxxxxxxxxxxxxxxx\u2026' (5000 characters)"),
+        (["survey", "--suite", LONG_NAME],
+         "error: unknown theorem 'xxxxxxxxxxxxxxxxxxxx\u2026' (5000 characters)"),
+        (["counterexample", "--claim", f"appendixC:{LONG_NAME}-vs-y"],
+         "error: unknown catalog claim 'appendixC:xxxxxxxxxx\u2026' (5015 characters)"),
+    ])
+    def test_an_over_long_unknown_name_is_cut(self, capsys, choice01, argv, line):
+        if argv[0] in ("check", "classify"):
+            argv = [argv[0], choice01, *argv[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+        assert len(captured.err.encode()) < 200
 
     def test_an_over_long_state_cap_is_cut(self, capsys, monkeypatch):
         monkeypatch.setenv("NGCL_STATE_CAP", "x" * 50)
@@ -712,12 +746,16 @@ _NUMBERS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(_ODD_NUMBERS)
 _CLAIMS = ("galois-pc", "galois-pi", "galois-awlp-dsp-det-rev", "dwp-neq-intersection",
            "awlp-neq-union", "total-correctness-relational", "outcome-vs-intersection",
            "appendixC:dwlpLB-vs-awpLB", "appendixC:aspLB-vs-dspLB-contra",
-           "appendixC:", "appendixC:dwlpLB-vs-nope", "nope", "")
+           "appendixC:", "appendixC:dwlpLB-vs-nope", "nope", "", LONG_NAME,
+           f"appendixC:{LONG_NAME}-vs-awpLB")
 _SUITES = st.one_of(st.just("all"), st.lists(
-    st.sampled_from(THEOREM_IDS + ("all", "ordering", "nope", "")), min_size=1, max_size=3,
+    st.sampled_from(THEOREM_IDS + ("all", "ordering", "nope", "", LONG_NAME)),
+    min_size=1, max_size=3,
 ).map(",".join))
+# nothing, or an argument no command takes
+_EXTRA = st.sampled_from([[], ["extra"], ["y" * 5000]])
 # a huge --count or --budget is a long run, not an error: those two stay small
-_OPTION_COMMANDS = st.one_of(
+_OPTION_COMMANDS = st.builds(lambda command, extra: command + extra, st.one_of(
     st.builds(lambda demo, mod: ["transform", "--engine", "both", "--kind", "dsp",
                                  "--pred", "true", "--mod", mod, str(demo)],
               st.sampled_from(DEMOS), st.one_of(_NUMBERS, st.just("9" * 30))),
@@ -733,7 +771,10 @@ _OPTION_COMMANDS = st.one_of(
               st.sampled_from(_CLAIMS), st.one_of(st.integers(-3, 300).map(str),
                                                   st.sampled_from(_ODD_NUMBERS)),
               st.sampled_from(["text", "json"])),
-)
+    st.builds(lambda demo, logic: ["check", "--logic", logic, "--pre", "true",
+                                   "--post", "true", str(demo)],
+              st.sampled_from(DEMOS), st.sampled_from(["dwp-lb", "nope", "", LONG_NAME])),
+), _EXTRA)
 _CAPS = st.one_of(st.none(), st.integers(-2, 4096).map(str),
                   st.sampled_from(_ODD_NUMBERS + ("9" * 30,)))
 
@@ -743,9 +784,9 @@ class TestOptionFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_OPTION_COMMANDS, _CAPS)
     def test_option_values_end_in_a_documented_exit(self, monkeypatch, command, cap):
-        # --mod, --count, --seed, --budget, --suite, --claim and the state
-        # cap: each command ends in 0, 1, 2 or 4, with at most one line on
-        # stderr and never a traceback
+        # --mod, --count, --seed, --budget, --suite, --claim, --logic, an
+        # extra argument and the state cap: each command ends in 0, 1, 2 or
+        # 4, with at most one line on stderr and never a traceback
         if cap is None:
             monkeypatch.delenv("NGCL_STATE_CAP", raising=False)
         else:

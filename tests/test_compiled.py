@@ -2,8 +2,9 @@
 
 `expr_column`, `guard_to_predicate` and `assign_table` compute over
 the space's value columns what `eval_expr`/`eval_guard` compute one `State`
-at a time; `iter_bits` must list exactly the set bits; `render_states` must
-print exactly `repr(State)`; structural equality must agree with the
+at a time; `index_of` and `values_of` must read a state index as the
+base-m digits of its values; `iter_bits` must list exactly the set bits;
+`render_states` and `repr(State)` must print `<name=value, ...>`; structural equality must agree with the
 canonical text and never exhaust the recursion limit on a `;` chain.
 """
 
@@ -14,7 +15,7 @@ import pytest
 
 from ngclab.errors import BudgetExceededError
 from ngclab.semantics import profile
-from ngclab.space import Predicate, StateSpace, iter_bits, low_bit, mask_of
+from ngclab.space import Predicate, State, StateSpace, iter_bits, low_bit, mask_of
 from ngclab.syntax import (
     And,
     Assign,
@@ -75,6 +76,32 @@ def spaces():
             yield StateSpace(NAMES[:k], m)
 
 
+def reference_values(space, index):
+    """The values at a state index, as its base-m digits, last variable first."""
+    out = []
+    for _ in space.variables:
+        index, v = divmod(index, space.modulus)
+        out.append(v)
+    return tuple(reversed(out))
+
+
+def reference_index(space, values):
+    """The state index of the values, read as base-m digits."""
+    index = 0
+    for v in values:
+        index = index * space.modulus + v % space.modulus
+    return index
+
+
+def reference_repr(space, values):
+    return "<" + ", ".join(f"{n}={v}" for n, v in zip(space.variables, values)) + ">"
+
+
+# one, two and three variables
+INDEXED_SPACES = [StateSpace(("x",), 5), StateSpace(("x", "y"), 3),
+                  StateSpace(("x", "y", "z"), 4)]
+
+
 def reference_bits(guard, space):
     bits = 0
     for i in range(space.size):
@@ -91,6 +118,17 @@ class TestColumns:
             assert column == [space.values_of(i)[k] for i in range(space.size)]
             if space.modulus > 1:
                 assert space.values_of(stride)[k] == 1
+
+    @pytest.mark.parametrize("space", INDEXED_SPACES, ids=repr)
+    def test_index_and_values_match_the_digit_loops(self, space):
+        m = space.modulus
+        for i in range(space.size):
+            values = reference_values(space, i)
+            assert space.values_of(i) == values
+            assert space.index_of(values) == reference_index(space, values) == i
+            # a value outside Z_m is read modulo m
+            shifted = tuple(v + m * k for k, v in enumerate(values, -1))
+            assert space.index_of(shifted) == reference_index(space, shifted) == i
 
     def test_columns_are_built_once_per_space(self):
         space = StateSpace(("a", "b"), 5)
@@ -225,6 +263,12 @@ class TestRendering:
         indices = list(range(space.size))
         assert space.render_states(indices) == [repr(space.state(i)) for i in indices]
         assert space.render_states(iter_bits(0)) == []
+
+    @pytest.mark.parametrize("space", INDEXED_SPACES, ids=repr)
+    def test_repr_of_state_lists_its_values(self, space):
+        for i in range(space.size):
+            values = reference_values(space, i)
+            assert repr(State(space, values)) == reference_repr(space, values)
 
     def test_predicate_repr_is_built_from_state_reprs(self):
         space = StateSpace(("x", "y"), 3)

@@ -190,6 +190,25 @@ class TestRelation:
         assert profile(stop, SPACE).may_div == profile(spin, SPACE).may_div == SIGMA.bits
         assert must_div(stop, SPACE) == must_div(spin, SPACE) == SIGMA
 
+    def test_domain_codomain_and_must_div_match_their_row_definitions(self):
+        # seeded random relations on both sides of mask_of's switch from
+        # bit by bit to binary digits, from no empty row to all rows empty
+        rng = random.Random(24)
+        assert Relation(0, ()).domain_bits() == Relation(0, ()).codomain_bits() == 0
+        for n in range(1, 71):
+            space = StateSpace(("x",), n)
+            for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+                rows = tuple(rng.getrandbits(n) | 1 << rng.randrange(n)
+                             if rng.random() < density else 0 for _ in range(n))
+                relation = Relation(n, rows)
+                codomain = 0
+                for row in rows:
+                    codomain |= row
+                assert relation.domain_bits() == sum(1 << i for i, row in enumerate(rows) if row)
+                assert relation.codomain_bits() == codomain
+                must = sum(1 << i for i, row in enumerate(rows) if not row)
+                assert semantics.Profile(space, relation, 0).must_div == must
+
 
 @settings(max_examples=250, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))

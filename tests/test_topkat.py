@@ -381,26 +381,6 @@ def test_catalog_over_the_profiles_of_diverging_programs():
     assert diverging >= 30
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
-def test_each_equation_plan_reads_as_the_shared_plan(n):
-    """Each equation's own plan, which check_equation and the search's
-    outcome claim read, against that equation's entry of the shared plan,
-    on seeded random relations, may-divergence masks and triples."""
-    space = StateSpace(("x",), n)
-    rng = random.Random(6400 + n)
-    for trial in range(30):
-        density = rng.choice((0.0, 0.2, 0.5))
-        rel = Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(n)
-                                      if rng.random() < density])
-        tables = Profile(space, rel, rng.choice((0, rng.randrange(1 << n))))
-        for _ in range(4):
-            b, c = rng.randrange(1 << n), rng.randrange(1 << n)
-            shared = catalog_values(tables, b, c, space.full_mask)
-            own = tuple(topkat.equation_value(eq, tables, b, c, space.full_mask)
-                        for eq in EQUATIONS)
-            assert own == shared, (rel, b, c)
-
-
 def _corner_relations(n):
     full = (1 << n) - 1
     return [

@@ -17,9 +17,10 @@ without its statements, or listed out of order when it nests to the left, the
 inductive engine's choice, forward `if` or loop rule bent, a compiled `!`
 or `<` or the assignment table wrong, a usage error given exit code 3,
 the value types' shared base comparing values of two classes, hashing a node
-without its class, allowing assignment or pickling one field short, an
-equation's own plan compiled from its neighbour, or a command's own parser
-short of an argument or never used.
+without its class, allowing assignment or pickling one field short, a
+command's own parser short of an argument or never used, a relation's domain
+read as its empty rows, a state's values read from the strides in reverse, or
+a printed predicate counting the states outside it.
 For every mutant the script copies `src/` to a temporary directory, plants
 the fault there (never in the checkout), and runs the mutant's test file
 against the copy in a fresh interpreter.  A mutant is killed when the tests
@@ -211,6 +212,18 @@ MUTANTS = (
         ("return int(bytes(flags).translate(_DIGITS)[::-1], 2)",
          "return int(bytes(flags).translate(_DIGITS), 2)"),
     )),
+    # killed by the cross-check of domain_bits against its row definition and
+    # by every must-div check, since must-div is the domain's complement
+    Mutant("a relation's domain is the set of its empty rows", "relations.py", (
+        ("from operator import or_", "from operator import not_, or_"),
+        ("map(bool, self.rows)", "map(not_, self.rows)"),
+    )),
+    # killed by the cross-check of values_of against the digit loop, the
+    # columns test and the rendering tests
+    Mutant("a state's values are read from the strides in reverse", "space.py", (
+        ("return tuple(index // stride % m for stride in self.strides)",
+         "return tuple(index // stride % m for stride in reversed(self.strides))"),
+    ), "test_compiled.py"),
     # the subset-condition kernel and the class store
     Mutant("a backward logic's lower and upper bounds are swapped", "logics.py", (
         ("out.append(b & ~tc[pos] if lower else tc[pos] & ~b & full)",
@@ -265,11 +278,6 @@ MUTANTS = (
     ), "test_topkat.py"),
     Mutant("the letter C reads the postcondition, not its negation", "topkat.py", (
         ('"B": _NB, "C": _NC}', '"B": _NB, "C": _C}'),
-    ), "test_topkat.py"),
-    # killed by the per-equation plan test and by check_equation's cross-checks
-    Mutant("an equation's own plan is compiled from the neighbouring equation", "topkat.py", (
-        ("_compile({eq: _CATALOG[eq]})",
-         "_compile({eq: _CATALOG[EQUATIONS[EQUATIONS.index(eq) - 1]]})"),
     ), "test_topkat.py"),
     # the counterexample search
     Mutant("a hit past the budget is found", "search.py", (
@@ -361,6 +369,10 @@ MUTANTS = (
     ), "test_cli.py"),
     Mutant("main builds every command's parser for every command line", "cli.py", (
         ("build_parser(argv[0] if argv and argv[0] in COMMANDS else None)", "build_parser()"),
+    ), "test_cli.py"),
+    # killed by the predicate-printing test and the transform tests' state counts
+    Mutant("a printed predicate counts the states outside it", "cli.py", (
+        ('f"{pred.count} of', 'f"{(~pred).count} of'),
     ), "test_cli.py"),
 )
 
