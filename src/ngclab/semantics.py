@@ -357,7 +357,12 @@ _RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _
 # is 2.5-4x faster than the four linear passes up to 27 states and 5-25 %
 # faster at 64-125; the two are within 15 % of each other at 216-512, the
 # passes win from about 1 000 on, and at 2^18 the loop's ever longer ints
-# take 1.4 s on the countdown's rows against 0.08 s
+# take 1.4 s on the countdown's rows against 0.08 s.  The inductive engine's
+# assignments switch from pairs of one-bit masks to passes over the
+# successor table here too: on x := x + y + z + 1 and random predicates, the
+# pairs' preimage is faster up to 125 states (12 us against 15 us) and the
+# two are even at 216 (23 against 22 us); the pairs' image is faster up to
+# 27 states (2.0 against 3.3 us) and slower from 64 on
 _LOOPED = 200
 
 # A transformer table holds one predicate's eight results in this order,

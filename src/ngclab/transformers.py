@@ -4,8 +4,11 @@ The oracle route reads the quantifier definitions straight off the program's
 profile, as image/preimage algebra over its relation and the may-divergence
 the composer computes.  The inductive route applies Dijkstra-style
 structural rules with Kleene-iterated loop fixpoints (least from the empty
-set, greatest from the full space) to a rule chain compiled once per program
-and state space.
+set, greatest from the full space) through closures compiled once per
+program and state space, one backward and one forward per program: a `;`
+chain loops over its statements' closures, and an assignment steps over
+pairs of one-bit masks up to `semantics._LOOPED` states and, above that
+switch, over its successor table in time linear in the state count.
 The two must agree everywhere; the test suite checks that differentially.
 The oracle reads one store, the program's profile: per semantic class, the
 eight results of each predicate, computed together on first use and shared
@@ -18,12 +21,14 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 
 # as a module, not by name, as relations.py imports space: the benchmark's
 # tracer wraps every name imported from another module as a layer
+from . import space as _space     # for mask_of and flag_bytes
 from . import syntax as _syntax   # for statements and assign_table
 from .errors import InvariantError
-from .semantics import AWLP, AWP, ASLP, ASP, DSLP, DSP, DWLP, DWP, profile
+from .semantics import _LOOPED, AWLP, AWP, ASLP, ASP, DSLP, DSP, DWLP, DWP, profile
 from .space import Predicate, State, StateSpace
 from .syntax import (
     Assign,
@@ -78,138 +83,201 @@ def oracle_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predica
 
 # --- inductive rules ---------------------------------------------------------
 #
-# A program compiles once per state space into a rule chain: the tuple of its
-# steps in execution order, `;` flattened and `skip` (the identity under every
-# rule) left out.  A step is a tuple, tag first:
-#   (_DIVERGE,)
-#   (_ASSIGN, pairs)                 pairs: (1 << i, 1 << succ[i]) per state i
-#   (_CHOICE, left, right)           two chains
-#   (_ITE, g, not_g, then, orelse)   guard masks and two chains
-#   (_WHILE, g, not_g, body)
-# The rules below walk these chains; loops are Kleene-iterated (least from the
-# empty set, greatest from the full space).  The chain holds only what the AST
-# rules read off the program -- guard masks and assignment successor tables --
-# never the program's profile.
-
-_DIVERGE, _ASSIGN, _CHOICE, _ITE, _WHILE = range(5)
+# A program compiles once per state space into two closures: `backward(c,
+# angelic, liberal)`, the rules of the four weakest (liberal) preconditions,
+# and `forward(b, angelic)`, those of asp (angelic) and dslp, which dsp and
+# aslp combine.  A `;` chain loops over its statements' closures, `skip` (the
+# identity under every rule) left out; `[]` and `if` combine the results of
+# their sides; a loop is Kleene-iterated (least from the empty set, greatest
+# from the full space).  The closures hold only what the rules read off the
+# program -- guard masks and assignment successor tables -- never its profile.
+#
+# An assignment's step is chosen when it is compiled, at rows_table's switch:
+# up to _LOOPED states, a loop over the pairs (1 << i, 1 << succ[i]); above,
+# passes over the successor table, linear in n, where the pairs would take
+# about n^2/8 bytes.  The preimage of c reads c's flag at each state's
+# successor; the image marks the successors of the selected states in a
+# bytearray, and dslp is the complement of the image of the complement.
 
 
 @lru_cache(maxsize=1 << 16)
-def _rules(p: Program, space: StateSpace) -> tuple:
-    """p's rule chain over the space; sub-programs are looked up here too,
-    so the chains of shared sub-programs are built once."""
-    if isinstance(p, Seq):
-        chain = []
-        for q in _syntax.statements(p):
-            chain += _rules(q, space)
-        return tuple(chain)
-    if isinstance(p, Skip):
-        return ()
-    if isinstance(p, Diverge):
-        return ((_DIVERGE,),)
-    if isinstance(p, Assign):
-        succ = _syntax.assign_table(p.var, p.expr, space)
-        return ((_ASSIGN, tuple((1 << i, 1 << j) for i, j in enumerate(succ))),)
-    if isinstance(p, Choice):
-        return ((_CHOICE, _rules(p.left, space), _rules(p.right, space)),)
-    if isinstance(p, (Ite, While)):
-        g = guard_to_predicate(p.guard, space).bits
-        if isinstance(p, Ite):
-            return ((_ITE, g, space.full_mask ^ g,
-                     _rules(p.then, space), _rules(p.orelse, space)),)
-        return ((_WHILE, g, space.full_mask ^ g, _rules(p.body, space)),)
-    raise TypeError(f"not a program: {p!r}")
+def _compile(p: Program, space: StateSpace) -> tuple:
+    """p's closures (backward, forward) over the space; sub-programs are
+    compiled through here too, so shared sub-programs are compiled once."""
+    rule = _COMPILERS.get(type(p))
+    if rule is None:
+        raise TypeError(f"not a program: {p!r}")
+    return rule(p, space)
 
 
-def _backward(kind: TransformerKind, chain: tuple, c: int, full: int) -> int:
-    for step in reversed(chain):
-        tag = step[0]
-        if tag == _ASSIGN:
-            bits = 0
-            for bit, succ_bit in step[1]:
-                if c & succ_bit:
-                    bits |= bit
-            c = bits
-        elif tag == _CHOICE:
-            a = _backward(kind, step[1], c, full)
-            b = _backward(kind, step[2], c, full)
-            c = a | b if kind.angelic else a & b
-        elif tag == _ITE:
-            _, g, not_g, then, orelse = step
-            c = g & _backward(kind, then, c, full) | not_g & _backward(kind, orelse, c, full)
-        elif tag == _WHILE:
-            _, g, not_g, body = step
-            done = not_g & c
-            x = full if kind.liberal else 0
-            for _ in range(full.bit_length() + 2):
-                nxt = done | g & _backward(kind, body, x, full)
-                if nxt == x:
-                    break
-                x = nxt
-            else:
-                raise InvariantError("fixpoint iteration failed to stabilize")
-            c = x
-        else:   # diverge
-            c = full if kind.liberal else 0
+def _skip_backward(c, angelic, liberal):
     return c
 
 
-def _forward(angelic: bool, chain: tuple, b: int, full: int) -> int:
-    # only ASP (angelic) and DSLP have direct rules; DSP and ASLP are combinations
-    for step in chain:
-        tag = step[0]
-        if tag == _ASSIGN:
+def _skip_forward(b, angelic):
+    return b
+
+
+_SKIP = (_skip_backward, _skip_forward)
+
+
+def _diverge(p: Diverge, space: StateSpace) -> tuple:
+    full = space.full_mask
+
+    def backward(c, angelic, liberal):
+        return full if liberal else 0
+
+    def forward(b, angelic):
+        return 0 if angelic else full
+
+    return backward, forward
+
+
+def _assign(p: Assign, space: StateSpace) -> tuple:
+    n, full = space.size, space.full_mask
+    succ = _syntax.assign_table(p.var, p.expr, space)
+    if n <= _LOOPED:
+        pairs = tuple((1 << i, 1 << j) for i, j in enumerate(succ))
+
+        def backward(c, angelic, liberal):
+            bits = 0
+            for bit, succ_bit in pairs:
+                if c & succ_bit:
+                    bits |= bit
+            return bits
+
+        def forward(b, angelic):
             acc = 0
             if angelic:   # asp: reachable from b
-                for bit, succ_bit in step[1]:
+                for bit, succ_bit in pairs:
                     if b & bit:
                         acc |= succ_bit
-                b = acc
-            else:         # dslp: not reachable from outside b
-                for bit, succ_bit in step[1]:
-                    if not b & bit:
-                        acc |= succ_bit
-                b = full ^ acc
-        elif tag == _CHOICE:
-            a = _forward(angelic, step[1], b, full)
-            d = _forward(angelic, step[2], b, full)
-            b = a | d if angelic else a & d
-        elif tag == _ITE:
-            _, g, not_g, then, orelse = step
+                return acc
+            for bit, succ_bit in pairs:   # dslp: not reachable from outside b
+                if not b & bit:
+                    acc |= succ_bit
+            return full ^ acc
+
+        return backward, forward
+
+    succ = tuple(succ)
+
+    def backward(c, angelic, liberal):
+        return _space.mask_of(bytes(map(_space.flag_bytes(c, n).__getitem__, succ)))
+
+    def image(b):
+        marks = bytearray(n)
+        for j in compress(succ, _space.flag_bytes(b, n)):
+            marks[j] = 1
+        return _space.mask_of(marks)
+
+    def forward(b, angelic):
+        return image(b) if angelic else full ^ image(full ^ b)
+
+    return backward, forward
+
+
+def _seq(p: Seq, space: StateSpace) -> tuple:
+    steps = [_compile(q, space) for q in _syntax.statements(p) if type(q) is not Skip]
+    if len(steps) < 2:
+        return steps[0] if steps else _SKIP
+    backs = tuple(backward for backward, _ in reversed(steps))
+    fores = tuple(forward for _, forward in steps)
+
+    def backward(c, angelic, liberal):
+        for step in backs:
+            c = step(c, angelic, liberal)
+        return c
+
+    def forward(b, angelic):
+        for step in fores:
+            b = step(b, angelic)
+        return b
+
+    return backward, forward
+
+
+def _choice(p: Choice, space: StateSpace) -> tuple:
+    left_backward, left_forward = _compile(p.left, space)
+    right_backward, right_forward = _compile(p.right, space)
+
+    def backward(c, angelic, liberal):
+        a = left_backward(c, angelic, liberal)
+        b = right_backward(c, angelic, liberal)
+        return a | b if angelic else a & b
+
+    def forward(b, angelic):
+        a = left_forward(b, angelic)
+        d = right_forward(b, angelic)
+        return a | d if angelic else a & d
+
+    return backward, forward
+
+
+def _ite(p: Ite, space: StateSpace) -> tuple:
+    g = guard_to_predicate(p.guard, space).bits
+    not_g = space.full_mask ^ g
+    then_backward, then_forward = _compile(p.then, space)
+    else_backward, else_forward = _compile(p.orelse, space)
+
+    def backward(c, angelic, liberal):
+        return (g & then_backward(c, angelic, liberal)
+                | not_g & else_backward(c, angelic, liberal))
+
+    def forward(b, angelic):
+        if angelic:
+            return then_forward(g & b, True) | else_forward(not_g & b, True)
+        return then_forward(not_g | b, False) & else_forward(g | b, False)
+
+    return backward, forward
+
+
+def _while(p: While, space: StateSpace) -> tuple:
+    full = space.full_mask
+    g = guard_to_predicate(p.guard, space).bits
+    not_g = full ^ g
+    body_backward, body_forward = _compile(p.body, space)
+    rounds = range(full.bit_length() + 2)
+
+    def backward(c, angelic, liberal):
+        done = not_g & c
+        x = full if liberal else 0
+        for _ in rounds:
+            nxt = done | g & body_backward(x, angelic, liberal)
+            if nxt == x:
+                return x
+            x = nxt
+        raise InvariantError("fixpoint iteration failed to stabilize")
+
+    def forward(b, angelic):
+        y = 0 if angelic else full
+        for _ in rounds:
             if angelic:
-                b = _forward(True, then, g & b, full) | _forward(True, orelse, not_g & b, full)
+                nxt = b | body_forward(g & y, True)
             else:
-                b = _forward(False, then, not_g | b, full) & _forward(False, orelse, g | b, full)
-        elif tag == _WHILE:
-            _, g, not_g, body = step
-            y = 0 if angelic else full
-            for _ in range(full.bit_length() + 2):
-                if angelic:
-                    nxt = b | _forward(True, body, g & y, full)
-                else:
-                    nxt = b & _forward(False, body, not_g | y, full)
-                if nxt == y:
-                    break
-                y = nxt
-            else:
-                raise InvariantError("fixpoint iteration failed to stabilize")
-            b = not_g & y if angelic else g | y
-        else:   # diverge
-            b = 0 if angelic else full
-    return b
+                nxt = b & body_forward(not_g | y, False)
+            if nxt == y:
+                return not_g & y if angelic else g | y
+            y = nxt
+        raise InvariantError("fixpoint iteration failed to stabilize")
+
+    return backward, forward
+
+
+_COMPILERS = {Skip: lambda p, space: _SKIP, Diverge: _diverge, Assign: _assign, Seq: _seq,
+              Choice: _choice, Ite: _ite, While: _while}
 
 
 def inductive_transform(kind: TransformerKind, p: Program, q: Predicate) -> Predicate:
     """Structural-recursion route; must equal oracle_transform on all inputs."""
     space = q.space
-    chain = _rules(p, space)
-    full = space.full_mask
+    backward, forward = _compile(p, space)
     if kind.backward:
-        return Predicate(space, _backward(kind, chain, q.bits, full))
+        return Predicate(space, backward(q.bits, kind.angelic, kind.liberal))
     if kind is TransformerKind.ASP or kind is TransformerKind.DSLP:
-        return Predicate(space, _forward(kind.angelic, chain, q.bits, full))
-    asp = _forward(True, chain, q.bits, full)
-    dslp = _forward(False, chain, q.bits, full)
+        return Predicate(space, forward(q.bits, kind.angelic))
+    asp = forward(q.bits, True)
+    dslp = forward(q.bits, False)
     return Predicate(space, asp & dslp if kind is TransformerKind.DSP else asp | dslp)
 
 

@@ -8,8 +8,10 @@ are equal, `repr` is `Name(field=value, ...)`, and pickling rebuilds a value
 through `__init__` from its field tuple, so derived attributes are computed
 again, never carried.  `Frozen` adds the hash of the field tuple and refuses
 assignment and deletion with `AttributeError`; its `__init__` sets each slot
-with `setfield`.  Nothing is generated when a class is defined, so
-defining one costs no more than defining any other class.
+with `setfield`, except `space.Predicate`'s, which calls the slot
+descriptors' `__set__` directly, as both engines build one per call.
+Nothing is generated when a class is defined, so defining one costs no more
+than defining any other class.
 """
 
 from operator import attrgetter

@@ -91,18 +91,22 @@ class TestTransform:
                      "--pred", "x = 0", choice01]) == 0
 
     def test_every_kind_matches_the_oracle_reference_at_scale(self, tmp_path, capsys):
-        name, text = SCALE
-        path = tmp_path / f"{name}.ngcl"
-        path.write_text(text, encoding="utf-8")
-        space, program = parse_module(text)
-        for kind, guard in product(TransformerKind, ("true", "x = 0", "y != 1 || z = 2")):
-            assert main(["transform", "--kind", kind.value, "--engine", "both",
-                         "--pred", guard, str(path)]) == 0
-            want = _reference(kind, program, _guard(guard, space))
-            states = ", ".join(space.render_states(want.indices()))
-            line = ("{} (no states)" if want.is_empty
-                    else f"{{{states}}} ({want.count} of {space.size} states)")
-            assert capsys.readouterr().out == line + "\n", (kind, guard)
+        # all three are above the size switch, where the inductive engine's
+        # assignments step over their successor tables
+        for name, text in (SCALE,
+                           ("countdown343", "vars x, y, z mod 7\nwhile x != 0 { x := x - 1 }\n"),
+                           ("increment343", "vars x, y, z mod 7\nx := x + 1\n")):
+            path = tmp_path / f"{name}.ngcl"
+            path.write_text(text, encoding="utf-8")
+            space, program = parse_module(text)
+            for kind, guard in product(TransformerKind, ("true", "x = 0", "y != 1 || z = 2")):
+                assert main(["transform", "--kind", kind.value, "--engine", "both",
+                             "--pred", guard, str(path)]) == 0
+                want = _reference(kind, program, _guard(guard, space))
+                states = ", ".join(space.render_states(want.indices()))
+                line = ("{} (no states)" if want.is_empty
+                        else f"{{{states}}} ({want.count} of {space.size} states)")
+                assert capsys.readouterr().out == line + "\n", (name, kind, guard)
 
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.ngcl"

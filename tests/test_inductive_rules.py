@@ -1,7 +1,7 @@
 """The staged inductive engine against the AST-walking rules it replaced.
 
-`inductive_transform` compiles each (program, space) once into a rule chain
-and applies the Dijkstra-style rules to that.  The reference below applies the
+`inductive_transform` compiles each (program, space) once into closures that
+apply the Dijkstra-style rules.  The reference below applies the
 same rules straight to the AST, re-tabulating guards and assignments at every
 step, as the engine used to; the two must agree on every input.
 """
@@ -188,7 +188,7 @@ def test_staged_engine_never_reads_the_profile(monkeypatch):
 
     monkeypatch.setattr(semantics, "profile", forbidden)
     monkeypatch.setattr(transformers, "profile", forbidden)
-    transformers._rules.cache_clear()
+    transformers._compile.cache_clear()
     rng = random.Random(4713)
     for p in list(exhaustive_programs(X2, max_depth=2))[::5]:
         _assert_agrees(p, list(all_predicates(X2)))
@@ -198,14 +198,64 @@ def test_staged_engine_never_reads_the_profile(monkeypatch):
         transformers.oracle_transform(K.AWP, Skip(), Predicate(X2, 1))
 
 
-def test_rule_chain_is_built_once_per_program_and_space():
-    transformers._rules.cache_clear()
+def test_program_is_compiled_once_per_program_and_space():
+    transformers._compile.cache_clear()
     p = parse_program("x := x + 1 ; { skip } [] { x := x + 1 }", XY3)
     for q in list(all_predicates(XY3))[:5]:
         for kind in K:
             inductive_transform(kind, p, q)
-    info = transformers._rules.cache_info()
+    info = transformers._compile.cache_info()
     # p itself, `x := x + 1`, the choice and its `skip`: one miss each; the
-    # choice's `x := x + 1` is the first one's chain, and every later call hits
+    # choice's `x := x + 1` is the first one's closures, and every later call hits
     assert info.misses == 4
     assert info.hits == 1 + (5 * len(K) - 1)
+
+
+# --- both sides of the assignment step's size switch -----------------------------
+
+SWITCH = semantics._LOOPED
+
+
+def _tables(n, rng):
+    """Seeded successor tables over n states: random, constant, a rotation
+    (a permutation) and one onto a few states."""
+    few = [rng.randrange(n) for _ in range(3)]
+    return ([rng.randrange(n) for _ in range(n)], [rng.randrange(n)] * n,
+            [(i + 1) % n for i in range(n)], [rng.choice(few) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [SWITCH - 1, SWITCH, SWITCH + 1, 2 * SWITCH])
+def test_linear_assignment_step_matches_the_pairs_loop(monkeypatch, n):
+    """An assignment with a seeded successor table, compiled once with the
+    pairs loop and once with the linear passes: every kind equals the
+    preimage and image read off the table, for the four backward kinds, asp
+    and dslp, and their dsp and aslp combinations."""
+    space = StateSpace(("x",), n)
+    full = space.full_mask
+    p = parse_program("x := x + 1", space)
+    rng = random.Random(9090 + n)
+    try:
+        for table in _tables(n, rng):
+            monkeypatch.setattr(transformers._syntax, "assign_table",
+                                lambda var, expr, space, table=table: iter(table))
+
+            def pre(c):
+                return sum(1 << i for i, j in enumerate(table) if c >> j & 1)
+
+            def img(b):
+                return sum(1 << j for j in {j for i, j in enumerate(table) if b >> i & 1})
+
+            for looped in (n, n - 1):   # pairs loop, linear passes
+                monkeypatch.setattr(transformers, "_LOOPED", looped)
+                transformers._compile.cache_clear()
+                for q in (0, full, rng.getrandbits(n), rng.getrandbits(n),
+                          1 << rng.randrange(n)):
+                    asp, dslp = img(q), full ^ img(full ^ q)
+                    want = {K.AWP: pre(q), K.DWP: pre(q), K.AWLP: pre(q), K.DWLP: pre(q),
+                            K.ASP: asp, K.DSLP: dslp, K.DSP: asp & dslp, K.ASLP: asp | dslp}
+                    for kind in K:
+                        got = inductive_transform(kind, p, Predicate(space, q)).bits
+                        assert got == want[kind], (n, looped, kind.value)
+    finally:
+        # the closures compiled from the seeded tables must not outlive the test
+        transformers._compile.cache_clear()

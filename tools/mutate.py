@@ -14,8 +14,10 @@ three transformer facts the taxonomy is derived from misstated (an ordering,
 a negation dual or an adjunction), the search's `-contra` legs read as
 their representatives, a `;` chain's spine hashed one link deep, compared
 without its statements, or listed out of order when it nests to the left, the
-inductive engine's choice, forward `if` or loop rule bent, a compiled `!`
-or `<` or the assignment table wrong, a usage error given exit code 3,
+inductive engine's choice, forward `if` or loop rule bent, its linear
+assignment step above the size switch reading the flags of the complement,
+marking the selected states rather than their successors or leaving dslp
+uncomplemented, a compiled `!` or `<` or the assignment table wrong, a usage error given exit code 3,
 the value types' shared base comparing values of two classes, hashing a node
 without its class, allowing assignment or pickling one field short, a
 command's own parser short of an argument or never used, a relation's domain
@@ -333,14 +335,26 @@ MUTANTS = (
     ), "test_values.py"),
     # the inductive engine's rules
     Mutant("the backward rules join a demonic choice with |", "transformers.py", (
-        ("c = a | b if kind.angelic else a & b", "c = a | b"),
+        ("return a | b if angelic else a & b", "return a | b"),
     ), "test_inductive_rules.py"),
     Mutant("the demonic forward `if` swaps the guard and its complement", "transformers.py", (
-        ("_forward(False, then, not_g | b, full) & _forward(False, orelse, g | b, full)",
-         "_forward(False, then, g | b, full) & _forward(False, orelse, not_g | b, full)"),
+        ("then_forward(not_g | b, False) & else_forward(g | b, False)",
+         "then_forward(g | b, False) & else_forward(not_g | b, False)"),
     ), "test_inductive_rules.py"),
     Mutant("a backward loop starts every kind from the full space", "transformers.py", (
-        ("x = full if kind.liberal else 0", "x = full"),
+        ("x = full if liberal else 0", "x = full"),
+    ), "test_inductive_rules.py"),
+    # the assignment step above the size switch: killed by the tests of both
+    # sides of the switch, on seeded successor tables
+    Mutant("the linear preimage reads the flags of ~c", "transformers.py", (
+        ("_space.flag_bytes(c, n).__getitem__", "_space.flag_bytes(full ^ c, n).__getitem__"),
+    ), "test_inductive_rules.py"),
+    Mutant("the linear image marks the selected states, not their successors",
+           "transformers.py", (
+        ("compress(succ, _space.flag_bytes(b, n))", "compress(range(n), _space.flag_bytes(b, n))"),
+    ), "test_inductive_rules.py"),
+    Mutant("the linear dslp drops its complement", "transformers.py", (
+        ("else full ^ image(full ^ b)", "else image(full ^ b)"),
     ), "test_inductive_rules.py"),
     # the compiled guards and the shared assignment table
     Mutant("a compiled `!` drops the complement", "syntax.py", (

@@ -3,16 +3,20 @@
 Each point writes one program over `vars x, y, z mod m` (n = m^3 states): the
 countdown `while x != 0 { x := x - 1 }` (default); `diverge` with
 `--program diverge`, where every state may diverge and no state terminates;
-the permutation `x := x + 1` with `--program increment`; or, with `--program
-branch` and `--program choice`, an assignment beside `diverge` in an `if` and
-a `[]` of assignments before `diverge`, whose relations are nearly empty.
-Each row of the increment's relation is an int with one bit somewhere in
-0..n-1, so the rows take about n^2/16 bytes (1 GB at n = 125 000): its
-default sweep stops at m = 40 (n = 64 000).  It runs, in a
-new interpreter,
+the permutation `x := x + 1` with `--program increment`; the function of
+every variable `x := x + y + z + 1` with `--program full`; or, with
+`--program branch` and `--program choice`, an assignment beside `diverge` in
+an `if` and a `[]` of assignments before `diverge`, whose relations are nearly
+empty.  Each row of the increment's relation, and of full's, is an int with
+one bit somewhere in 0..n-1, so the rows take about n^2/16 bytes (1 GB at
+n = 125 000): their default sweep stops at m = 40 (n = 64 000).  It runs, in
+a new interpreter,
 
     transform --kind dwp --pred "x = 0"                       (default)
     check --logic dwp-lb --pre "true" --post "x = 0"          (--command check)
+
+`--engine inductive` or `--engine both` is passed on to `transform`, whose
+default engine is the oracle.
 
 It prints one row per point: n, wall time, peak RSS of the child, its exit
 code and the first 12 hex digits of the SHA-256 of its standard output.  An
@@ -26,6 +30,8 @@ that is killed.  Standard library only; Linux (peak RSS comes from wait4).
     python3 tools/sweep.py --command check
     python3 tools/sweep.py --program diverge
     python3 tools/sweep.py --program increment
+    python3 tools/sweep.py --program full
+    python3 tools/sweep.py --engine both            # the engines cross-checked
     python3 tools/sweep.py --program branch
     python3 tools/sweep.py --moduli 101            # a single point
     python3 tools/sweep.py --src ../other/src      # another checkout's ngclab
@@ -49,10 +55,12 @@ PROGRAMS = {
     "countdown": "while x != 0 { x := x - 1 }",
     "diverge": "diverge",
     "increment": "x := x + 1",
+    "full": "x := x + y + z + 1",
     "branch": "if x = 0 { y := y + 1 } else { diverge }",
     "choice": "{ x := x + 1 } [] { skip } ; diverge",
 }
-INCREMENT_MODULI = tuple(m for m in MODULI if m <= 40)    # memory, see above
+SPREAD_MODULI = tuple(m for m in MODULI if m <= 40)    # memory, see above
+SPREAD = ("increment", "full")
 COMMANDS = {
     "transform": ["transform", "--kind", "dwp", "--pred", "x = 0"],
     "check": ["check", "--logic", "dwp-lb", "--pre", "true", "--post", "x = 0"],
@@ -84,23 +92,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--command", choices=sorted(COMMANDS), default="transform")
     parser.add_argument("--program", choices=sorted(PROGRAMS), default="countdown")
+    parser.add_argument("--engine", choices=["oracle", "inductive", "both"], default="oracle",
+                        help="transform's engine")
     parser.add_argument("--moduli", type=lambda s: [int(m) for m in s.split(",")],
                         help="comma-separated moduli m (n = m^3); default "
                              + ",".join(map(str, MODULI)) + ", and "
-                             + ",".join(map(str, INCREMENT_MODULI)) + " for increment")
+                             + ",".join(map(str, SPREAD_MODULI)) + " for "
+                             + " and ".join(SPREAD))
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the ngclab package to run")
     args = parser.parse_args(argv)
+    if args.engine != "oracle" and args.command != "transform":
+        parser.error("--engine applies to the transform command only")
     if args.moduli is None:
-        args.moduli = INCREMENT_MODULI if args.program == "increment" else MODULI
+        args.moduli = SPREAD_MODULI if args.program in SPREAD else MODULI
+    command = COMMANDS[args.command]
+    if args.engine != "oracle":
+        command = command + ["--engine", args.engine]
     print(f"{'n':>9}  {'wall_s':>8}  {'peak_rss_mb':>11}  exit  stdout_sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.moduli:
             path = Path(tmp) / f"{args.program}_{m}.ngcl"
             path.write_text(f"vars x, y, z mod {m}\n{PROGRAMS[args.program]}\n")
             wall, rss, code, digest, err = run_point(
-                args.src.resolve(), COMMANDS[args.command] + [str(path)], 10 * LIMIT_S)
+                args.src.resolve(), command + [str(path)], 10 * LIMIT_S)
             note = f"  {err}" if code else ""
             print(f"{m ** 3:>9}  {wall:>8.2f}  {rss:>11.0f}  {code:>4}  {digest}{note}",
                   flush=True)
