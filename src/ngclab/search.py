@@ -9,14 +9,17 @@ distinct: for a true equivalence (a real Galois connection) no budget ever
 suffices, and the caller needs to know the search was honest.
 
 One loop, `_drive`, counts the candidates of every kind of claim.  Each kind
-supplies a stream of per-program blocks: the program is profiled once.  A
-block's verdicts depend only on the program's semantic class (its profile:
-relation rows and may-divergence), so within one call the candidates are
-scanned once per class for the first refuting one, and a later program of
-the class costs one comparison of that hit against the budget left.  The memo lives and
-dies with the call, so a caller that clears the caches starts cold.  Verdicts
-come from the logics' kernel and the equation catalog, both over the
-profile's transformer tables.
+supplies a stream of per-program blocks.  The programs come with their
+profiles from `semantics.profiles`, which composes only the first program
+of each (constructor, guard, parts' profiles) key: every part of an
+enumerated program comes earlier in the enumeration.  A block's verdicts
+depend only on the program's semantic class (its profile: relation rows and
+may-divergence), so within one call the candidates are scanned once per
+class for the first refuting one, and a later program of the class costs
+one comparison of that hit against the budget left.  The memo lives and
+dies with the call, so a caller that clears the caches starts cold.
+Verdicts come from the logics' kernel and the equation catalog, both over
+the profile's transformer tables.
 `SearchResult.stats` counts the programs drawn and their classes.
 """
 
@@ -36,7 +39,7 @@ from .logics import (
     INTERSECTION_LOGIC,
     LogicId, syntactic_choice,
 )
-from .semantics import Profile, profile
+from .semantics import Profile, profiles
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Program, pretty_program
 from .topkat import EQUATIONS, catalog_values
@@ -166,14 +169,15 @@ def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], o
     """Each enumerated program with the value `make(prof, npred)` of its
     semantic class, given its space's predicate count: its profile is all
     that a block's verdicts read (predicates are indexed by their bits).
-    The value is made once per profile, one object per class and space, and
-    kept for this search only.  Counts programs and classes into `stats`."""
+    The profiles are read lazily off the stream classifier, as `_drive`
+    stops at the budget.  The value is made once per profile, one object per
+    class and space, and kept for this search only.  Counts programs and
+    classes into `stats`."""
     memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
         preds = list(all_predicates(space))
-        for p in exhaustive_programs(space, config.max_depth):
-            prof = profile(p, space)
+        for p, prof in profiles(exhaustive_programs(space, config.max_depth), space):
             stats["programs"] += 1
             value = memo.get(prof)
             if value is None:

@@ -29,6 +29,11 @@ relation's images and preimages (`rows_table`, which fixes the positions of
 the eight results in a table).  A table, and the class's reachable states
 and its final states with more than one initial state, are derived only
 when first read.
+
+A profile is compositional: the constructor, the guard and the parts'
+profiles fix it.  `profiles`, the stream classifier, uses that on a stream
+of programs whose parts come earlier in the stream, as in an enumeration:
+the composer runs once per (constructor, guard, parts' profiles) key.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat, zip_longest
 from operator import and_, getitem, itemgetter, or_
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import space as _space  # for its bit and flag helpers; see relations.py
 from . import syntax as _syntax  # for statements and assign_table, likewise
@@ -456,3 +461,41 @@ def profile(p: Program, space: StateSpace) -> Profile:
 @lru_cache(maxsize=1 << 18)
 def _class(space: StateSpace, rows: tuple[int, ...], may_div: int) -> Profile:
     return Profile(space, Relation(space.size, rows), may_div)
+
+
+def profiles(programs: Iterable[Program], space: StateSpace) -> Iterator[tuple[Program, Profile]]:
+    """Each program of the stream with its profile over the space.  A profile
+    depends only on the constructor, its other fields (the guard) and the
+    parts' profiles, so a program whose parts all came earlier in the stream
+    is keyed by its type, its other fields and its parts' profiles, and only
+    the first program of each key goes through `profile`; a later one gets
+    the key's profile after the budget check its composition would make, on
+    its node count (its parts', plus one unless it is a `;`).  Any other
+    program goes through `profile`.  The memo lives and dies with the stream."""
+    n = space.size
+    seen: dict = {}         # program -> (its profile, its nodes)
+    classes: dict = {}      # key -> profile
+    for p in programs:
+        key, nodes = [type(p)], 0 if type(p) is Seq else 1
+        for field in p._values(p):
+            if isinstance(field, Program):
+                part = seen.get(field)
+                if part is None:        # a part the stream has not met
+                    key = None
+                    break
+                key.append(part[0])
+                nodes += part[1]
+            else:
+                key.append(field)
+        if key is None:
+            prof = profile(p, space)
+            nodes = _meaning(p, space).nodes
+        else:
+            key = tuple(key)
+            prof = classes.get(key)
+            if prof is None:
+                prof = classes[key] = profile(p, space)
+            else:
+                _check_budget(nodes, n)
+        seen[p] = prof, nodes
+        yield p, prof

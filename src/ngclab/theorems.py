@@ -27,7 +27,7 @@ from .logics import (
     INTERSECTION_LOGIC, UNION_LOGIC,
     Bound, syntactic_choice,
 )
-from .semantics import profile
+from .semantics import profile, profiles
 from .space import Predicate, StateSpace
 from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
@@ -111,6 +111,18 @@ def corpus_items(
             for p in generate_programs(corpus.programs)
         )
     raise ValueError(f"unknown predicate mode {corpus.predicate_mode!r}")
+
+
+@lru_cache(maxsize=4)
+def corpus_classes(corpus: CorpusConfig) -> tuple[int, ...]:
+    """Per program of `corpus_items`, the index of the first program with its
+    profile (its semantic class), the profiles read off the stream
+    classifier.  Built once per corpus; only the indices are kept, so a
+    profile cleared from the composer's caches is composed again when read."""
+    space = corpus.space()
+    first: dict = {}        # profile -> index of its first program
+    return tuple(first.setdefault(prof, i) for i, (_, prof) in enumerate(
+        profiles((p for p, _ in corpus_items(corpus)), space)))
 
 
 class Verdict(Value):
@@ -348,21 +360,23 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     triple outside the assumption filter that breaks the bare equality.
 
     The corpus is walked in order.  Where every program is checked on the
-    same (pre, post) pairs, each semantic class -- a profile, plus the
-    program's choice-freedom for the determinism collapse, whose assumption
-    reads the text -- is checked once: a later program of the class adds
-    only to the counts, since every answer would repeat.  The stats count
-    the programs, the triples and the classes checked.
+    same (pre, post) pairs, only the first program of each semantic class
+    is checked, as every answer of a later one would repeat: the classes
+    are `corpus_classes`, refined by choice-freedom for the determinism
+    collapse, whose assumption reads the text, and the counts of programs
+    and triples up to a failing triple are read off the indices.  A sampled
+    corpus checks every program on its own pairs.  The stats count the
+    programs, the triples and the classes checked.
     """
     space = corpus.space()
     full = space.full_mask
     started = time.perf_counter()
     programs = 0
     triples = 0
-    checked: set = set()    # the (profile, choice-freedom) classes met
+    classes = 0
 
     def stats() -> dict:
-        return {"programs": programs, "triples": triples, "classes": len(checked),
+        return {"programs": programs, "triples": triples, "classes": classes,
                 "elapsed_s": round(time.perf_counter() - started, 3)}
 
     if theorem == "REMARK_DIVERGING":
@@ -371,24 +385,35 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
         holds_ = t_a.relation == t_b.relation and t_a[0][AWLP] != t_b[0][AWLP]
         witness = None if holds_ else _witness(
             branching, space, "collecting semantics or liberal precondition mismatch")
-        programs, triples = 2, 1
-        checked = {t_a, t_b}
+        programs, triples, classes = 2, 1, len({t_a, t_b})
         return Verdict(theorem, holds_, witness, stats())
 
     if theorem not in _CHECKS:
         raise unknown_name("theorem", theorem)
     check = _CHECKS[theorem]
     syntactic = theorem == "DETERMINISM_COLLAPSE"
+    items = corpus_items(corpus)
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all
+    if shared_pairs:
+        firsts = corpus_classes(corpus)
+        if syntactic:
+            refined: dict = {}
+            firsts = [refined.setdefault((first, syntactic_choice(p) is None), i)
+                      for i, ((p, _), first) in enumerate(zip(items, firsts))]
+        walk = [i for i, first in enumerate(firsts) if first == i]
+    else:
+        walk = range(len(items))
+        checked: set = set()    # the (profile, choice-freedom) classes met
     nonvacuity = None
-    for p, pairs in corpus_items(corpus):
-        programs += 1
+    for k, i in enumerate(walk):
+        p, pairs = items[i]
         t = profile(p, space)
         free = syntactic and syntactic_choice(p) is None
-        if shared_pairs and (t, free) in checked:
-            triples += len(pairs)
-            continue
-        checked.add((t, free))
+        if shared_pairs:        # every program before i repeats a class met
+            programs, triples, classes = i + 1, i * len(pairs), k + 1
+        else:
+            checked.add((t, free))
+            programs, classes = i + 1, len(checked)
         for b, c in pairs:
             triples += 1
             detail = check(t, free, b.bits, c.bits, full)
@@ -399,6 +424,8 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
                     nonvacuity = _witness(p, space, detail, b, c)
                 continue
             return Verdict(theorem, False, _witness(p, space, detail, b, c), stats())
+    if shared_pairs and items:
+        programs, triples, classes = len(items), len(items) * len(items[0][1]), len(walk)
     return Verdict(theorem, True, None, stats(), nonvacuity)
 
 

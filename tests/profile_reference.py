@@ -11,10 +11,13 @@ with the composer.  The graph's nodes are the configurations
 node's successors.  On a finite, finitely branching graph an infinite
 execution exists from a configuration iff that configuration can reach a
 node lying on a cycle (a lasso).
+
+`stream_keys` restates, program by program, the key by which
+`semantics.profiles` classifies a stream.
 """
 
 from ngclab.errors import BudgetExceededError
-from ngclab.semantics import DEFAULT_NODE_BUDGET
+from ngclab.semantics import DEFAULT_NODE_BUDGET, profile
 from ngclab.space import StateSpace, flag_string, mask_of
 from ngclab.syntax import (
     Assign,
@@ -229,3 +232,19 @@ def final_and_divergent(points: Points, node_budget: int) -> tuple[list[int], in
         rows.append(finals[w])
         flags.append(cyclic[w])
     return rows, mask_of(flags)
+
+
+def stream_keys(programs, space: StateSpace) -> list:
+    """The key of each program of a stream: its type, its other fields and
+    its parts' profiles when every part came earlier in the stream, else the
+    program itself, which no other program shares."""
+    seen, keys = set(), []
+    for p in programs:
+        fields = p._values(p)
+        if all(f in seen for f in fields if isinstance(f, Program)):
+            keys.append((type(p), *(profile(f, space) if isinstance(f, Program) else f
+                                    for f in fields)))
+        else:
+            keys.append(("unkeyed", p))
+        seen.add(p)
+    return keys

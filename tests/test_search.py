@@ -22,6 +22,7 @@ from ngclab.topkat import check_equation
 from ngclab.transformers import TransformerKind, oracle_transform
 
 from oracle_reference import converse, oracle_bits
+from profile_reference import stream_keys
 
 
 # --- reference: one candidate triple at a time, as the search used to run -----
@@ -242,19 +243,34 @@ def test_search_matches_reference_loop_on_mod_3():
         assert _outcome(find_counterexample(claim, config)) == _ref_search(claim, config)
 
 
-def test_each_enumerated_program_is_profiled_once(monkeypatch):
-    calls = []
+def test_each_enumerated_program_is_classified_with_one_composer_run_per_key(monkeypatch):
+    drawn, composed = [], []
+    real_profiles, real_profile = semantics.profiles, semantics.profile
+
+    def recording(programs, space):
+        for p, prof in real_profiles(programs, space):
+            drawn.append((p, prof))
+            yield p, prof
 
     def counting(p, space):
-        calls.append(p)
-        return profile(p, space)
+        composed.append(p)
+        return real_profile(p, space)
 
-    monkeypatch.setattr(search, "profile", counting)
+    monkeypatch.setattr(search, "profiles", recording)
+    monkeypatch.setattr(semantics, "profile", counting)
     result = find_counterexample("galois-pc", SearchConfig(budget=1681))
+    monkeypatch.undo()
     assert result.outcome == "budget-exhausted"
     # 105 whole blocks of 16 and one candidate of the 106th
     space = StateSpace(("x",), 2)
-    assert tuple(calls) == _ref_programs(space, 3)[:106]
+    programs = [p for p, _ in drawn]
+    assert tuple(programs) == _ref_programs(space, 3)[:106]
+    assert all(prof is profile(p, space) for p, prof in drawn)
+    # the composer ran on the first program of each key, and on no other
+    firsts: dict = {}
+    for p, key in zip(programs, stream_keys(programs, space)):
+        firsts.setdefault(key, p)
+    assert composed == list(firsts.values()) and len(composed) < len(programs)
 
 
 def test_lazy_enumeration_keeps_the_frontier_set_order():

@@ -9,14 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngclab import BudgetExceededError, Predicate, StateSpace, parse_program
-from ngclab import semantics
-from ngclab.generators import GeneratorConfig, generate_programs, random_program
+from ngclab import CorpusConfig, check_theorem, find_counterexample
+from ngclab import search, semantics, theorems
+from ngclab.cli import main
+from ngclab.generators import (
+    GeneratorConfig, exhaustive_programs, generate_programs, random_program,
+)
 from ngclab.relations import Relation
 from ngclab.syntax import Seq
 from ngclab.semantics import profile
 from ngclab.transformers import TransformerKind, inductive_transform, oracle_transform
 from oracle_reference import pre
-from profile_reference import Points, final_and_divergent, reference_profile
+from profile_reference import Points, final_and_divergent, reference_profile, stream_keys
 
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
@@ -421,6 +425,88 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match=r"^states x program nodes = 3 x 4 exceeds the budget of 11$"):
         profile.__wrapped__(p, SPACE)           # refused before the `;` composes
+
+
+# --- the stream classifier -----------------------------------------------------
+
+@pytest.mark.parametrize("variables, modulus, depth, loops", [
+    (("x",), 2, 3, False),      # 44 105 programs
+    (("x", "y"), 2, 2, True),
+])
+def test_the_stream_classifier_composes_once_per_key(monkeypatch, variables, modulus,
+                                                      depth, loops):
+    space = StateSpace(variables, modulus)
+    programs = list(exhaustive_programs(space, depth, loops))
+    composed, real = [], semantics.profile
+
+    def counting(p, space):
+        composed.append(p)
+        return real(p, space)
+
+    monkeypatch.setattr(semantics, "profile", counting)
+    got = list(semantics.profiles(programs, space))
+    monkeypatch.undo()
+    assert [p for p, _ in got] == programs
+    assert all(prof is profile(p, space) for p, prof in got)
+    firsts: dict = {}
+    for p, key in zip(programs, stream_keys(programs, space)):
+        firsts.setdefault(key, p)
+    assert composed == list(firsts.values())
+
+
+def _clear_composer():
+    semantics.profile.cache_clear()
+    semantics._meaning.cache_clear()
+    theorems.corpus_items.cache_clear()
+    theorems.corpus_classes.cache_clear()
+
+
+def test_a_classified_program_is_refused_where_its_composition_would_be(monkeypatch, capsys):
+    """The budget holds for a program whose profile the stream classifier
+    reads off an earlier program's: the search, the survey and the command
+    line refuse the program that composing every program from cold caches
+    refuses first."""
+    space = StateSpace(("x",), 2)
+    programs = list(exhaustive_programs(space, 3))
+    # a program of depth 2 has at most 3 nodes: 2 states x 3 fit, 2 x 4 do not
+    monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 2 * 3)
+    message = "states x program nodes = 2 x 4 exceeds the budget of 6"
+    try:
+        _clear_composer()
+        for index, p in enumerate(programs):
+            try:
+                profile(p, space)
+            except BudgetExceededError as error:
+                assert str(error) == message
+                break
+        assert index > 105
+        keys = stream_keys(programs[:index + 1], space)
+        assert keys[index] in keys[:index]      # the classifier has its profile
+        pulled, real = [], exhaustive_programs
+
+        def pulling(space, depth):
+            for p in real(space, depth):
+                pulled.append(p)
+                yield p
+
+        monkeypatch.setattr(search, "exhaustive_programs", pulling)
+        _clear_composer()
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            find_counterexample("galois-pc")
+        assert pulled[-1] == programs[index]
+        # a corpus that ends with it: the only program over the budget
+        monkeypatch.setattr(theorems, "generate_programs",
+                            lambda config: iter(programs[:index + 1]))
+        _clear_composer()
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            check_theorem("ORDERING", CorpusConfig(GeneratorConfig(("x",), 2, max_depth=3)))
+        monkeypatch.undo()
+        monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 2 * 3)
+        _clear_composer()
+        assert main(["counterexample", "--claim", "galois-pc"]) == 4
+        assert capsys.readouterr().err == f"resource limit: {message}\n"
+    finally:
+        _clear_composer()
 
 
 def test_a_semantic_class_is_one_profile_per_space():

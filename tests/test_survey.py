@@ -312,7 +312,7 @@ def _clear_profiles():
     semantics._class.cache_clear()
 
 
-@pytest.mark.parametrize("name", ["tiny", "loops-sample", "sample-x2"])
+@pytest.mark.parametrize("name", ["tiny", "random-x2", "loops-sample", "sample-x2"])
 def test_fault_gives_the_reference_witnesses(name, dwp_forgets_divergence):
     """Under a planted fault both routes fail on the same first triple, with
     the same counts, and find the same non-vacuity witnesses."""

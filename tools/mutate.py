@@ -20,7 +20,9 @@ marking the selected states rather than their successors or leaving dslp
 uncomplemented, a compiled `!` or `<` or the assignment table wrong, a usage error given exit code 3,
 the value types' shared base comparing values of two classes, hashing a node
 without its class, allowing assignment or pickling one field short, a
-command's own parser short of an argument or never used, a relation's domain
+command's own parser short of an argument or never used, the stream
+classifier keyed without the guard or skipping the budget on a memo hit, the
+survey's counts read one program past a class's first, a relation's domain
 read as its empty rows, a state's values read from the strides in reverse, or
 a printed predicate counting the states outside it.
 For every mutant the script copies `src/` to a temporary directory, plants
@@ -308,6 +310,18 @@ MUTANTS = (
         ("syntactic_choice(p) is not None:",
          "first_syntax.setdefault(id(cls), syntactic_choice(p) is not None):"),
     ), "test_search.py"),
+    # the stream classifier, and the survey's walk over each class's first program
+    Mutant("the stream classifier's key drops the guard", "semantics.py", (
+        ("                key.append(field)\n",
+         "                key.append(None if isinstance(field, _syntax.Guard) else field)\n"),
+    )),
+    Mutant("the stream classifier skips the budget on a memo hit", "semantics.py", (
+        ("            else:\n                _check_budget(nodes, n)\n", ""),
+    )),
+    Mutant("the survey counts from one past a class's first program", "theorems.py", (
+        ("programs, triples, classes = i + 1, i * len(pairs), k + 1",
+         "programs, triples, classes = i + 2, (i + 1) * len(pairs), k + 1"),
+    ), "test_survey.py"),
     # the `;` chain's spine
     Mutant("`Seq`'s hash walks only one link of the spine", "syntax.py", (
         ("while type(p) is Seq and p._h is None:", "if type(p) is Seq and p._h is None:"),
