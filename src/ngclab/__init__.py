@@ -3,9 +3,9 @@
 Programs in a small nondeterministic language get one semantic profile, an
 input-output relation and may-divergence composed from the sub-programs';
 eight weakest-pre / strongest-post transformers are computed both from the
-profile and by structural rules; eighteen triple logics, a relational
-Kleene algebra with top and tests, a theorem survey, and a counterexample
-engine sit on top.
+profile and by structural rules; eighteen triple logics, the equations of
+Kleene algebra with top and tests that they correspond to, a theorem survey,
+and a counterexample engine sit on top.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetExceededError,
     InvariantError,
-    MalformedTermError,
     NgclError,
     NgclSyntaxError,
     SettingError,
@@ -38,14 +37,7 @@ from .search import SearchConfig, SearchResult, appendix_c_claims, find_countere
 from .space import Predicate, State, StateSpace
 from .syntax import guard_to_predicate, pretty_guard, pretty_program
 from .theorems import THEOREM_IDS, CorpusConfig, Verdict, check_theorem, corpus_preset
-from .topkat import (
-    EQUATIONS,
-    check_equation,
-    codomain,
-    compile_kat,
-    domain,
-    eval_kat,
-)
+from .topkat import EQUATIONS, check_equation
 from .transformers import (
     TransformerKind,
     coreachability_class,

@@ -59,10 +59,6 @@ class BudgetExceededError(NgclError):
     prefix, exit_code = "resource limit", 4
 
 
-class MalformedTermError(NgclError):
-    """An algebra term violates a structural side condition."""
-
-
 class InvariantError(NgclError):
     """An internal invariant failed; indicates a bug, not bad input."""
 

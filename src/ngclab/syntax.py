@@ -13,9 +13,10 @@ pickles its spine in a loop, and `statements` lists a chain's statements, so
 a chain of any length never exhausts the recursion limit.  Arithmetic wraps
 mod m, so evaluation is total on every state.
 
-`eval_expr` and `eval_guard` define meaning one `State` at a time and stay
-the reference; `expr_column`, `guard_to_predicate` and `assign_table` compute
-over the space's value columns what they give for every state at once.
+`expr_column`, `guard_to_predicate` and `assign_table` give an expression's
+or guard's meaning over the space's value columns, for every state at once;
+the per-`State` definitions they are checked against are the test reference
+(`tests/profile_reference.py`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import repeat
 from operator import add, eq, le, lt, mul, ne, sub
 
 from . import space as _space  # for mask_of; see relations.py
-from .space import Predicate, State, StateSpace
+from .space import Predicate, StateSpace
 from .values import Frozen, setfield
 
 
@@ -78,24 +79,6 @@ class BinExpr(Expr):
         setfield(self, "left", left)
         setfield(self, "right", right)
         setfield(self, "_h", None)
-
-
-def eval_expr(expr: Expr, state: State) -> int:
-    m = state.space.modulus
-    if isinstance(expr, Const):
-        return expr.value % m
-    if isinstance(expr, Var):
-        return state[expr.name]
-    if isinstance(expr, BinExpr):
-        a = eval_expr(expr.left, state)
-        b = eval_expr(expr.right, state)
-        if expr.op == "+":
-            return (a + b) % m
-        if expr.op == "-":
-            return (a - b) % m
-        if expr.op == "*":
-            return (a * b) % m
-    raise TypeError(f"not an expression: {expr!r}")
 
 
 _BINOPS = {"+": add, "-": sub, "*": mul}
@@ -185,29 +168,6 @@ class Not(Guard):
 
 
 TRUE = BoolLit(True)
-
-
-def eval_guard(guard: Guard, state: State) -> bool:
-    if isinstance(guard, BoolLit):
-        return guard.value
-    if isinstance(guard, Cmp):
-        a = eval_expr(guard.left, state)
-        b = eval_expr(guard.right, state)
-        if guard.op == "=":
-            return a == b
-        if guard.op == "!=":
-            return a != b
-        if guard.op == "<":
-            return a < b
-        if guard.op == "<=":
-            return a <= b
-    if isinstance(guard, And):
-        return eval_guard(guard.left, state) and eval_guard(guard.right, state)
-    if isinstance(guard, Or):
-        return eval_guard(guard.left, state) or eval_guard(guard.right, state)
-    if isinstance(guard, Not):
-        return not eval_guard(guard.inner, state)
-    raise TypeError(f"not a guard: {guard!r}")
 
 
 _CMPS = {"=": eq, "!=": ne, "<": lt, "<=": le}

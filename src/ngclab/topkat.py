@@ -1,179 +1,27 @@
-"""Relational Kleene algebra with top and tests.
+"""The equation catalog of Kleene algebra with top and tests, and its
+rectangle evaluator.
 
-Terms are evaluated extensionally over an enumerated state space: tests are
-sub-identity filters, composition is relational composition, star is
-reflexive-transitive closure, and top is the universal relation.  Programs
-compile to terms whose evaluation matches the relation of their profile, and a
-catalog of equation schemas over (pre, program, post) expresses the triple
-logics that the relational model can see.
+A catalog of equation schemas over (pre, program, post) expresses the triple
+logics that the relational model can see: tests are sub-identity filters,
+composition is relational composition and top is the universal relation.
 
 The catalog is not evaluated by composing relations.  A word containing top
 is a rectangle, R;T;S = dom(R) x cod(S), so each word is compiled once, at
 import, into domain and codomain masks built from preimages and images (awp
 and asp, read off a profile), and each clause compares two rectangles
-or tests a top-free word for emptiness.
+or tests a top-free word for emptiness.  The term algebra itself, and the
+evaluator that composes full relations, are the test reference
+(`tests/kat_reference.py`).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import MalformedTermError, unknown_name
+from .errors import unknown_name
 from .relations import Relation
 from .semantics import ASP, AWP, Profile, profile
-from .space import Predicate, StateSpace
-from .syntax import (
-    Assign,
-    Choice,
-    Diverge,
-    Ite,
-    Program,
-    Seq,
-    Skip,
-    While,
-    guard_to_predicate,
-)
-from .values import Frozen, setfield
-
-
-class KatTerm(Frozen):
-    __slots__ = ()
-
-
-class Zero(KatTerm):
-    __slots__ = ()
-
-
-class One(KatTerm):
-    __slots__ = ()
-
-
-class Top(KatTerm):
-    __slots__ = ()
-
-
-class Test(KatTerm):
-    __slots__ = ("predicate",)
-
-    def __init__(self, predicate: Predicate):
-        setfield(self, "predicate", predicate)
-
-
-class Prim(KatTerm):
-    __slots__ = ("relation",)
-
-    def __init__(self, relation: Relation):
-        setfield(self, "relation", relation)
-
-
-class Plus(KatTerm):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: KatTerm, right: KatTerm):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
-
-class Dot(KatTerm):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: KatTerm, right: KatTerm):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
-
-class Star(KatTerm):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: KatTerm):
-        setfield(self, "inner", inner)
-
-
-class NotT(KatTerm):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: KatTerm):
-        setfield(self, "inner", inner)
-
-
-def is_test_term(t: KatTerm) -> bool:
-    """Membership in the Boolean subalgebra generated by tests, 0, and 1."""
-    if isinstance(t, (Zero, One, Test)):
-        return True
-    if isinstance(t, (Plus, Dot)):
-        return is_test_term(t.left) and is_test_term(t.right)
-    if isinstance(t, NotT):
-        return is_test_term(t.inner)
-    return False
-
-
-def eval_kat(t: KatTerm, space: StateSpace) -> Relation:
-    """Evaluate a term in the relational model over the given space."""
-    n = space.size
-    if isinstance(t, Zero):
-        return Relation.empty(n)
-    if isinstance(t, One):
-        return Relation.identity(n)
-    if isinstance(t, Top):
-        return Relation.top(n)
-    if isinstance(t, Test):
-        if t.predicate.space != space:
-            raise MalformedTermError("test predicate lives in a different space")
-        return Relation.from_test(n, t.predicate.bits)
-    if isinstance(t, Prim):
-        if t.relation.n != n:
-            raise MalformedTermError("primitive relation has the wrong size")
-        return t.relation
-    if isinstance(t, Plus):
-        return eval_kat(t.left, space) | eval_kat(t.right, space)
-    if isinstance(t, Dot):
-        return eval_kat(t.left, space).compose(eval_kat(t.right, space))
-    if isinstance(t, Star):
-        return eval_kat(t.inner, space).star()
-    if isinstance(t, NotT):
-        if not is_test_term(t.inner):
-            raise MalformedTermError("negation applies only to test terms")
-        inner = eval_kat(t.inner, space)
-        bits = ~inner.domain_bits() & space.full_mask
-        return Relation.from_test(n, bits)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def compile_kat(p: Program, space: StateSpace) -> KatTerm:
-    """Translate a program to a term whose eval_kat is the relation of the
-    program's profile; an assignment is its profile's relation, a primitive."""
-    if isinstance(p, Skip):
-        return One()
-    if isinstance(p, Diverge):
-        return Zero()
-    if isinstance(p, Assign):
-        return Prim(profile(p, space).relation)
-    if isinstance(p, Seq):
-        return Dot(compile_kat(p.first, space), compile_kat(p.second, space))
-    if isinstance(p, Choice):
-        return Plus(compile_kat(p.left, space), compile_kat(p.right, space))
-    if isinstance(p, Ite):
-        g = Test(guard_to_predicate(p.guard, space))
-        ng = Test(~guard_to_predicate(p.guard, space))
-        return Plus(
-            Dot(g, compile_kat(p.then, space)),
-            Dot(ng, compile_kat(p.orelse, space)),
-        )
-    if isinstance(p, While):
-        g = Test(guard_to_predicate(p.guard, space))
-        ng = Test(~guard_to_predicate(p.guard, space))
-        return Dot(Star(Dot(g, compile_kat(p.body, space))), ng)
-    raise TypeError(f"not a program: {p!r}")
-
-
-def domain(r: Relation, space: StateSpace) -> Predicate:
-    """States related to something; r composed with top is domain(r) x space."""
-    return Predicate(space, r.domain_bits())
-
-
-def codomain(r: Relation, space: StateSpace) -> Predicate:
-    """States something relates to; top composed with r is space x codomain(r)."""
-    return Predicate(space, r.codomain_bits())
+from .space import Predicate
 
 
 # --- the equation catalog ----------------------------------------------------

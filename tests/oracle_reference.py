@@ -17,10 +17,12 @@ from operator import or_
 
 from ngclab.relations import Relation
 
+from kat_reference import converse as _converse
+
 
 @lru_cache(maxsize=1 << 12)
 def converse(relation: Relation) -> Relation:
-    return relation.converse()
+    return _converse(relation)
 
 
 def pre(rows, q: int) -> int:

@@ -14,23 +14,79 @@ node lying on a cycle (a lasso).
 
 `stream_keys` restates, program by program, the key by which
 `semantics.profiles` classifies a stream.
+
+`eval_expr` and `eval_guard` define an expression's and a guard's meaning
+one `State` at a time.  They are the reference for what `syntax` computes
+over a space's value columns, and so for the guard masks and assignment
+tables that `Points` shares with the composer (`tests/test_compiled.py`).
 """
 
 from ngclab.errors import BudgetExceededError
 from ngclab.semantics import DEFAULT_NODE_BUDGET, profile
-from ngclab.space import StateSpace, flag_string, mask_of
+from ngclab.space import State, StateSpace, flag_string, mask_of
 from ngclab.syntax import (
+    And,
     Assign,
+    BinExpr,
+    BoolLit,
     Choice,
+    Cmp,
+    Const,
     Diverge,
+    Expr,
+    Guard,
     Ite,
+    Not,
+    Or,
     Program,
     Skip,
+    Var,
     While,
     assign_table,
     guard_to_predicate,
     statements,
 )
+
+
+def eval_expr(expr: Expr, state: State) -> int:
+    m = state.space.modulus
+    if isinstance(expr, Const):
+        return expr.value % m
+    if isinstance(expr, Var):
+        return state[expr.name]
+    if isinstance(expr, BinExpr):
+        a = eval_expr(expr.left, state)
+        b = eval_expr(expr.right, state)
+        if expr.op == "+":
+            return (a + b) % m
+        if expr.op == "-":
+            return (a - b) % m
+        if expr.op == "*":
+            return (a * b) % m
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def eval_guard(guard: Guard, state: State) -> bool:
+    if isinstance(guard, BoolLit):
+        return guard.value
+    if isinstance(guard, Cmp):
+        a = eval_expr(guard.left, state)
+        b = eval_expr(guard.right, state)
+        if guard.op == "=":
+            return a == b
+        if guard.op == "!=":
+            return a != b
+        if guard.op == "<":
+            return a < b
+        if guard.op == "<=":
+            return a <= b
+    if isinstance(guard, And):
+        return eval_guard(guard.left, state) and eval_guard(guard.right, state)
+    if isinstance(guard, Or):
+        return eval_guard(guard.left, state) or eval_guard(guard.right, state)
+    if isinstance(guard, Not):
+        return not eval_guard(guard.inner, state)
+    raise TypeError(f"not a guard: {guard!r}")
 
 
 # A program compiles, once per state space, to a flat list of program points;

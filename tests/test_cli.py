@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and report determinism."""
 
+import importlib.util
 import io
 import json
 import sys
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ngclab import cli
 from ngclab.cli import main
 from ngclab.errors import UsageError
-from ngclab.logics import ALL_LOGICS, UNION_LOGIC, Bound
+from ngclab.logics import ALIASES, ALL_LOGICS, UNION_LOGIC, Bound
 from ngclab.parser import parse_guard, parse_module
 from ngclab.semantics import profile
 from ngclab.space import Predicate
@@ -23,7 +24,8 @@ from ngclab.transformers import TransformerKind
 
 from oracle_reference import oracle_bits
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demo").glob("*.ngcl"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demo").glob("*.ngcl"))
 # a loop over the largest space the benchmark's CLI items use (216 states),
 # where a profile builds its tables with linear passes
 SCALE = ("scale216", "vars x, y, z mod 6\n"
@@ -806,3 +808,17 @@ class TestOptionFuzz:
         # the command's own parser and the full one agree
         assert (_outcome(cli.build_parser(command[0]), command)
                 == _outcome(cli.build_parser(), command)), command
+
+
+def test_the_identity_recipe_covers_every_command_and_name():
+    # `tools/identity.py` digests the command line over a fixed list; its
+    # names must stay those of the package, and it builds the list cheaply
+    spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    commands = identity.commands()
+    assert len(commands) >= 2300
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    assert set(identity.KINDS) == {kind.value for kind in TransformerKind}
+    assert set(identity.LOGICS) == {logic.name for logic in ALL_LOGICS}
+    assert set(identity.ALIASES) == set(ALIASES)

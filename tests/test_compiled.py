@@ -1,8 +1,8 @@
 """The compiled per-state paths against their definitional references.
 
 `expr_column`, `guard_to_predicate` and `assign_table` compute over
-the space's value columns what `eval_expr`/`eval_guard` compute one `State`
-at a time; `index_of` and `values_of` must read a state index as the
+the space's value columns what the reference's `eval_expr`/`eval_guard`
+compute one `State` at a time; `index_of` and `values_of` must read a state index as the
 base-m digits of its values; `iter_bits` must list exactly the set bits;
 `render_states` and `repr(State)` must print `<name=value, ...>`; structural equality must agree with the
 canonical text and never exhaust the recursion limit on a `;` chain.
@@ -31,11 +31,11 @@ from ngclab.syntax import (
     Var,
     While,
     assign_table,
-    eval_expr,
-    eval_guard,
     expr_column,
     guard_to_predicate,
 )
+
+from profile_reference import eval_expr, eval_guard
 
 NAMES = ("x", "y", "z")
 

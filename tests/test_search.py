@@ -409,7 +409,7 @@ def test_each_class_is_scanned_once_per_claim(monkeypatch, claim):
     if claim == "galois-awlp-dsp-det-rev":
         # only reversible classes have verdicts to compare
         classes = [rows for rows, _ in classes
-                   if all(r.bit_count() <= 1 for r in Relation(len(rows), rows).converse().rows)]
+                   if all(r.bit_count() <= 1 for r in converse(Relation(len(rows), rows)).rows)]
     assert len(scans) == len(classes)
 
 

@@ -19,9 +19,11 @@ from ngclab.syntax import (
     Var, While,
 )
 from ngclab.theorems import CorpusConfig, Verdict
-from ngclab.topkat import Dot, NotT, One, Plus, Prim, Star, Top, Zero
-from ngclab.topkat import Test as KatTest   # not a test class
 from ngclab.transformers import TransformerKind
+from ngclab.values import Frozen
+
+from kat_reference import Dot, NotT, One, Plus, Prim, Star, Top, Zero
+from kat_reference import Test as KatTest   # not a test class
 
 
 SPACE = StateSpace(("x", "y"), 2)
@@ -87,8 +89,16 @@ CUSTOM_REPR = {State, Predicate, Relation, LogicId, Triple}
 DERIVED = {StateSpace: ("size", "full_mask", "_hash"), LogicId: ("shape",)}
 
 
+KAT_TERMS = (Zero, One, Top, KatTest, Prim, Plus, Dot, Star, NotT)
+
+
 def _ids(cases):
     return [cls.__name__ for cls, _, _ in cases]
+
+
+def test_the_reference_kat_terms_are_frozen_values():
+    assert all(issubclass(cls, Frozen) for cls in KAT_TERMS)
+    assert set(KAT_TERMS) <= {cls for cls, _, _ in OTHERS}
 
 
 @pytest.mark.parametrize("cls, names, values", FROZEN, ids=_ids(FROZEN))
