@@ -2,15 +2,22 @@
 
 Exhaustive mode enumerates every AST up to a depth bound over small canonical
 expression and guard pools, in a fixed deterministic order, so searches find
-minimal witnesses and re-runs are reproducible.  Random mode is driven
-entirely by a seeded generator.
+minimal witnesses and re-runs are reproducible.  The enumeration is one
+stream of rows of indices (`exhaustive_rows`): a program is known by its
+position, and each part comes before the programs built from it, so a
+consumer that reads only the parts' positions (the stream classifier) builds
+no program, `exhaustive_programs` builds them all in order, and
+`Enumeration` builds one from its index when its text is needed.  Random
+mode is driven entirely by a seeded generator.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import partial
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .space import Predicate, StateSpace
 from .syntax import (
@@ -76,40 +83,104 @@ def guard_pool(space: StateSpace) -> list[Guard]:
     return out
 
 
+def exhaustive_rows(
+    space: StateSpace,
+    max_depth: int,
+    loops: bool = False,
+) -> Iterator:
+    """Every AST of depth <= max_depth over the canonical pools, as rows of
+    stream indices: smallest depth first, constructors in a fixed order
+    within each depth.  The first rows are the leaves, each a program of its
+    own; every later row is (constructor, guard, i, js), the programs built
+    from entry i and each entry j of the range js, in order (the guard is
+    None for `;` and `[]`; a loop row has one operand, i is None).  An entry
+    is a program's index in the stream, so each part comes before every
+    program built from it.  Rows are yielded as they are made, so a consumer
+    that stops early does not pay for the rest of the depth."""
+    exprs = expr_pool(space)
+    yield Skip()
+    yield Diverge()
+    for v in space.variables:
+        for e in exprs:
+            yield Assign(v, e)
+    size = 2 + len(space.variables) * len(exprs)
+    guards = guard_pool(space)  # only once the leaves are read
+    binary = [(Seq, None), (Choice, None)] + [(Ite, g) for g in guards]
+    start = 0  # where the previous frontier begins
+    for _ in range(2, max_depth + 1):
+        end = size
+        every, frontier = range(end), range(start, end)
+        for ctor, guard in binary:
+            # at least one operand comes from the previous frontier, so each
+            # program is produced exactly once, at its true depth
+            for i in range(end):
+                js = every if i >= start else frontier
+                yield ctor, guard, i, js
+                size += len(js)
+        if loops:
+            for guard in guards:
+                yield While, guard, None, frontier
+                size += len(frontier)
+        start = end
+
+
 def exhaustive_programs(
     space: StateSpace,
     max_depth: int,
     loops: bool = False,
 ) -> Iterator[Program]:
-    """Every AST of depth <= max_depth over the canonical pools, smallest
-    depth first, constructors in a fixed order within each depth.  Programs
-    are yielded as they are built, so a consumer that stops early does not
-    pay for the rest of the depth."""
-    exprs = expr_pool(space)
-    guards = guard_pool(space)
-    leaves: list[Program] = [Skip(), Diverge()]
-    leaves += [Assign(v, e) for v in space.variables for e in exprs]
-    yield from leaves
-    binary = [Seq, Choice] + [partial(Ite, g) for g in guards]
-    cumulative: list[Program] = list(leaves)
-    start = 0  # where the previous frontier begins in `cumulative`
-    for _ in range(2, max_depth + 1):
-        frontier = cumulative[start:]
-        fresh: list[Program] = []
-        for build in binary:
-            # at least one operand comes from the previous frontier, so each
-            # program is produced exactly once, at its true depth
-            for i, a in enumerate(cumulative):
-                for b in cumulative if i >= start else frontier:
-                    fresh.append(build(a, b))
-                    yield fresh[-1]
-        if loops:
-            for g in guards:
-                for a in frontier:
-                    fresh.append(While(g, a))
-                    yield fresh[-1]
-        start = len(cumulative)
-        cumulative += fresh
+    """The programs of `exhaustive_rows`, in its order, each part built once
+    and shared.  Programs are yielded as they are built."""
+    built: list[Program] = []
+    for row in exhaustive_rows(space, max_depth, loops):
+        if type(row) is not tuple:
+            built.append(row)
+            yield row
+            continue
+        ctor, guard, i, js = row
+        build = ctor if guard is None else partial(ctor, guard)
+        parts = built[js.start:js.stop]
+        fresh = map(build, parts) if i is None else map(build, repeat(built[i]), parts)
+        for p in fresh:
+            built.append(p)
+            yield p
+
+
+class Enumeration:
+    """A row stream (see `exhaustive_rows`) as it is read, so that an entry's
+    program can be built from its index when its text is needed: the rows
+    read so far and the index of each one's first entry are kept, and each
+    program built, so parts are built once and shared."""
+
+    def __init__(self, rows: Iterable):
+        self._source = iter(rows)
+        self._rows: list = []
+        self._starts: list[int] = []
+        self._built: dict[int, Program] = {}
+        self._size = 0
+
+    def __iter__(self) -> Iterator:
+        for row in self._source:
+            self._rows.append(row)
+            self._starts.append(self._size)
+            self._size += len(row[3]) if type(row) is tuple else 1
+            yield row
+
+    def program(self, k: int) -> Program:
+        """The program of entry k, which must have been read."""
+        p = self._built.get(k)
+        if p is None:
+            at = bisect_right(self._starts, k) - 1
+            row = self._rows[at]
+            if type(row) is not tuple:
+                p = row
+            else:
+                ctor, guard, i, js = row
+                last = self.program(js[k - self._starts[at]])
+                parts = (last,) if i is None else (self.program(i), last)
+                p = ctor(*parts) if guard is None else ctor(guard, *parts)
+            self._built[k] = p
+        return p
 
 
 def random_expr(rng: random.Random, space: StateSpace, depth: int = 2) -> Expr:

@@ -8,9 +8,6 @@ test reference (`tests/kat_reference.py`); no command composes relations.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-
 # imported as a module, not by name: perfbench's tracer wraps every name one
 # ngclab module imports from another as a layer, and a per-bit step is not one
 from . import space as _space
@@ -32,7 +29,11 @@ class Relation(Frozen):
         return _space.mask_of(list(map(bool, self.rows)))
 
     def codomain_bits(self) -> int:
-        return reduce(or_, self.rows, 0)
+        # a loop: faster than reduce(or_, rows, 0) at the sizes profiles have
+        bits = 0
+        for row in self.rows:
+            bits |= row
+        return bits
 
     def __repr__(self) -> str:
         pairs = [(i, j) for i, row in enumerate(self.rows) for j in _space.iter_bits(row)]

@@ -9,15 +9,19 @@ distinct: for a true equivalence (a real Galois connection) no budget ever
 suffices, and the caller needs to know the search was honest.
 
 One loop, `_drive`, counts the candidates of every kind of claim.  Each kind
-supplies a stream of per-program blocks.  The programs come with their
-profiles from `semantics.profiles`, which composes only the first program
-of each (constructor, guard, parts' profiles) key: every part of an
-enumerated program comes earlier in the enumeration.  A block's verdicts
-depend only on the program's semantic class (its profile: relation rows and
-may-divergence), so within one call the candidates are scanned once per
-class for the first refuting one, and a later program of the class costs
-one comparison of that hit against the budget left.  The memo lives and
-dies with the call, so a caller that clears the caches starts cold.
+supplies a stream of per-program blocks.  The programs are the rows of the
+enumeration (`generators.exhaustive_rows`), read by index, and their
+profiles come from `semantics.classify`, which composes only the first
+entry of each (constructor, guard, parts' profiles) key from its parts'
+meanings: every part of an enumerated program comes earlier in the
+enumeration.  A program is built from its index only when its text is
+read: for a witness, or for the det-rev filter's syntactic half on a class
+with a hit.  A block's verdicts depend only on the program's semantic class
+(its profile: relation rows and may-divergence), so within one call the
+candidates are scanned once per class for the first refuting one, and a
+later program of the class costs one comparison of that hit against the
+budget left.  The memo lives and dies with the call, so a caller that
+clears the caches starts cold.
 Verdicts come from the logics' kernel and the equation catalog, both over
 the profile's transformer tables.
 `SearchResult.stats` counts the programs drawn and their classes.
@@ -32,16 +36,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 # the kernel is imported as a module, not by name: see theorems.py
 from . import logics as _logics
 from .errors import unknown_name
-from .generators import all_predicates, exhaustive_programs
+from .generators import Enumeration, all_predicates, exhaustive_rows
 from .logics import (
     CONTRAPOSITIVE, GALOIS,
     ASP_LB, ASLP_LB, AWP_LB, AWP_UB, AWLP_LB, DSP_LB, DSP_UB, DWP_LB, DWLP_LB,
     INTERSECTION_LOGIC,
     LogicId, syntactic_choice,
 )
-from .semantics import Profile, profiles
+from .semantics import Profile, classify
 from .space import Predicate, StateSpace, low_bit
-from .syntax import Program, pretty_program
+from .syntax import pretty_program
 from .topkat import EQUATIONS, catalog_values
 from .transformers import AWLP, AWP, DWLP, DWP
 from .values import Frozen, Value, setfield
@@ -165,25 +169,27 @@ def _masks(logics: tuple, prof: Profile) -> Callable[[int, int], list[int]]:
 
 
 def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], object]
-             ) -> Iterator[tuple[StateSpace, list[Predicate], Program, object]]:
-    """Each enumerated program with the value `make(prof, npred)` of its
-    semantic class, given its space's predicate count: its profile is all
-    that a block's verdicts read (predicates are indexed by their bits).
-    The profiles are read lazily off the stream classifier, as `_drive`
-    stops at the budget.  The value is made once per profile, one object per
-    class and space, and kept for this search only.  Counts programs and
-    classes into `stats`."""
+             ) -> Iterator[tuple[StateSpace, list[Predicate], Enumeration, int, object]]:
+    """Each enumerated program, as its rung's enumeration and its index
+    there, with the value `make(prof, npred)` of its semantic class, given
+    its space's predicate count: its profile is all that a block's verdicts
+    read (predicates are indexed by their bits), and the program is built
+    from its index only when its text is read.  The profiles are read lazily
+    off the stream classifier, as `_drive` stops at the budget.  The value
+    is made once per profile, one object per class and space, and kept for
+    this search only.  Counts programs and classes into `stats`."""
     memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
         preds = list(all_predicates(space))
-        for p, prof in profiles(exhaustive_programs(space, config.max_depth), space):
+        programs = Enumeration(exhaustive_rows(space, config.max_depth))
+        for k, prof in enumerate(classify(programs, space)):
             stats["programs"] += 1
             value = memo.get(prof)
             if value is None:
                 value = memo[prof] = make(prof, len(preds))
                 stats["classes"] += 1
-            yield space, preds, p, value
+            yield space, preds, programs, k, value
 
 
 def _witness(space: StateSpace, programs: dict, pre: Predicate, post: Predicate,
@@ -223,15 +229,16 @@ def _logic_pair_blocks(config: SearchConfig, stats: dict, left: LogicId, right: 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
             lv, rv = violations(logics, prof[b], prof[c], b, c, full)
-            return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
+            return _witness(space, {"program": pretty_program(programs.program(k))},
+                            preds[b], preds[c],
                             f"{left.name} is {not lv} but {right.name} is {not rv}",
                             left=left.name, right=right.name)
 
         return _Block(npred * npred, _first_difference(npred, differ), witness)
 
-    for space, preds, p, cls in _classes(config, stats, block):
+    for space, preds, programs, k, cls in _classes(config, stats, block):
         # a program's syntax can only take away a hit
-        if det_rev and cls.hit is not None and syntactic_choice(p) is not None:
+        if det_rev and cls.hit is not None and syntactic_choice(programs.program(k)) is not None:
             cls = _Block(cls.size, None, None)
         yield cls
 
@@ -251,13 +258,13 @@ def _combination_gap_blocks(claim: str, config: SearchConfig, stats: dict) -> It
 
         def witness(c: int) -> dict:
             idx = low_bit(gaps[c])
-            return _witness(space, {"program": pretty_program(p)},
+            return _witness(space, {"program": pretty_program(programs.program(k))},
                             Predicate(space, 1 << idx), preds[c], detail,
                             state=space.render_states([idx])[0], state_index=idx)
 
         return _Block(len(gaps), next((c for c, gap in enumerate(gaps) if gap), None), witness)
 
-    for space, preds, p, cls in _classes(config, stats, block):
+    for space, preds, programs, k, cls in _classes(config, stats, block):
         yield cls
 
 
@@ -274,7 +281,8 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
         def witness(index: int) -> dict:
             c, b = divmod(index, npred)
             return _witness(
-                space, {"program_a": pretty_program(q), "program_b": pretty_program(p)},
+                space, {"program_a": pretty_program(programs.program(q)),
+                        "program_b": pretty_program(programs.program(k))},
                 preds[b], preds[c],
                 "equal relational denotations, total-correctness verdicts "
                 f"{not q_total(b, c)[0]} vs {not p_total(b, c)[0]}",
@@ -285,14 +293,14 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
         return _Block(npred * npred, hit, witness)
 
     by_relation: dict = {}
-    for space, preds, p, (relation, may, p_total) in _classes(config, stats, total):
+    for space, preds, programs, k, (relation, may, p_total) in _classes(config, stats, total):
         others, pairs = by_relation.setdefault((space, relation), ([], {}))
         for q, q_may, q_total in others:
             cls = pairs.get((q_may, may))
             if cls is None:
                 cls = pairs[q_may, may] = pair(len(preds), q_total, p_total)
             yield cls
-        others.append((p, may, p_total))
+        others.append((k, may, p_total))
 
 
 def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
@@ -312,14 +320,14 @@ def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
-            return _witness(space, {"program": pretty_program(p)}, preds[b], preds[c],
-                            f"equation system says {system(b, c)}, "
+            return _witness(space, {"program": pretty_program(programs.program(k))},
+                            preds[b], preds[c], f"equation system says {system(b, c)}, "
                             f"subset condition says {logic(b, c)}")
 
         hit = _first_difference(npred, lambda b, c: system(b, c) != logic(b, c))
         return _Block(npred * npred, hit, witness)
 
-    for space, preds, p, cls in _classes(config, stats, block):
+    for space, preds, programs, k, cls in _classes(config, stats, block):
         yield cls
 
 

@@ -17,7 +17,7 @@ are tables, `if` gives the sink to the states its guard sends to a side
 without tables, and a loop is the identity outside its guard beside rows
 for the states under it.  Tables become rows only in a union of more than
 four and as the profile's relation.  The budget is states times program
-nodes, checked before each rule's own work.  The composer is checked
+nodes, checked before each combine.  The composer is checked
 against an operational reference, one pass over the configurations of the
 program compiled to points, which lives beside the tests
 (`tests/profile_reference.py`).
@@ -30,10 +30,15 @@ the eight results in a table).  A table, and the class's reachable states
 and its final states with more than one initial state, are derived only
 when first read.
 
-A profile is compositional: the constructor, the guard and the parts'
-profiles fix it.  `profiles`, the stream classifier, uses that on a stream
-of programs whose parts come earlier in the stream, as in an enumeration:
-the composer runs once per (constructor, guard, parts' profiles) key.
+Each rule is split once into its walk, which reads the syntax and is
+memoised per (sub-program, space) (`_meaning`), and a combine function over
+the parts' meanings (`_then` for `;`, `_choice_of`, `_ite_of`,
+`_while_of`), so the walk and the classifier share one composer.  A profile is
+compositional: the constructor, the guard and the parts' profiles fix it.
+`classify`, the stream classifier, uses that on the rows of an enumeration
+(`generators.exhaustive_rows`), where each part comes earlier in the stream:
+it builds no program, and the combine functions run once per
+(constructor, guard, parts' profiles) key.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .syntax import (
     Assign,
     Choice,
     Diverge,
+    Guard,
     Ite,
     Program,
     Seq,
@@ -69,7 +75,8 @@ class _Meaning(NamedTuple):
     """What the composer keeps per (program, space): a relation as the union
     of its successor tables and its rows, and its may-divergence."""
 
-    nodes: int      # non-`;` nodes in the program, which the budget multiplies by n
+    nodes: int      # non-`;` nodes in the program the walk composed, which the
+                    # budget multiplies by n (the classifier counts per entry)
     succs: tuple    # at most _WIDTH successor tables (a tuple, or a range for
                     # the identity) of n + 1 entries: entry i is state i's
                     # successor, or n where i has none; entry n is n
@@ -219,6 +226,11 @@ def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
     left, right = _meaning(p.left, space), _meaning(p.right, space)
     nodes = 1 + left.nodes + right.nodes
     _check_budget(nodes, space.size)
+    return _choice_of(left, right, nodes, space)
+
+
+def _choice_of(left: _Meaning, right: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
+    """left [] right: the parts joined, and may-divergence either's."""
     rows = left.rows
     if rows is None:
         rows = right.rows
@@ -228,14 +240,19 @@ def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
 
 
 def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
+    then, orelse = _meaning(p.then, space), _meaning(p.orelse, space)
+    nodes = 1 + then.nodes + orelse.nodes
+    _check_budget(nodes, space.size)
+    return _ite_of(p.guard, then, orelse, nodes, space)
+
+
+def _ite_of(guard: Guard, then: _Meaning, orelse: _Meaning, nodes: int,
+            space: StateSpace) -> _Meaning:
     """Table by table, the then side's entries where the guard holds and the
     else side's elsewhere, the side with fewer tables giving the sink for
     the rest; the sink stays the sink, as both sides send it there."""
-    then, orelse = _meaning(p.then, space), _meaning(p.orelse, space)
-    nodes = 1 + then.nodes + orelse.nodes
     n = space.size
-    _check_budget(nodes, n)
-    g = guard_to_predicate(p.guard, space).bits
+    g = guard_to_predicate(guard, space).bits
     flags = _space.flag_bytes(g, n + 1)
     tables = [_select(flags, left, right)
               for left, right in zip_longest(then.succs, orelse.succs, fillvalue=repeat(n))]
@@ -252,6 +269,13 @@ def _select(flags: bytes, then, orelse) -> tuple:
 
 
 def _while_rule(p: While, space: StateSpace) -> _Meaning:
+    body = _meaning(p.body, space)
+    nodes = 1 + body.nodes
+    _check_budget(nodes, space.size)
+    return _while_of(p.guard, body, nodes, space)
+
+
+def _while_of(guard: Guard, body: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
     """One SCC pass over the states, which handles each edge once: a state
     where the guard holds has the body's successors, and every other state
     is closed from the start, with itself as its final state; the sink is
@@ -268,12 +292,9 @@ def _while_rule(p: While, space: StateSpace) -> _Meaning:
     every one is reached, the final states of all states are the loop's
     rows, and otherwise the loop is the identity on the states outside the
     guard beside rows for those under it."""
-    body = _meaning(p.body, space)
-    nodes = 1 + body.nodes
     n = space.size
-    _check_budget(nodes, n)
     _, succs, rows, may = body
-    g = guard_to_predicate(p.guard, space).bits
+    g = guard_to_predicate(guard, space).bits
     exits, sink = ~g & space.full_mask, 1 << n
     under = _space.flag_bytes(g | sink, n + 1)      # the sink has no final state,
     closed = bytearray(_space.flag_bytes(exits | sink, n + 1))  # and is closed
@@ -454,7 +475,10 @@ class Profile(dict):
 @lru_cache(maxsize=1 << 18)
 def profile(p: Program, space: StateSpace) -> Profile:
     """p's semantic class over the space, shared by every program in it."""
-    meaning = _meaning(p, space)
+    return _profile_of(_meaning(p, space), space)
+
+
+def _profile_of(meaning: _Meaning, space: StateSpace) -> Profile:
     return _class(space, _rows(meaning, space)[:space.size], meaning.may)
 
 
@@ -463,39 +487,65 @@ def _class(space: StateSpace, rows: tuple[int, ...], may_div: int) -> Profile:
     return Profile(space, Relation(space.size, rows), may_div)
 
 
-def profiles(programs: Iterable[Program], space: StateSpace) -> Iterator[tuple[Program, Profile]]:
-    """Each program of the stream with its profile over the space.  A profile
-    depends only on the constructor, its other fields (the guard) and the
-    parts' profiles, so a program whose parts all came earlier in the stream
-    is keyed by its type, its other fields and its parts' profiles, and only
-    the first program of each key goes through `profile`; a later one gets
-    the key's profile after the budget check its composition would make, on
-    its node count (its parts', plus one unless it is a `;`).  Any other
-    program goes through `profile`.  The memo lives and dies with the stream."""
+def classify(rows: Iterable, space: StateSpace) -> Iterator[Profile]:
+    """The profile over the space of each entry of a row stream (see
+    `generators.exhaustive_rows`), in order, with no program built.  A
+    leaf's meaning is the walk's.  A profile depends only on the
+    constructor, the guard and the parts' profiles, so a composite entry is
+    keyed by those: the first entry of a key is composed from its parts'
+    meanings by the constructor's combine function, and a later one gets
+    the key's profile.  Every composite entry is first checked against the
+    budget on its node count (its parts', plus one unless it is a `;`), so
+    the budget refuses the entry that composing each program would.  Per
+    entry only its profile, its node count and one meaning of its class are
+    kept, for as long as the stream lives."""
     n = space.size
-    seen: dict = {}         # program -> (its profile, its nodes)
-    classes: dict = {}      # key -> profile
-    for p in programs:
-        key, nodes = [type(p)], 0 if type(p) is Seq else 1
-        for field in p._values(p):
-            if isinstance(field, Program):
-                part = seen.get(field)
-                if part is None:        # a part the stream has not met
-                    key = None
-                    break
-                key.append(part[0])
-                nodes += part[1]
-            else:
-                key.append(field)
-        if key is None:
-            prof = profile(p, space)
-            nodes = _meaning(p, space).nodes
+    cap = DEFAULT_NODE_BUDGET // n      # n x nodes exceeds the budget iff nodes exceed cap
+    profiles: list[Profile] = []
+    counts: list[int] = []
+    meanings: list[_Meaning] = []
+    keys: dict = {}         # (constructor, guard, i's profile) -> {j's profile: its class}
+    for row in rows:
+        if type(row) is not tuple:          # a leaf
+            meaning = _meaning(row, space)
+            prof = _profile_of(meaning, space)
+            profiles.append(prof)
+            counts.append(meaning.nodes)
+            meanings.append(meaning)
+            yield prof
+            continue
+        ctor, guard, i, js = row
+        step = 0 if ctor is Seq else 1      # a `;` is not a node
+        if i is None:                       # a loop row: entry j is the body
+            first, base, key = None, step, (ctor, guard)
         else:
-            key = tuple(key)
-            prof = classes.get(key)
-            if prof is None:
-                prof = classes[key] = profile(p, space)
-            else:
+            first, base, key = meanings[i], step + counts[i], (ctor, guard, profiles[i])
+        known = keys.get(key)
+        if known is None:
+            known = keys[key] = {}
+        for j in js:
+            nodes = base + counts[j]
+            if nodes > cap:
                 _check_budget(nodes, n)
-        seen[p] = prof, nodes
-        yield p, prof
+            part = profiles[j]
+            cls = known.get(part)
+            if cls is None:
+                meaning = _combine(ctor, guard, first, meanings[j], nodes, space)
+                cls = known[part] = _profile_of(meaning, space), meaning
+            profiles.append(cls[0])
+            counts.append(nodes)
+            meanings.append(cls[1])
+            yield cls[0]
+
+
+def _combine(ctor: type, guard, a: _Meaning | None, b: _Meaning, nodes: int,
+             space: StateSpace) -> _Meaning:
+    """The constructor's combine function on its parts' meanings: a loop's
+    body is b."""
+    if ctor is Seq:
+        return _then(a, b, nodes, space)
+    if ctor is Choice:
+        return _choice_of(a, b, nodes, space)
+    if ctor is Ite:
+        return _ite_of(guard, a, b, nodes, space)
+    return _while_of(guard, b, nodes, space)

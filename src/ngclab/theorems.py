@@ -18,6 +18,9 @@ from typing import Optional
 # every name one ngclab module imports from another as a layer, and a
 # per-triple step is not one
 from . import logics as _logics
+# the rows are read off the module, as `exhaustive_programs` reads them, so
+# that `corpus_items` and `corpus_classes` read one enumeration
+from . import generators as _generators
 from .errors import UsageError, unknown_name
 from .generators import GeneratorConfig, all_predicates, generate_programs
 from .logics import (
@@ -27,7 +30,7 @@ from .logics import (
     INTERSECTION_LOGIC, UNION_LOGIC,
     Bound, syntactic_choice,
 )
-from .semantics import profile, profiles
+from .semantics import classify, profile
 from .space import Predicate, StateSpace
 from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
@@ -42,7 +45,7 @@ THEOREM_IDS = (
     "CONTRAPOSITIVE",
     "GALOIS_PC",
     "GALOIS_PI",
-    "TERMINATION_COLLAPSE",     # the six collapse theorems: COLLAPSE_IDS
+    "TERMINATION_COLLAPSE",     # the six collapse theorems
     "MAY_TERMINATION",
     "REACHABILITY_COLLAPSE",
     "DETERMINISM_COLLAPSE",
@@ -53,7 +56,6 @@ THEOREM_IDS = (
     "FIG4_IMPLICATIONS",
     "REMARK_DIVERGING",
 )
-COLLAPSE_IDS = THEOREM_IDS[4:10]
 
 
 class CorpusConfig(Frozen):
@@ -116,13 +118,20 @@ def corpus_items(
 @lru_cache(maxsize=4)
 def corpus_classes(corpus: CorpusConfig) -> tuple[int, ...]:
     """Per program of `corpus_items`, the index of the first program with its
-    profile (its semantic class), the profiles read off the stream
-    classifier.  Built once per corpus; only the indices are kept, so a
-    profile cleared from the composer's caches is composed again when read."""
+    profile (its semantic class).  An exhaustive corpus's profiles are read
+    off the stream classifier, from the rows its programs are built from; a
+    random corpus's programs are profiled one by one.  Built once per
+    corpus; only the indices are kept, so a profile cleared from the
+    composer's caches is composed again when read."""
     space = corpus.space()
+    config = corpus.programs
+    if config.mode == "exhaustive":
+        profiles = classify(
+            _generators.exhaustive_rows(space, config.max_depth, config.loops), space)
+    else:
+        profiles = (profile(p, space) for p, _ in corpus_items(corpus))
     first: dict = {}        # profile -> index of its first program
-    return tuple(first.setdefault(prof, i) for i, (_, prof) in enumerate(
-        profiles((p for p, _ in corpus_items(corpus)), space)))
+    return tuple(first.setdefault(prof, i) for i, prof in enumerate(profiles))
 
 
 class Verdict(Value):
@@ -364,7 +373,9 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     is checked, as every answer of a later one would repeat: the classes
     are `corpus_classes`, refined by choice-freedom for the determinism
     collapse, whose assumption reads the text, and the counts of programs
-    and triples up to a failing triple are read off the indices.  A sampled
+    and triples up to a failing triple are read off the indices.  A
+    program's profile is read off its class's first program, so a refined
+    class's program is not composed again.  A sampled
     corpus checks every program on its own pairs.  The stats count the
     programs, the triples and the classes checked.
     """
@@ -395,19 +406,19 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     items = corpus_items(corpus)
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all
     if shared_pairs:
-        firsts = corpus_classes(corpus)
+        firsts = owners = corpus_classes(corpus)
         if syntactic:
             refined: dict = {}
             firsts = [refined.setdefault((first, syntactic_choice(p) is None), i)
-                      for i, ((p, _), first) in enumerate(zip(items, firsts))]
+                      for i, ((p, _), first) in enumerate(zip(items, owners))]
         walk = [i for i, first in enumerate(firsts) if first == i]
     else:
-        walk = range(len(items))
+        owners = walk = range(len(items))
         checked: set = set()    # the (profile, choice-freedom) classes met
     nonvacuity = None
     for k, i in enumerate(walk):
         p, pairs = items[i]
-        t = profile(p, space)
+        t = profile(items[owners[i]][0], space)     # its class's first program's
         free = syntactic and syntactic_choice(p) is None
         if shared_pairs:        # every program before i repeats a class met
             programs, triples, classes = i + 1, i * len(pairs), k + 1

@@ -12,8 +12,9 @@ node's successors.  On a finite, finitely branching graph an infinite
 execution exists from a configuration iff that configuration can reach a
 node lying on a cycle (a lasso).
 
-`stream_keys` restates, program by program, the key by which
-`semantics.profiles` classifies a stream.
+`stream_keys` restates, entry by entry, the key by which
+`semantics.classify` classifies a row stream, and `count_compositions`
+counts the classifier's compositions where they happen.
 
 `eval_expr` and `eval_guard` define an expression's and a guard's meaning
 one `State` at a time.  They are the reference for what `syntax` computes
@@ -21,6 +22,7 @@ over a space's value columns, and so for the guard masks and assignment
 tables that `Points` shares with the composer (`tests/test_compiled.py`).
 """
 
+from ngclab import semantics
 from ngclab.errors import BudgetExceededError
 from ngclab.semantics import DEFAULT_NODE_BUDGET, profile
 from ngclab.space import State, StateSpace, flag_string, mask_of
@@ -290,17 +292,32 @@ def final_and_divergent(points: Points, node_budget: int) -> tuple[list[int], in
     return rows, mask_of(flags)
 
 
-def stream_keys(programs, space: StateSpace) -> list:
-    """The key of each program of a stream: its type, its other fields and
-    its parts' profiles when every part came earlier in the stream, else the
-    program itself, which no other program shares."""
-    seen, keys = set(), []
-    for p in programs:
-        fields = p._values(p)
-        if all(f in seen for f in fields if isinstance(f, Program)):
-            keys.append((type(p), *(profile(f, space) if isinstance(f, Program) else f
-                                    for f in fields)))
-        else:
-            keys.append(("unkeyed", p))
-        seen.add(p)
+def stream_keys(rows, space: StateSpace) -> list:
+    """The key of each entry of a row stream (see
+    `generators.exhaustive_rows`): a leaf's program, which no other entry
+    shares, or a composite's constructor, guard and parts' profiles, each
+    part's read off its program through `profile`."""
+    programs, keys = [], []
+    for row in rows:
+        if type(row) is not tuple:
+            programs.append(row)
+            keys.append(row)
+            continue
+        ctor, guard, i, js = row
+        for j in js:
+            parts = [programs[j]] if i is None else [programs[i], programs[j]]
+            keys.append((ctor, guard, *(profile(part, space) for part in parts)))
+            programs.append(ctor(*parts) if guard is None else ctor(guard, *parts))
     return keys
+
+
+def count_compositions(monkeypatch, composed: list, drawn: list) -> None:
+    """Each call of one of the composer's combine functions adds to
+    `composed` the index of the entry it composes: the number already in
+    `drawn`."""
+    for name in ("_then", "_choice_of", "_ite_of", "_while_of"):
+        def counting(*args, real=getattr(semantics, name)):
+            composed.append(len(drawn))
+            return real(*args)
+
+        monkeypatch.setattr(semantics, name, counting)

@@ -32,7 +32,7 @@ from ngclab.cli import main
 from ngclab.generators import all_predicates, generate_programs
 from ngclab.logics import DWP_LB
 from ngclab.semantics import profile
-from ngclab.theorems import COLLAPSE_IDS
+from ngclab.theorems import THEOREM_IDS
 from kat_reference import (
     Dot,
     Prim,
@@ -52,6 +52,7 @@ from kat_reference import (
 from kat_reference import Test as KatTest
 
 # the two corpora shared by criteria 2, 3, 4, and 7
+COLLAPSE_IDS = THEOREM_IDS[4:10]    # the six collapse theorems
 EXHAUSTIVE = CorpusConfig(GeneratorConfig(("x",), 2, max_depth=3))
 LOOPS = CorpusConfig(
     GeneratorConfig(("x", "y"), 3, max_depth=4, loops=True,

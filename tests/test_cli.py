@@ -817,7 +817,7 @@ def test_the_identity_recipe_covers_every_command_and_name():
     identity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(identity)
     commands = identity.commands()
-    assert len(commands) >= 2300
+    assert len(commands) >= 2353
     assert {argv[0] for argv in commands} == set(cli.COMMANDS)
     assert set(identity.KINDS) == {kind.value for kind in TransformerKind}
     assert set(identity.LOGICS) == {logic.name for logic in ALL_LOGICS}

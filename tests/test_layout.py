@@ -7,9 +7,9 @@ decorator, a default, a class's bases, the `__main__` guard).  From the
 roots, the scan follows each `ast.Name` and each `ast.Attribute` on an
 imported module through the bodies of the top-level functions and classes
 it reaches, across `from .x import y` and `from . import x` imports.  A
-top-level function or class that it never reaches is code that only the
-tests, or nothing, could call; its place is a test reference
-(`tests/*_reference.py`) or nowhere.
+top-level function, class or assigned name that it never reaches is code
+or data that only the tests, or nothing, could read; its place is a test
+reference (`tests/*_reference.py`), the tests themselves, or nowhere.
 """
 
 import ast
@@ -25,9 +25,16 @@ class Module:
     def __init__(self, path: Path):
         self.name = path.stem
         self.tree = ast.parse(path.read_text(encoding="utf-8"))
-        # name -> top-level function or class
+        # name -> top-level function, class or assignment
         self.defs = {stmt.name: stmt for stmt in self.tree.body
                      if isinstance(stmt, DEFINITIONS)}
+        for stmt in self.tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                            self.defs[node.id] = stmt
         self.imports = {}    # local name -> (module, name) it was imported as
         self.modules = {}    # local name -> a module of the package
         for node in ast.walk(self.tree):
@@ -110,8 +117,13 @@ def unreached(modules: dict) -> list[str]:
                   for name in m.defs if (module, name) not in reached)
 
 
+# the inclusion tables wait for `check --explain` (ROADMAP item 6), which is
+# to print a program's class beside the inclusions it implies
+WAITING = ["transformers.COREACH_INCLUSION", "transformers.REACH_INCLUSION"]
+
+
 def test_every_top_level_definition_is_reached():
-    assert unreached(load_package()) == []
+    assert unreached(load_package()) == WAITING
 
 
 def test_the_scan_reports_a_definition_that_nothing_reads():
@@ -119,5 +131,13 @@ def test_the_scan_reports_a_definition_that_nothing_reads():
     tree = modules["syntax"].tree
     tree.body.append(ast.parse("def _orphan():\n    return pretty_program\n").body[0])
     modules["syntax"].defs["_orphan"] = tree.body[-1]
-    assert unreached(modules) == ["syntax._orphan"]
+    assert unreached(modules) == ["syntax._orphan"] + WAITING
+
+
+def test_the_scan_reports_a_module_constant_that_nothing_reads():
+    modules = load_package()
+    tree = modules["theorems"].tree
+    tree.body.append(ast.parse("_ORPHAN = len(THEOREM_IDS)\n").body[0])
+    modules["theorems"].defs["_ORPHAN"] = tree.body[-1]
+    assert unreached(modules) == ["theorems._ORPHAN"] + WAITING
 

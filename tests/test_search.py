@@ -1,19 +1,23 @@
 """`find_counterexample` against a per-triple reference loop, and the lazy
-program enumerator against a frontier-set reference."""
+program enumerator, its rows and their classifier against a frontier-set
+reference."""
 
+import random
 from functools import lru_cache
 
 import pytest
 
 from ngclab import search, semantics
-from ngclab.generators import all_predicates, exhaustive_programs, expr_pool, guard_pool
+from ngclab.generators import (
+    Enumeration, all_predicates, exhaustive_programs, exhaustive_rows, expr_pool, guard_pool,
+)
 from ngclab.logics import (
     ASP_UB, AWLP_LB, AWP_UB, DSLP_LB, DSP_UB, DWLP_LB, DWP_LB, INTERSECTION_LOGIC,
     Triple, holds, syntactic_choice,
 )
 from ngclab.relations import Relation
 from ngclab.search import SearchConfig, find_counterexample
-from ngclab.semantics import profile
+from ngclab.semantics import classify, profile
 from ngclab.space import Predicate, StateSpace
 from ngclab.syntax import (
     Assign, Choice, Diverge, Ite, Seq, Skip, While, pretty_program,
@@ -22,7 +26,7 @@ from ngclab.topkat import check_equation
 from ngclab.transformers import TransformerKind, oracle_transform
 
 from oracle_reference import converse, oracle_bits
-from profile_reference import stream_keys
+from profile_reference import count_compositions, stream_keys
 
 
 # --- reference: one candidate triple at a time, as the search used to run -----
@@ -244,33 +248,82 @@ def test_search_matches_reference_loop_on_mod_3():
 
 
 def test_each_enumerated_program_is_classified_with_one_composer_run_per_key(monkeypatch):
-    drawn, composed = [], []
-    real_profiles, real_profile = semantics.profiles, semantics.profile
+    rows, drawn, composed = [], [], []
+    real_classify = search.classify
 
-    def recording(programs, space):
-        for p, prof in real_profiles(programs, space):
-            drawn.append((p, prof))
-            yield p, prof
+    def recording(stream, space):
+        def read():
+            for row in stream:
+                rows.append(row)
+                yield row
 
-    def counting(p, space):
-        composed.append(p)
-        return real_profile(p, space)
+        for prof in real_classify(read(), space):
+            drawn.append(prof)
+            yield prof
 
-    monkeypatch.setattr(search, "profiles", recording)
-    monkeypatch.setattr(semantics, "profile", counting)
+    monkeypatch.setattr(search, "classify", recording)
+    count_compositions(monkeypatch, composed, drawn)
     result = find_counterexample("galois-pc", SearchConfig(budget=1681))
     monkeypatch.undo()
     assert result.outcome == "budget-exhausted"
     # 105 whole blocks of 16 and one candidate of the 106th
     space = StateSpace(("x",), 2)
-    programs = [p for p, _ in drawn]
-    assert tuple(programs) == _ref_programs(space, 3)[:106]
-    assert all(prof is profile(p, space) for p, prof in drawn)
-    # the composer ran on the first program of each key, and on no other
+    programs = _ref_programs(space, 3)[:106]
+    assert len(drawn) == len(programs)
+    assert all(prof is profile(p, space) for p, prof in zip(programs, drawn))
+    # the composer ran on the first entry of each composite key, and on no other
     firsts: dict = {}
-    for p, key in zip(programs, stream_keys(programs, space)):
-        firsts.setdefault(key, p)
-    assert composed == list(firsts.values()) and len(composed) < len(programs)
+    for k, key in enumerate(stream_keys(rows, space)[:len(drawn)]):
+        firsts.setdefault(key, k)
+    assert composed == [k for key, k in firsts.items() if type(key) is tuple]
+    assert len(composed) < len(programs)
+
+
+STREAMS = [
+    (("x",), 2, 3, False),      # 44 105 programs
+    (("x", "y"), 2, 2, True),
+    (("x",), 3, 2, True),
+]
+
+
+# and loops above depth 2, whose bodies come from the last frontier only
+@pytest.mark.parametrize("variables, modulus, depth, loops", STREAMS + [(("x",), 2, 3, True)])
+def test_the_rows_materialize_to_the_enumeration(variables, modulus, depth, loops):
+    """Built in order, or each entry from its index in any order, the rows
+    give the reference's programs."""
+    space = StateSpace(variables, modulus)
+    ref = _ref_programs(space, depth, loops)
+    assert tuple(exhaustive_programs(space, depth, loops)) == ref
+    programs = Enumeration(exhaustive_rows(space, depth, loops))
+    for _ in programs:
+        pass
+    order = random.Random(2026).sample(range(len(ref)), len(ref))
+    assert all(programs.program(k) == ref[k] for k in order)
+
+
+@pytest.mark.parametrize("variables, modulus, depth, loops", STREAMS)
+def test_every_classified_entry_has_its_programs_profile(variables, modulus, depth, loops):
+    space = StateSpace(variables, modulus)
+    ref = _ref_programs(space, depth, loops)
+    got = list(classify(exhaustive_rows(space, depth, loops), space))
+    assert len(got) == len(ref)
+    assert all(prof is profile(p, space) for p, prof in zip(ref, got))
+
+
+def test_an_exhausted_search_builds_no_composite_program(monkeypatch):
+    built = []
+    for ctor in (Seq, Choice, Ite):
+        def counting(self, *args, real=ctor.__init__):
+            built.append(type(self))
+            real(self, *args)
+
+        monkeypatch.setattr(ctor, "__init__", counting)
+    result = find_counterexample("galois-pc", SearchConfig(budget=10_000))
+    assert result.outcome == "budget-exhausted" and result.stats["programs"] == 626
+    assert built == []
+    Seq(Skip(), Skip())         # the count sees a construction
+    monkeypatch.undo()
+    assert built == [Seq]
 
 
 def test_lazy_enumeration_keeps_the_frontier_set_order():

@@ -10,17 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from ngclab import BudgetExceededError, Predicate, StateSpace, parse_program
 from ngclab import CorpusConfig, check_theorem, find_counterexample
-from ngclab import search, semantics, theorems
+from ngclab import generators, search, semantics, theorems
 from ngclab.cli import main
 from ngclab.generators import (
-    GeneratorConfig, exhaustive_programs, generate_programs, random_program,
+    GeneratorConfig, exhaustive_programs, exhaustive_rows, generate_programs, random_program,
 )
 from ngclab.relations import Relation
-from ngclab.syntax import Seq
+from ngclab.syntax import Program, Seq
 from ngclab.semantics import profile
 from ngclab.transformers import TransformerKind, inductive_transform, oracle_transform
 from oracle_reference import pre
-from profile_reference import Points, final_and_divergent, reference_profile, stream_keys
+from profile_reference import (
+    Points, count_compositions, final_and_divergent, reference_profile, stream_keys,
+)
 
 SPACE = StateSpace(("x",), 3)
 SIGMA = Predicate.universe(SPACE)
@@ -436,22 +438,20 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
 def test_the_stream_classifier_composes_once_per_key(monkeypatch, variables, modulus,
                                                       depth, loops):
     space = StateSpace(variables, modulus)
-    programs = list(exhaustive_programs(space, depth, loops))
-    composed, real = [], semantics.profile
-
-    def counting(p, space):
-        composed.append(p)
-        return real(p, space)
-
-    monkeypatch.setattr(semantics, "profile", counting)
-    got = list(semantics.profiles(programs, space))
+    rows = list(exhaustive_rows(space, depth, loops))
+    composed, got = [], []
+    count_compositions(monkeypatch, composed, got)
+    for prof in semantics.classify(rows, space):
+        got.append(prof)
     monkeypatch.undo()
-    assert [p for p, _ in got] == programs
-    assert all(prof is profile(p, space) for p, prof in got)
+    programs = list(exhaustive_programs(space, depth, loops))
+    assert len(got) == len(programs)
+    assert all(prof is profile(p, space) for p, prof in zip(programs, got))
+    # one combine call per composite key, on its first entry
     firsts: dict = {}
-    for p, key in zip(programs, stream_keys(programs, space)):
-        firsts.setdefault(key, p)
-    assert composed == list(firsts.values())
+    for k, key in enumerate(stream_keys(rows, space)):
+        firsts.setdefault(key, k)
+    assert composed == [k for key, k in firsts.items() if type(key) is tuple]
 
 
 def _clear_composer():
@@ -459,6 +459,20 @@ def _clear_composer():
     semantics._meaning.cache_clear()
     theorems.corpus_items.cache_clear()
     theorems.corpus_classes.cache_clear()
+
+
+def _first_rows(rows, count):
+    """The rows of a stream's first `count` entries, the last row cut short."""
+    for row in rows:
+        if count <= 0:
+            return
+        if type(row) is tuple:
+            ctor, guard, i, js = row
+            row = ctor, guard, i, js[:count]
+            count -= len(row[3])
+        else:
+            count -= 1
+        yield row
 
 
 def test_a_classified_program_is_refused_where_its_composition_would_be(monkeypatch, capsys):
@@ -480,31 +494,63 @@ def test_a_classified_program_is_refused_where_its_composition_would_be(monkeypa
                 assert str(error) == message
                 break
         assert index > 105
-        keys = stream_keys(programs[:index + 1], space)
+        keys = stream_keys(_first_rows(exhaustive_rows(space, 3), index + 1), space)
         assert keys[index] in keys[:index]      # the classifier has its profile
-        pulled, real = [], exhaustive_programs
+        classified, real = [], search.classify
 
-        def pulling(space, depth):
-            for p in real(space, depth):
-                pulled.append(p)
-                yield p
+        def recording(rows, space):
+            for prof in real(rows, space):
+                classified.append(prof)
+                yield prof
 
-        monkeypatch.setattr(search, "exhaustive_programs", pulling)
+        monkeypatch.setattr(search, "classify", recording)
         _clear_composer()
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             find_counterexample("galois-pc")
-        assert pulled[-1] == programs[index]
+        assert len(classified) == index         # every program before it
         # a corpus that ends with it: the only program over the budget
-        monkeypatch.setattr(theorems, "generate_programs",
-                            lambda config: iter(programs[:index + 1]))
+        rows = generators.exhaustive_rows
+        monkeypatch.setattr(generators, "exhaustive_rows",
+                            lambda *args: _first_rows(rows(*args), index + 1))
         _clear_composer()
+        corpus = CorpusConfig(GeneratorConfig(("x",), 2, max_depth=3))
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
-            check_theorem("ORDERING", CorpusConfig(GeneratorConfig(("x",), 2, max_depth=3)))
+            check_theorem("ORDERING", corpus)
+        assert [p for p, _ in theorems.corpus_items(corpus)] == programs[:index + 1]
         monkeypatch.undo()
         monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 2 * 3)
         _clear_composer()
         assert main(["counterexample", "--claim", "galois-pc"]) == 4
         assert capsys.readouterr().err == f"resource limit: {message}\n"
+    finally:
+        _clear_composer()
+
+
+def _nodes(p) -> int:
+    """The nodes the budget counts: every node but a `;`."""
+    parts = [field for field in p._values(p) if isinstance(field, Program)]
+    return sum(map(_nodes, parts)) + (type(p) is not Seq) if parts else 1
+
+
+def test_the_classifier_counts_each_entrys_own_nodes(monkeypatch):
+    """A later entry of a key can have more nodes than the key's first: at
+    depth 4 the classifier refuses the first program whose own nodes exceed
+    the budget, as composing it would."""
+    space = StateSpace(("x",), 2)
+    monkeypatch.setattr(semantics, "DEFAULT_NODE_BUDGET", 2 * 7)  # every depth-3 program fits
+    message = "^states x program nodes = 2 x 8 exceeds the budget of 14$"
+    index, p = next((k, p) for k, p in enumerate(exhaustive_programs(space, 4)) if _nodes(p) > 7)
+    assert _nodes(p.second) == 7 and _nodes(p.first) == 1
+    classified = []
+    try:
+        _clear_composer()
+        with pytest.raises(BudgetExceededError, match=message):
+            for prof in semantics.classify(_first_rows(exhaustive_rows(space, 4), index + 1),
+                                           space):
+                classified.append(prof)
+        assert len(classified) == index
+        with pytest.raises(BudgetExceededError, match=message):
+            profile(p, space)
     finally:
         _clear_composer()
 

@@ -12,8 +12,9 @@ from ngclab import (
     find_counterexample,
 )
 from ngclab import theorems
-from ngclab.theorems import COLLAPSE_IDS, THEOREM_IDS, run_survey
+from ngclab.theorems import THEOREM_IDS, run_survey
 
+COLLAPSE_IDS = THEOREM_IDS[4:10]    # the six collapse theorems
 TINY = corpus_preset("tiny")
 TINY_LOOPS = CorpusConfig(
     GeneratorConfig(("x",), 2, max_depth=3, loops=True, mode="random",

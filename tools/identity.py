@@ -1,11 +1,14 @@
 """Byte-identity digest of the ngclab command line over a fixed command list.
 
-It runs 2 350 commands in-process, through `ngclab.cli.main`, from the root
+It runs 2 353 commands in-process, through `ngclab.cli.main`, from the root
 of the checkout:
 
 - `counterexample --claim C`, the same with `--format json` and with
   `--budget 17`, for each of the claim ids of `perfbench/expected.json`
   (read, never written);
+- `counterexample --claim C --budget 1000000 --format json` for the three
+  true equivalences: the budget outlasts the 44 105 programs of depth 3
+  over x mod 2, so the search goes on into x mod 3;
 - for each `demo/*.ngcl`, with four guards over its variables (`true`,
   `false`, its first variable `= 0` and its last `!= 0`):
   `transform --engine both` for the 8 kinds and each guard; `check` for the
@@ -47,6 +50,7 @@ ALIASES = (
     "incorrectness", "demonic-incorrectness", "partial-incorrectness",
     "angelic-partial-incorrectness", "necessary-preconditions", "in-between", "outcome",
 )
+EQUIVALENCES = ("galois-pc", "galois-pi", "galois-awlp-dsp-det-rev")
 SURVEYS = (
     ["survey", "--suite", "all", "--format", "json", "--corpus", "tiny"],
     ["survey", "--suite", "all", "--format", "json", "--corpus", "small-exhaustive"],
@@ -70,6 +74,8 @@ def commands() -> list[list[str]]:
     for claim in claims:
         base = ["counterexample", "--claim", claim]
         out += [base, base + ["--format", "json"], base + ["--budget", "17"]]
+    out += [["counterexample", "--claim", claim, "--budget", "1000000", "--format", "json"]
+            for claim in EQUIVALENCES]
     for path in sorted((ROOT / "demo").glob("*.ngcl")):
         program = path.relative_to(ROOT).as_posix()
         preds = guards(path)

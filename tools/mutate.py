@@ -21,7 +21,10 @@ uncomplemented, a compiled `!` or `<` or the assignment table wrong, a usage err
 the value types' shared base comparing values of two classes, hashing a node
 without its class, allowing assignment or pickling one field short, a
 command's own parser short of an argument or never used, the stream
-classifier keyed without the guard or skipping the budget on a memo hit, the
+classifier keyed without the guard, skipping the budget on a memo hit,
+counting a `;` entry as a node or giving a later entry of a key the first
+one's node count, the `;` combine swapping its parts, a loop row of the
+enumeration reading every earlier entry, the
 survey's counts read one program past a class's first, a relation's domain
 read as its empty rows, a state's values read from the strides in reverse, or
 a printed predicate counting the states outside it.
@@ -219,8 +222,7 @@ MUTANTS = (
     # killed by the cross-check of domain_bits against its row definition and
     # by every must-div check, since must-div is the domain's complement
     Mutant("a relation's domain is the set of its empty rows", "relations.py", (
-        ("from operator import or_", "from operator import not_, or_"),
-        ("map(bool, self.rows)", "map(not_, self.rows)"),
+        ("map(bool, self.rows)", "map((0).__eq__, self.rows)"),
     )),
     # killed by the cross-check of values_of against the digit loop, the
     # columns test and the rendering tests
@@ -302,22 +304,37 @@ MUTANTS = (
         ('(_leg(logic) + "-contra", CONTRAPOSITIVE[logic])', '(_leg(logic) + "-contra", logic)'),
     ), "test_search.py"),
     Mutant("the det-rev filter keeps its syntactic half per class", "search.py", (
-        ("    for space, preds, p, cls in _classes(config, stats, block):\n"
+        ("    for space, preds, programs, k, cls in _classes(config, stats, block):\n"
          "        # a program's syntax",
          "    first_syntax = {}\n"
-         "    for space, preds, p, cls in _classes(config, stats, block):\n"
+         "    for space, preds, programs, k, cls in _classes(config, stats, block):\n"
          "        # a program's syntax"),
-        ("syntactic_choice(p) is not None:",
-         "first_syntax.setdefault(id(cls), syntactic_choice(p) is not None):"),
+        ("syntactic_choice(programs.program(k)) is not None:",
+         "first_syntax.setdefault(id(cls), syntactic_choice(programs.program(k)) is not None):"),
     ), "test_search.py"),
-    # the stream classifier, and the survey's walk over each class's first program
+    # the rows and their classifier, and the survey's walk over each class's first program
     Mutant("the stream classifier's key drops the guard", "semantics.py", (
-        ("                key.append(field)\n",
-         "                key.append(None if isinstance(field, _syntax.Guard) else field)\n"),
+        ("(ctor, guard, profiles[i])", "(ctor, None, profiles[i])"),
     )),
     Mutant("the stream classifier skips the budget on a memo hit", "semantics.py", (
-        ("            else:\n                _check_budget(nodes, n)\n", ""),
+        ("            if nodes > cap:\n                _check_budget(nodes, n)\n", ""),
+        ("            if cls is None:\n",
+         "            if cls is None:\n                _check_budget(nodes, n)\n"),
     )),
+    Mutant("the stream classifier counts a `;` entry as a node", "semantics.py", (
+        ("step = 0 if ctor is Seq else 1", "step = 1"),
+    )),
+    Mutant("the `;` combine swaps its parts", "semantics.py", (
+        ("return _then(a, b, nodes, space)", "return _then(b, a, nodes, space)"),
+    )),
+    Mutant("a later entry of a key gets the first entry's node count", "semantics.py", (
+        ("cls = known[part] = _profile_of(meaning, space), meaning\n",
+         "cls = known[part] = _profile_of(meaning, space), meaning, nodes\n"),
+        ("            counts.append(nodes)\n", "            counts.append(cls[2])\n"),
+    )),
+    Mutant("a loop row reads every earlier entry, not the last frontier", "generators.py", (
+        ("yield While, guard, None, frontier", "yield While, guard, None, every"),
+    ), "test_search.py"),
     Mutant("the survey counts from one past a class's first program", "theorems.py", (
         ("programs, triples, classes = i + 1, i * len(pairs), k + 1",
          "programs, triples, classes = i + 2, (i + 1) * len(pairs), k + 1"),
