@@ -9,14 +9,19 @@ times program nodes, 10^6), 3 a bug, of whatever exception type.
 
 The commands live in one table, `COMMANDS`: name -> (help text, the function
 that adds the command's arguments, handler), from which `build_parser` builds
-either every command's parser or one command's.  A command line that starts
-with a command name builds that command's parser alone, under the same
-top-level parser, so it parses and is rejected as by the full parser; any
-other command line (help, version, no arguments, an unknown command, an
-option before the command) builds every command's, whose text the help and
-the rejections list.  A rejected value, an unrecognized argument or an
-unknown name longer than 40 characters is shown as its first 20, an
-ellipsis and its length.
+either the top-level parser with every command's or one command's parser
+alone.  A command line that starts with a command name is parsed by that
+command's parser alone, prog `ngclab <command>`, which reads the arguments
+after the name and gives the namespace, usage, help and rejections that the
+top-level parser would give through its subcommand, an unrecognized argument
+reported under `ngclab:` as there.  Any other command line (help, version,
+no arguments, an unknown command, an option before the command) is parsed by
+the top-level parser, whose text the help and the rejections list; so is a
+command line with an argument that the top-level parser rejects before any
+command reads it (one starting `--=`, a prefix of both `--help` and
+`--version`).  Each call of `main` builds its parser anew, as each process
+does.  A rejected value, an unrecognized argument or an unknown name longer
+than 40 characters is shown as its first 20, an ellipsis and its length.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .theorems import THEOREM_IDS, corpus_preset, run_survey
 from .transformers import TransformerKind, inductive_transform, oracle_transform
 
 CLAIM_FALSE = 1
+PROG = "ngclab"
 
 
 def _load_program(path: str):
@@ -182,17 +188,20 @@ def cmd_classify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """The parser of the command and of each subcommand: a command line it
+    """The parser of the command line and of each command: a command line it
     rejects is a usage error, one short stderr line and exit 2."""
 
     def error(self, message):
         raise UsageError(shorten_quoted(f"{self.prog}: {message}"))
 
     def parse_args(self, args=None, namespace=None):
-        # argparse's own, but with each unrecognized argument shortened
+        # argparse's own, but with each unrecognized argument shortened, and
+        # reported under the top-level prog, where a command parsed through
+        # the top-level parser reports it
         args, extra = self.parse_known_args(args, namespace)
         if extra:
-            self.error(f"unrecognized arguments: {' '.join(map(shorten, extra))}")
+            raise UsageError(shorten_quoted(
+                f"{PROG}: unrecognized arguments: {' '.join(map(shorten, extra))}"))
         return args
 
 
@@ -247,33 +256,46 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every command, or with the one named.  A
-    command line that starts with that name parses, and is rejected, as by
-    the full parser; only the top-level help and an unknown command's
-    message list the commands."""
+    """The top-level parser with every command, or the named command's
+    parser alone, which parses the arguments after the command's name into
+    the namespace that the top-level parser gives for the whole line."""
+    if command is not None:
+        _, add_arguments, handler = COMMANDS[command]
+        parser = _Parser(prog=f"{PROG} {command}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler, command=command)
+        return parser
     parser = _Parser(
-        prog="ngclab",
+        prog=PROG,
         description="check triples, transformers, theorems, and equations "
                     "over finite guarded-command programs",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments, handler = COMMANDS[name]
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The command line parsed by its command's parser alone if it starts
+    with a command, and otherwise by the top-level parser.  The top-level
+    parser reads every argument before a `--` as an option first, and
+    rejects one starting `--=` as ambiguous, so such a line goes to it."""
+    if argv and argv[0] in COMMANDS:
+        options = argv[1:argv.index("--")] if "--" in argv else argv[1:]
+        if not any(arg.startswith("--=") for arg in options):
+            return build_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # a command line that starts with a command builds that command's
-        # parser alone; any other (help, version, no arguments, an unknown
-        # command, an option first) builds every command's, for its text
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _parse(argv)
         state_cap()  # reject a malformed NGCL_STATE_CAP whatever the command
         return args.func(args)
     except RecursionError:

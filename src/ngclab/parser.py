@@ -12,10 +12,18 @@ Grammar (statements):
 Guards close comparisons (= != < <=, also ==) under && || ! and parentheses;
 expressions use + - * over names and integer literals.  `#` starts a line
 comment.  Files carry a header line `vars x, y mod 4` declaring the space.
+
+`tokenize` reads a text in one pass of one compiled pattern, a match per
+token with the blanks before it; the recursive-descent `_Parser` reads the
+token list, a `;` chain in a loop.  A name is a letter or `_` and then
+letters, digits and `_` (`str.isalnum`); an integer literal is decimal
+digits (`str.isdecimal`, what `int()` reads), and one longer than `int()`
+reads is a parse error at its position.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .errors import NgclSyntaxError, UnknownVariableError
@@ -40,67 +48,68 @@ from .syntax import (
     Var,
     While,
 )
-from .values import Frozen, setfield
+from .values import Frozen
 
 _KEYWORDS = {"skip", "diverge", "if", "else", "while", "true", "false", "vars", "mod"}
 _SYMBOLS = (":=", "[]", "<=", "!=", "==", "&&", "||", ";", "{", "}", "(", ")",
             "+", "-", "*", "<", "=", "!", ",")
 
 
+# One group per token kind, after any blanks, tried in this order: a
+# newline, a comment, an integer literal (the `isdecimal` digits, which `int`
+# reads), a name, a symbol (in `_SYMBOLS`' order, so a two-character symbol
+# before its one-character prefix) and any other character.  `\w` is
+# `isalnum() or "_"`, a name's later characters; its first is a word
+# character that is no digit, which admits `²` and `Ⅻ` too, so `tokenize`
+# checks it for `isalpha() or "_"`.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>\d+)|(?P<name>[^\W\d]\w*)"
+    f"|(?P<sym>{'|'.join(map(re.escape, _SYMBOLS))})|(?P<bad>.))", re.S)
+
+
 class Token(Frozen):
     __slots__ = ("kind", "text", "line", "column")   # kind: name | int | sym | eof
 
     def __init__(self, kind: str, text: str, line: int, column: int):
-        setfield(self, "kind", kind)
-        setfield(self, "text", text)
-        setfield(self, "line", line)
-        setfield(self, "column", column)
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_line(self, line)
+        _set_column(self, column)
+
+
+_set_kind, _set_text, _set_line, _set_column = (
+    Token.kind.__set__, Token.text.__set__, Token.line.__set__, Token.column.__set__)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of a text, each with its 1-based line and column, and then
+    an `eof` token.  A column counts characters from the line's start, a tab
+    as one; the `eof` token after a comment that ends the text has the
+    comment's column."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0     # the line's number and the index of its first character
+    comment = -1                # where the last comment starts
+    limit = sys.get_int_max_str_digits()
+    # each match's blanks come before its token: those that end the text are
+    # left out, so that every match has a token
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        word, start = match.group(kind), match.start(kind)
+        if kind == "comment":
+            comment = start
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdecimal():   # what int() reads; isdigit() also takes "²"
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            if 0 < sys.get_int_max_str_digits() < i - start:   # more than int() reads
-                raise NgclSyntaxError(f"integer literal too long ({i - start} digits)", line, col)
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("name", text[start:i], line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise NgclSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        column = start - line_start + 1
+        if kind == "int" and 0 < limit < len(word):   # more than int() reads
+            raise NgclSyntaxError(f"integer literal too long ({len(word)} digits)", line, column)
+        if kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise NgclSyntaxError(f"unexpected character {word[0]!r}", line, column)
+        tokens.append(Token(kind, word, line, column))
+    end = comment if comment >= line_start else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -129,7 +138,8 @@ class _Parser:
         return self.next()
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind != "eof"
 
     def check_var(self, tok: Token) -> str:
         if self.space is not None and tok.text not in self.space.variables:

@@ -302,9 +302,18 @@ def _while_of(guard: Guard, body: _Meaning, nodes: int, space: StateSpace) -> _M
     cyclic = bytearray(_space.flag_bytes(may & g, n + 1))
     iter_bits = _space.iter_bits
 
-    def successors(v):
-        tables = map(itemgetter(v), succs)
-        return tables if rows is None else chain(tables, iter_bits(rows[v]))
+    if rows is None and len(succs) == 1:
+        # one table: a state's one successor, in a tuple, which the walk
+        # reads again after that successor returns; by then it is closed, or
+        # open in v's component, and reading it again changes nothing
+        table = succs[0]
+
+        def successors(v):
+            return (table[v],)
+    else:
+        def successors(v):
+            tables = map(itemgetter(v), succs)
+            return tables if rows is None else chain(tables, iter_bits(rows[v]))
     number = [-1] * n           # discovery number of a state under the guard
     low = [0] * n
     stack: list[int] = []       # Tarjan's stack of open states

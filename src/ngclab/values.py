@@ -8,8 +8,9 @@ are equal, `repr` is `Name(field=value, ...)`, and pickling rebuilds a value
 through `__init__` from its field tuple, so derived attributes are computed
 again, never carried.  `Frozen` adds the hash of the field tuple and refuses
 assignment and deletion with `AttributeError`; its `__init__` sets each slot
-with `setfield`, except `space.Predicate`'s, which calls the slot
-descriptors' `__set__` directly, as both engines build one per call.
+with `setfield`, except `space.Predicate`'s and `parser.Token`'s, which
+call the slot descriptors' `__set__` directly, as both engines build a
+predicate per call and the tokenizer a token per word or symbol.
 Nothing is generated when a class is defined, so defining one costs no more
 than defining any other class.  Every value type of the package is one, and
 so are the KAT terms of the test reference (`tests/kat_reference.py`).

@@ -631,8 +631,9 @@ _REJECTED = {
 
 
 class TestSingleCommandParser:
-    """A command line that starts with a command is parsed by a parser that
-    has that command alone; it must parse and reject as the full parser."""
+    """A command line that starts with a command is parsed by that command's
+    parser alone, from the argument after the command's name; it must parse
+    and reject as the full parser does the whole line."""
 
     def test_every_command_is_checked(self):
         assert list(_PARSED) == list(_REJECTED) == list(cli.COMMANDS)
@@ -642,21 +643,33 @@ class TestSingleCommandParser:
         for argv in _PARSED[command]:
             full = _outcome(cli.build_parser(), argv)
             assert full[0] == "parsed", (argv, full)
-            assert _outcome(cli.build_parser(command), argv) == full, argv
+            assert _outcome(cli.build_parser(command), argv[1:]) == full, argv
 
     @pytest.mark.parametrize("command", list(_REJECTED))
     def test_rejected_command_lines_give_the_same_message(self, command):
         for argv in _REJECTED[command]:
             full = _outcome(cli.build_parser(), argv)
             assert full[0] == "rejected", (argv, full)
-            assert _outcome(cli.build_parser(command), argv) == full, argv
+            assert _outcome(cli.build_parser(command), argv[1:]) == full, argv
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_is_the_same(self, command, flag):
         full = _outcome(cli.build_parser(), [command, flag])
         assert full[0] == "exited" and full[1] == 0 and f"usage: ngclab {command}" in full[2]
-        assert _outcome(cli.build_parser(command), [command, flag]) == full
+        assert _outcome(cli.build_parser(command), [flag]) == full
+
+    @pytest.mark.parametrize("argv, arg", [(["check", "--=x"], "--=x"),
+                                           (["survey", "--format", "--="], "--="),
+                                           (["classify", "a", "--=b", "--", "c"], "--=b")])
+    def test_an_argument_the_top_level_parser_finds_ambiguous_goes_to_it(self, capsys, argv,
+                                                                          arg):
+        # `--=` is a prefix of both --help and --version: the top-level
+        # parser rejects it before the command's parser reads anything
+        message = f"ngclab: ambiguous option: {arg} could match --help, --version"
+        assert _outcome(cli.build_parser(), argv) == ("rejected", message)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.fixture
@@ -679,7 +692,11 @@ class TestParserBuilds:
 
     def test_a_command_builds_its_parser_alone(self, capsys, parsers_built):
         assert main(self.CHECK) == 0
-        assert parsers_built == ["ngclab", "ngclab check"]
+        assert parsers_built == ["ngclab check"]
+
+    def test_each_command_line_builds_its_parser_anew(self, capsys, parsers_built):
+        assert main(self.CHECK) == main(self.CHECK) == 0
+        assert parsers_built == ["ngclab check", "ngclab check"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
     def test_help_and_version_build_every_command(self, capsys, parsers_built, argv):
@@ -692,7 +709,7 @@ class TestParserBuilds:
         monkeypatch.setattr(sys, "argv", ["ngclab", *self.CHECK])
         assert main() == 0
         assert capsys.readouterr().out == "valid for awp-lb\n"   # lisbon's name
-        assert parsers_built == ["ngclab", "ngclab check"]
+        assert parsers_built == ["ngclab check"]
 
 
 # guard edits: grammar tokens, digit runs, characters int() does not read,
@@ -805,8 +822,9 @@ class TestOptionFuzz:
         assert len(lines) <= 1 and "Traceback" not in err.getvalue(), (command, cap, lines)
         # a rejected value of any length leaves a short line
         assert all(len(line) < 200 for line in lines), (command, cap, lines)
-        # the command's own parser and the full one agree
-        assert (_outcome(cli.build_parser(command[0]), command)
+        # the command's own parser, on the arguments after the command's
+        # name, and the full one agree
+        assert (_outcome(cli.build_parser(command[0]), command[1:])
                 == _outcome(cli.build_parser(), command)), command
 
 

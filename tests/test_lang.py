@@ -18,6 +18,7 @@ from ngclab import (
     pretty_program,
 )
 from ngclab.generators import random_guard, random_program
+from ngclab.parser import _SYMBOLS, Token, tokenize
 from ngclab.syntax import (
     And, Assign, BinExpr, Choice, Cmp, Const, Diverge, Or, Seq, Skip, Var, While,
     statements,
@@ -26,6 +27,10 @@ from ngclab.values import Value
 
 import pickle
 import random
+import string
+import sys
+
+import tokenize_reference
 
 
 SPACE_X3 = StateSpace(("x",), 3)
@@ -177,6 +182,69 @@ class TestParser:
     def test_trailing_semicolon_rejected(self):
         with pytest.raises(NgclSyntaxError):
             parse_program("skip ; x := 1 ;", SPACE_X3)
+
+
+def _scan(tokenizer, text):
+    """The tokens of a text, or the message and position of its rejection."""
+    try:
+        return tokenizer(text)
+    except NgclSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# text for the tokenizer: the grammar's symbols, `_`, letters, blanks and
+# the characters it refuses, non-ASCII letters and digits, comments with and
+# without a newline after them, and digit runs of every length up to one
+# digit more than int() reads
+_LIMIT = sys.get_int_max_str_digits()
+_PIECES = st.one_of(
+    st.sampled_from(_SYMBOLS + ("_", " ", "\n", "\t", "\r", "\x0b", "²", "٣", "é", "Ⅻ")),
+    st.sampled_from(string.ascii_letters),
+    st.builds(lambda body, end: f"#{body}{end}", st.text("x <#\t²", max_size=4),
+              st.sampled_from(["", "\n"])),
+    st.text("0123456789", min_size=1, max_size=5),
+    st.sampled_from([_LIMIT, _LIMIT + 1]).map("9".__mul__),
+)
+
+
+class TestTokenizer:
+    def test_tokens_carry_their_kind_text_line_and_column(self):
+        assert tokenize("x <= 10 ;\n\ty2_ := _z") == [
+            Token("name", "x", 1, 1), Token("sym", "<=", 1, 3), Token("int", "10", 1, 6),
+            Token("sym", ";", 1, 9), Token("name", "y2_", 2, 2), Token("sym", ":=", 2, 6),
+            Token("name", "_z", 2, 9), Token("eof", "", 2, 11)]
+        # after its first character, a name takes any letter, digit or `_`
+        assert tokenize("x²Ⅻ٣é") == [Token("name", "x²Ⅻ٣é", 1, 1), Token("eof", "", 1, 6)]
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("x = # c", 1, 5), ("x =  # c\n", 2, 1), ("x =  ", 1, 6), ("x =\t#\n# c", 2, 1)])
+    def test_a_comment_does_not_advance_the_column(self, text, line, column):
+        assert tokenize(text)[-1] == Token("eof", "", line, column)
+        with pytest.raises(NgclSyntaxError, match=f"^{line}:{column}: expected an expression"):
+            parse_guard(text, SPACE_X3)
+
+    @pytest.mark.parametrize("text, symbols", [
+        ("a<=b", ["<="]), ("a<b", ["<"]), ("a!=b", ["!="]), ("!a", ["!"]), ("a==b", ["=="]),
+        ("a=b", ["="]), ("a:=b", [":="]), ("{}[]<", ["{", "}", "[]", "<"])])
+    def test_a_two_character_symbol_is_one_token(self, text, symbols):
+        assert [tok.text for tok in tokenize(text) if tok.kind == "sym"] == symbols
+
+    # a name starts with a letter or `_`, not with `²` or `Ⅻ`
+    @pytest.mark.parametrize("text, column", [("²", 1), ("x + Ⅻ", 5), ("1²", 2), ("\x0b", 1)])
+    def test_a_character_that_starts_no_token_is_refused(self, text, column):
+        with pytest.raises(NgclSyntaxError, match=f"^1:{column}: unexpected character"):
+            tokenize(text)
+
+    def test_an_integer_literal_longer_than_int_reads_is_refused(self):
+        assert tokenize("9" * _LIMIT)[0].kind == "int"
+        with pytest.raises(NgclSyntaxError, match=rf"^1:3: integer literal too long "
+                                                  rf"\({_LIMIT + 1} digits\)$"):
+            tokenize("x " + "9" * (_LIMIT + 1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    def test_the_pattern_scan_matches_the_character_loop(self, text):
+        assert _scan(tokenize, text) == _scan(tokenize_reference.tokenize, text)
 
 
 def _subtrees(node):

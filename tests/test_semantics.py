@@ -361,6 +361,28 @@ def test_profile_matches_the_reference_on_the_scale_programs(text):
     _cross_check(prog(text, space), space)
 
 
+# loop bodies: where the body's meaning is one successor table and no rows,
+# the loop's SCC pass reads a state's one successor from the table, and
+# otherwise its successors from each table and its row
+_LOOP_BODIES = ("x := x - 1", "x := x * 2", "x := x + 1 ; x := x * 3", "skip",
+                "if x = 1 { x := 0 } else { diverge }", "{ x := x * 2 } [] { diverge }",
+                "if x < 2 { x := x + 2 } else { x := x - 1 }", "diverge",
+                "{ x := x - 1 } [] { x := x + 1 }", "while x = 0 { skip }",
+                "{ x := 0 } [] { x := 1 } [] { x := 2 } [] { x := 3 } [] { x := x + 1 }")
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_loops_of_one_table_and_of_tables_and_rows_match_the_reference(n):
+    space = StateSpace(("x",), n)
+    one_table = set()
+    for body in _LOOP_BODIES:
+        _, succs, rows, _ = semantics._meaning(prog(body, space), space)
+        one_table.add(rows is None and len(succs) == 1)
+        for guard in ("x != 0", "x < 2", "true", "x = 1 || x = 3"):
+            _cross_check(prog(f"while {guard} {{ {body} }}", space), space)
+    assert one_table == {True, False}       # both ways of reading successors
+
+
 def test_functions_stay_successor_tables_and_equal_rows_stay_shared():
     space = StateSpace(("x",), 20)
     # skip, assignments, and `;` and `if` of them: one table of n + 1

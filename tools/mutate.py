@@ -156,6 +156,10 @@ MUTANTS = (
         ("return tables if rows is None else chain(tables, iter_bits(rows[v]))",
          "return tables"),
     )),
+    Mutant("a loop body of one table gives a state the next state's successor",
+           "semantics.py", (
+        ("return (table[v],)", "return (table[v + 1],)"),
+    )),
     Mutant("a state outside the guard is not its own final state", "semantics.py", (
         ("reach = finals[w] = 1 << w", "reach = finals[w] = 0"),
     )),
@@ -399,21 +403,36 @@ MUTANTS = (
         ("return map(add, range(space.size), map(stride.__mul__, delta))",
          "return map(sub, range(space.size), map(stride.__mul__, delta))"),
     ), "test_compiled.py"),
+    # the tokenizer's one-pass scan
+    Mutant("the scan advances the column over a comment", "parser.py", (
+        ("end = comment if comment >= line_start else len(text)", "end = len(text)"),
+    ), "test_lang.py"),
+    Mutant("a one-character symbol is tried before its two-character form", "parser.py", (
+        ("'|'.join(map(re.escape, _SYMBOLS))", "'|'.join(map(re.escape, sorted(_SYMBOLS, key=len)))"),
+    ), "test_lang.py"),
+    Mutant("a name may start with `²`", "parser.py", (
+        ('kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_")',
+         'kind == "bad"'),
+    ), "test_lang.py"),
     # the exit-code map
     Mutant("a usage error exits 3", "errors.py", (
         ('prefix, exit_code = "error", 2', 'prefix, exit_code = "error", 3'),
     ), "test_cli.py"),
     # the command line's parsers: the first is killed by the command tests
     # and by the cross-check against the full parser, the second by the
-    # parser count alone
+    # parser count alone, the third by the rejected command lines
     Mutant("a command's own parser leaves out the command's last argument", "cli.py", (
-        ("        add_arguments(p)\n",
-         "        add_arguments(p)\n"
-         "        if command is not None:\n"
-         "            p._remove_action(p._actions[-1])\n"),
+        ("        add_arguments(parser)\n",
+         "        add_arguments(parser)\n"
+         "        parser._remove_action(parser._actions[-1])\n"),
     ), "test_cli.py"),
     Mutant("main builds every command's parser for every command line", "cli.py", (
-        ("build_parser(argv[0] if argv and argv[0] in COMMANDS else None)", "build_parser()"),
+        ("return build_parser(argv[0]).parse_args(argv[1:])",
+         "return build_parser().parse_args(argv)"),
+    ), "test_cli.py"),
+    Mutant("a command's own parser reports unrecognized arguments under its own prog",
+           "cli.py", (
+        ('f"{PROG}: unrecognized arguments:', 'f"{self.prog}: unrecognized arguments:'),
     ), "test_cli.py"),
     # killed by the predicate-printing test and the transform tests' state counts
     Mutant("a printed predicate counts the states outside it", "cli.py", (
