@@ -192,6 +192,11 @@ class _Parser(argparse.ArgumentParser):
     rejects is a usage error, one short stderr line and exit 2."""
 
     def error(self, message):
+        # argparse quotes no ambiguous option, so it is cut here
+        head, ambiguous, rest = message.partition("ambiguous option: ")
+        if ambiguous:
+            option, could, matches = rest.rpartition(" could match ")
+            message = f"{head}{ambiguous}{shorten(option)}{could}{matches}"
         raise UsageError(shorten_quoted(f"{self.prog}: {message}"))
 
     def parse_args(self, args=None, namespace=None):

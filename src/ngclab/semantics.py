@@ -30,15 +30,17 @@ the eight results in a table).  A table, and the class's reachable states
 and its final states with more than one initial state, are derived only
 when first read.
 
-Each rule is split once into its walk, which reads the syntax and is
-memoised per (sub-program, space) (`_meaning`), and a combine function over
-the parts' meanings (`_then` for `;`, `_choice_of`, `_ite_of`,
-`_while_of`), so the walk and the classifier share one composer.  A profile is
-compositional: the constructor, the guard and the parts' profiles fix it.
-`classify`, the stream classifier, uses that on the rows of an enumeration
-(`generators.exhaustive_rows`), where each part comes earlier in the stream:
-it builds no program, and the combine functions run once per
-(constructor, guard, parts' profiles) key.
+One walk reads a program's syntax, memoised per (sub-program, space)
+(`_meaning`): a leaf is its own meaning, a `;` chain is folded with `_then`
+from its end, and any other node goes through `_combine`, the one step from
+a constructor to its combine function (`_then`, `_choice_of`, `_ite_of`,
+`_while_of`).  A profile is compositional: the constructor, the guard and
+the parts' profiles fix it.  `classify`, the stream classifier, uses that
+through the same `_combine` on the rows of an enumeration
+(`generators.exhaustive_rows`), where each part comes earlier in the stream,
+or on programs, each a leaf.  It builds no program, and `_combine` runs once
+per (constructor, guard, parts' profiles) key.  Only `_class` builds a
+`Profile`.
 """
 
 from __future__ import annotations
@@ -150,39 +152,50 @@ def _join(nodes: int, tables, rows: tuple | None, may: int, space: StateSpace) -
 
 @lru_cache(maxsize=1 << 18)
 def _meaning(p: Program, space: StateSpace) -> _Meaning:
-    rule = _RULES.get(type(p))
-    if rule is None:
+    """p's meaning over the space: a leaf's own; a `;` chain's, flattened
+    without recursion and composed from its end; and any other node's, its
+    constructor's combine function on its parts' meanings.  The budget is
+    checked on each node after its parts, and on a chain once, on its total."""
+    kind, n = type(p), space.size
+    if kind in (Skip, Diverge, Assign):
+        _check_budget(1, n)
+        if kind is Skip:
+            return _Meaning(1, (range(n + 1),), None, 0)
+        if kind is Diverge:
+            return _Meaning(1, (), None, space.full_mask)
+        return _Meaning(1, ((*_syntax.assign_table(p.var, p.expr, space), n),), None, 0)
+    if kind is Seq:
+        chain = [_meaning(q, space) for q in reversed(_syntax.statements(p))]  # last first
+        nodes = sum([meaning.nodes for meaning in chain])
+        _check_budget(nodes, n)
+        meaning = chain[0]
+        for first in chain[1:]:
+            meaning = _then(first, meaning, nodes, space)
+        return meaning
+    if kind is Choice:
+        guard, a, b = None, _meaning(p.left, space), _meaning(p.right, space)
+    elif kind is Ite:
+        guard, a, b = p.guard, _meaning(p.then, space), _meaning(p.orelse, space)
+    elif kind is While:
+        guard, a, b = p.guard, None, _meaning(p.body, space)
+    else:
         raise TypeError(f"not a program: {p!r}")
-    return rule(p, space)
+    nodes = 1 + b.nodes + (0 if a is None else a.nodes)
+    _check_budget(nodes, n)
+    return _combine(kind, guard, a, b, nodes, space)
 
 
-def _skip_rule(p: Skip, space: StateSpace) -> _Meaning:
-    _check_budget(1, space.size)
-    return _Meaning(1, (range(space.size + 1),), None, 0)
-
-
-def _diverge_rule(p: Diverge, space: StateSpace) -> _Meaning:
-    _check_budget(1, space.size)
-    return _Meaning(1, (), None, space.full_mask)
-
-
-def _assign_rule(p: Assign, space: StateSpace) -> _Meaning:
-    _check_budget(1, space.size)
-    return _Meaning(1, ((*_syntax.assign_table(p.var, p.expr, space), space.size),), None, 0)
-
-
-def _seq_rule(p: Seq, space: StateSpace) -> _Meaning:
-    """A `;` chain, flattened without recursion and composed from its end."""
-    chain, nodes = [], 0
-    for q in reversed(_syntax.statements(p)):
-        meaning = _meaning(q, space)
-        nodes += meaning.nodes
-        chain.append(meaning)                   # last statement first
-    _check_budget(nodes, space.size)
-    meaning = chain[0]
-    for first in chain[1:]:
-        meaning = _then(first, meaning, nodes, space)
-    return meaning
+def _combine(ctor: type, guard, a: _Meaning | None, b: _Meaning, nodes: int,
+             space: StateSpace) -> _Meaning:
+    """The constructor's combine function on its parts' meanings: a loop's
+    body is b."""
+    if ctor is Seq:
+        return _then(a, b, nodes, space)
+    if ctor is Choice:
+        return _choice_of(a, b, nodes, space)
+    if ctor is Ite:
+        return _ite_of(guard, a, b, nodes, space)
+    return _while_of(guard, b, nodes, space)
 
 
 def _then(a: _Meaning, b: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
@@ -222,13 +235,6 @@ def _then(a: _Meaning, b: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
     return _join(nodes, tables, rows, a_may, space)
 
 
-def _choice_rule(p: Choice, space: StateSpace) -> _Meaning:
-    left, right = _meaning(p.left, space), _meaning(p.right, space)
-    nodes = 1 + left.nodes + right.nodes
-    _check_budget(nodes, space.size)
-    return _choice_of(left, right, nodes, space)
-
-
 def _choice_of(left: _Meaning, right: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
     """left [] right: the parts joined, and may-divergence either's."""
     rows = left.rows
@@ -237,13 +243,6 @@ def _choice_of(left: _Meaning, right: _Meaning, nodes: int, space: StateSpace) -
     elif right.rows is not None:
         rows = _union(rows, right.rows)
     return _join(nodes, left.succs + right.succs, rows, left.may | right.may, space)
-
-
-def _ite_rule(p: Ite, space: StateSpace) -> _Meaning:
-    then, orelse = _meaning(p.then, space), _meaning(p.orelse, space)
-    nodes = 1 + then.nodes + orelse.nodes
-    _check_budget(nodes, space.size)
-    return _ite_of(p.guard, then, orelse, nodes, space)
 
 
 def _ite_of(guard: Guard, then: _Meaning, orelse: _Meaning, nodes: int,
@@ -266,13 +265,6 @@ def _ite_of(guard: Guard, then: _Meaning, orelse: _Meaning, nodes: int,
 def _select(flags: bytes, then, orelse) -> tuple:
     """Per state, then's entry where the flag is 1, else orelse's."""
     return tuple(map(getitem, zip(orelse, then), flags))
-
-
-def _while_rule(p: While, space: StateSpace) -> _Meaning:
-    body = _meaning(p.body, space)
-    nodes = 1 + body.nodes
-    _check_budget(nodes, space.size)
-    return _while_of(p.guard, body, nodes, space)
 
 
 def _while_of(guard: Guard, body: _Meaning, nodes: int, space: StateSpace) -> _Meaning:
@@ -374,10 +366,6 @@ def _while_of(guard: Guard, body: _Meaning, nodes: int, space: StateSpace) -> _M
         return _Meaning(nodes, (), tuple(finals), may)
     return _Meaning(nodes, (_select(under, repeat(n), range(n + 1)),),
                     _select(under, finals, repeat(0)) if g else None, may)
-
-
-_RULES = {Skip: _skip_rule, Diverge: _diverge_rule, Assign: _assign_rule, Seq: _seq_rule,
-          Choice: _choice_rule, Ite: _ite_rule, While: _while_rule}
 
 
 # --- the semantic class: a profile per (space, relation, may-divergence) ----
@@ -545,16 +533,3 @@ def classify(rows: Iterable, space: StateSpace) -> Iterator[Profile]:
             counts.append(nodes)
             meanings.append(cls[1])
             yield cls[0]
-
-
-def _combine(ctor: type, guard, a: _Meaning | None, b: _Meaning, nodes: int,
-             space: StateSpace) -> _Meaning:
-    """The constructor's combine function on its parts' meanings: a loop's
-    body is b."""
-    if ctor is Seq:
-        return _then(a, b, nodes, space)
-    if ctor is Choice:
-        return _choice_of(a, b, nodes, space)
-    if ctor is Ite:
-        return _ite_of(guard, a, b, nodes, space)
-    return _while_of(guard, b, nodes, space)

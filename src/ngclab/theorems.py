@@ -118,20 +118,19 @@ def corpus_items(
 @lru_cache(maxsize=4)
 def corpus_classes(corpus: CorpusConfig) -> tuple[int, ...]:
     """Per program of `corpus_items`, the index of the first program with its
-    profile (its semantic class).  An exhaustive corpus's profiles are read
-    off the stream classifier, from the rows its programs are built from; a
-    random corpus's programs are profiled one by one.  Built once per
-    corpus; only the indices are kept, so a profile cleared from the
-    composer's caches is composed again when read."""
+    profile (its semantic class), read off the stream classifier: an
+    exhaustive corpus's rows are those its programs are built from, and a
+    random corpus's are its programs, each a leaf.  Built once per corpus;
+    only the indices are kept, so a profile cleared from the composer's
+    caches is composed again when read."""
     space = corpus.space()
     config = corpus.programs
     if config.mode == "exhaustive":
-        profiles = classify(
-            _generators.exhaustive_rows(space, config.max_depth, config.loops), space)
+        rows = _generators.exhaustive_rows(space, config.max_depth, config.loops)
     else:
-        profiles = (profile(p, space) for p, _ in corpus_items(corpus))
+        rows = (p for p, _ in corpus_items(corpus))
     first: dict = {}        # profile -> index of its first program
-    return tuple(first.setdefault(prof, i) for i, prof in enumerate(profiles))
+    return tuple(first.setdefault(prof, i) for i, prof in enumerate(classify(rows, space)))
 
 
 class Verdict(Value):

@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import unknown_name
-from .relations import Relation
-from .semantics import ASP, AWP, Profile, profile
+from .semantics import ASP, AWP, profile
 from .space import Predicate
+from .syntax import Program
 
 
 # --- the equation catalog ----------------------------------------------------
@@ -155,19 +155,13 @@ def catalog_values(tables, b: int, c: int, full: int) -> tuple[bool, ...]:
     return _evaluate(_CATALOG_PLAN, tables, b, c, full)
 
 
-def check_equation(eq: str, b: Predicate, p, c: Predicate) -> bool:
+def check_equation(eq: str, b: Predicate, p: Program, c: Predicate) -> bool:
     """Evaluate one catalog equation (or system) over the relation of p's
-    profile; p may be a Program or a raw Relation, whose may-divergence is
-    taken as empty: no word reads it."""
+    profile."""
     if eq not in _CATALOG:
         raise unknown_name("equation id", eq)
     space = b.space
     if c.space != space:
         raise ValueError("pre- and postcondition live in different spaces")
-    if isinstance(p, Relation):
-        if p.n != space.size:
-            raise ValueError("program relation has the wrong size")
-        prof = Profile(space, p, 0)
-    else:
-        prof = profile(p, space)
+    prof = profile(p, space)
     return catalog_values(prof, b.bits, c.bits, space.full_mask)[EQUATIONS.index(eq)]

@@ -522,6 +522,20 @@ class TestCommandLine:
         assert captured.err == (f"error: ngclab {argv[0]}: argument {option}: invalid int "
                                 "value: '77777777777777777777\u2026' (4301 characters)\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["check", "--=" + "y" * 300],
+         "error: ngclab: ambiguous option: --=yyyyyyyyyyyyyyyyy\u2026 (303 characters) "
+         "could match --help, --version"),
+        (["check", "--p=" + "y" * 300],
+         "error: ngclab check: ambiguous option: --p=yyyyyyyyyyyyyyyy\u2026 (304 characters) "
+         "could match --pre, --post"),
+    ])
+    def test_an_over_long_ambiguous_option_is_cut(self, capsys, argv, line):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+        assert len(captured.err) < 120
+
     @pytest.mark.parametrize("length, shown", [
         (40, "'" + "a" * 40 + "'"),
         (41, "'" + "a" * 20 + "\u2026' (41 characters)"),

@@ -121,7 +121,7 @@ def _ref_search(claim, config):
         for space, p, b, c in _ref_triples(config):
             if not spend():
                 return "budget-exhausted", candidates, None
-            system = check_equation("OUTCOME_CONJUNCTION", b, profile(p, space).relation, c)
+            system = check_equation("OUTCOME_CONJUNCTION", b, p, c)
             logic = holds(INTERSECTION_LOGIC, Triple(b, p, c))
             if system != logic:
                 w = _ref_witness(space, {"program": pretty_program(p)}, b, c,

@@ -16,7 +16,7 @@ from ngclab.generators import (
     GeneratorConfig, exhaustive_programs, exhaustive_rows, generate_programs, random_program,
 )
 from ngclab.relations import Relation
-from ngclab.syntax import Program, Seq
+from ngclab.syntax import Choice, Ite, Program, Seq, While
 from ngclab.semantics import profile
 from ngclab.transformers import TransformerKind, inductive_transform, oracle_transform
 from oracle_reference import pre
@@ -449,6 +449,32 @@ def test_the_budget_is_states_times_program_nodes(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match=r"^states x program nodes = 3 x 4 exceeds the budget of 11$"):
         profile.__wrapped__(p, SPACE)           # refused before the `;` composes
+
+
+def test_the_walk_composes_each_node_through_the_classifiers_step(monkeypatch):
+    """From cleared caches, `profile` of an `if`, a `[]` and a loop reaches
+    `_combine`, the step the stream classifier composes with, once: the walk
+    has no composer of its own."""
+    calls = []
+
+    def counting(ctor, *args, real=semantics._combine):
+        calls.append(ctor)
+        return real(ctor, *args)
+
+    monkeypatch.setattr(semantics, "_combine", counting)
+    for text, ctor in (("if x = 0 { x := 1 } else { skip }", Ite),
+                       ("{ x := 1 } [] { skip }", Choice),
+                       ("while x != 0 { x := x - 1 }", While)):
+        profile.cache_clear()
+        semantics._meaning.cache_clear()
+        calls.clear()
+        profile(prog(text), SPACE)
+        assert calls == [ctor], text
+
+
+def test_the_walk_refuses_a_non_program():
+    with pytest.raises(TypeError, match="^not a program: 'skip'$"):
+        profile("skip", SPACE)
 
 
 # --- the stream classifier -----------------------------------------------------

@@ -3,7 +3,8 @@
 Each mutant is a small textual edit of one module of `src/ngclab`: a rule
 of the profile's composer or a step of its loops' SCC pass dropped or bent,
 the sink of its successor tables given a successor, a row bit or a final
-state, its budget off by one, a derived field of `Profile` read from the wrong
+state, its budget off by one, an `if`'s sides swapped in its syntax walk
+alone, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
 the linear passes of a profile's transformer tables for large spaces
 reading the wrong masks, a collapse assumption scoped to the wrong side or
@@ -24,10 +25,10 @@ command's own parser short of an argument or never used, the stream
 classifier keyed without the guard, skipping the budget on a memo hit,
 counting a `;` entry as a node or giving a later entry of a key the first
 one's node count, the `;` combine swapping its parts, a loop row of the
-enumeration reading every earlier entry, the
-survey's counts read one program past a class's first, a relation's domain
-read as its empty rows, a state's values read from the strides in reverse, or
-a printed predicate counting the states outside it.
+enumeration reading every earlier entry, a random corpus's rows all its
+first program, the survey's counts read one program past a class's first,
+a relation's domain read as its empty rows, a state's values read from the
+strides in reverse, or a printed predicate counting the states outside it.
 For every mutant the script copies `src/` to a temporary directory, plants
 the fault there (never in the checkout), and runs the mutant's test file
 against the copy in a fresh interpreter.  A mutant is killed when the tests
@@ -121,6 +122,10 @@ MUTANTS = (
     )),
     Mutant("diverge may not diverge", "semantics.py", (
         ("return _Meaning(1, (), None, space.full_mask)", "return _Meaning(1, (), None, 0)"),
+    )),
+    Mutant("the syntax walk reads an `if`'s sides the wrong way round", "semantics.py", (
+        ("guard, a, b = p.guard, _meaning(p.then, space), _meaning(p.orelse, space)",
+         "guard, a, b = p.guard, _meaning(p.orelse, space), _meaning(p.then, space)"),
     )),
     # the sink, n: no successor in a table
     Mutant("the rows give the sink a bit", "semantics.py", (
@@ -339,6 +344,10 @@ MUTANTS = (
     Mutant("a loop row reads every earlier entry, not the last frontier", "generators.py", (
         ("yield While, guard, None, frontier", "yield While, guard, None, every"),
     ), "test_search.py"),
+    Mutant("a random corpus's rows are all its first program", "theorems.py", (
+        ("rows = (p for p, _ in corpus_items(corpus))",
+         "rows = (corpus_items(corpus)[0][0] for _ in corpus_items(corpus))"),
+    ), "test_survey.py"),
     Mutant("the survey counts from one past a class's first program", "theorems.py", (
         ("programs, triples, classes = i + 1, i * len(pairs), k + 1",
          "programs, triples, classes = i + 2, (i + 1) * len(pairs), k + 1"),
