@@ -2,11 +2,18 @@
 
 Sixteen arise from bounding each transformer from below or above; two more
 bound the union and the intersection of the angelic weakest pre and the
-demonic weakest liberal pre.  `violations` is the one implementation of
-that subset condition: `holds`, the command line's `check`, the theorem
-suite and the search all read their verdicts off it.  Which logics are
-contrapositive or Galois partners is derived from the transformers'
-negation duals and adjunctions (`transformers.DUALS`, `ADJUNCTIONS`).
+demonic weakest liberal pre.  The subset condition has two kernels.  The
+per-pair one, `violations`, decides one (pre, post) pair from its two
+transformer tables and is the definitional reference: `holds`, the command
+line's `check`, the theorems and the search's outcome claim read it.  The
+per-class one, `validity_sets`, gives each logic's valid pairs of a
+semantic class at once as one int, read off the class's transformer
+tables: the search's logic-pair and blindspot scans compare two such sets,
+and so do Fig. 4 and the two Galois connections on a corpus whose programs
+share one pair list.  The tests hold the two kernels equal on every pair.
+Which logics are contrapositive or Galois partners is derived from the
+transformers' negation duals and adjunctions (`transformers.DUALS`,
+`ADJUNCTIONS`).
 Also here: the collapse assumptions, stated once, and their classifier.
 """
 
@@ -16,7 +23,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import unknown_name
-from .semantics import profile
+from .semantics import Profile, profile
 from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Ite, Program, Seq, While, pretty_program
 from .transformers import ADJUNCTIONS, AWP, DUALS, DWLP, TransformerKind
@@ -159,6 +166,62 @@ def violations(logics, tb, tc, b: int, c: int, full: int) -> list[int]:
             out.append(b & ~tc[pos] if lower else tc[pos] & ~b & full)
         else:
             out.append(c & ~tb[pos] if lower else tb[pos] & ~c & full)
+    return out
+
+
+# the tables of `_pair_sets` by (P, stride): constants of P, each built on
+# first use and kept for the life of the process, as no cache clear needs to
+# drop them
+_PAIR_SETS: dict = {}
+
+
+def _pair_sets(npred: int, stride: int) -> tuple[list[int], list[int]]:
+    """Over npred predicates, per state mask m: the predicates below m (the
+    subsets of m) and the predicates above m (its supersets), each as one
+    set with predicate q at bit q * stride."""
+    sets = _PAIR_SETS.get((npred, stride))
+    if sets is None:
+        below = [1]
+        for m in range(1, npred):
+            rest = m & (m - 1)          # m without its lowest state, m ^ rest
+            below.append(below[rest] | below[rest] << (m ^ rest) * stride)
+        full = npred - 1
+        # q is above m iff q is m plus a predicate below the complement of m
+        above = [below[full ^ m] << m * stride for m in range(npred)]
+        sets = _PAIR_SETS[npred, stride] = below, above
+    return sets
+
+
+def validity_sets(logics, prof: Profile, post_major: bool = False) -> list[int]:
+    """Per logic, its valid (pre, post) pairs of predicate bits in prof's
+    class as one int over the space's P predicates: the pair (b, c) is bit
+    b * P + c, or c * P + b when post_major.  The class's P transformer
+    tables are read once.  Under a backward logic, the valid b at a fixed c
+    are those below its result at c (a lower bound) or above it (an upper
+    bound), a set over b; under a forward logic, the valid c at a fixed b
+    are those below or above its result at b.  Each is one lookup in a
+    table of `_pair_sets`, spread to stride P where the set runs over the
+    major predicate, and shifted to the fixed predicate's place."""
+    npred = 1 << prof.space.size
+    tables = list(map(prof.__getitem__, range(npred)))
+    out = []
+    for logic in logics:
+        pos, backward, lower = logic.shape
+        if backward != post_major:      # the set runs over the major predicate
+            stride, step = npred, 1
+        else:
+            stride, step = 1, npred
+        below, above = _pair_sets(npred, stride)
+        table = below if lower else above
+        valid = 0
+        if pos is None:
+            both = logic is INTERSECTION_LOGIC
+            for q, t in enumerate(tables):
+                valid |= table[t[AWP] & t[DWLP] if both else t[AWP] | t[DWLP]] << q * step
+        else:
+            for q, t in enumerate(tables):
+                valid |= table[t[pos]] << q * step
+        out.append(valid)
     return out
 
 

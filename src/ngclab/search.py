@@ -16,14 +16,22 @@ entry of each (constructor, guard, parts' profiles) key from its parts'
 meanings: every part of an enumerated program comes earlier in the
 enumeration.  A program is built from its index only when its text is
 read: for a witness, or for the det-rev filter's syntactic half on a class
-with a hit.  A block's verdicts depend only on the program's semantic class
-(its profile: relation rows and may-divergence), so within one call the
-candidates are scanned once per class for the first refuting one, and a
-later program of the class costs one comparison of that hit against the
-budget left.  The memo lives and dies with the call, so a caller that
-clears the caches starts cold.
-Verdicts come from the logics' kernel and the equation catalog, both over
-the profile's transformer tables.
+with a hit; a witness's predicates are built from their bits likewise.  A
+block's verdicts depend only on the program's semantic class (its profile:
+relation rows and may-divergence), so within one call each class is
+scanned once for its first refuting candidate, and a later program of the
+class costs one comparison of that hit against the budget left.  The memo
+lives and dies with the call, so a caller that clears the caches starts
+cold.
+A candidate is a (pre, post) pair of predicate bits, and a scan reads the
+first one on which two verdicts differ.  Where both verdicts are triple
+logics (the logic-pair claims and the relational blindspot), a class's
+verdicts are the logics' validity sets (`logics.validity_sets`), every
+pair at once, and the first hit is the lowest set bit of the two sets'
+difference.  The outcome system against the intersection logic compares
+the equation catalog with the per-pair kernel (`logics.violations`), one
+pair at a time up to the first hit; the combination gaps read the
+transformer tables directly.
 `SearchResult.stats` counts the programs drawn and their classes.
 """
 
@@ -36,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 # the kernel is imported as a module, not by name: see theorems.py
 from . import logics as _logics
 from .errors import unknown_name
-from .generators import Enumeration, all_predicates, exhaustive_rows
+from .generators import Enumeration, exhaustive_rows
 from .logics import (
     CONTRAPOSITIVE, GALOIS,
     ASP_LB, ASLP_LB, AWP_LB, AWP_UB, AWLP_LB, DSP_LB, DSP_UB, DWP_LB, DWLP_LB,
@@ -161,39 +169,41 @@ def _first_difference(npred: int, differ: Callable[[int, int], bool]) -> Optiona
     return None
 
 
-def _masks(logics: tuple, prof: Profile) -> Callable[[int, int], list[int]]:
-    """The logics' violation masks on the bits of (pre, post) in prof's
-    class: a logic holds where its mask is 0."""
-    full, violations = prof.space.full_mask, _logics.violations
-    return lambda b, c: violations(logics, prof[b], prof[c], b, c, full)
+def _first_disagreement(left: int, right: int) -> Optional[int]:
+    """The index of the first candidate in one of two validity sets but not
+    in the other, or None."""
+    differ = left ^ right
+    return low_bit(differ) if differ else None
 
 
 def _classes(config: SearchConfig, stats: dict, make: Callable[[Profile, int], object]
-             ) -> Iterator[tuple[StateSpace, list[Predicate], Enumeration, int, object]]:
-    """Each enumerated program, as its rung's enumeration and its index
-    there, with the value `make(prof, npred)` of its semantic class, given
-    its space's predicate count: its profile is all that a block's verdicts
-    read (predicates are indexed by their bits), and the program is built
-    from its index only when its text is read.  The profiles are read lazily
+             ) -> Iterator[tuple[StateSpace, int, Enumeration, int, object]]:
+    """Each enumerated program, as its space's predicate count, its rung's
+    enumeration and its index there, with the value `make(prof, npred)` of
+    its semantic class: its profile is all that a block's verdicts read
+    (predicates are indexed by their bits), and the program is built from
+    its index only when its text is read.  The profiles are read lazily
     off the stream classifier, as `_drive` stops at the budget.  The value
     is made once per profile, one object per class and space, and kept for
     this search only.  Counts programs and classes into `stats`."""
     memo: dict = {}
     for variables, modulus in config.spaces:
         space = StateSpace(variables, modulus)
-        preds = list(all_predicates(space))
+        npred = 1 << space.size
         programs = Enumeration(exhaustive_rows(space, config.max_depth))
         for k, prof in enumerate(classify(programs, space)):
             stats["programs"] += 1
             value = memo.get(prof)
             if value is None:
-                value = memo[prof] = make(prof, len(preds))
+                value = memo[prof] = make(prof, npred)
                 stats["classes"] += 1
-            yield space, preds, programs, k, value
+            yield space, npred, programs, k, value
 
 
-def _witness(space: StateSpace, programs: dict, pre: Predicate, post: Predicate,
+def _witness(space: StateSpace, programs: dict, b: int, c: int,
              detail: str, **extra) -> dict:
+    """A witness on the predicates with bits b and c."""
+    pre, post = Predicate(space, b), Predicate(space, c)
     return {
         "space": f"vars {', '.join(space.variables)} mod {space.modulus}",
         "variables": list(space.variables),
@@ -219,24 +229,18 @@ def _logic_pair_blocks(config: SearchConfig, stats: dict, left: LogicId, right: 
     def block(prof: Profile, npred: int) -> _Block:
         if det_rev and prof.irreversible:
             return _Block(npred * npred, None, None)
-        full, violations = prof.space.full_mask, _logics.violations
-        logics = (left, right)
-
-        def differ(b: int, c: int) -> bool:
-            lv, rv = violations(logics, prof[b], prof[c], b, c, full)
-            return (not lv) != (not rv)
+        valid_left, valid_right = _logics.validity_sets((left, right), prof)
 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
-            lv, rv = violations(logics, prof[b], prof[c], b, c, full)
-            return _witness(space, {"program": pretty_program(programs.program(k))},
-                            preds[b], preds[c],
-                            f"{left.name} is {not lv} but {right.name} is {not rv}",
+            return _witness(space, {"program": pretty_program(programs.program(k))}, b, c,
+                            f"{left.name} is {bool(valid_left >> index & 1)} "
+                            f"but {right.name} is {bool(valid_right >> index & 1)}",
                             left=left.name, right=right.name)
 
-        return _Block(npred * npred, _first_difference(npred, differ), witness)
+        return _Block(npred * npred, _first_disagreement(valid_left, valid_right), witness)
 
-    for space, preds, programs, k, cls in _classes(config, stats, block):
+    for space, npred, programs, k, cls in _classes(config, stats, block):
         # a program's syntax can only take away a hit
         if det_rev and cls.hit is not None and syntactic_choice(programs.program(k)) is not None:
             cls = _Block(cls.size, None, None)
@@ -259,12 +263,12 @@ def _combination_gap_blocks(claim: str, config: SearchConfig, stats: dict) -> It
         def witness(c: int) -> dict:
             idx = low_bit(gaps[c])
             return _witness(space, {"program": pretty_program(programs.program(k))},
-                            Predicate(space, 1 << idx), preds[c], detail,
+                            1 << idx, c, detail,
                             state=space.render_states([idx])[0], state_index=idx)
 
         return _Block(len(gaps), next((c for c, gap in enumerate(gaps) if gap), None), witness)
 
-    for space, preds, programs, k, cls in _classes(config, stats, block):
+    for space, npred, programs, k, cls in _classes(config, stats, block):
         yield cls
 
 
@@ -275,30 +279,27 @@ def _relational_blindspot_blocks(config: SearchConfig, stats: dict) -> Iterator[
     classes is a pair of may-divergences, and each such pair is scanned once."""
 
     def total(prof: Profile, npred: int) -> tuple:
-        return prof.relation, prof.may_div, _masks((DWP_LB,), prof)
+        return prof.relation, prof.may_div, _logics.validity_sets((DWP_LB,), prof, True)[0]
 
-    def pair(npred: int, q_total, p_total) -> _Block:
+    def pair(npred: int, q_total: int, p_total: int) -> _Block:
         def witness(index: int) -> dict:
             c, b = divmod(index, npred)
             return _witness(
                 space, {"program_a": pretty_program(programs.program(q)),
                         "program_b": pretty_program(programs.program(k))},
-                preds[b], preds[c],
-                "equal relational denotations, total-correctness verdicts "
-                f"{not q_total(b, c)[0]} vs {not p_total(b, c)[0]}",
+                b, c, "equal relational denotations, total-correctness verdicts "
+                f"{bool(q_total >> index & 1)} vs {bool(p_total >> index & 1)}",
             )
 
-        hit = _first_difference(
-            npred, lambda c, b: (not q_total(b, c)[0]) != (not p_total(b, c)[0]))
-        return _Block(npred * npred, hit, witness)
+        return _Block(npred * npred, _first_disagreement(q_total, p_total), witness)
 
     by_relation: dict = {}
-    for space, preds, programs, k, (relation, may, p_total) in _classes(config, stats, total):
+    for space, npred, programs, k, (relation, may, p_total) in _classes(config, stats, total):
         others, pairs = by_relation.setdefault((space, relation), ([], {}))
         for q, q_may, q_total in others:
             cls = pairs.get((q_may, may))
             if cls is None:
-                cls = pairs[q_may, may] = pair(len(preds), q_total, p_total)
+                cls = pairs[q_may, may] = pair(npred, q_total, p_total)
             yield cls
         others.append((k, may, p_total))
 
@@ -308,26 +309,24 @@ def _outcome_gap_blocks(config: SearchConfig, stats: dict) -> Iterator[_Block]:
     outcome = EQUATIONS.index("OUTCOME_CONJUNCTION")
 
     def block(prof: Profile, npred: int) -> _Block:
-        full = prof.space.full_mask
+        full, violations = prof.space.full_mask, _logics.violations
 
         def system(b: int, c: int) -> bool:
             return catalog_values(prof, b, c, full)[outcome]
 
-        masks = _masks((INTERSECTION_LOGIC,), prof)
-
         def logic(b: int, c: int) -> bool:
-            return not masks(b, c)[0]
+            return not violations((INTERSECTION_LOGIC,), prof[b], prof[c], b, c, full)[0]
 
         def witness(index: int) -> dict:
             b, c = divmod(index, npred)
             return _witness(space, {"program": pretty_program(programs.program(k))},
-                            preds[b], preds[c], f"equation system says {system(b, c)}, "
+                            b, c, f"equation system says {system(b, c)}, "
                             f"subset condition says {logic(b, c)}")
 
         hit = _first_difference(npred, lambda b, c: system(b, c) != logic(b, c))
         return _Block(npred * npred, hit, witness)
 
-    for space, preds, programs, k, cls in _classes(config, stats, block):
+    for space, npred, programs, k, cls in _classes(config, stats, block):
         yield cls
 
 

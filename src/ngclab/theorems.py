@@ -31,7 +31,7 @@ from .logics import (
     Bound, syntactic_choice,
 )
 from .semantics import classify, profile
-from .space import Predicate, StateSpace
+from .space import Predicate, StateSpace, low_bit
 from .syntax import Choice, Program, Skip, While, TRUE, pretty_program
 from .topkat import EQUATIONS, catalog_values
 from .transformers import (
@@ -291,6 +291,47 @@ def _check_fig4(t, free, b, c, full):
     return None
 
 
+# Per-class checks on a shared pair list: (t, npred) -> the set of the
+# failing (pre, post) pairs of the class, bit b * npred + c as in
+# `logics.validity_sets`, for the theorems that compare triple logics.  The
+# first failing pair is the lowest set bit, and its detail is the per-triple
+# check's on that pair.
+
+def _reversed(valid, width):
+    """A set of pairs over P predicates, width P * P bits, with each pair
+    (b, c) replaced by (~b, ~c): bit b * P + c goes to width - 1 - (b * P + c)."""
+    return int(format(valid, f"0{width}b")[::-1], 2)
+
+
+def _fig4_failures(t, npred):
+    valid = _logics.validity_sets(ALL_LOGICS, t)
+    failures = 0
+    for src, dst, _ in _IMPLICATIONS:
+        failures |= valid[src] & ~valid[dst]
+    for a, d, _ in _CONTRA_PAIRS:
+        failures |= valid[a] ^ _reversed(valid[d], npred * npred)
+    for a, d, _ in _GALOIS_PAIRS:
+        failures |= valid[a] ^ valid[d]
+    return failures
+
+
+def _galois_failures(f, g):
+    """The failures of the Galois pair of f -| g, g-lb against f-ub."""
+    logics = (BOUNDED[g, Bound.LB], BOUNDED[f, Bound.UB])
+
+    def failures(t, npred):
+        lower, upper = _logics.validity_sets(logics, t)
+        return lower ^ upper
+    return failures
+
+
+_SET_CHECKS = {
+    "GALOIS_PC": _galois_failures(*ADJUNCTIONS[0][1:]),
+    "GALOIS_PI": _galois_failures(*ADJUNCTIONS[1][1:]),
+    "FIG4_IMPLICATIONS": _fig4_failures,
+}
+
+
 def _check_bridges(t, free, b, c, full):
     vec = _logics.violations(ALL_LOGICS, t[b], t[c], b, c, full)
     values = catalog_values(t, b, c, full)
@@ -404,6 +445,8 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
     syntactic = theorem == "DETERMINISM_COLLAPSE"
     items = corpus_items(corpus)
     shared_pairs = corpus.predicate_mode == "all"   # one pair list for all
+    set_check = _SET_CHECKS.get(theorem) if shared_pairs else None
+    npred = 1 << space.size
     if shared_pairs:
         firsts = owners = corpus_classes(corpus)
         if syntactic:
@@ -424,6 +467,15 @@ def check_theorem(theorem: str, corpus: CorpusConfig) -> Verdict:
         else:
             checked.add((t, free))
             programs, classes = i + 1, len(checked)
+        if set_check is not None:
+            failures = set_check(t, npred)
+            if not failures:
+                continue
+            first = low_bit(failures)   # the pairs run b-major, by bits
+            b, c = pairs[first]
+            triples += first + 1
+            detail = check(t, free, b.bits, c.bits, full)
+            return Verdict(theorem, False, _witness(p, space, detail, b, c), stats())
         for b, c in pairs:
             triples += 1
             detail = check(t, free, b.bits, c.bits, full)

@@ -1,7 +1,9 @@
 """Triple validity under the eighteen logics and the assumption classifiers."""
 
 import random
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngclab import (
@@ -15,8 +17,10 @@ from ngclab import (
     parse_program,
 )
 from ngclab.generators import random_program
-from ngclab.logics import ASP_LB, AWP_LB, CONTRAPOSITIVE, DWLP_LB, DWP_LB, GALOIS, Flag
-from ngclab.semantics import profile
+from ngclab.logics import (
+    ASP_LB, AWP_LB, CONTRAPOSITIVE, DWLP_LB, DWP_LB, GALOIS, Flag, validity_sets, violations,
+)
+from ngclab.semantics import _class, profile
 
 from profile_reference import reference_profile
 
@@ -92,6 +96,59 @@ class TestHolds:
                    Predicate(SPACE, cbits))
         for logic, partner in GALOIS.items():
             assert holds(logic, t) == holds(partner, t)
+
+
+# --- the per-class kernel against the per-pair one ----------------------------
+
+def _kernel_sets(prof):
+    """Per logic, the valid pairs of the class by the per-pair kernel,
+    pre-major (bit b * P + c) and post-major (bit c * P + b)."""
+    npred, full = 1 << prof.space.size, prof.space.full_mask
+    pre_major, post_major = dict.fromkeys(ALL_LOGICS, 0), dict.fromkeys(ALL_LOGICS, 0)
+    for b in range(npred):
+        for c in range(npred):
+            for logic, mask in zip(ALL_LOGICS, violations(ALL_LOGICS, prof[b], prof[c],
+                                                          b, c, full)):
+                if not mask:
+                    pre_major[logic] |= 1 << b * npred + c
+                    post_major[logic] |= 1 << c * npred + b
+    return pre_major, post_major
+
+
+def _assert_sets_match_kernel(space, rows, may):
+    prof = _class(space, rows, may)
+    pre_major, post_major = _kernel_sets(prof)
+    assert dict(zip(ALL_LOGICS, validity_sets(ALL_LOGICS, prof))) == pre_major, (rows, may)
+    assert dict(zip(ALL_LOGICS, validity_sets(ALL_LOGICS, prof, post_major=True))) \
+        == post_major, (rows, may)
+
+
+def _random_class(rng, n):
+    """Relation rows, and a may-divergence covering the states with no final state."""
+    rows = tuple(rng.randrange(1 << n) for _ in range(n))
+    stuck = sum(1 << i for i, row in enumerate(rows) if not row)
+    return rows, stuck | rng.randrange(1 << n)
+
+
+@pytest.mark.parametrize("modulus", [1, 2])
+def test_validity_sets_match_the_kernel_on_every_small_class(modulus):
+    """Every class over one and two states: every rows tuple, and every
+    may-divergence that covers the states with no final state."""
+    space = StateSpace(("x",), modulus)
+    n = space.size
+    for rows in product(range(1 << n), repeat=n):
+        stuck = sum(1 << i for i, row in enumerate(rows) if not row)
+        for may in range(1 << n):
+            if may & stuck == stuck:
+                _assert_sets_match_kernel(space, rows, may)
+
+
+@pytest.mark.parametrize("space, count", [(StateSpace(("x",), 3), 200),
+                                          (StateSpace(("x", "y"), 2), 20)])
+def test_validity_sets_match_the_kernel_on_random_classes(space, count):
+    rng = random.Random(3170 + space.size)
+    for _ in range(count):
+        _assert_sets_match_kernel(space, *_random_class(rng, space.size))
 
 
 class TestClassify:

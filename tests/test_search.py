@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from ngclab import search, semantics
+from ngclab import logics, search, semantics
 from ngclab.generators import (
     Enumeration, all_predicates, exhaustive_programs, exhaustive_rows, expr_pool, guard_pool,
 )
@@ -436,15 +436,18 @@ def _drawn(config, count):
 
 
 def _counting_scans(monkeypatch):
-    scans = []
-    real = search._first_difference
+    """Record each scan for a first hit, over two validity sets or one
+    candidate at a time, and each call of the per-class kernel."""
+    scans, kernel = [], []
+    for module, name, calls in ((search, "_first_disagreement", scans),
+                                (search, "_first_difference", scans),
+                                (logics, "validity_sets", kernel)):
+        def counting(*args, real=getattr(module, name), calls=calls):
+            calls.append(args)
+            return real(*args)
 
-    def counting(npred, differ):
-        scans.append(npred)
-        return real(npred, differ)
-
-    monkeypatch.setattr(search, "_first_difference", counting)
-    return scans
+        monkeypatch.setattr(module, name, counting)
+    return scans, kernel
 
 
 TWO_RUNGS = SearchConfig(spaces=((("x",), 2), (("x",), 3)), max_depth=2, budget=10**6)
@@ -453,7 +456,7 @@ TWO_RUNGS = SearchConfig(spaces=((("x",), 2), (("x",), 3)), max_depth=2, budget=
 @pytest.mark.parametrize("claim", ["galois-pc", "galois-awlp-dsp-det-rev",
                                    "outcome-vs-intersection", "appendixC:dwpLB-vs-awpLB"])
 def test_each_class_is_scanned_once_per_claim(monkeypatch, claim):
-    scans = _counting_scans(monkeypatch)
+    scans, kernel = _counting_scans(monkeypatch)
     result = find_counterexample(claim, TWO_RUNGS)
     classes = {_class_key(p, space) for space, p in _drawn(TWO_RUNGS, result.stats["programs"])}
     assert result.stats["classes"] == len(classes)
@@ -464,10 +467,13 @@ def test_each_class_is_scanned_once_per_claim(monkeypatch, claim):
         classes = [rows for rows, _ in classes
                    if all(r.bit_count() <= 1 for r in converse(Relation(len(rows), rows)).rows)]
     assert len(scans) == len(classes)
+    # the outcome system is scanned one candidate at a time; a logic pair
+    # reads each class's validity sets once
+    assert len(kernel) == (0 if claim == "outcome-vs-intersection" else len(classes))
 
 
 def test_blindspot_scans_each_pair_of_classes_once(monkeypatch):
-    scans = _counting_scans(monkeypatch)
+    scans, kernel = _counting_scans(monkeypatch)
     result = find_counterexample("total-correctness-relational", TWO_RUNGS)
     assert result.outcome == "found"
     # replay the pairs up to the witness: within one relation, a pair of
@@ -483,6 +489,8 @@ def test_blindspot_scans_each_pair_of_classes_once(monkeypatch):
                 break
         earlier.setdefault((space, rows), []).append((p, may))
     assert len(scans) == len(pairs) < count
+    # each class's validity set is read once, however many pairs it is in
+    assert len(kernel) == result.stats["classes"]
 
 
 @pytest.mark.parametrize("claim", ["dwp-neq-intersection", "awlp-neq-union"])

@@ -285,26 +285,36 @@ def test_deduplicated_survey_matches_per_triple_reference(name):
             _jsonable(reference_check(theorem, corpus)), theorem
 
 
-@pytest.fixture
-def dwp_forgets_divergence(monkeypatch):
-    """dwp computed as dwlp, in the per-kind reference oracle and in the
-    profiles' tables alike.  The profiles are cleared before and after, so
-    that no table cached without the fault hides it, and none cached with it
-    outlives it."""
+def _plant(monkeypatch, wrong, right):
+    """The transformer `wrong` computed as `right`, in the per-kind reference
+    oracle and in the profiles' tables alike.  The profiles are cleared
+    before and after, so that no table cached without the fault hides it,
+    and none cached with it outlives it."""
     real_bits, real_table = oracle_reference.oracle_bits, semantics.rows_table
 
     def bits(kind, prof, q):
-        return real_bits(K.DWLP if kind is K.DWP else kind, prof, q)
+        return real_bits(right if kind is wrong else kind, prof, q)
 
     def table(rows, may_div, q):
-        awp, _, awlp, dwlp, *forward = real_table(rows, may_div, q)
-        return (awp, dwlp, awlp, dwlp, *forward)
+        results = list(real_table(rows, may_div, q))
+        results[wrong.position] = results[right.position]
+        return tuple(results)
 
     monkeypatch.setattr(oracle_reference, "oracle_bits", bits)
     monkeypatch.setattr(semantics, "rows_table", table)
     _clear_profiles()
     yield
     _clear_profiles()
+
+
+@pytest.fixture
+def dwp_forgets_divergence(monkeypatch):
+    yield from _plant(monkeypatch, K.DWP, K.DWLP)
+
+
+@pytest.fixture
+def dwlp_counts_divergence(monkeypatch):
+    yield from _plant(monkeypatch, K.DWLP, K.DWP)
 
 
 def _clear_profiles():
@@ -326,6 +336,19 @@ def test_fault_gives_the_reference_witnesses(name, dwp_forgets_divergence):
         # a failing verdict is timed as a passing one is
         assert verdict.stats["elapsed_s"] >= 0
     assert failed >= 3
+
+
+@pytest.mark.parametrize("name", ["tiny", "random-x2"])
+def test_galois_fault_gives_the_reference_witness(name, dwlp_counts_divergence):
+    """With dwlp computed as dwp, the partial-correctness Galois pair fails,
+    on a pair past its class's first: the set algebra names the pair and
+    the counts that the per-triple walk does."""
+    corpus = CORPORA[name]
+    for theorem in ("GALOIS_PC", "GALOIS_PI", "FIG4_IMPLICATIONS"):
+        assert _jsonable(check_theorem(theorem, corpus)) == \
+            _jsonable(reference_check(theorem, corpus)), theorem
+    verdict = check_theorem("GALOIS_PC", corpus)
+    assert not verdict.holds and verdict.stats["triples"] % 16 > 1
 
 
 def _swap_image_and_preimage(monkeypatch):

@@ -6,6 +6,9 @@ the sink of its successor tables given a successor, a row bit or a final
 state, its budget off by one, an `if`'s sides swapped in its syntax walk
 alone, a derived field of `Profile` read from the wrong
 place, the triple logics' subset-condition kernel bounding the wrong way,
+its per-class validity sets bounding a backward logic the wrong way,
+shifting a forward set by b rather than b * P or not spreading a
+backward one, Fig. 4's contrapositive check without its bit reversal,
 the linear passes of a profile's transformer tables for large spaces
 reading the wrong masks, a collapse assumption scoped to the wrong side or
 to no side, the equation catalog's rectangle plans reading the wrong table
@@ -252,6 +255,21 @@ MUTANTS = (
         ("awp | dwlp if logic is UNION_LOGIC else awp & dwlp",
          "awp & dwlp if logic is UNION_LOGIC else awp | dwlp"),
     ), "test_cli.py"),
+    # the per-class kernel, its validity sets: killed by their cross-check
+    # against the per-pair kernel, or by the survey's per-triple reference
+    Mutant("a backward bound's subset and superset tables are swapped", "logics.py", (
+        ("table = below if lower else above",
+         "table = (above if backward else below) if lower else (below if backward else above)"),
+    ), "test_logics.py"),
+    Mutant("a forward set is shifted by b instead of b * P", "logics.py", (
+        ("stride, step = 1, npred", "stride, step = 1, 1"),
+    ), "test_logics.py"),
+    Mutant("a backward set is not spread to stride P", "logics.py", (
+        ("stride, step = npred, 1", "stride, step = 1, 1"),
+    ), "test_logics.py"),
+    Mutant("Fig. 4's contrapositive check skips the bit reversal", "theorems.py", (
+        ("valid[a] ^ _reversed(valid[d], npred * npred)", "valid[a] ^ valid[d]"),
+    ), "test_survey.py"),
     # the collapse assumptions and their scopes
     Mutant("reversibility is scoped to the precondition", "logics.py", (
         ('"reversibility": (False,', '"reversibility": (True,'),
@@ -313,10 +331,10 @@ MUTANTS = (
         ('(_leg(logic) + "-contra", CONTRAPOSITIVE[logic])', '(_leg(logic) + "-contra", logic)'),
     ), "test_search.py"),
     Mutant("the det-rev filter keeps its syntactic half per class", "search.py", (
-        ("    for space, preds, programs, k, cls in _classes(config, stats, block):\n"
+        ("    for space, npred, programs, k, cls in _classes(config, stats, block):\n"
          "        # a program's syntax",
          "    first_syntax = {}\n"
-         "    for space, preds, programs, k, cls in _classes(config, stats, block):\n"
+         "    for space, npred, programs, k, cls in _classes(config, stats, block):\n"
          "        # a program's syntax"),
         ("syntactic_choice(programs.program(k)) is not None:",
          "first_syntax.setdefault(id(cls), syntactic_choice(programs.program(k)) is not None):"),
